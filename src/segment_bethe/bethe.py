@@ -1,9 +1,10 @@
-"""Transfer-matrix eigenvalues, Bethe equations, and root solvers.
+"""Transfer-matrix eigenvalues, Bethe equations, and the T-Q root solver.
 
 The scalar functions in this module (vacuum eigenvalues, dressed and
 inhomogeneous eigenvalue terms, residuals, Jacobians) are written with plain
 arithmetic only, so they run unchanged on ``complex`` and ``mpmath.mpc``
-inputs.  Matrix work (spectrum matching) stays in numpy double precision.
+inputs.  Matrix work (the common eigenbasis, the T-Q least squares) stays in
+numpy double precision.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .params import (
     draw_spectral_point,
     draw_spectral_points,
 )
+from .precision import lift_problem, lift_roots, workdps
 
 __all__ = [
     "BetheRoots",
@@ -480,7 +482,7 @@ def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Spectrum matching.
+# Root solver: one linear T-Q solve per transfer-matrix branch.
 
 
 class _BranchBasis:
@@ -533,166 +535,119 @@ def transfer_branch_basis(
     return _BranchBasis(cs, bp, sector=sector, rng=rng)
 
 
-def _seed_pool(rng, count, radius=1.6):
-    out = []
-    for _ in range(count):
-        z = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        out.append(complex(z))
-    return out
+def _tq_terms(w, m, cs, bp):
+    """T-Q coefficients at node ``w`` for a Baxter polynomial of degree ``m``.
+
+    With ``Q(u) = prod_j (u-u_j)(u+u_j+1) = P(u(u+1))`` the eigenvalue obeys
+    ``Lambda(w) P(z0) - abar lam1 P(z-) - dbar lam2 P(z+) = rho phit lam1 lam2``
+    where ``z0 = w(w+1)``, ``z- = (w-1)w``, ``z+ = (w+1)(w+2)``.  Returns the
+    powers ``z0^k`` and ``abar lam1 z-^k + dbar lam2 z+^k`` for ``k = 0..m``,
+    and the right-hand side (zero for diagonal couplings).
+    """
+    lam1, lam2 = vacuum_eigenvalues(w, cs, bp)
+    powers = np.arange(m + 1)
+    own = (w * (w + 1)) ** powers
+    down = kn.alpha_bar(w, bp) * lam1 * ((w - 1) * w) ** powers
+    up = kn.delta_bar(w, bp) * lam2 * ((w + 1) * (w + 2)) ** powers
+    rhs = 0j if bp.diagonal_mode else bp.rho * kn.tilde_phi(w, bp.p) * lam1 * lam2
+    return own, down + up, rhs
 
 
-def _collocation_solve(
-    nodes, targets, m, cs, bp, rng, dressed_only=False, attempts=40
-):
-    """Newton on lambda(w_k, roots) = target_k from random seeds."""
-    weights = [1.0 + abs(t) for t in targets]
+def _tq_seeds(basis, nodes, m, cs, bp):
+    """One root set per branch from the linear T-Q system at ``nodes``.
 
-    def system(x):
-        roots = tuple(x)
-        res = []
-        for wk, tk in zip(nodes, targets):
-            if dressed_only:
-                val = dressed_value(wk, roots, cs, bp)
-            else:
-                val = lambda_total(wk, roots, cs, bp)
-            res.append(val - tk)
-        jac = [
-            [
-                lambda_total_derivative(
-                    wk,
-                    roots,
-                    j,
-                    cs,
-                    bp,
-                    include_inhomogeneous=not dressed_only,
-                )
-                for j in range(m)
-            ]
-            for wk in nodes
-        ]
-        return res, weights, jac
-
-    for _ in range(attempts):
-        x0 = _seed_pool(rng, m)
-        if not _set_is_generic(x0):
-            continue
-        try:
-            sol, _ = _newton(system, x0, tol=1e-9)
-        except (ConvergenceError, PoleError, ZeroDivisionError):
-            continue
-        if _set_is_generic(sol):
-            yield tuple(sol)
+    The monic Baxter polynomial ``P`` of degree ``m`` in ``z = u(u+1)`` solves
+    a linear least-squares system per branch; its zeros give the roots through
+    ``u = (-1 + sqrt(1+4z))/2`` (either branch of the root is the same set up
+    to the reflection ``u -> -u-1``).
+    """
+    terms = [_tq_terms(w, m, cs, bp) for w in nodes]
+    own = np.array([t[0] for t in terms])
+    shifted = np.array([t[1] for t in terms])
+    rhs = np.array([t[2] for t in terms])
+    eigs = np.array([basis.values(w) for w in nodes])
+    seeds = []
+    for br in range(basis.size):
+        rows = eigs[:, br, None] * own - shifted
+        a, b = rows[:, :m], rhs - rows[:, m]
+        scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
+        coef = np.linalg.lstsq(a / scale[:, None], b / scale, rcond=None)[0]
+        zs = np.roots(np.concatenate(([1.0], coef[::-1])))
+        seeds.append(tuple(complex(u) for u in (-1 + np.sqrt(1 + 4 * zs)) / 2))
+    return seeds
 
 
-def _verify_branch(roots, basis, branch, points, cs, bp, dressed_only=False):
+def _polish(seed, cs, bp):
+    """Newton-polish a T-Q seed on the Bethe system.
+
+    Some sets (a root pair with ``u_j + u_k`` near zero) bottom out in double
+    precision just above the 1e-12 stop; those are polished in extended
+    precision and rounded back, and the caller's double gates decide.
+    """
+    try:
+        return refine_roots(seed, cs, bp, tol=1e-12)
+    except ConvergenceError:
+        pass
+    with workdps():
+        lifted = refine_roots(lift_roots(seed), *lift_problem(cs, bp), tol=1e-30)
+    return tuple(complex(r) for r in lifted)
+
+
+def _verify_branch(roots, targets, points, cs, bp):
+    """Worst relative gap between the eigenvalue expression and ``targets``."""
+    value = dressed_value if bp.diagonal_mode else lambda_total
     worst = 0.0
-    for w in points:
-        lam = (
-            dressed_value(w, roots, cs, bp)
-            if dressed_only
-            else lambda_total(w, roots, cs, bp)
-        )
-        target = basis.values(w)[branch]
+    for w, target in zip(points, targets):
+        lam = value(w, roots, cs, bp)
         worst = max(worst, abs(lam - target) / (1.0 + abs(target)))
     return worst
+
+
+def _solve_branches(cs, bp, m, rng, tol, sector=None):
+    """Certified root sets with ``m`` roots for every branch of the family."""
+    basis = transfer_branch_basis(cs, bp, rng=rng, sector=sector)
+    check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
+    nodes = draw_spectral_points(rng, m + 2, cs=cs, bp=bp)
+    targets = np.array([basis.values(w) for w in check_points])
+    seeds = _tq_seeds(basis, nodes, m, cs, bp) if m else [()] * basis.size
+
+    found = []
+    for br, seed in enumerate(seeds):
+        try:
+            roots = _polish(seed, cs, bp)
+        except (ConvergenceError, PoleError, ZeroDivisionError):
+            continue
+        if not _set_is_generic(roots):
+            continue
+        worst = _verify_branch(roots, targets[:, br], check_points, cs, bp)
+        if worst > 1e-8:
+            continue
+        sol = _package(roots, cs, bp, tol, branch=br, eig_res=worst)
+        if sol.on_shell:
+            found.append(sol)
+    return found
 
 
 def solve_bethe(
     cs: ChainSpec,
     bp: BoundaryParams,
     rng=None,
-    strategy: str = "spectrum",
     tol: float = 1e-10,
-    attempts: int = 60,
 ):
     """Find Bethe root sets for every transfer-matrix branch.
 
-    ``spectrum`` collocates the eigenvalue expression against each numerical
-    eigenvalue branch and then polishes on the Bethe system; ``multistart``
-    hunts for on-shell sets first and assigns branches afterwards.  Both end
-    with the same certification: scaled residuals below ``tol`` and the
-    eigenvalue expression matching the branch at fresh spectral points.
+    Each branch's eigenvalue, sampled at ``sites + 2`` spectral points, fixes
+    its Baxter polynomial through the inhomogeneous T-Q relation (one linear
+    least-squares solve); the polynomial's zeros are Newton-polished on the
+    Bethe system.  A set is returned only if its scaled residuals are below
+    ``tol`` and the eigenvalue expression matches its branch to 1e-8 at five
+    fresh spectral points.  ``rng`` draws the eigenbasis reference point, the
+    nodes and the check points, so equal seeds give equal output.
     """
     if bp.diagonal_mode:
         raise ParameterError("use solve_bethe_diagonal for diagonal couplings")
     rng = rng or np.random.default_rng()
-    n = cs.sites
-    basis = transfer_branch_basis(cs, bp, rng=rng)
-    check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
-
-    found: dict[int, BetheRoots] = {}
-    candidates: list[tuple] = []
-
-    def try_assign(roots_raw, branch_hint=None):
-        try:
-            refined = refine_roots(roots_raw, cs, bp, tol=1e-12)
-        except (ConvergenceError, PoleError, ZeroDivisionError):
-            return
-        if not _set_is_generic(refined):
-            return
-        if any(root_sets_match(refined, c) for c in candidates):
-            pass
-        else:
-            candidates.append(refined)
-        branches = (
-            [branch_hint] if branch_hint is not None else list(range(basis.size))
-        )
-        for br in branches:
-            if br in found:
-                continue
-            worst = _verify_branch(refined, basis, br, check_points, cs, bp)
-            if worst <= 1e-8:
-                found[br] = _package(
-                    refined, cs, bp, tol, branch=br, eig_res=worst
-                )
-                return
-
-    if strategy == "spectrum":
-        for br in range(basis.size):
-            if br in found:
-                continue
-            for round_ in range(3):
-                nodes = draw_spectral_points(rng, n, cs=cs, bp=bp)
-                targets = [basis.values(wk)[br] for wk in nodes]
-                for sol in _collocation_solve(
-                    nodes, targets, n, cs, bp, rng, attempts=attempts // 3
-                ):
-                    try_assign(sol, branch_hint=br)
-                    if br in found:
-                        break
-                if br in found:
-                    break
-            # Harvest: a candidate found for another branch may match.
-            if br not in found:
-                for cand in list(candidates):
-                    try_assign(cand, branch_hint=br)
-                    if br in found:
-                        break
-    elif strategy == "multistart":
-        pool = []
-        for t in cs.thetas:
-            pool.extend([t - 0.5, -t - 0.5, t, -t - 1])
-        for _ in range(attempts):
-            x0 = []
-            for _ in range(n):
-                if pool and rng.uniform() < 0.5:
-                    base = pool[rng.integers(len(pool))]
-                else:
-                    base = complex(
-                        rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6)
-                    )
-                x0.append(base + 0.15 * complex(rng.normal(), rng.normal()))
-            if not _set_is_generic(x0):
-                continue
-            try:
-                refined = refine_roots(x0, cs, bp, tol=1e-12)
-            except (ConvergenceError, PoleError, ZeroDivisionError):
-                continue
-            try_assign(refined)
-    else:
-        raise ParameterError(f"unknown strategy {strategy!r}")
-
-    return [found[br] for br in sorted(found)]
+    return _solve_branches(cs, bp, cs.sites, rng, tol)
 
 
 def solve_bethe_diagonal(
@@ -701,9 +656,13 @@ def solve_bethe_diagonal(
     magnons: int,
     rng=None,
     tol: float = 1e-10,
-    attempts: int = 60,
 ):
-    """Root sets of the dressed (diagonal) Bethe system in one magnon sector."""
+    """Root sets of the dressed (diagonal) Bethe system in one magnon sector.
+
+    The same T-Q solve and certification as :func:`solve_bethe`, restricted
+    to the transfer matrix on the ``magnons`` sector, with the inhomogeneous
+    term absent; the empty sector returns the vacuum with no roots.
+    """
     if not bp.diagonal_mode:
         raise ParameterError("diagonal solver needs diagonal couplings")
     if not 0 <= magnons <= cs.sites:
@@ -712,60 +671,4 @@ def solve_bethe_diagonal(
     sector = [
         idx for idx in range(1 << cs.sites) if bin(idx).count("1") == magnons
     ]
-    basis = transfer_branch_basis(cs, bp, rng=rng, sector=sector)
-    check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
-
-    if magnons == 0:
-        worst = _verify_branch((), basis, 0, check_points, cs, bp, dressed_only=True)
-        return [
-            BetheRoots(
-                roots=(),
-                residuals=(),
-                residuals_scaled=(),
-                on_shell=True,
-                branch=0,
-                eigenvalue_residual=worst,
-            )
-        ]
-
-    def refine_diag(roots):
-        def system(x):
-            res, scales = bethe_residuals_scaled(tuple(x), cs, bp)
-            jac = residual_jacobian(tuple(x), cs, bp)
-            return res, scales, jac
-
-        refined, _ = _newton(system, list(roots), tol=1e-12)
-        return tuple(refined)
-
-    found: dict[int, BetheRoots] = {}
-    for br in range(basis.size):
-        for round_ in range(3):
-            nodes = draw_spectral_points(rng, magnons, cs=cs, bp=bp)
-            targets = [basis.values(wk)[br] for wk in nodes]
-            for sol in _collocation_solve(
-                nodes,
-                targets,
-                magnons,
-                cs,
-                bp,
-                rng,
-                dressed_only=True,
-                attempts=attempts // 3,
-            ):
-                try:
-                    refined = refine_diag(sol)
-                except (ConvergenceError, PoleError, ZeroDivisionError):
-                    continue
-                if not _set_is_generic(refined):
-                    continue
-                worst = _verify_branch(
-                    refined, basis, br, check_points, cs, bp, dressed_only=True
-                )
-                if worst <= 1e-8:
-                    found[br] = _package(
-                        refined, cs, bp, tol, branch=br, eig_res=worst
-                    )
-                    break
-            if br in found:
-                break
-    return [found[br] for br in sorted(found)]
+    return _solve_branches(cs, bp, magnons, rng, tol, sector=sector)

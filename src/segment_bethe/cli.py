@@ -14,6 +14,7 @@ import sys
 from .errors import (
     ConstructionError,
     ConvergenceError,
+    DimensionError,
     ParameterError,
     PoleError,
 )
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run(args.command, config)
+    except DimensionError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (ParameterError, ConvergenceError, PoleError, ConstructionError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3

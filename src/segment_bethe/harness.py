@@ -42,7 +42,7 @@ from .double_row import (
     transfer_forms_residual,
     transfer_matrix,
 )
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .linalg import relative_residual
 from .params import (
     BoundaryParams,
@@ -644,7 +644,7 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
     for d in range(config.draws):
         bp = config.boundary(rng)
         cs = config.chain(rng)
-        solutions = solve_bethe(cs, bp, rng=rng)
+        solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
         sol = solutions[d % len(solutions)]
         on = sol.roots
         last = (cs, bp)
@@ -709,7 +709,9 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
         worst_diag = 0.0
         worst_w0 = 0.0
         for magnons in range(sites + 1):
-            sols = solve_bethe_diagonal(cs, bp_diag, magnons, rng=rng)
+            sols = _require_roots(
+                solve_bethe_diagonal(cs, bp_diag, magnons, rng=rng)
+            )
             on = sols[0].roots
             if magnons == 0:
                 continue
@@ -737,6 +739,13 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
     return rec.report
 
 
+def _require_roots(solutions):
+    """The solver's certified sets; none at all aborts the suite (exit 3)."""
+    if not solutions:
+        raise ConvergenceError("the Bethe solver certified no root set")
+    return solutions
+
+
 def _pair_residual(a, b) -> float:
     a, b = complex(a), complex(b)
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
@@ -761,7 +770,7 @@ def run_norm(config: RunConfig) -> VerificationReport:
     for d in range(config.draws):
         bp = config.boundary(rng)
         cs = config.chain(rng)
-        solutions = solve_bethe(cs, bp, rng=rng)
+        solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
         sol = solutions[d % len(solutions)]
         on = sol.roots
         formula = gaudin_korepin_norm(
@@ -812,7 +821,7 @@ def run_n1(config: RunConfig) -> VerificationReport:
         )
     cs = config.chain(rng, sites=1)
 
-    solutions = solve_bethe(cs, bp, rng=rng)
+    solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
     # The prescription residual scales with the root's Bethe residual, and
     # its tolerance sits at 1e-11, so polish beyond the solver default.
     polished = [

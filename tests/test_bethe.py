@@ -1,10 +1,11 @@
-"""Eigenvalue expressions, Bethe system, Jacobians, and the two solvers."""
+"""Eigenvalue expressions, Bethe system, Jacobians, and the T-Q root solver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segment_bethe import kernels as kn
 from segment_bethe.bethe import (
     bethe_residuals,
     bethe_residuals_scaled,
@@ -26,7 +27,12 @@ from segment_bethe.bethe import (
 from segment_bethe.double_row import double_row, transfer_matrix
 from segment_bethe.errors import ConvergenceError, ParameterError
 from segment_bethe.linalg import vacuum_state
-from segment_bethe.params import draw_spectral_point, draw_spectral_points
+from segment_bethe.params import (
+    draw_boundary_params,
+    draw_chain_spec,
+    draw_spectral_point,
+    draw_spectral_points,
+)
 
 STEP = 1e-6
 DTOL = 1e-6
@@ -202,14 +208,40 @@ def test_solved_eigenvalues_in_spectrum(cs2, bp, solved2, rng):
         assert min(abs(spectrum - lam)) <= 1e-8 * max(1.0, abs(lam))
 
 
-def test_multistart_agrees_with_spectrum_strategy(cs1, bp):
-    multi = solve_bethe(
-        cs1, bp, rng=np.random.default_rng(42), strategy="multistart"
-    )
-    spect = solve_bethe(cs1, bp, rng=np.random.default_rng(43))
-    assert len(multi) == len(spect) == 2
-    for m in multi:
-        assert any(root_sets_match(m.roots, s.roots, tol=1e-7) for s in spect)
+def test_solutions_independent_of_rng_seed(cs2, bp):
+    # The generator only picks the eigenbasis reference, the T-Q nodes and
+    # the check points; the certified root sets are those of the chain.
+    first = solve_bethe(cs2, bp, rng=np.random.default_rng(42))
+    second = solve_bethe(cs2, bp, rng=np.random.default_rng(43))
+    assert len(first) == len(second) == 4
+    for a in first:
+        assert sum(root_sets_match(a.roots, b.roots, tol=1e-7) for b in second) == 1
+
+
+def test_tq_relation_on_solved_sets(cs2, bp, solved2, rng):
+    # Lambda(u) Q(u) = abar lam1 Q(u-1) + dbar lam2 Q(u+1) + rho phit lam1 lam2,
+    # with Lambda an actual transfer-matrix eigenvalue at a fresh point.
+    for u in draw_spectral_points(rng, 3, cs=cs2, bp=bp):
+        spectrum = np.linalg.eigvals(transfer_matrix(u, cs2, bp).matrix)
+        lam1, lam2 = vacuum_eigenvalues(u, cs2, bp)
+        inhom = bp.rho * kn.tilde_phi(u, bp.p) * lam1 * lam2
+        for sol in solved2:
+            own = kn.Q_product(u, sol.roots)
+            down = kn.alpha_bar(u, bp) * lam1 * kn.Q_product(u - 1, sol.roots)
+            up = kn.delta_bar(u, bp) * lam2 * kn.Q_product(u + 1, sol.roots)
+            scale = max(abs(own * spectrum)) + abs(down) + abs(up) + abs(inhom)
+            gap = min(abs(spectrum * own - down - up - inhom))
+            assert gap <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_solve_bethe_completeness_n4(seed):
+    rng = np.random.default_rng(seed)
+    bp4 = draw_boundary_params(rng)
+    cs4 = draw_chain_spec(rng, 4)
+    sols = solve_bethe(cs4, bp4, rng=rng)
+    assert sorted(s.branch for s in sols) == list(range(16))
+    assert all(s.on_shell and s.eigenvalue_residual <= 1e-8 for s in sols)
 
 
 def test_solver_mode_guards(cs1, bp, bp_diag):
@@ -219,8 +251,6 @@ def test_solver_mode_guards(cs1, bp, bp_diag):
         solve_bethe_diagonal(cs1, bp, magnons=1)
     with pytest.raises(ParameterError):
         solve_bethe_diagonal(cs1, bp_diag, magnons=5)
-    with pytest.raises(ParameterError):
-        solve_bethe(cs1, bp, strategy="annealing")
 
 
 def test_diagonal_sector_counts(solved2_diag):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from segment_bethe import harness, linalg
 from segment_bethe.cli import ENV_PRECISION, build_config, load_config_file, main
 from segment_bethe.errors import ParameterError
 
@@ -164,3 +165,19 @@ def test_stdout_deterministic_up_to_timing(capsys):
         return report
 
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("command", ["slavnov", "norm", "n1"])
+def test_exit_three_when_solver_finds_nothing(monkeypatch, capsys, command):
+    monkeypatch.setattr(harness, "solve_bethe", lambda *a, **k: [])
+    code = main([command, "--sites", "1", "--draws", "1", "--seed", "5"])
+    assert code == 3
+    assert "run failed" in capsys.readouterr().err
+
+
+def test_exit_two_on_dimension_error(monkeypatch, capsys):
+    # An operator beyond the dimension cap is a configuration fault.
+    monkeypatch.setattr(linalg, "MAX_DIM", 4)
+    code = main(["spectrum", "--sites", "2", "--seed", "8128"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err

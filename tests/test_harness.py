@@ -16,6 +16,7 @@ from segment_bethe.harness import (
     run_check_algebra,
     run_n1,
     run_offshell,
+    run_spectrum,
 )
 
 
@@ -189,3 +190,12 @@ def test_run_dispatch():
         run("fourier", RunConfig())
     report = run("check-algebra", RunConfig(draws=2))
     assert report.command == "check-algebra"
+
+
+def test_spectrum_complete_n3_seed_1007():
+    # A root pair with u_j + u_k near zero stalls the double-precision polish
+    # just above its stop; the extended-precision polish recovers the branch.
+    report = run_spectrum(RunConfig(sites=3, seed=1007))
+    record = next(c for c in report.checks if c.name == "spectrum-completeness")
+    assert record.residual == 0
+    assert report.all_passed
