@@ -27,16 +27,26 @@ _INT_KEYS = ("sites", "seed", "draws", "direct_cap")
 _COMPLEX_KEYS = ("p", "q", "xi_plus", "xi_minus")
 
 
+def _is_real(value) -> bool:
+    """A JSON number; ``true``/``false`` are not read as 1/0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, key: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) for part in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
     raise ParameterError(f"{key} must be a number or an [re, im] pair")
+
+
+def _as_int(value, key: str) -> int:
+    """An integer; booleans and non-integral numbers are refused, not rounded."""
+    if not _is_real(value):
+        raise ParameterError(f"{key} must be an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_config_file(path: str) -> dict:
@@ -53,7 +63,7 @@ def load_config_file(path: str) -> dict:
     fields: dict = {"tolerances": {}}
     for key, value in raw.items():
         if key in _INT_KEYS:
-            fields[key] = int(value)
+            fields[key] = _as_int(value, key)
         elif key == "precision":
             fields[key] = str(value)
         elif key in _COMPLEX_KEYS:
@@ -66,6 +76,8 @@ def load_config_file(path: str) -> dict:
             else:
                 raise ParameterError("thetas must be 'random' or a list")
         elif key.startswith("tolerance."):
+            if not _is_real(value):
+                raise ParameterError(f"{key} must be a number")
             fields["tolerances"][key[len("tolerance.") :]] = float(value)
         else:
             raise ParameterError(f"unknown config key {key!r}")

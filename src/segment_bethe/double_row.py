@@ -5,7 +5,16 @@ occupy factors 1..N in order.  Operator-valued entries are extracted by block
 decomposition over the auxiliary space, so entry ``a`` of a chain operator is
 the upper-left ``2^N x 2^N`` block.
 
-Builders are memoised on ``(u, cs, bp)``; cached arrays are frozen read-only.
+No R-matrix is ever embedded in the full space.  ``R(v) = v + P``, and
+right-multiplying by the permutation ``P_{0i}`` swaps the auxiliary and
+site-i column axes, so each monodromy factor costs one scaled add of the
+running product and its axis-swapped view; the diagonal ``K^-`` is a column
+scaling.  The raw block ``T(u) K^-(u) T_hat(u)`` is built once per
+``(u, cs, bp)``, and the entries, the modified entries and the transfer
+matrix are 2x2 block contractions of it.
+
+Builders are memoised on ``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries
+each; cached arrays are frozen read-only.
 """
 
 from __future__ import annotations
@@ -16,8 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels as kn
-from .boundary import k_minus, k_plus, q_similarity, r_matrix
-from .errors import ConstructionError, ParameterError, PoleError
+from . import linalg
+from .boundary import k_minus, k_plus, q_similarity
+from .errors import ConstructionError, DimensionError, ParameterError, PoleError
 from .linalg import (
     QuantumOperator,
     embed_site,
@@ -25,7 +35,7 @@ from .linalg import (
     identity,
     kron,
     relative_residual,
-    trace_aux,
+    relative_residuals,
 )
 from .boundary import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .params import BoundaryParams, ChainSpec
@@ -44,15 +54,25 @@ __all__ = [
     "check_exchange_relations",
 ]
 
+# Entries per operator cache.  The suites revisit a spectral point only within
+# one check or draw: a cap of 16 already loses no hit in `all` at N = 2, 3 or
+# in `offshell` at N = 5.  At 32 the three caches hold at most 20 MiB at N = 6.
+CACHE_SIZE = 32
+
 
 @dataclass(frozen=True)
 class DoubleRowEntries:
-    """Operator entries A, B, C, D of one double-row monodromy."""
+    """Operator entries A, B, C, D of one double-row monodromy.
+
+    ``raw`` is the double-row matrix as a ``(2, 2^N, 2, 2^N)`` block tensor,
+    without the d-shift; ``a``, ``b`` and ``c`` are views into it.
+    """
 
     a: QuantumOperator
     b: QuantumOperator
     c: QuantumOperator
     d: QuantumOperator
+    raw: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,121 +88,118 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=4096)
+def _dimension(cs: ChainSpec) -> int:
+    """``2^(N+1)``, refused before anything of that size is allocated."""
+    dim = 1 << (cs.sites + 1)
+    if dim > linalg.MAX_DIM:
+        raise DimensionError(
+            f"double-row dimension {dim} exceeds MAX_DIM = {linalg.MAX_DIM}"
+        )
+    return dim
+
+
+def _times_r_string(m: np.ndarray, factors) -> np.ndarray:
+    """``m @ R_{0,i}(v) @ ...`` over ``factors = [(v, i), ...]`` in order.
+
+    ``m @ R_{0i}(v) = v m + m P_{0i}``, and ``m P_{0i}`` is ``m`` with its
+    auxiliary and site-i column axes swapped.
+    """
+    dim = m.shape[0]
+    t = m.reshape((dim,) + (2,) * (dim.bit_length() - 1))
+    for v, i in factors:
+        t = v * t + t.swapaxes(1, 2 + i)
+    return t.reshape(dim, dim)
+
+
+def _hat_factors(u: complex, cs: ChainSpec) -> list:
+    return [(u + cs.thetas[i], i) for i in reversed(range(cs.sites))]
+
+
 def bulk_monodromy(u, cs: ChainSpec) -> np.ndarray:
     """Ordered product of R-matrices coupling the auxiliary space to each site."""
     u = complex(u)
-    n = cs.sites
-    m = identity(1 << (n + 1))
-    for i, theta in enumerate(cs.thetas):
-        m = m @ embed_two_site(r_matrix(u - theta), n + 1, 0, 1 + i)
-    return _freeze(m)
+    factors = [(u - theta, i) for i, theta in enumerate(cs.thetas)]
+    return _times_r_string(identity(_dimension(cs)), factors)
 
 
-@lru_cache(maxsize=4096)
 def hat_monodromy(u, cs: ChainSpec) -> np.ndarray:
     """Return-trip monodromy: same couplings in reverse order, shifted signs."""
     u = complex(u)
-    n = cs.sites
-    m = identity(1 << (n + 1))
-    for i in reversed(range(n)):
-        m = m @ embed_two_site(r_matrix(u + cs.thetas[i]), n + 1, 0, 1 + i)
-    return _freeze(m)
+    return _times_r_string(identity(_dimension(cs)), _hat_factors(u, cs))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHE_SIZE)
 def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> DoubleRowEntries:
     """Entries of the double-row monodromy with the dressed d-shift applied."""
     u = complex(u)
     if abs(2 * u + 1) < kn.POLE_TOL:
         raise PoleError("double_row", u, abs(2 * u + 1))
+    half = 1 << cs.sites
+    # T K^-: K^- is diagonal on the auxiliary space, so it scales columns.
+    t_k = bulk_monodromy(u, cs) * np.repeat(np.diag(k_minus(u, bp)), half)
+    raw = _freeze(
+        _times_r_string(t_k, _hat_factors(u, cs)).reshape(2, half, 2, half)
+    )
     n = cs.sites
-    half = 1 << n
-    full = (
-        bulk_monodromy(u, cs)
-        @ kron(k_minus(u, bp), identity(half))
-        @ hat_monodromy(u, cs)
-    )
-    a = full[:half, :half]
-    b = full[:half, half:]
-    c = full[half:, :half]
-    d = full[half:, half:] - a / (2 * u + 1)
+    a = raw[0, :, 0, :]
     return DoubleRowEntries(
-        a=QuantumOperator(n, _freeze(a.copy())),
-        b=QuantumOperator(n, _freeze(b.copy())),
-        c=QuantumOperator(n, _freeze(c.copy())),
-        d=QuantumOperator(n, _freeze(d.copy())),
+        a=QuantumOperator(n, a),
+        b=QuantumOperator(n, raw[0, :, 1, :]),
+        c=QuantumOperator(n, raw[1, :, 0, :]),
+        d=QuantumOperator(n, _freeze(raw[1, :, 1, :] - a / (2 * u + 1))),
+        raw=raw,
     )
 
 
-def _assemble(entries: DoubleRowEntries, u: complex) -> np.ndarray:
-    """Rebuild the raw 2x2 block matrix over the auxiliary space."""
-    a = entries.a.matrix
-    return np.block(
-        [
-            [a, entries.b.matrix],
-            [entries.c.matrix, entries.d.matrix + a / (2 * u + 1)],
-        ]
-    )
-
-
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHE_SIZE)
 def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> ModifiedEntries:
     """Entries after conjugating the auxiliary space by the similarity matrix.
 
-    Built twice: once from the closed-form linear combinations of the plain
-    entries, once by actually conjugating with ``q_similarity``.  The two
-    routes must agree to 1e-12; disagreement means a construction bug, not a
-    numerical accident, so it raises.
+    Built twice from the raw blocks: once from the closed-form linear
+    combinations, once by actually conjugating with ``q_similarity``.  Both
+    routes apply the d-shift ``d_bar = D_bar - a_bar / (2u+1)`` last, so no
+    term of size ``1/(2u+1)`` is formed and cancelled inside a combination.
+    The two routes must agree to 1e-12; disagreement means a construction
+    bug, not a numerical accident, so it raises.
     """
     u = complex(u)
     if bp.diagonal_mode:
         raise ParameterError("modified entries are undefined for diagonal couplings")
-    e = double_row(u, cs, bp)
-    a, b = e.a.matrix, e.b.matrix
-    c, d = e.c.matrix, e.d.matrix
+    raw = double_row(u, cs, bp).raw
+    half = raw.shape[1]
     rho = bp.rho
     xp, xm = bp.xi_plus, bp.xi_minus
-    pu = kn.phi(u)
-    pm = kn.phi(-u - 1)
-    pref = 1 / (2 * (rho - 1))
-    a_bar = pref * ((rho * pu - 2) * a + rho * d - xm * b - xp * c)
-    d_bar = pref * ((rho * pm - 2) * d + rho * pu * pm * a + xm * pu * b + xp * pu * c)
-    b_bar = pref * (xm * pm * a - xm * d + (xm * xm / rho) * b - rho * c)
-    c_bar = pref * (xp * pm * a - xp * d - rho * b + (xp * xp / rho) * c)
+    # Rows: a_bar, b_bar, c_bar and the unshifted D_bar; columns: the raw
+    # blocks A, B, C, D.
+    closed_form = np.array(
+        [
+            [rho - 2, -xm, -xp, rho],
+            [xm, xm * xm / rho, -rho, -xm],
+            [xp, -rho, xp * xp / rho, -xp],
+            [rho, xm, xp, rho - 2],
+        ]
+    ) / (2 * (rho - 1))
+    blocks = raw.transpose(0, 2, 1, 3).reshape(4, half * half)
+    closed = (closed_form @ blocks).reshape(4, half, half)
 
-    # Independent route: conjugate the full block matrix and re-split.
-    n = cs.sites
-    half = 1 << n
+    # Independent route: conjugate the raw block matrix and re-split.
     qm = q_similarity(bp)
-    big = kron(np.linalg.inv(qm), identity(half)) @ _assemble(e, u) @ kron(
-        qm, identity(half)
-    )
-    a2 = big[:half, :half]
-    b2 = big[:half, half:]
-    c2 = big[half:, :half]
-    d2 = big[half:, half:] - a2 / (2 * u + 1)
-    for name, m1, m2 in (
-        ("a", a_bar, a2),
-        ("b", b_bar, b2),
-        ("c", c_bar, c2),
-        ("d", d_bar, d2),
-    ):
-        res = relative_residual(m1 - m2, m1, m2)
+    conjugated = np.einsum(
+        "jk,kxmy,ml->jlxy", np.linalg.inv(qm), raw, qm
+    ).reshape(4, half, half)
+    for route in (closed, conjugated):
+        route[3] -= route[0] / (2 * u + 1)
+
+    for name, res in zip("abcd", relative_residuals(closed, conjugated)):
         if res > 1e-12:
             raise ConstructionError(
                 f"modified entry {name!r}: construction routes disagree ({res:.3e})"
             )
-    return ModifiedEntries(
-        a_bar=QuantumOperator(n, _freeze(a_bar)),
-        b_bar=QuantumOperator(n, _freeze(b_bar)),
-        c_bar=QuantumOperator(n, _freeze(c_bar)),
-        d_bar=QuantumOperator(n, _freeze(d_bar)),
-    )
+    _freeze(closed)
+    return ModifiedEntries(*(QuantumOperator(cs.sites, m) for m in closed))
 
 
-def _transfer_trace_form(u: complex, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
-    e = double_row(u, cs, bp)
+def _transfer_trace_form(e: DoubleRowEntries, u: complex, bp) -> np.ndarray:
     return (
         kn.alpha(u, bp) * e.a.matrix
         + kn.delta(u, bp) * e.d.matrix
@@ -191,9 +208,7 @@ def _transfer_trace_form(u: complex, cs: ChainSpec, bp: BoundaryParams) -> np.nd
     )
 
 
-def _transfer_modified_form(
-    u: complex, cs: ChainSpec, bp: BoundaryParams
-) -> np.ndarray:
+def _transfer_modified_form(u: complex, cs: ChainSpec, bp) -> np.ndarray:
     m = modified_entries(u, cs, bp)
     return kn.alpha_bar(u, bp) * m.a_bar.matrix + kn.delta_bar(u, bp) * m.d_bar.matrix
 
@@ -201,12 +216,12 @@ def _transfer_modified_form(
 def transfer_forms_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Relative disagreement between the two transfer-matrix decompositions."""
     u = complex(u)
-    t1 = _transfer_trace_form(u, cs, bp)
+    t1 = _transfer_trace_form(double_row(u, cs, bp), u, bp)
     t2 = _transfer_modified_form(u, cs, bp)
     return relative_residual(t1 - t2, t1, t2)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHE_SIZE)
 def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> QuantumOperator:
     """Double-row transfer matrix t(u).
 
@@ -215,22 +230,20 @@ def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> QuantumOperator:
     well.
     """
     u = complex(u)
-    n = cs.sites
-    half = 1 << n
-    t1 = _transfer_trace_form(u, cs, bp)
-    direct = trace_aux(
-        kron(k_plus(u, bp), identity(half)) @ _assemble(double_row(u, cs, bp), u)
-    )
-    res = relative_residual(t1 - direct, t1, direct)
-    if res > 1e-12:
-        raise ConstructionError(f"transfer trace decomposition broke ({res:.3e})")
+    e = double_row(u, cs, bp)
+    t1 = _transfer_trace_form(e, u, bp)
+    # tr_0 (K^+ x 1) raw, contracted block by block.
+    others = [np.einsum("jk,kxjy->xy", k_plus(u, bp), e.raw)]
     if not bp.diagonal_mode:
-        res = transfer_forms_residual(u, cs, bp)
-        if res > 1e-11:
-            raise ConstructionError(
-                f"transfer matrix: modified form disagrees ({res:.3e})"
-            )
-    return QuantumOperator(n, _freeze(t1))
+        others.append(_transfer_modified_form(u, cs, bp))
+    res = relative_residuals([t1] * len(others), others)
+    if res[0] > 1e-12:
+        raise ConstructionError(f"transfer trace decomposition broke ({res[0]:.3e})")
+    if len(res) > 1 and res[1] > 1e-11:
+        raise ConstructionError(
+            f"transfer matrix: modified form disagrees ({res[1]:.3e})"
+        )
+    return QuantumOperator(cs.sites, _freeze(t1))
 
 
 def crossing_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:

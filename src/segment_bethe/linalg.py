@@ -26,6 +26,7 @@ __all__ = [
     "dual_vacuum_state",
     "frobenius",
     "relative_residual",
+    "relative_residuals",
 ]
 
 # Hard cap on tensor-product dimension: 2^14 covers an aux space plus 13 sites.
@@ -168,3 +169,15 @@ def relative_residual(delta, *scales) -> float:
     if bottom == 0.0:
         return top
     return top / bottom
+
+
+def relative_residuals(x, y) -> np.ndarray:
+    """``relative_residual(x[k] - y[k], x[k], y[k])`` for each k, in one reduction.
+
+    ``x`` and ``y`` are equal-shape stacks of matrices.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    top, norm_x, norm_y = np.linalg.norm(np.stack([x - y, x, y]), axis=(-2, -1))
+    bottom = np.maximum(norm_x, norm_y)
+    return np.divide(top, bottom, out=top, where=bottom > 0)

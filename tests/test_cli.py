@@ -28,6 +28,7 @@ def test_config_file_parsing(tmp_path):
         {
             "sites": 3,
             "seed": 9,
+            "draws": 4.0,
             "p": [1.0, 2.0],
             "q": 1.5,
             "xi_plus": [0.3, -0.1],
@@ -38,6 +39,7 @@ def test_config_file_parsing(tmp_path):
     )
     fields = load_config_file(path)
     assert fields["sites"] == 3
+    assert fields["draws"] == 4 and type(fields["draws"]) is int
     assert fields["p"] == 1.0 + 2.0j
     assert fields["q"] == 1.5 + 0j
     assert fields["thetas"] == (0.1 + 0j, 0.2 + 0j, 0.35 + 0j)
@@ -50,8 +52,11 @@ def test_config_file_parsing(tmp_path):
         {"volume": 3},
         {"p": True},
         {"p": [1.0]},
+        {"p": [True, 1.0]},
         {"p": "one"},
         {"thetas": 0.3},
+        {"tolerance.ybe": True},
+        {"tolerance.ybe": "1e-3"},
         [1, 2, 3],
     ],
 )
@@ -109,6 +114,15 @@ def test_exit_two_on_bad_config(tmp_path, capsys):
     assert main(["check-algebra", "--config", str(tmp_path / "absent.json")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize("value", [2.7, True])
+@pytest.mark.parametrize("key", ["sites", "seed", "draws", "direct_cap"])
+def test_exit_two_on_non_integer_count(tmp_path, capsys, key, value):
+    # Neither rounded (2.7 -> 2) nor read as 1.
+    path = _write_config(tmp_path, {key: value})
+    assert main(["check-algebra", "--config", path]) == 2
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 def test_exit_two_on_bad_precision_value(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Double-row monodromy construction, transfer matrix, exchange relations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from segment_bethe.boundary import (
     SIGMA_Z,
     k_minus,
     k_plus,
+    q_similarity,
     r_matrix,
 )
 from segment_bethe.double_row import (
@@ -25,8 +28,9 @@ from segment_bethe.double_row import (
     transfer_forms_residual,
     transfer_matrix,
 )
-from segment_bethe.errors import ParameterError, PoleError
+from segment_bethe.errors import DimensionError, ParameterError, PoleError
 from segment_bethe.linalg import (
+    embed_two_site,
     identity,
     kron,
     relative_residual,
@@ -34,6 +38,7 @@ from segment_bethe.linalg import (
 )
 from segment_bethe.params import (
     ChainSpec,
+    draw_chain_spec,
     draw_spectral_point,
     draw_spectral_points,
 )
@@ -72,6 +77,78 @@ def test_double_row_blocks_single_site(cs1, bp):
     assert np.allclose(e.b.matrix, full[:2, 2:])
     assert np.allclose(e.c.matrix, full[2:, :2])
     assert np.allclose(e.d.matrix, full[2:, 2:] - full[:2, :2] / (2 * u + 1))
+
+
+def _dense_double_row(u, cs, bp):
+    """Raw double-row matrix from dense products of embedded R-matrices."""
+    n = cs.sites
+    dim = 1 << (n + 1)
+    bulk = identity(dim)
+    for i, theta in enumerate(cs.thetas):
+        bulk = bulk @ embed_two_site(r_matrix(u - theta), n + 1, 0, 1 + i)
+    hat = identity(dim)
+    for i in reversed(range(n)):
+        hat = hat @ embed_two_site(r_matrix(u + cs.thetas[i]), n + 1, 0, 1 + i)
+    return bulk @ kron(k_minus(u, bp), identity(dim // 2)) @ hat
+
+
+def _entries(full, u):
+    """Blocks a, b, c and the shifted d of a raw double-row matrix."""
+    half = full.shape[0] // 2
+    a = full[:half, :half]
+    d = full[half:, half:] - a / (2 * u + 1)
+    return a, full[:half, half:], full[half:, :half], d
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_operators_match_dense_oracle(sites, bp):
+    rng = np.random.default_rng(1000 + sites)
+    cs = draw_chain_spec(rng, sites)
+    half = 1 << sites
+    qm = q_similarity(bp)
+    for u in draw_spectral_points(rng, 3, cs=cs, bp=bp):
+        full = _dense_double_row(u, cs, bp)
+        conjugated = (
+            kron(np.linalg.inv(qm), identity(half)) @ full @ kron(qm, identity(half))
+        )
+        e = double_row(u, cs, bp)
+        m = modified_entries(u, cs, bp)
+        pairs = list(zip((e.a, e.b, e.c, e.d), _entries(full, u)))
+        pairs += zip((m.a_bar, m.b_bar, m.c_bar, m.d_bar), _entries(conjugated, u))
+        pairs.append(
+            (
+                transfer_matrix(u, cs, bp),
+                trace_aux(kron(k_plus(u, bp), identity(half)) @ full),
+            )
+        )
+        for op, oracle in pairs:
+            assert relative_residual(op.matrix - oracle, oracle) <= 1e-13
+
+
+def test_routes_agree_near_pole(cs2, bp):
+    # Points within 0.02 of u = -1/2 yet outside the 1e-3 clearance of
+    # draw_spectral_point: neither the modified-entry routes (1e-12) nor the
+    # transfer forms may disagree there; each raises ConstructionError if so.
+    rng = np.random.default_rng(2024)
+    radius = rng.uniform(5e-4, 0.02, 2000)
+    phase = rng.uniform(0.0, 2 * np.pi, 2000)
+    for u in -0.5 + radius * np.exp(1j * phase):
+        modified_entries(u, cs2, bp)
+        transfer_matrix(u, cs2, bp)
+
+
+def test_dimension_guard_allocates_nothing(bp):
+    cs = ChainSpec.homogeneous(14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError):
+            double_row(0.3 + 0.2j, cs, bp)
+        with pytest.raises(DimensionError):
+            bulk_monodromy(0.3 + 0.2j, cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_double_row_pole_guard(cs1, bp):

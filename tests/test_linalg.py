@@ -16,6 +16,7 @@ from segment_bethe.linalg import (
     identity,
     kron,
     relative_residual,
+    relative_residuals,
     trace_aux,
     vacuum_state,
 )
@@ -150,6 +151,14 @@ def test_relative_residual_scale_invariance(rng):
     r2 = relative_residual(1e6 * (a - b), 1e6 * a, 1e6 * b)
     assert np.isclose(r1, r2)
     assert relative_residual(np.zeros((2, 2))) == 0.0
+
+
+def test_relative_residuals_match_one_by_one(rng):
+    x = np.stack([random_matrix(rng, 3), random_matrix(rng, 3), np.zeros((3, 3))])
+    y = np.stack([random_matrix(rng, 3), x[1] + 1e-9, np.zeros((3, 3))])
+    got = relative_residuals(x, y)
+    expected = [relative_residual(a - b, a, b) for a, b in zip(x, y)]
+    assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
 
 def test_frobenius_nonnegative(rng):
