@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -29,10 +30,13 @@ __all__ = [
     "BetheRoots",
     "vacuum_eigenvalues",
     "vacuum_eigenvalue_derivatives",
+    "RootTerms",
+    "root_terms",
     "eigenvalue_dressed",
     "eigenvalue_inhomogeneous",
     "lambda_total",
     "lambda_total_derivative",
+    "lambda_total_gradient",
     "bethe_residuals",
     "bethe_residuals_scaled",
     "residual_jacobian",
@@ -64,15 +68,73 @@ def vacuum_eigenvalue_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
     val1, dval1 = u + bp.p, 1
     val2, dval2 = bp.p - u - 1, -1
     for t in cs.thetas:
-        for fac, slope in ((u + 1 - t, 1), (u + 1 + t, 1)):
-            dval1 = dval1 * fac + val1 * slope
+        for fac in (u + 1 - t, u + 1 + t):
+            dval1 = dval1 * fac + val1
             val1 = val1 * fac
-        for fac, slope in ((u - t, 1), (u + t, 1)):
-            dval2 = dval2 * fac + val2 * slope
+        for fac in (u - t, u + t):
+            dval2 = dval2 * fac + val2
             val2 = val2 * fac
     pm = kn.phi(-u - 1)
     dpm = 2 / ((2 * u + 1) * (2 * u + 1))
     return val1, dval1, pm * val2, dpm * val2 + pm * dval2
+
+
+class RootTerms(NamedTuple):
+    """Everything the Bethe system and the norm matrix need at one root ``u``.
+
+    ``lam1``/``lam2`` are the vacuum eigenvalues, ``pm = phi(-u-1)``,
+    ``pu = phi(u)``, ``ab``/``db`` the modified trace coefficients
+    ``alpha_bar``/``delta_bar``, ``tp = tilde_phi(u, p)`` (``None`` for
+    diagonal couplings), each with its ``u``-derivative ``d*``;
+    ``c1 = pm ab lam1`` and ``c2 = pu db lam2`` weigh the dressed terms.
+    """
+
+    u: Any
+    lam1: Any
+    dlam1: Any
+    lam2: Any
+    dlam2: Any
+    pm: Any
+    dpm: Any
+    pu: Any
+    dpu: Any
+    ab: Any
+    dab: Any
+    db: Any
+    ddb: Any
+    tp: Any
+    dtp: Any
+    c1: Any
+    c2: Any
+
+
+def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
+    """The per-root table of one root, computed in one pass."""
+    lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(u, cs, bp)
+    pm, pu = kn.phi(-u - 1), kn.phi(u)
+    ab, db = kn.alpha_bar(u, bp), kn.delta_bar(u, bp)
+    tp = dtp = None
+    if not bp.diagonal_mode:
+        tp, dtp = kn.tilde_phi(u, bp.p), kn.d_tilde_phi(u, bp.p)
+    return RootTerms(
+        u=u,
+        lam1=lam1,
+        dlam1=dlam1,
+        lam2=lam2,
+        dlam2=dlam2,
+        pm=pm,
+        dpm=2 / ((2 * u + 1) * (2 * u + 1)),
+        pu=pu,
+        dpu=kn.d_phi(u),
+        ab=ab,
+        dab=kn.d_alpha_bar(u, bp),
+        db=db,
+        ddb=kn.d_delta_bar(u, bp),
+        tp=tp,
+        dtp=dtp,
+        c1=pm * ab * lam1,
+        c2=pu * db * lam2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +223,58 @@ def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
     )
 
 
+def _product(values, skip=()):
+    """Ordered product of ``values`` leaving out the positions in ``skip``."""
+    out = 1
+    for k, v in enumerate(values):
+        if k not in skip:
+            out = out * v
+    return out
+
+
+def lambda_total_gradient(
+    v,
+    roots,
+    cs: ChainSpec,
+    bp: BoundaryParams,
+    include_dressed: bool = True,
+    include_inhomogeneous: bool = True,
+):
+    """d/d roots[i] of the eigenvalue expression at ``v``, for every ``i``.
+
+    The point's vacuum eigenvalues, trace coefficients, pair kernels
+    ``f, h, Q`` with every root and inhomogeneous term are computed once and
+    every entry reads them.
+    """
+    roots = tuple(roots)
+    lam1, lam2 = vacuum_eigenvalues(v, cs, bp)
+    pairs = [kn.fhq(v, u) for u in roots]
+    f_vals = [p[0] for p in pairs]
+    h_vals = [p[1] for p in pairs]
+    with_inhomogeneous = include_inhomogeneous and not bp.diagonal_mode
+    if include_dressed:
+        a_term = kn.alpha_bar(v, bp) * lam1
+        d_term = kn.delta_bar(v, bp) * lam2
+    if with_inhomogeneous:
+        lam_g = (
+            bp.rho
+            * kn.tilde_phi(v, bp.p)
+            * lam1
+            * lam2
+            / _product([p[2] for p in pairs])
+        )
+    out = []
+    for i, ui in enumerate(roots):
+        entry = 0j
+        if include_dressed:
+            entry = entry + a_term * kn.d_f_dv(v, ui) * _product(f_vals, (i,))
+            entry = entry + d_term * kn.d_h_dv(v, ui) * _product(h_vals, (i,))
+        if with_inhomogeneous:
+            entry = entry + lam_g * (2 * ui + 1) / pairs[i][2]
+        out.append(entry)
+    return out
+
+
 def lambda_total_derivative(
     v,
     roots,
@@ -171,22 +285,87 @@ def lambda_total_derivative(
     include_inhomogeneous: bool = True,
 ):
     """d/d roots[i] of the eigenvalue expression evaluated at spectral point v."""
+    return lambda_total_gradient(
+        v,
+        roots,
+        cs,
+        bp,
+        include_dressed=include_dressed,
+        include_inhomogeneous=include_inhomogeneous,
+    )[i]
+
+
+def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
+    """Residuals, scales and a Jacobian builder of the Bethe system.
+
+    Residual ``i`` is ``-c1 prod_k f(u_i,u_k) + c2 prod_k h(u_i,u_k)
+    + c3 / prod_k Q(u_i,u_k)`` with ``c3 = rho tilde_phi lam1 lam2/(2u_i+1)``;
+    its scale is the sum of the three terms' magnitudes.  Each root's
+    :class:`RootTerms` (``terms``, computed here unless given) and its pair
+    kernels are evaluated once.  The third return value builds the Jacobian
+    ``d residual_i / d roots[j]`` from the same tables when called, so
+    Newton pays for it only when it takes a step.
+    """
     roots = tuple(roots)
-    ui = roots[i]
-    rest = _others(roots, i)
-    lam1, lam2 = vacuum_eigenvalues(v, cs, bp)
-    out = 0j
-    if include_dressed:
-        out = out + kn.alpha_bar(v, bp) * lam1 * kn.d_f_dv(v, ui) * kn.f_product(
-            v, rest
-        )
-        out = out + kn.delta_bar(v, bp) * lam2 * kn.d_h_dv(v, ui) * kn.h_product(
-            v, rest
-        )
-    if include_inhomogeneous and not bp.diagonal_mode:
-        lam_g = inhomogeneous_value(v, roots, cs, bp)
-        out = out + lam_g * (2 * ui + 1) / kn.Q(v, ui)
-    return out
+    m = len(roots)
+    generic = not bp.diagonal_mode
+    rho = bp.rho if generic else 0
+    if terms is None:
+        terms = [root_terms(u, cs, bp) for u in roots]
+    others = [[k for k in range(m) if k != i] for i in range(m)]
+    # pairs[i][pos] = (f, h, Q) at (u_i, u_k) for the pos-th other root k.
+    pairs = [[kn.fhq(roots[i], roots[k]) for k in others[i]] for i in range(m)]
+    f_vals = [[p[0] for p in row] for row in pairs]
+    h_vals = [[p[1] for p in row] for row in pairs]
+    pf = [_product(row) for row in f_vals]
+    ph = [_product(row) for row in h_vals]
+    pq = [_product([p[2] for p in row]) for row in pairs]
+    raw, scales, t_g = [], [], []
+    for i, t in enumerate(terms):
+        res = -t.c1 * pf[i] + t.c2 * ph[i]
+        s = abs(t.c1) * abs(pf[i]) + abs(t.c2) * abs(ph[i])
+        if generic:
+            t_g.append(rho * (t.tp / (2 * t.u + 1)) * t.lam1 * t.lam2 / pq[i])
+            res = res + t_g[i]
+            s = s + abs(t_g[i])
+        raw.append(res)
+        scales.append(max(float(s), 1e-300))
+
+    def jacobian():
+        rows = []
+        for i, t in enumerate(terms):
+            ui = t.u
+            dc1 = (t.dpm * t.ab + t.pm * t.dab) * t.lam1 + t.pm * t.ab * t.dlam1
+            dc2 = (t.dpu * t.db + t.pu * t.ddb) * t.lam2 + t.pu * t.db * t.dlam2
+            df = [kn.d_f_du(ui, roots[k]) for k in others[i]]
+            dh = [kn.d_h_du(ui, roots[k]) for k in others[i]]
+            row = [0j] * m
+            row[i] = -(dc1 * pf[i] + t.c1 * _sum_replaced(f_vals[i], df)) + (
+                dc2 * ph[i] + t.c2 * _sum_replaced(h_vals[i], dh)
+            )
+            if generic:
+                two = 2 * ui + 1
+                dc3 = rho * (
+                    ((t.dtp * two - 2 * t.tp) / (two * two)) * t.lam1 * t.lam2
+                    + (t.tp / two) * (t.dlam1 * t.lam2 + t.lam1 * t.dlam2)
+                )
+                sum_dq = 0
+                for p in pairs[i]:
+                    sum_dq = sum_dq + two / p[2]
+                row[i] = row[i] + dc3 / pq[i] - t_g[i] * sum_dq
+            # Off-diagonal entries: only the pair kernel with roots[j] moves.
+            for pos, j in enumerate(others[i]):
+                uj = roots[j]
+                val = -t.c1 * kn.d_f_dv(ui, uj) * _product(f_vals[i], (pos,)) + (
+                    t.c2 * kn.d_h_dv(ui, uj) * _product(h_vals[i], (pos,))
+                )
+                if generic:
+                    val = val + t_g[i] * (2 * uj + 1) / pairs[i][pos][2]
+                row[j] = val
+            rows.append(row)
+        return rows
+
+    return raw, scales, jacobian
 
 
 def bethe_residuals(roots, cs: ChainSpec, bp: BoundaryParams):
@@ -194,34 +373,12 @@ def bethe_residuals(roots, cs: ChainSpec, bp: BoundaryParams):
     roots = tuple(roots)
     if len(roots) != cs.sites and not bp.diagonal_mode:
         raise ParameterError("full Bethe system needs one root per site")
-    out = []
-    for i in range(len(roots)):
-        out.append(
-            dressed_unwanted(i, roots, cs, bp)
-            + inhomogeneous_unwanted(i, roots, cs, bp)
-        )
-    return out
+    return _bethe_system(roots, cs, bp)[0]
 
 
 def bethe_residuals_scaled(roots, cs: ChainSpec, bp: BoundaryParams):
     """(raw residuals, scale per equation); scale = sum of term magnitudes."""
-    roots = tuple(roots)
-    raw, scales = [], []
-    for i in range(len(roots)):
-        t_d = dressed_unwanted(i, roots, cs, bp)
-        t_g = inhomogeneous_unwanted(i, roots, cs, bp)
-        ui = roots[i]
-        rest = _others(roots, i)
-        lam1, lam2 = vacuum_eigenvalues(ui, cs, bp)
-        s = (
-            abs(kn.phi(-ui - 1) * kn.alpha_bar(ui, bp) * lam1)
-            * abs(kn.f_product(ui, rest))
-            + abs(kn.phi(ui) * kn.delta_bar(ui, bp) * lam2)
-            * abs(kn.h_product(ui, rest))
-            + abs(t_g)
-        )
-        raw.append(t_d + t_g)
-        scales.append(max(float(s), 1e-300))
+    raw, scales, _ = _bethe_system(roots, cs, bp)
     return raw, scales
 
 
@@ -229,87 +386,13 @@ def _sum_replaced(values, dvalues):
     """sum_k dvalues[k] * prod_{m != k} values[m] (no divisions)."""
     total = 0
     for kk in range(len(values)):
-        term = dvalues[kk]
-        for mm, vm in enumerate(values):
-            if mm != kk:
-                term = term * vm
-        total = total + term
+        total = total + dvalues[kk] * _product(values, (kk,))
     return total
 
 
 def residual_jacobian(roots, cs: ChainSpec, bp: BoundaryParams):
     """Analytic Jacobian d residual_i / d roots[j] of the Bethe system."""
-    roots = tuple(roots)
-    m = len(roots)
-    rows = []
-    for i in range(m):
-        ui = roots[i]
-        rest = _others(roots, i)
-        lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(ui, cs, bp)
-        pm = kn.phi(-ui - 1)
-        dpm = 2 / ((2 * ui + 1) * (2 * ui + 1))
-        pu = kn.phi(ui)
-        dpu = kn.d_phi(ui)
-        ab = kn.alpha_bar(ui, bp)
-        dab = kn.d_alpha_bar(ui, bp)
-        db = kn.delta_bar(ui, bp)
-        ddb = kn.d_delta_bar(ui, bp)
-
-        c1 = pm * ab * lam1
-        dc1 = dpm * ab * lam1 + pm * dab * lam1 + pm * ab * dlam1
-        c2 = pu * db * lam2
-        dc2 = dpu * db * lam2 + pu * ddb * lam2 + pu * db * dlam2
-
-        f_vals = [kn.f(ui, ukk) for ukk in rest]
-        h_vals = [kn.h(ui, ukk) for ukk in rest]
-        pf = 1
-        for v in f_vals:
-            pf = pf * v
-        ph = 1
-        for v in h_vals:
-            ph = ph * v
-
-        row = [0j] * m
-        if not bp.diagonal_mode:
-            tp = kn.tilde_phi(ui, bp.p)
-            dtp = kn.d_tilde_phi(ui, bp.p)
-            two = 2 * ui + 1
-            c3 = bp.rho * (tp / two) * lam1 * lam2
-            dc3 = bp.rho * (
-                ((dtp * two - 2 * tp) / (two * two)) * lam1 * lam2
-                + (tp / two) * (dlam1 * lam2 + lam1 * dlam2)
-            )
-            pq_inv = 1
-            for ukk in rest:
-                pq_inv = pq_inv / kn.Q(ui, ukk)
-        # Diagonal entry: everything depends on u_i.
-        df_du = [kn.d_f_du(ui, ukk) for ukk in rest]
-        dh_du = [kn.d_h_du(ui, ukk) for ukk in rest]
-        diag = -(dc1 * pf + c1 * _sum_replaced(f_vals, df_du)) + (
-            dc2 * ph + c2 * _sum_replaced(h_vals, dh_du)
-        )
-        if not bp.diagonal_mode:
-            sum_dq = 0
-            for ukk in rest:
-                sum_dq = sum_dq + kn.d_Q_du(ui, ukk) / kn.Q(ui, ukk)
-            diag = diag + dc3 * pq_inv - c3 * pq_inv * sum_dq
-        row[i] = diag
-
-        # Off-diagonal entries: only the pair kernel with roots[j] moves.
-        for jpos, j in enumerate([jj for jj in range(m) if jj != i]):
-            uj = roots[j]
-            pf_wo = 1
-            ph_wo = 1
-            for mm, ukk in enumerate(rest):
-                if mm != jpos:
-                    pf_wo = pf_wo * f_vals[mm]
-                    ph_wo = ph_wo * h_vals[mm]
-            val = -c1 * kn.d_f_dv(ui, uj) * pf_wo + c2 * kn.d_h_dv(ui, uj) * ph_wo
-            if not bp.diagonal_mode:
-                val = val + c3 * pq_inv * (2 * uj + 1) / kn.Q(ui, uj)
-            row[j] = val
-        rows.append(row)
-    return rows
+    return _bethe_system(roots, cs, bp)[2]()
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +445,14 @@ def det_small(rows):
 def _newton(system, x0, tol, max_iter=100, max_halvings=30):
     """Damped Newton iteration on a generic residual/Jacobian callback.
 
-    ``system(x)`` returns (residuals, scales, jacobian_rows).  Convergence is
-    on max_i |residual_i| / scale_i.  Wild trial steps may overflow the
-    rational expressions; those evaluations return inf/nan, fail the descent
-    test, and get halved away, so numpy's transient warnings are suppressed.
+    ``system(x)`` returns (residuals, scales, jacobian), where ``jacobian()``
+    builds the rows at ``x``; it is called only at points Newton steps from,
+    never at the accepted final iterate.  Convergence is on
+    max_i |residual_i| / scale_i.  Wild trial steps may overflow the rational
+    expressions; those evaluations return inf/nan, fail the descent test, and
+    get halved away, so numpy's transient warnings are suppressed.  A pole hit
+    while evaluating a trial point, or while building its Jacobian, halves
+    the step too.
     """
     x = list(x0)
 
@@ -379,31 +466,32 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
         return out
 
     with np.errstate(all="ignore"):
-        res, scales, jac = system(x)
+        res, scales, jacobian = system(x)
         err = err_of(res, scales)
         if not err < math.inf:
             raise ConvergenceError("starting point is out of range")
+        if err <= tol:
+            return x, err
+        jac = jacobian()
         for _ in range(max_iter):
-            if err <= tol:
-                return x, err
             step = solve_small(jac, [-r for r in res])
             t = 1.0
             for _ in range(max_halvings):
                 cand = [xi + t * si for xi, si in zip(x, step)]
                 try:
-                    nres, nscales, njac = system(cand)
+                    nres, nscales, njacobian = system(cand)
+                    nerr = err_of(nres, nscales)
+                    if nerr <= tol:
+                        return cand, nerr
+                    if nerr < err:
+                        jac = njacobian()
+                        x, res, err = cand, nres, nerr
+                        break
                 except (PoleError, ZeroDivisionError):
-                    t = t / 2
-                    continue
-                nerr = err_of(nres, nscales)
-                if nerr < err:
-                    x, res, scales, jac, err = cand, nres, nscales, njac, nerr
-                    break
+                    pass
                 t = t / 2
             else:
                 raise ConvergenceError("Newton step stalled")
-    if err <= tol:
-        return x, err
     raise ConvergenceError(f"Newton did not reach tolerance ({err:.3e})")
 
 
@@ -471,13 +559,9 @@ def _package(roots, cs, bp, tol, branch=None, eig_res=None) -> BetheRoots:
 
 def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
     """Newton-polish a root set on the Bethe system itself."""
-
-    def system(x):
-        res, scales = bethe_residuals_scaled(tuple(x), cs, bp)
-        jac = residual_jacobian(tuple(x), cs, bp)
-        return res, scales, jac
-
-    refined, _ = _newton(system, list(roots), tol)
+    refined, _ = _newton(
+        lambda x: _bethe_system(x, cs, bp), list(roots), tol
+    )
     return tuple(refined)
 
 

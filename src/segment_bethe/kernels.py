@@ -35,6 +35,7 @@ __all__ = [
     "tilde_phi",
     "Q",
     "F",
+    "fhq",
     "KernelValues",
     "kernel_values",
     "f_product",
@@ -44,10 +45,13 @@ __all__ = [
 
 
 def _guard(name, point, *denominators):
+    # The distance to the pole is only compared with POLE_TOL, so it is taken
+    # in double precision: for mpmath scalars that is two float conversions
+    # instead of an extended-precision hypot and square root.
     for d in denominators:
-        a = abs(d)
+        a = abs(complex(d))
         if a < POLE_TOL:
-            raise PoleError(name, point, float(a))
+            raise PoleError(name, point, a)
 
 
 def f(u, v):
@@ -125,6 +129,13 @@ def F(u, v):
     """Coupling of the unwanted terms in the off-shell transfer action."""
     _guard("F", (u, v), v + 1, u - v, u + v + 1)
     return -(u + 1) * (2 * v + 1) / ((v + 1) * Q(u, v))
+
+
+def fhq(u, v):
+    """``(f(u, v), h(u, v), Q(u, v))`` sharing one ``Q`` and one pole guard."""
+    _guard("f", (u, v), u - v, u + v + 1)
+    qq = Q(u, v)
+    return (u - v - 1) * (u + v) / qq, (u - v + 1) * (u + v + 2) / qq, qq
 
 
 # Derivatives used by Jacobians and the norm matrix.

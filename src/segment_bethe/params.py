@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from .errors import ParameterError
@@ -22,8 +23,6 @@ def _sqrt(z):
     """Principal square root that works for both complex and mpmath scalars."""
     if isinstance(z, (complex, float, int)):
         return cmath.sqrt(z)
-    import mpmath
-
     return mpmath.sqrt(z)
 
 
@@ -34,6 +33,11 @@ class BoundaryParams:
     ``p`` sits at the diagonal (right) end, ``q`` with the off-diagonal
     couplings ``xi_plus``/``xi_minus`` at the left end.  Either both ``xi``
     vanish (diagonal mode) or neither does.
+
+    ``rho`` is memoised per instance and per mpmath working precision, so
+    couplings lifted to ``mpmath.mpc`` give a ``rho`` accurate to whatever
+    precision is in force when it is read.  The memo is not a field: it
+    takes no part in equality or hashing.
     """
 
     p: complex
@@ -42,6 +46,7 @@ class BoundaryParams:
     xi_minus: complex = 0j
 
     def __post_init__(self):
+        object.__setattr__(self, "_rho_memo", {})
         has_plus = self.xi_plus != 0
         has_minus = self.xi_minus != 0
         if has_plus != has_minus:
@@ -59,7 +64,11 @@ class BoundaryParams:
     @property
     def rho(self):
         """Root of rho^2 - 2 rho = xi_plus*xi_minus on the principal branch."""
-        return 1 - _sqrt(1 + self.xi_plus * self.xi_minus)
+        memo = self._rho_memo
+        prec = mpmath.mp.prec
+        if prec not in memo:
+            memo[prec] = 1 - _sqrt(1 + self.xi_plus * self.xi_minus)
+        return memo[prec]
 
 
 @dataclass(frozen=True)

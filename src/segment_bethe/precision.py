@@ -1,13 +1,19 @@
 """Switchable scalar backend: complex128 or mpmath extended precision.
 
 The formula layer (kernels, eigenvalues, determinant formulas) is written in
-plain arithmetic, so extended precision is just a matter of feeding it
-``mpmath.mpc`` scalars.  Operator matrices always stay in double precision;
-only the scalar formulas suffer catastrophic cancellation near coinciding
-root sets, and only they get the extended path.
+plain arithmetic, so the same code runs on ``complex`` and on ``mpmath.mpc``
+scalars.  Feeding it ``mpc`` scalars is not enough for extended precision:
+mpmath computes at its global working precision, 15 digits unless changed.
+Every extended entry point therefore lifts its inputs (:func:`lift_problem`,
+:func:`lift_roots`) and evaluates inside :func:`working_precision`, which
+sets ``DEFAULT_DPS = 60`` digits.  Operator matrices always stay in double
+precision; only the scalar formulas suffer catastrophic cancellation near
+coinciding root sets, and only they get the extended path.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import mpmath
 
@@ -55,3 +61,8 @@ def lift_problem(cs: ChainSpec, bp: BoundaryParams, precision: str = "extended")
 def workdps(dps: int = DEFAULT_DPS):
     """Context manager setting the mpmath working precision."""
     return mpmath.workdps(dps)
+
+
+def working_precision(precision: str, dps: int = DEFAULT_DPS):
+    """``workdps(dps)`` for ``extended``; a no-op context for ``double``."""
+    return workdps(dps) if precision == "extended" else nullcontext()

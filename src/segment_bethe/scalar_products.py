@@ -16,18 +16,25 @@ import warnings
 
 from . import kernels as kn
 from .bethe import (
+    _bethe_system,
     det_small,
     lambda_total_derivative,
+    lambda_total_gradient,
     refine_roots,
-    residual_jacobian,
-    vacuum_eigenvalue_derivatives,
+    root_terms,
     vacuum_eigenvalues,
 )
 from .double_row import double_row
 from .errors import ConditioningWarning, ParameterError
 from .linalg import vacuum_state
 from .params import BoundaryParams, ChainSpec
-from .precision import lift, lift_problem, lift_roots, validate_precision, workdps
+from .precision import (
+    lift,
+    lift_problem,
+    lift_roots,
+    validate_precision,
+    working_precision,
+)
 from .vectors import build_dual_psi, build_psi, w0_scalar
 
 __all__ = [
@@ -109,23 +116,24 @@ def slavnov_jacobian(
     include_dressed: bool = True,
     include_inhomogeneous: bool = True,
 ):
-    """Rows: derivative in onshell[i]; columns: eigenvalue at free[j]."""
-    mm = len(onshell)
-    return [
-        [
-            lambda_total_derivative(
-                free[j],
-                tuple(onshell),
-                i,
-                cs,
-                bp,
-                include_dressed=include_dressed,
-                include_inhomogeneous=include_inhomogeneous,
-            )
-            for j in range(mm)
-        ]
-        for i in range(mm)
+    """Rows: derivative in onshell[i]; columns: eigenvalue at free[j].
+
+    Each column is one :func:`~segment_bethe.bethe.lambda_total_gradient`,
+    so a free point's scalar data is computed once for all its entries.
+    """
+    onshell = tuple(onshell)
+    columns = [
+        lambda_total_gradient(
+            v,
+            onshell,
+            cs,
+            bp,
+            include_dressed=include_dressed,
+            include_inhomogeneous=include_inhomogeneous,
+        )
+        for v in free
     ]
+    return [[col[i] for col in columns] for i in range(len(onshell))]
 
 
 def _slavnov_prefactor(nn, bp):
@@ -161,57 +169,55 @@ def slavnov_modified(
     if nn == 0:
         return 1.0 + 0j
 
-    cs_l, bp_l = lift_problem(cs, bp, precision)
-    on = lift_roots(bra_roots if onshell == "bra" else ket_roots, precision)
-    free = lift_roots(ket_roots if onshell == "bra" else bra_roots, precision)
+    with working_precision(precision):
+        cs_l, bp_l = lift_problem(cs, bp, precision)
+        on = lift_roots(bra_roots if onshell == "bra" else ket_roots, precision)
+        free = lift_roots(ket_roots if onshell == "bra" else bra_roots, precision)
 
-    jac = slavnov_jacobian(free, on, cs_l, bp_l)
-    vmat = cauchy_matrix(free, on)
-    w0 = w0_scalar(on, cs_l, bp_l)
-    pref = _slavnov_prefactor(nn, bp_l)
-    return pref * w0 * det_small(jac) / det_small(vmat)
+        jac = slavnov_jacobian(free, on, cs_l, bp_l)
+        vmat = cauchy_matrix(free, on)
+        w0 = w0_scalar(on, cs_l, bp_l)
+        pref = _slavnov_prefactor(nn, bp_l)
+        return pref * w0 * det_small(jac) / det_small(vmat)
 
 
 # ---------------------------------------------------------------------------
 # Norm: Gaudin-Korepin determinant.
 
 
-def _gaudin_diag_explicit(i, roots, cs, bp):
-    ui = roots[i]
-    rest = tuple(roots[:i]) + tuple(roots[i + 1 :])
-    lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(ui, cs, bp)
-    pm = kn.phi(-ui - 1)
-    pu = kn.phi(ui)
-    ab = kn.alpha_bar(ui, bp)
-    db = kn.delta_bar(ui, bp)
-    tp = kn.tilde_phi(ui, bp.p)
-    dtp_rel = kn.d_tilde_phi(ui, bp.p) / tp
-    q_m = kn.Q_product(-ui, rest)
-    q_p = kn.Q_product(ui + 1, rest)
+def _gaudin_diag_explicit(t, q_minus, q_plus, rho):
+    """Closed-form diagonal entry at the root of ``t`` (its :class:`RootTerms`).
+
+    ``q_minus``/``q_plus`` hold ``Q(-u_i, u_k)``/``Q(u_i+1, u_k)`` over the
+    other roots.
+    """
+    ui = t.u
+    dtp_rel = t.dtp / t.tp
+    q_m = 1
+    q_p = 1
     sum_m = 0
     sum_p = 0
-    for ukk in rest:
-        sum_m = sum_m + 1 / kn.Q(-ui, ukk)
-        sum_p = sum_p + 1 / kn.Q(ui + 1, ukk)
+    for qm, qp in zip(q_minus, q_plus):
+        q_m = q_m * qm
+        q_p = q_p * qp
+        sum_m = sum_m + 1 / qm
+        sum_p = sum_p + 1 / qp
     term1 = (
-        -pm
-        * ab
-        * lam1
+        -t.pm
+        * t.ab
+        * t.lam1
         * q_m
-        * ((2 * ui - 1) * sum_m + (1 / ui - dtp_rel + kn.d_alpha_bar(ui, bp) / ab))
+        * ((2 * ui - 1) * sum_m + (1 / ui - dtp_rel + t.dab / t.ab))
     )
     term2 = (
-        pu
-        * db
-        * lam2
+        t.pu
+        * t.db
+        * t.lam2
         * q_p
-        * (
-            (2 * ui + 3) * sum_p
-            + (1 / (ui + 1) - dtp_rel + kn.d_delta_bar(ui, bp) / db)
-        )
+        * ((2 * ui + 3) * sum_p + (1 / (ui + 1) - dtp_rel + t.ddb / t.db))
     )
-    term3 = -dlam1 * (pm * ab * q_m - bp.rho * tp * lam2 / (2 * ui + 1))
-    term4 = dlam2 * (pu * db * q_p + bp.rho * tp * lam1 / (2 * ui + 1))
+    term3 = -t.dlam1 * (t.pm * t.ab * q_m - rho * t.tp * t.lam2 / (2 * ui + 1))
+    term4 = t.dlam2 * (t.pu * t.db * q_p + rho * t.tp * t.lam1 / (2 * ui + 1))
     return term1 + term2 + term3 + term4
 
 
@@ -223,41 +229,49 @@ def gaudin_matrix(
     ``diag`` picks the diagonal construction: ``explicit`` uses the closed
     form, ``derivative`` uses Q-product times the Bethe-system Jacobian
     diagonal.  Off-diagonal entries depend on (i, j) only through the excluded
-    pair.
+    pair.  Every entry reads one per-root table (:func:`root_terms`) and the
+    pair products ``Q(-u_j, u_k)``, ``Q(u_j+1, u_k)``, computed once.
     """
     roots = tuple(roots)
     mm = len(roots)
     if diag not in ("explicit", "derivative"):
         raise ParameterError("diag must be 'explicit' or 'derivative'")
+    if bp.diagonal_mode:
+        raise ParameterError("norm matrix applies to generic couplings")
+    terms = [root_terms(u, cs, bp) for u in roots]
+    q_minus = [[kn.Q(-uj, uk) for uk in roots] for uj in roots]
+    q_plus = [[kn.Q(uj + 1, uk) for uk in roots] for uj in roots]
     if diag == "derivative":
-        jac = residual_jacobian(roots, cs, bp)
+        jac = _bethe_system(roots, cs, bp, terms)[2]()
     rows = []
     for i in range(mm):
+        others = [k for k in range(mm) if k != i]
         row = []
         for j in range(mm):
             if i == j:
                 if diag == "explicit":
-                    row.append(_gaudin_diag_explicit(i, roots, cs, bp))
+                    row.append(
+                        _gaudin_diag_explicit(
+                            terms[i],
+                            [q_minus[i][k] for k in others],
+                            [q_plus[i][k] for k in others],
+                            bp.rho,
+                        )
+                    )
                 else:
-                    rest = tuple(roots[:i]) + tuple(roots[i + 1 :])
-                    row.append(kn.Q_product(roots[i], rest) * jac[i][i])
+                    q_own = 1
+                    for k in others:
+                        q_own = q_own * kn.Q(roots[i], roots[k])
+                    row.append(q_own * jac[i][i])
             else:
-                uj = roots[j]
-                rest = tuple(
-                    roots[m] for m in range(mm) if m not in (i, j)
-                )
-                lam1, lam2 = vacuum_eigenvalues(uj, cs, bp)
-                val = (2 * uj + 1) * (
-                    kn.phi(-uj - 1)
-                    * kn.alpha_bar(uj, bp)
-                    * lam1
-                    * kn.Q_product(-uj, rest)
-                    - kn.phi(uj)
-                    * kn.delta_bar(uj, bp)
-                    * lam2
-                    * kn.Q_product(uj + 1, rest)
-                )
-                row.append(val)
+                t = terms[j]
+                qm = 1
+                qp = 1
+                for k in range(mm):
+                    if k not in (i, j):
+                        qm = qm * q_minus[j][k]
+                        qp = qp * q_plus[j][k]
+                row.append((2 * t.u + 1) * (t.c1 * qm - t.c2 * qp))
         rows.append(row)
     return rows
 
@@ -277,18 +291,21 @@ def gaudin_korepin_norm(
     nn = len(roots)
     if nn == 0:
         return 1.0 + 0j
-    cs_l, bp_l = lift_problem(cs, bp, precision)
-    roots_l = lift_roots(roots, precision)
-    gm = gaudin_matrix(roots_l, cs_l, bp_l, diag=diag)
-    w0 = w0_scalar(roots_l, cs_l, bp_l)
-    pref = _slavnov_prefactor(nn, bp_l)
-    den = 1
-    for u in roots_l:
-        den = den * 2 * (u + 1)
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            den = den * kn.Q(roots_l[j], roots_l[i]) * kn.Q(roots_l[i], roots_l[j])
-    return pref * w0 * det_small(gm) / den
+    with working_precision(precision):
+        cs_l, bp_l = lift_problem(cs, bp, precision)
+        roots_l = lift_roots(roots, precision)
+        gm = gaudin_matrix(roots_l, cs_l, bp_l, diag=diag)
+        w0 = w0_scalar(roots_l, cs_l, bp_l)
+        pref = _slavnov_prefactor(nn, bp_l)
+        den = 1
+        for u in roots_l:
+            den = den * 2 * (u + 1)
+        for i in range(nn):
+            for j in range(i + 1, nn):
+                den = (
+                    den * kn.Q(roots_l[j], roots_l[i]) * kn.Q(roots_l[i], roots_l[j])
+                )
+        return pref * w0 * det_small(gm) / den
 
 
 def norm_from_slavnov_limit(
@@ -307,47 +324,29 @@ def norm_from_slavnov_limit(
     1/eps^2, so doubles lose the limit long before it stabilises.
     """
     validate_precision(precision)
-    roots = tuple(roots)
-    if precision == "double":
-        steps = [eps * (0.5**j) for j in range(3)]
-        on = roots
-        cs_l, bp_l = cs, bp
-    else:
-        with workdps(dps):
-            on = refine_roots(lift_roots(roots), *lift_problem(cs, bp), tol=1e-40)
-        cs_l, bp_l = lift_problem(cs, bp)
-        steps = [lift(eps) * (0.5**j) for j in range(3)]
-
-    def evaluate(e):
-        free = tuple(u + e for u in on)
-        jac = slavnov_jacobian(free, on, cs_l, bp_l)
-        vmat = cauchy_matrix(free, on)
-        w0 = w0_scalar(on, cs_l, bp_l)
-        return (
-            _slavnov_prefactor(len(on), bp_l)
-            * w0
-            * det_small(jac)
-            / det_small(vmat)
-        )
-
-    def neville(xs, ys):
-        # Polynomial extrapolation to 0 in the step parameter.
-        table = list(ys)
-        mm = len(xs)
-        for level in range(1, mm):
-            for i in range(mm - level):
+    with working_precision(precision, dps):
+        cs_l, bp_l = lift_problem(cs, bp, precision)
+        on = lift_roots(roots, precision)
+        if precision == "extended":
+            on = refine_roots(on, cs_l, bp_l, tol=1e-40)
+        steps = [lift(eps, precision) * (0.5**j) for j in range(3)]
+        # Only the free set moves with the step: w0 and the prefactor belong
+        # to the on-shell set and are computed once.
+        scale = _slavnov_prefactor(len(on), bp_l) * w0_scalar(on, cs_l, bp_l)
+        values = []
+        for e in steps:
+            free = tuple(u + e for u in on)
+            jac = slavnov_jacobian(free, on, cs_l, bp_l)
+            vmat = cauchy_matrix(free, on)
+            values.append(scale * det_small(jac) / det_small(vmat))
+        # Polynomial extrapolation to 0 in the step parameter (Neville).
+        table = values
+        for level in range(1, len(steps)):
+            for i in range(len(steps) - level):
                 table[i] = (
-                    xs[i + level] * table[i] - xs[i] * table[i + 1]
-                ) / (xs[i + level] - xs[i])
-        return table[0]
-
-    if precision == "double":
-        values = [evaluate(e) for e in steps]
-        return complex(neville(steps, values))
-    with workdps(dps):
-        values = [evaluate(e) for e in steps]
-        out = neville(steps, values)
-        return complex(out)
+                    steps[i + level] * table[i] - steps[i] * table[i + 1]
+                ) / (steps[i + level] - steps[i])
+        return complex(table[0])
 
 
 # ---------------------------------------------------------------------------

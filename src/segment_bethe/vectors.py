@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -445,42 +445,63 @@ class ExpansionCoefficients:
     w0_matrix: complex | None
 
 
-def _base_w(u1, rest, cs, bp):
-    l1, l2 = vacuum_eigenvalues(u1, cs, bp)
-    return kn.phi(-u1 - 1) * l1 * kn.f_product(u1, rest) - l2 * kn.h_product(
-        u1, rest
-    )
+def _w_subset_sums(roots, cs, bp):
+    """Subset sums of the nested expansion products, indexed by bitmask.
 
-
-def _w_value(part_out, part_keep, cs, bp):
-    """Symmetrised nested product over orderings of the contracted roots."""
-    part_out = tuple(part_out)
-    if not part_out:
-        return 1.0 + 0j
-    total = 0j
-    for perm in permutations(part_out):
-        prod = 1.0 + 0j
-        for jdx, uj in enumerate(perm):
-            prod = prod * _base_w(uj, perm[jdx + 1 :] + tuple(part_keep), cs, bp)
-        total = total + prod
-    return total / math.factorial(len(part_out))
+    With ``base_w(u_j, S) = phi(-u_j-1) lam1(u_j) prod_{k in S} f(u_j, u_k)
+    - lam2(u_j) prod_{k in S} h(u_j, u_k)`` and ``All`` the full index set,
+    ``P(R)`` is the sum over orderings ``pi`` of ``R`` of
+    ``prod_m base_w(u_{pi_m}, (All - R) + {pi_{m+1}, ...})``.  Choosing the last
+    root of the ordering gives ``P(R) = sum_{j in R} P(R - j) base_w(u_j,
+    All - R)`` with ``P({}) = 1``, which costs ``O(2^N N^2)`` instead of the
+    ``N!`` orderings.  The coefficient that contracts ``All - K`` and keeps
+    ``K`` is ``P(All - K) / |All - K|!``.
+    """
+    nn = len(roots)
+    heads, tails = [], []
+    pairs = [[None] * nn for _ in range(nn)]
+    for j, uj in enumerate(roots):
+        lam1, lam2 = vacuum_eigenvalues(uj, cs, bp)
+        heads.append(kn.phi(-uj - 1) * lam1)
+        tails.append(lam2)
+        for k, uk in enumerate(roots):
+            if k != j:
+                pairs[j][k] = kn.fhq(uj, uk)
+    full = (1 << nn) - 1
+    table = [1.0 + 0j] + [None] * full
+    for mask in range(1, full + 1):
+        kept = full ^ mask
+        total = 0
+        for j in range(nn):
+            if not mask >> j & 1:
+                continue
+            pf = ph = 1
+            for k in range(nn):
+                if kept >> k & 1:
+                    pf = pf * pairs[j][k][0]
+                    ph = ph * pairs[j][k][1]
+            total = total + table[mask ^ (1 << j)] * (heads[j] * pf - tails[j] * ph)
+        table[mask] = total
+    return table
 
 
 def w0_scalar(roots, cs: ChainSpec, bp: BoundaryParams):
     """Fully contracted expansion coefficient, kept in the input scalar type."""
-    return _w_value(tuple(roots), (), cs, bp)
+    roots = tuple(roots)
+    return _w_subset_sums(roots, cs, bp)[-1] / math.factorial(len(roots))
 
 
 def w_coefficients(roots, cs: ChainSpec, bp: BoundaryParams) -> ExpansionCoefficients:
     roots = tuple(roots)
     nn = len(roots)
+    table = _w_subset_sums(roots, cs, bp)
+    full = (1 << nn) - 1
     levels: dict[int, dict[tuple, complex]] = {}
     for i in range(nn + 1):
         level = {}
         for keep in combinations(range(nn), i):
-            keep_roots = tuple(roots[j] for j in keep)
-            out_roots = tuple(roots[j] for j in range(nn) if j not in keep)
-            level[keep] = _w_value(out_roots, keep_roots, cs, bp)
+            out = full ^ sum(1 << j for j in keep)
+            level[keep] = table[out] / math.factorial(nn - i)
         levels[i] = level
     w0 = levels[0][()]
     w0_matrix = None

@@ -155,3 +155,24 @@ def test_kernels_accept_mpmath_scalars():
     got = kn.f(u, v)
     ref = kn.f(complex(u), complex(v))
     assert abs(complex(got) - ref) < 1e-15
+
+
+def test_pole_guard_on_mpmath_scalars():
+    import mpmath
+
+    with mpmath.workdps(60):
+        near = mpmath.mpc("-0.5", "1e-12")
+        with pytest.raises(PoleError) as caught:
+            kn.phi(near)
+        assert isinstance(caught.value.distance, float)
+        assert caught.value.distance == pytest.approx(2e-12)
+        clear = mpmath.mpc("-0.5", "1e-8")
+        assert abs(kn.phi(clear) - 2 * (clear + 1) / (2 * clear + 1)) == 0
+
+
+def test_fhq_matches_single_kernels(rng):
+    for _ in range(20):
+        u, v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        assert kn.fhq(u, v) == (kn.f(u, v), kn.h(u, v), kn.Q(u, v))
+    with pytest.raises(PoleError):
+        kn.fhq(0.5, -1.5)

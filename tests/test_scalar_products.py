@@ -87,6 +87,8 @@ def test_slavnov_guards(cs2, bp, bp_diag, rng):
         gaudin_korepin_norm(roots, cs2, bp_diag)
     with pytest.raises(ParameterError):
         gaudin_matrix(roots, cs2, bp, diag="auto")
+    with pytest.raises(ParameterError):
+        gaudin_matrix(roots, cs2, bp_diag)
 
 
 def test_cauchy_factorization(rng, cs2, bp):
