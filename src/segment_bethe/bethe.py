@@ -448,11 +448,12 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
     ``system(x)`` returns (residuals, scales, jacobian), where ``jacobian()``
     builds the rows at ``x``; it is called only at points Newton steps from,
     never at the accepted final iterate.  Convergence is on
-    max_i |residual_i| / scale_i.  Wild trial steps may overflow the rational
-    expressions; those evaluations return inf/nan, fail the descent test, and
-    get halved away, so numpy's transient warnings are suppressed.  A pole hit
-    while evaluating a trial point, or while building its Jacobian, halves
-    the step too.
+    max_i |residual_i| / scale_i; the accepted iterate is returned with that
+    error and the residuals and scales it was judged on.  Wild trial steps
+    may overflow the rational expressions; those evaluations return inf/nan,
+    fail the descent test, and get halved away, so numpy's transient warnings
+    are suppressed.  A pole hit while evaluating a trial point, or while
+    building its Jacobian, halves the step too.
     """
     x = list(x0)
 
@@ -471,7 +472,7 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
         if not err < math.inf:
             raise ConvergenceError("starting point is out of range")
         if err <= tol:
-            return x, err
+            return x, err, res, scales
         jac = jacobian()
         for _ in range(max_iter):
             step = solve_small(jac, [-r for r in res])
@@ -482,7 +483,7 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
                     nres, nscales, njacobian = system(cand)
                     nerr = err_of(nres, nscales)
                     if nerr <= tol:
-                        return cand, nerr
+                        return cand, nerr, nres, nscales
                     if nerr < err:
                         jac = njacobian()
                         x, res, err = cand, nres, nerr
@@ -544,8 +545,8 @@ class BetheRoots:
     eigenvalue_residual: float | None = None
 
 
-def _package(roots, cs, bp, tol, branch=None, eig_res=None) -> BetheRoots:
-    raw, scales = bethe_residuals_scaled(roots, cs, bp)
+def _package(roots, raw, scales, tol, branch=None, eig_res=None) -> BetheRoots:
+    """Certification record of ``roots`` from its Bethe residuals and scales."""
     scaled = tuple(float(abs(r) / s) for r, s in zip(raw, scales))
     return BetheRoots(
         roots=tuple(complex(r) for r in roots),
@@ -557,12 +558,17 @@ def _package(roots, cs, bp, tol, branch=None, eig_res=None) -> BetheRoots:
     )
 
 
-def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
-    """Newton-polish a root set on the Bethe system itself."""
-    refined, _ = _newton(
+def _refine(roots, cs, bp, tol):
+    """Newton polish: the roots with the residuals and scales Newton accepted."""
+    refined, _, raw, scales = _newton(
         lambda x: _bethe_system(x, cs, bp), list(roots), tol
     )
-    return tuple(refined)
+    return tuple(refined), raw, scales
+
+
+def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
+    """Newton-polish a root set on the Bethe system itself."""
+    return _refine(roots, cs, bp, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +599,7 @@ class _BranchBasis:
         raise ConvergenceError(f"could not build transfer eigenbasis: {last}")
 
     def _matrix(self, u):
-        t = transfer_matrix(u, self.cs, self.bp).matrix
+        t = transfer_matrix(u, self.cs, self.bp)
         if self.sector is None:
             return t
         return t[np.ix_(self.sector, self.sector)]
@@ -662,19 +668,23 @@ def _tq_seeds(basis, nodes, m, cs, bp):
 
 
 def _polish(seed, cs, bp):
-    """Newton-polish a T-Q seed on the Bethe system.
+    """Newton-polish a T-Q seed on the Bethe system: roots, residuals, scales.
 
-    Some sets (a root pair with ``u_j + u_k`` near zero) bottom out in double
-    precision just above the 1e-12 stop; those are polished in extended
-    precision and rounded back, and the caller's double gates decide.
+    The double polish hands on the residuals and scales of Newton's last
+    evaluation, which is at the returned roots.  Some sets (a root pair with
+    ``u_j + u_k`` near zero) bottom out in double precision just above the
+    1e-12 stop; those are polished in extended precision and rounded back,
+    and their residuals are evaluated at the rounded roots, so the caller's
+    double gates judge what is returned.
     """
     try:
-        return refine_roots(seed, cs, bp, tol=1e-12)
+        return _refine(seed, cs, bp, 1e-12)
     except ConvergenceError:
         pass
     with workdps():
         lifted = refine_roots(lift_roots(seed), *lift_problem(cs, bp), tol=1e-30)
-    return tuple(complex(r) for r in lifted)
+    roots = tuple(complex(r) for r in lifted)
+    return (roots, *bethe_residuals_scaled(roots, cs, bp))
 
 
 def _verify_branch(roots, targets, points, cs, bp):
@@ -698,7 +708,7 @@ def _solve_branches(cs, bp, m, rng, tol, sector=None):
     found = []
     for br, seed in enumerate(seeds):
         try:
-            roots = _polish(seed, cs, bp)
+            roots, raw, scales = _polish(seed, cs, bp)
         except (ConvergenceError, PoleError, ZeroDivisionError):
             continue
         if not _set_is_generic(roots):
@@ -706,7 +716,7 @@ def _solve_branches(cs, bp, m, rng, tol, sector=None):
         worst = _verify_branch(roots, targets[:, br], check_points, cs, bp)
         if worst > 1e-8:
             continue
-        sol = _package(roots, cs, bp, tol, branch=br, eig_res=worst)
+        sol = _package(roots, raw, scales, tol, branch=br, eig_res=worst)
         if sol.on_shell:
             found.append(sol)
     return found

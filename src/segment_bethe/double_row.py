@@ -19,8 +19,8 @@ each; cached arrays are frozen read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from . import linalg
 from .boundary import k_minus, k_plus, q_similarity
 from .errors import ConstructionError, DimensionError, ParameterError, PoleError
 from .linalg import (
-    QuantumOperator,
     embed_site,
     embed_two_site,
     identity,
@@ -41,8 +40,7 @@ from .boundary import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .params import BoundaryParams, ChainSpec
 
 __all__ = [
-    "DoubleRowEntries",
-    "ModifiedEntries",
+    "Entries",
     "bulk_monodromy",
     "hat_monodromy",
     "double_row",
@@ -60,27 +58,21 @@ __all__ = [
 CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class DoubleRowEntries:
-    """Operator entries A, B, C, D of one double-row monodromy.
+class Entries(NamedTuple):
+    """Operator entries ``a, b, c, d`` of one family, frozen ``2^N x 2^N`` arrays.
 
-    ``raw`` is the double-row matrix as a ``(2, 2^N, 2, 2^N)`` block tensor,
-    without the d-shift; ``a``, ``b`` and ``c`` are views into it.
+    Both families share this type: the plain entries of :func:`double_row`
+    and the modified entries of :func:`modified_entries`; ``d`` carries the
+    d-shift in both.  For the plain family ``raw`` is the double-row matrix
+    as a ``(2, 2^N, 2, 2^N)`` block tensor, without the d-shift, and ``a``,
+    ``b`` and ``c`` are views into it; the modified family has no raw block.
     """
 
-    a: QuantumOperator
-    b: QuantumOperator
-    c: QuantumOperator
-    d: QuantumOperator
-    raw: np.ndarray
-
-
-@dataclass(frozen=True)
-class ModifiedEntries:
-    a_bar: QuantumOperator
-    b_bar: QuantumOperator
-    c_bar: QuantumOperator
-    d_bar: QuantumOperator
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    raw: np.ndarray | None = None
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -129,7 +121,7 @@ def hat_monodromy(u, cs: ChainSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> DoubleRowEntries:
+def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     """Entries of the double-row monodromy with the dressed d-shift applied."""
     u = complex(u)
     if abs(2 * u + 1) < kn.POLE_TOL:
@@ -140,19 +132,18 @@ def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> DoubleRowEntries:
     raw = _freeze(
         _times_r_string(t_k, _hat_factors(u, cs)).reshape(2, half, 2, half)
     )
-    n = cs.sites
     a = raw[0, :, 0, :]
-    return DoubleRowEntries(
-        a=QuantumOperator(n, a),
-        b=QuantumOperator(n, raw[0, :, 1, :]),
-        c=QuantumOperator(n, raw[1, :, 0, :]),
-        d=QuantumOperator(n, _freeze(raw[1, :, 1, :] - a / (2 * u + 1))),
+    return Entries(
+        a=a,
+        b=raw[0, :, 1, :],
+        c=raw[1, :, 0, :],
+        d=_freeze(raw[1, :, 1, :] - a / (2 * u + 1)),
         raw=raw,
     )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> ModifiedEntries:
+def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     """Entries after conjugating the auxiliary space by the similarity matrix.
 
     Built twice from the raw blocks: once from the closed-form linear
@@ -196,21 +187,21 @@ def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> ModifiedEntries:
                 f"modified entry {name!r}: construction routes disagree ({res:.3e})"
             )
     _freeze(closed)
-    return ModifiedEntries(*(QuantumOperator(cs.sites, m) for m in closed))
+    return Entries(*closed)
 
 
-def _transfer_trace_form(e: DoubleRowEntries, u: complex, bp) -> np.ndarray:
+def _transfer_trace_form(e: Entries, u: complex, bp) -> np.ndarray:
     return (
-        kn.alpha(u, bp) * e.a.matrix
-        + kn.delta(u, bp) * e.d.matrix
-        + kn.beta(u, bp) * e.b.matrix
-        + kn.gamma(u, bp) * e.c.matrix
+        kn.alpha(u, bp) * e.a
+        + kn.delta(u, bp) * e.d
+        + kn.beta(u, bp) * e.b
+        + kn.gamma(u, bp) * e.c
     )
 
 
 def _transfer_modified_form(u: complex, cs: ChainSpec, bp) -> np.ndarray:
     m = modified_entries(u, cs, bp)
-    return kn.alpha_bar(u, bp) * m.a_bar.matrix + kn.delta_bar(u, bp) * m.d_bar.matrix
+    return kn.alpha_bar(u, bp) * m.a + kn.delta_bar(u, bp) * m.d
 
 
 def transfer_forms_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:
@@ -222,7 +213,7 @@ def transfer_forms_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> QuantumOperator:
+def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Double-row transfer matrix t(u).
 
     Always cross-checked against the literal auxiliary-space trace; for
@@ -243,17 +234,17 @@ def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> QuantumOperator:
         raise ConstructionError(
             f"transfer matrix: modified form disagrees ({res[1]:.3e})"
         )
-    return QuantumOperator(cs.sites, _freeze(t1))
+    return _freeze(t1)
 
 
 def crossing_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Measured (not enforced) residual of t(-u-1) against t(u)."""
-    t1 = transfer_matrix(u, cs, bp).matrix
-    t2 = transfer_matrix(-u - 1, cs, bp).matrix
+    t1 = transfer_matrix(u, cs, bp)
+    t2 = transfer_matrix(-u - 1, cs, bp)
     return relative_residual(t1 - t2, t1, t2)
 
 
-def hamiltonian(cs: ChainSpec, bp: BoundaryParams) -> QuantumOperator:
+def hamiltonian(cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Open-chain Hamiltonian with boundary fields, homogeneous point only."""
     if not cs.is_homogeneous:
         raise ParameterError("hamiltonian is defined at the homogeneous point")
@@ -269,14 +260,16 @@ def hamiltonian(cs: ChainSpec, bp: BoundaryParams) -> QuantumOperator:
         for sig in (SIGMA_X, SIGMA_Y, SIGMA_Z):
             hm = hm + embed_two_site(kron(sig, sig), n, i, i + 1)
     hm = hm + (1 / bp.p) * embed_site(SIGMA_Z, n, n - 1)
-    return QuantumOperator(n, _freeze(hm))
+    return _freeze(hm)
 
 
-def _relation_residuals(eu, ev, u: complex, v: complex) -> dict:
+def _relation_residuals(eu: Entries, ev: Entries, u: complex, v: complex) -> dict:
     """Residuals of the quadratic exchange relations for one entry family."""
-    au, bu, cu, du = eu
-    av, bv, cv, dv = ev
-    kv = kn.kernel_values(u, v)
+    au, bu, cu, du = eu.a, eu.b, eu.c, eu.d
+    av, bv, cv, dv = ev.a, ev.b, ev.c, ev.d
+    f, g, w = kn.f(u, v), kn.g(u, v), kn.w(u, v)
+    h, k, n = kn.h(u, v), kn.k(u, v), kn.n(u, v)
+    s, x, y, r, q = kn.s(u, v), kn.x(u, v), kn.y(u, v), kn.r(u, v), kn.q(u, v)
     out = {}
 
     def put(name, lhs, rhs):
@@ -284,20 +277,20 @@ def _relation_residuals(eu, ev, u: complex, v: complex) -> dict:
 
     put("bb", bu @ bv, bv @ bu)
     put("cc", cu @ cv, cv @ cu)
-    put("ab", au @ bv, kv.f * bv @ au + kv.g * bu @ av + kv.w * bu @ dv)
-    put("ca", cv @ au, kv.f * au @ cv + kv.g * av @ cu + kv.w * dv @ cu)
-    put("db", du @ bv, kv.h * bv @ du + kv.k * bu @ dv + kv.n * bu @ av)
-    put("cd", cv @ du, kv.h * du @ cv + kv.k * dv @ cu + kv.n * av @ cu)
+    put("ab", au @ bv, f * bv @ au + g * bu @ av + w * bu @ dv)
+    put("ca", cv @ au, f * au @ cv + g * av @ cu + w * dv @ cu)
+    put("db", du @ bv, h * bv @ du + k * bu @ dv + n * bu @ av)
+    put("cd", cv @ du, h * du @ cv + k * dv @ cu + n * av @ cu)
     put(
         "cb",
         cu @ bv,
         bv @ cu
-        + kv.s * au @ av
-        + kv.x * av @ au
-        + kv.y * du @ av
-        + kv.r * au @ dv
-        + kv.q * av @ du
-        + kv.w * du @ dv,
+        + s * au @ av
+        + x * av @ au
+        + y * du @ av
+        + r * au @ dv
+        + q * av @ du
+        + w * du @ dv,
     )
     return out
 
@@ -309,29 +302,13 @@ def check_exchange_relations(u, v, cs: ChainSpec, bp: BoundaryParams) -> dict:
     skipped for diagonal couplings.
     """
     u, v = complex(u), complex(v)
-
-    def unpack_plain(w):
-        e = double_row(w, cs, bp)
-        return e.a.matrix, e.b.matrix, e.c.matrix, e.d.matrix
-
-    res = {
-        f"plain:{name}": val
-        for name, val in _relation_residuals(
-            unpack_plain(u), unpack_plain(v), u, v
-        ).items()
-    }
+    families = [("plain", double_row)]
     if not bp.diagonal_mode:
-
-        def unpack_mod(w):
-            m = modified_entries(w, cs, bp)
-            return m.a_bar.matrix, m.b_bar.matrix, m.c_bar.matrix, m.d_bar.matrix
-
-        res.update(
-            {
-                f"modified:{name}": val
-                for name, val in _relation_residuals(
-                    unpack_mod(u), unpack_mod(v), u, v
-                ).items()
-            }
-        )
+        families.append(("modified", modified_entries))
+    res = {}
+    for family, entries in families:
+        for name, val in _relation_residuals(
+            entries(u, cs, bp), entries(v, cs, bp), u, v
+        ).items():
+            res[f"{family}:{name}"] = val
     return res

@@ -29,12 +29,10 @@ from .bethe import (
 from .boundary import (
     check_dual_reflection,
     check_gl2_invariance,
+    check_kplus_diagonalization,
     check_reflection,
     check_unitarity,
     check_ybe,
-    k_plus,
-    modified_k_plus_entries,
-    q_similarity,
 )
 from .double_row import (
     check_exchange_relations,
@@ -380,16 +378,9 @@ def run_check_algebra(config: RunConfig) -> VerificationReport:
         rec.run(
             "kplus-diagonalization",
             "twist-diagonalization",
-            lambda: max(_kplus_diag_residual(u, bp) for u in us),
+            lambda: max(check_kplus_diagonalization(u, bp) for u in us),
         )
     return rec.report
-
-
-def _kplus_diag_residual(u, bp) -> float:
-    qm = q_similarity(bp)
-    got = np.linalg.solve(qm, k_plus(u, bp) @ qm)
-    expected = np.diag(modified_k_plus_entries(u, bp))
-    return relative_residual(got - expected, got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +424,20 @@ def run_exchange(config: RunConfig) -> VerificationReport:
         "commuting-transfer-family",
         lambda: max(
             _commutator_residual(
-                transfer_matrix(u, cs, bp).matrix,
-                transfer_matrix(v, cs, bp).matrix,
+                transfer_matrix(u, cs, bp),
+                transfer_matrix(v, cs, bp),
             )
             for u, v in zip(points, partners)
         ),
     )
 
     cs0 = ChainSpec(cs.sites, (0j,) * cs.sites)
-    ham = hamiltonian(cs0, bp).matrix
+    ham = hamiltonian(cs0, bp)
     rec.run(
         "hamiltonian-commutation",
         "hamiltonian-from-transfer",
         lambda: max(
-            _commutator_residual(ham, transfer_matrix(u, cs0, bp).matrix)
+            _commutator_residual(ham, transfer_matrix(u, cs0, bp))
             for u in points
         ),
     )

@@ -12,8 +12,6 @@ can redraw instead of silently blowing up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PoleError
 
 POLE_TOL = 1e-9
@@ -36,8 +34,6 @@ __all__ = [
     "Q",
     "F",
     "fhq",
-    "KernelValues",
-    "kernel_values",
     "f_product",
     "h_product",
     "Q_product",
@@ -247,44 +243,3 @@ def Q_product(u, others):
     for v in others:
         out = out * Q(u, v)
     return out
-
-
-@dataclass(frozen=True)
-class KernelValues:
-    """All exchange kernels at one ordered pair of spectral parameters."""
-
-    f: complex
-    g: complex
-    w: complex
-    h: complex
-    k: complex
-    n: complex
-    x: complex
-    s: complex
-    q: complex
-    r: complex
-    y: complex
-    big_q: complex
-    big_f: complex
-    phi_u: complex
-    phi_v: complex
-
-
-def kernel_values(u, v) -> KernelValues:
-    return KernelValues(
-        f=f(u, v),
-        g=g(u, v),
-        w=w(u, v),
-        h=h(u, v),
-        k=k(u, v),
-        n=n(u, v),
-        x=x(u, v),
-        s=s(u, v),
-        q=q(u, v),
-        r=r(u, v),
-        y=y(u, v),
-        big_q=Q(u, v),
-        big_f=F(u, v),
-        phi_u=phi(u),
-        phi_v=phi(v),
-    )

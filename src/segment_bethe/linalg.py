@@ -1,4 +1,4 @@
-"""Dense complex tensor algebra: products, embeddings, partial trace, spectra.
+"""Dense complex tensor algebra: products, embeddings, partial trace, residuals.
 
 Everything here is plain numpy on complex128 arrays.  Chains of interest stay
 below ten sites, so dense is both simplest and fastest.
@@ -6,24 +6,18 @@ below ten sites, so dense is both simplest and fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import DimensionError
 
 __all__ = [
     "MAX_DIM",
-    "QuantumOperator",
     "kron",
     "trace_aux",
-    "eig",
-    "det",
     "identity",
     "embed_site",
     "embed_two_site",
     "vacuum_state",
-    "dual_vacuum_state",
     "frobenius",
     "relative_residual",
     "relative_residuals",
@@ -40,22 +34,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
-
-
-@dataclass(frozen=True)
-class QuantumOperator:
-    """Operator on a chain of ``sites`` spin-1/2 factors."""
-
-    sites: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        dim = 1 << self.sites
-        if self.matrix.shape != (dim, dim):
-            raise DimensionError(
-                f"operator on {self.sites} sites needs shape {(dim, dim)}, "
-                f"got {self.matrix.shape}"
-            )
 
 
 def identity(dim: int) -> np.ndarray:
@@ -82,31 +60,6 @@ def trace_aux(m) -> np.ndarray:
         raise DimensionError("trace_aux needs a square matrix of even dimension")
     half = dim // 2
     return m[:half, :half] + m[half:, half:]
-
-
-def eig(m, vectors: bool = False):
-    """Eigenvalues (and optionally right eigenvectors) of a dense matrix."""
-    m = as_matrix(m)
-    try:
-        if vectors:
-            vals, vecs = np.linalg.eig(m)
-            return vals, vecs
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-
-
-def det(m) -> complex:
-    """Determinant; triangular matrices short-circuit to the diagonal product."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise DimensionError("determinant needs a square matrix")
-    strict_lower = np.tril(m, -1)
-    strict_upper = np.triu(m, 1)
-    if not strict_lower.any() or not strict_upper.any():
-        return complex(np.prod(np.diag(m)))
-    return complex(np.linalg.det(m))
 
 
 def embed_site(op2, nfactors: int, site: int) -> np.ndarray:
@@ -152,10 +105,6 @@ def vacuum_state(sites: int) -> np.ndarray:
     v = np.zeros(1 << sites, dtype=complex)
     v[0] = 1.0
     return v
-
-
-def dual_vacuum_state(sites: int) -> np.ndarray:
-    return vacuum_state(sites)
 
 
 def frobenius(m) -> float:

@@ -33,6 +33,7 @@ from .precision import (
     lift_problem,
     lift_roots,
     validate_precision,
+    workdps,
     working_precision,
 )
 from .vectors import build_dual_psi, build_psi, w0_scalar
@@ -53,11 +54,14 @@ __all__ = [
 
 PROXIMITY_THRESHOLD = 1e-3
 
+# First shift of the free set in the coincident-set norm limit.
+LIMIT_EPS = 1e-8
+
 
 def scalar_product_direct(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams):
     """Brute-force scalar product of two Bethe states (bilinear pairing)."""
-    bra = build_dual_psi(bra_roots, cs, bp).vector
-    ket = build_psi(ket_roots, cs, bp).vector
+    bra = build_dual_psi(bra_roots, cs, bp)
+    ket = build_psi(ket_roots, cs, bp)
     return complex(bra @ ket)
 
 
@@ -308,28 +312,20 @@ def gaudin_korepin_norm(
         return pref * w0 * det_small(gm) / den
 
 
-def norm_from_slavnov_limit(
-    roots,
-    cs: ChainSpec,
-    bp: BoundaryParams,
-    eps: float = 1e-8,
-    precision: str = "extended",
-    dps: int = 60,
-):
+def norm_from_slavnov_limit(roots, cs: ChainSpec, bp: BoundaryParams):
     """Norm as the coincident-set limit of the determinant scalar product.
 
-    Shifts the free set off the on-shell one by ``eps`` along the all-ones
-    direction and extrapolates the last three evaluations to zero (Neville).
-    Extended precision is the default: the Jacobian entries blow up like
-    1/eps^2, so doubles lose the limit long before it stabilises.
+    Shifts the free set off the on-shell one by ``LIMIT_EPS``, then by half
+    and a quarter of it, along the all-ones direction, and extrapolates the
+    three evaluations to zero (Neville).  It always runs at ``DEFAULT_DPS``
+    digits, after a 60-digit refine of the on-shell set: the Jacobian entries
+    blow up like 1/eps^2, so doubles lose the limit long before it
+    stabilises.
     """
-    validate_precision(precision)
-    with working_precision(precision, dps):
-        cs_l, bp_l = lift_problem(cs, bp, precision)
-        on = lift_roots(roots, precision)
-        if precision == "extended":
-            on = refine_roots(on, cs_l, bp_l, tol=1e-40)
-        steps = [lift(eps, precision) * (0.5**j) for j in range(3)]
+    with workdps():
+        cs_l, bp_l = lift_problem(cs, bp)
+        on = refine_roots(lift_roots(roots), cs_l, bp_l, tol=1e-40)
+        steps = [lift(LIMIT_EPS) * (0.5**j) for j in range(3)]
         # Only the free set moves with the step: w0 and the prefactor belong
         # to the on-shell set and are computed once.
         scale = _slavnov_prefactor(len(on), bp_l) * w0_scalar(on, cs_l, bp_l)
@@ -476,8 +472,8 @@ def n1_identities(
     vac = vacuum_state(1)
     sd_matrix = complex(
         vac
-        @ double_row(u1, cs, bp).c.matrix
-        @ double_row(v1, cs, bp).b.matrix
+        @ double_row(u1, cs, bp).c
+        @ double_row(v1, cs, bp).b
         @ vac
     )
     sd_formula = _s_diag_formula(u1, v1, cs, bp)

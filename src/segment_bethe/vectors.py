@@ -1,9 +1,11 @@
 """Bethe vectors, transfer-matrix action checks, and basis expansions.
 
 States are built by repeated application of the modified creation operator to
-the reference state (plain operators in the diagonal limit).  All checks
-return scale-free residuals: defect norm over the largest term norm entering
-the identity, so a tolerance means the same thing at every chain size.
+the reference state (plain operators in the diagonal limit).  Every identity
+holds for the ket and, mirrored, for the bra; each is written once over a
+:class:`_Side`.  All checks return scale-free residuals: defect norm over the
+largest term norm entering the identity, so a tolerance means the same thing
+at every chain size.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +26,12 @@ from .bethe import (
     lambda_total,
     vacuum_eigenvalues,
 )
-from .double_row import double_row, modified_entries, transfer_matrix
+from .double_row import Entries, double_row, modified_entries, transfer_matrix
 from .errors import ParameterError
 from .linalg import vacuum_state
 from .params import BoundaryParams, ChainSpec
 
 __all__ = [
-    "BetheVector",
     "ExpansionCoefficients",
     "build_psi",
     "build_dual_psi",
@@ -45,60 +47,75 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BetheVector:
-    roots: tuple
-    vector: np.ndarray
-    dual: bool = False
-
-
-def _creation(u, cs, bp) -> np.ndarray:
+def _family(u, cs, bp) -> Entries:
+    """Entries the states are built from: plain for diagonal couplings, else modified."""
     if bp.diagonal_mode:
-        return double_row(u, cs, bp).b.matrix
-    return modified_entries(u, cs, bp).b_bar.matrix
+        return double_row(u, cs, bp)
+    return modified_entries(u, cs, bp)
 
 
-def _annihilation(u, cs, bp) -> np.ndarray:
-    if bp.diagonal_mode:
-        return double_row(u, cs, bp).c.matrix
-    return modified_entries(u, cs, bp).c_bar.matrix
+class _Side(NamedTuple):
+    """The ket or the bra of an identity.
+
+    The ket is a string of ``b`` entries acting on the reference state from
+    the left, the bra a string of ``c`` entries acting on it from the right.
+    ``key`` names the side's residual and ``through`` its sweep residuals.
+    """
+
+    key: str
+    dual: bool
+    through: str
+
+    def state(self, roots, cs, bp) -> np.ndarray:
+        # Called by name, so that a wrapper bound to either name sees the call.
+        if self.dual:
+            return build_dual_psi(roots, cs, bp)
+        return build_psi(roots, cs, bp)
+
+    def string(self, entries: Entries) -> np.ndarray:
+        return entries.c if self.dual else entries.b
+
+    def act(self, op, vec):
+        """``op`` applied from this side: ``op @ vec`` (ket), ``vec @ op`` (bra)."""
+        return vec @ op if self.dual else op @ vec
+
+    def couplings(self, bp):
+        """``(xi_minus, xi_plus)`` for the ket, swapped for the bra."""
+        if self.dual:
+            return bp.xi_plus, bp.xi_minus
+        return bp.xi_minus, bp.xi_plus
 
 
-def build_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> BetheVector:
+KET = _Side("right", False, "{}_through_b")
+BRA = _Side("left", True, "c_through_{}")
+SIDES = (KET, BRA)
+
+
+def _apply_string(side: _Side, entries, roots, cs, bp) -> np.ndarray:
+    """The side's string of ``entries`` at ``roots`` applied to the reference state."""
+    vec = vacuum_state(cs.sites)
+    for u in roots:
+        vec = side.act(side.string(entries(u, cs, bp)), vec)
+    return vec
+
+
+def build_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Creation-operator product applied to the reference state."""
-    vec = vacuum_state(cs.sites)
-    for u in roots:
-        vec = _creation(u, cs, bp) @ vec
-    return BetheVector(tuple(roots), vec)
+    return _apply_string(KET, _family, roots, cs, bp)
 
 
-def build_dual_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> BetheVector:
+def build_dual_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Dual state: annihilation-operator product applied to the left vacuum."""
-    vec = vacuum_state(cs.sites)
-    for u in roots:
-        vec = vec @ _annihilation(u, cs, bp)
-    return BetheVector(tuple(roots), vec, dual=True)
+    return _apply_string(BRA, _family, roots, cs, bp)
 
 
-def _psi_cache(cs, bp):
+def _state_cache(side: _Side, cs, bp):
     memo = {}
 
     def get(roots):
         key = tuple(roots)
         if key not in memo:
-            memo[key] = build_psi(key, cs, bp).vector
-        return memo[key]
-
-    return get
-
-
-def _dual_cache(cs, bp):
-    memo = {}
-
-    def get(roots):
-        key = tuple(roots)
-        if key not in memo:
-            memo[key] = build_dual_psi(key, cs, bp).vector
+            memo[key] = side.state(key, cs, bp)
         return memo[key]
 
     return get
@@ -123,9 +140,16 @@ def _without(roots, *idx):
     return tuple(r for j, r in enumerate(roots) if j not in idx)
 
 
-def _remainder_coeff(u, bp, dual: bool):
-    xi = bp.xi_plus if dual else bp.xi_minus
+def _remainder_coeff(u, bp, side: _Side):
+    xi = side.couplings(bp)[0]
     return (bp.rho * (bp.rho - 1) / xi) * 2 * (u + 1)
+
+
+def _action_terms(value, coeffs, u, roots, state) -> list:
+    """``value * state(roots)`` and ``coeffs[i] * state(roots with u for root i)``."""
+    terms = [value * state(roots)]
+    terms += [c * state(_swap(roots, i, u)) for i, c in enumerate(coeffs)]
+    return terms
 
 
 def check_offshell_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
@@ -134,7 +158,7 @@ def check_offshell_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     roots = tuple(roots)
     if len(roots) != cs.sites:
         raise ParameterError("off-shell action requires one root per site")
-    t = transfer_matrix(u, cs, bp).matrix
+    t = transfer_matrix(u, cs, bp)
     lam = lambda_total(u, roots, cs, bp)
     coeffs = [
         kn.F(u, roots[i])
@@ -144,17 +168,12 @@ def check_offshell_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
         )
         for i in range(len(roots))
     ]
-
-    psi = _psi_cache(cs, bp)
-    terms = [lam * psi(roots)]
-    terms += [c * psi(_swap(roots, i, u)) for i, c in enumerate(coeffs)]
-    right = _residual(t @ psi(roots), terms)
-
-    dual = _dual_cache(cs, bp)
-    terms = [lam * dual(roots)]
-    terms += [c * dual(_swap(roots, i, u)) for i, c in enumerate(coeffs)]
-    left = _residual(dual(roots) @ t, terms)
-    return {"right": right, "left": left}
+    out = {}
+    for side in SIDES:
+        state = _state_cache(side, cs, bp)
+        terms = _action_terms(lam, coeffs, u, roots, state)
+        out[side.key] = _residual(side.act(t, state(roots)), terms)
+    return out
 
 
 def check_central_relation(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
@@ -171,23 +190,22 @@ def check_central_relation(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
         kn.F(u, roots[i]) * inhomogeneous_unwanted(i, roots, cs, bp)
         for i in range(len(roots))
     ]
+    out = {}
+    for side in SIDES:
+        state = _state_cache(side, cs, bp)
+        lhs = _remainder_coeff(u, bp, side) * side.act(
+            side.string(_family(u, cs, bp)), state(roots)
+        )
+        out[side.key] = _residual(lhs, _action_terms(lam_g, coeffs, u, roots, state))
+    return out
 
-    psi = _psi_cache(cs, bp)
-    lhs = _remainder_coeff(u, bp, dual=False) * (
-        _creation(u, cs, bp) @ psi(roots)
-    )
-    terms = [lam_g * psi(roots)]
-    terms += [c * psi(_swap(roots, i, u)) for i, c in enumerate(coeffs)]
-    right = _residual(lhs, terms)
 
-    dual = _dual_cache(cs, bp)
-    lhs = _remainder_coeff(u, bp, dual=True) * (
-        dual(roots) @ _annihilation(u, cs, bp)
-    )
-    terms = [lam_g * dual(roots)]
-    terms += [c * dual(_swap(roots, i, u)) for i, c in enumerate(coeffs)]
-    left = _residual(lhs, terms)
-    return {"right": right, "left": left}
+def _string_product(side: _Side, ws, cs, bp) -> np.ndarray:
+    """The side's string of entries at ``ws`` as one operator, in root order."""
+    prod = np.eye(1 << cs.sites, dtype=complex)
+    for w in ws:
+        prod = prod @ side.string(_family(w, cs, bp))
+    return prod
 
 
 def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
@@ -200,92 +218,55 @@ def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     u = complex(u)
     roots = tuple(roots)
     m = len(roots)
+    e_u = _family(u, cs, bp)
 
-    def cre(w):
-        return _creation(w, cs, bp)
-
-    def ann(w):
-        return _annihilation(w, cs, bp)
-
-    if bp.diagonal_mode:
-        e_u = double_row(u, cs, bp)
-        a_u, d_u = e_u.a.matrix, e_u.d.matrix
-
-        def diag_ops(w):
-            e = double_row(w, cs, bp)
-            return e.a.matrix, e.d.matrix
-
-    else:
-        m_u = modified_entries(u, cs, bp)
-        a_u, d_u = m_u.a_bar.matrix, m_u.d_bar.matrix
-
-        def diag_ops(w):
-            e = modified_entries(w, cs, bp)
-            return e.a_bar.matrix, e.d_bar.matrix
-
-    def cre_product(ws):
-        out = np.eye(1 << cs.sites, dtype=complex)
-        for w in ws:
-            out = out @ cre(w)
-        return out
-
-    def ann_product(ws):
-        out = np.eye(1 << cs.sites, dtype=complex)
-        for w in ws:
-            out = out @ ann(w)
-        return out
-
-    b_all = cre_product(roots)
-    c_all = ann_product(roots)
-    out = {}
-
-    # Diagonal operator through the creation string.
-    terms_a = [kn.f_product(u, roots) * (b_all @ a_u)]
-    terms_d = [kn.h_product(u, roots) * (b_all @ d_u)]
-    terms_ca = [kn.f_product(u, roots) * (a_u @ c_all)]
-    terms_cd = [kn.h_product(u, roots) * (d_u @ c_all)]
+    # Per root: the string's other roots, the diagonal entries at the root
+    # and the exchange weights of a and d sweeping past it.
+    sweeps = []
     for i in range(m):
         ui = roots[i]
         rest = _without(roots, i)
-        a_i, d_i = diag_ops(ui)
-        b_swapped = cre_product((u,) + rest)
-        c_swapped = ann_product((u,) + rest)
+        e_i = _family(ui, cs, bp)
         ga = kn.g(u, ui) * kn.f_product(ui, rest)
         wd = kn.w(u, ui) * kn.h_product(ui, rest)
         kd = kn.k(u, ui) * kn.h_product(ui, rest)
         na = kn.n(u, ui) * kn.f_product(ui, rest)
-        terms_a.append(ga * (b_swapped @ a_i) + wd * (b_swapped @ d_i))
-        terms_d.append(kd * (b_swapped @ d_i) + na * (b_swapped @ a_i))
-        terms_ca.append(ga * (a_i @ c_swapped) + wd * (d_i @ c_swapped))
-        terms_cd.append(kd * (d_i @ c_swapped) + na * (a_i @ c_swapped))
-    out["a_through_b"] = _residual(a_u @ b_all, terms_a)
-    out["d_through_b"] = _residual(d_u @ b_all, terms_d)
-    out["c_through_a"] = _residual(c_all @ a_u, terms_ca)
-    out["c_through_d"] = _residual(c_all @ d_u, terms_cd)
-
-    # Partial off-shell action on the reference state and its dual.
-    t = transfer_matrix(u, cs, bp).matrix
+        sweeps.append((rest, e_i.a, e_i.d, ga, wd, kd, na))
+    f_all = kn.f_product(u, roots)
+    h_all = kn.h_product(u, roots)
+    t = transfer_matrix(u, cs, bp)
     lam_d = dressed_value(u, roots, cs, bp)
     coeffs = [
         kn.F(u, roots[i]) * dressed_unwanted(i, roots, cs, bp) for i in range(m)
     ]
-    psi = _psi_cache(cs, bp)
-    dual = _dual_cache(cs, bp)
-    terms = [lam_d * psi(roots)]
-    terms += [c * psi(_swap(roots, i, u)) for i, c in enumerate(coeffs)]
-    if not bp.diagonal_mode:
-        terms.append(
-            _remainder_coeff(u, bp, dual=False) * (cre(u) @ psi(roots))
-        )
-    out["partial_right"] = _residual(t @ psi(roots), terms)
 
-    terms = [lam_d * dual(roots)]
-    terms += [c * dual(_swap(roots, i, u)) for i, c in enumerate(coeffs)]
-    if not bp.diagonal_mode:
-        terms.append(
-            _remainder_coeff(u, bp, dual=True) * (dual(roots) @ ann(u))
-        )
-    out["partial_left"] = _residual(dual(roots) @ t, terms)
+    out = {}
+    for side in SIDES:
+        # Diagonal operator through the string: a and d, each acting from
+        # this side, move to the far side of it.
+        full = _string_product(side, roots, cs, bp)
+        terms_a = [f_all * side.act(full, e_u.a)]
+        terms_d = [h_all * side.act(full, e_u.d)]
+        for rest, a_i, d_i, ga, wd, kd, na in sweeps:
+            swapped = _string_product(side, (u,) + rest, cs, bp)
+            terms_a.append(
+                ga * side.act(swapped, a_i) + wd * side.act(swapped, d_i)
+            )
+            terms_d.append(
+                kd * side.act(swapped, d_i) + na * side.act(swapped, a_i)
+            )
+        out[side.through.format("a")] = _residual(side.act(e_u.a, full), terms_a)
+        out[side.through.format("d")] = _residual(side.act(e_u.d, full), terms_d)
+
+        # Partial off-shell action on this side's reference state.
+        state = _state_cache(side, cs, bp)
+        terms = _action_terms(lam_d, coeffs, u, roots, state)
+        if not bp.diagonal_mode:
+            terms.append(
+                _remainder_coeff(u, bp, side)
+                * side.act(side.string(e_u), state(roots))
+            )
+        out[f"partial_{side.key}"] = _residual(side.act(t, state(roots)), terms)
     return out
 
 
@@ -366,16 +347,11 @@ def check_cb_sweep(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
     """
     u = complex(u)
     roots = tuple(roots)
-    n = cs.sites
-    vec = vacuum_state(n)
 
     def plain_b_string(ws):
-        out = vec
-        for wv in ws:
-            out = double_row(wv, cs, bp).b.matrix @ out
-        return out
+        return _apply_string(KET, double_row, ws, cs, bp)
 
-    lhs = double_row(u, cs, bp).c.matrix @ plain_b_string(roots)
+    lhs = double_row(u, cs, bp).c @ plain_b_string(roots)
     terms = []
     for i in range(len(roots)):
         terms.append(_h_single(u, i, roots, cs, bp) * plain_b_string(_without(roots, i)))
@@ -393,12 +369,13 @@ def check_c_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
     roots = tuple(roots)
     if bp.diagonal_mode:
         raise ParameterError("modified annihilation action needs generic couplings")
-    psi = _psi_cache(cs, bp)
+    psi = _state_cache(KET, cs, bp)
     rxm = bp.rho / bp.xi_minus
     l1u, l2u = vacuum_eigenvalues(u, cs, bp)
 
-    lhs = _annihilation(u, cs, bp) @ psi(roots)
-    terms = [-(rxm * rxm) * (_creation(u, cs, bp) @ psi(roots))]
+    e_u = _family(u, cs, bp)
+    lhs = e_u.c @ psi(roots)
+    terms = [-(rxm * rxm) * (e_u.b @ psi(roots))]
     terms.append(
         rxm
         * (
@@ -506,7 +483,7 @@ def w_coefficients(roots, cs: ChainSpec, bp: BoundaryParams) -> ExpansionCoeffic
     w0 = levels[0][()]
     w0_matrix = None
     if not bp.diagonal_mode:
-        vec = build_psi(roots, cs, bp).vector
+        vec = build_psi(roots, cs, bp)
         w0_matrix = complex(
             (2 * (bp.rho - 1) / bp.xi_minus) ** nn * vec[0]
         )
@@ -520,46 +497,27 @@ def check_expansion(roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
         raise ParameterError("expansion is defined for generic couplings")
     nn = len(roots)
     coeff = w_coefficients(roots, cs, bp)
-    rho, xp, xm = bp.rho, bp.xi_plus, bp.xi_minus
-    vec = vacuum_state(cs.sites)
+    rho = bp.rho
+    out = {}
+    for side in SIDES:
+        x1, x2 = side.couplings(bp)
+        pref = ((rho - 2) * x1 / (2 * (rho - 1) * x2)) ** nn
+        terms = []
+        for i, level in coeff.levels.items():
+            for keep, wval in level.items():
+                keep_roots = tuple(roots[j] for j in keep)
+                terms.append(
+                    pref
+                    * (rho / x1) ** (nn - i)
+                    * wval
+                    * _apply_string(side, double_row, keep_roots, cs, bp)
+                )
+        out[side.key] = _residual(side.state(roots, cs, bp), terms)
 
-    def plain_string(ws, dual=False):
-        out = vec
-        for wv in ws:
-            e = double_row(wv, cs, bp)
-            out = out @ e.c.matrix if dual else e.b.matrix @ out
-        return out
-
-    pref_right = ((rho - 2) * xm / (2 * (rho - 1) * xp)) ** nn
-    terms = []
-    for i, level in coeff.levels.items():
-        for keep, wval in level.items():
-            keep_roots = tuple(roots[j] for j in keep)
-            terms.append(
-                pref_right
-                * (rho / xm) ** (nn - i)
-                * wval
-                * plain_string(keep_roots)
-            )
-    right = _residual(build_psi(roots, cs, bp).vector, terms)
-
-    pref_left = ((rho - 2) * xp / (2 * (rho - 1) * xm)) ** nn
-    terms = []
-    for i, level in coeff.levels.items():
-        for keep, wval in level.items():
-            keep_roots = tuple(roots[j] for j in keep)
-            terms.append(
-                pref_left
-                * (rho / xp) ** (nn - i)
-                * wval
-                * plain_string(keep_roots, dual=True)
-            )
-    left = _residual(build_dual_psi(roots, cs, bp).vector, terms)
-
-    w0_routes = abs(coeff.w0 - coeff.w0_matrix) / max(
+    out["w0_routes"] = abs(coeff.w0 - coeff.w0_matrix) / max(
         abs(coeff.w0), abs(coeff.w0_matrix), 1e-300
     )
-    return {"right": right, "left": left, "w0_routes": w0_routes}
+    return out
 
 
 def diagonal_w0_product(roots, cs: ChainSpec, bp: BoundaryParams) -> complex:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe.bethe import (
     bethe_residuals,
@@ -45,10 +46,10 @@ def test_vacuum_eigenvalues_from_operators(cs2, bp, rng):
     e = double_row(u, cs2, bp)
     vac = vacuum_state(cs2.sites)
     lam1, lam2 = vacuum_eigenvalues(u, cs2, bp)
-    assert np.allclose(e.a.matrix @ vac, lam1 * vac)
-    assert np.allclose(e.d.matrix @ vac, lam2 * vac)
-    assert np.allclose(e.c.matrix @ vac, 0.0)
-    assert np.linalg.norm(e.b.matrix @ vac) > 1e-6
+    assert np.allclose(e.a @ vac, lam1 * vac)
+    assert np.allclose(e.d @ vac, lam2 * vac)
+    assert np.allclose(e.c @ vac, 0.0)
+    assert np.linalg.norm(e.b @ vac) > 1e-6
 
 
 def test_vacuum_eigenvalue_derivatives(cs2, bp, rng):
@@ -182,6 +183,51 @@ def test_refine_roots_recovers_solution(cs2, bp, solved2):
     assert max(abs(r) / s for r, s in zip(raw, scales)) <= 1e-12
 
 
+def test_polish_returns_residuals_at_its_roots(monkeypatch, cs2, bp, solved2):
+    # Both polish paths hand on the residuals and scales of the roots they
+    # return: the double path Newton's last evaluation, the extended fallback
+    # an evaluation at its roots rounded back to double.
+    seeds = [tuple(r + 1e-5 * (1 + 1j) for r in sol.roots) for sol in solved2]
+    for seed in seeds:
+        roots, raw, scales = bethe._polish(seed, cs2, bp)
+        assert (raw, scales) == bethe_residuals_scaled(roots, cs2, bp)
+
+    real = bethe._refine
+
+    def double_stalls(roots, cs, bp, tol):
+        if isinstance(roots[0], complex):
+            raise ConvergenceError("stalled")
+        return real(roots, cs, bp, tol)
+
+    monkeypatch.setattr(bethe, "_refine", double_stalls)
+    for seed in seeds:
+        roots, raw, scales = bethe._polish(seed, cs2, bp)
+        assert all(type(r) is complex for r in roots)
+        assert (raw, scales) == bethe_residuals_scaled(roots, cs2, bp)
+
+
+def test_certified_sets_cost_one_system_evaluation(monkeypatch):
+    # At N = 2 nearly every T-Q seed meets the 1e-12 polish stop as it is, so
+    # Newton evaluates the Bethe system once per set; certifying the set must
+    # read that evaluation, not repeat it at the same point.
+    calls = []
+    real = bethe._bethe_system
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bethe, "_bethe_system", counted)
+    found = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        bp = draw_boundary_params(rng)
+        cs = draw_chain_spec(rng, 2)
+        found += len(solve_bethe(cs, bp, rng=rng))
+    assert found == 80
+    assert len(calls) <= found + found // 10
+
+
 def test_solve_bethe_completeness_n1(solved1):
     assert len(solved1) == 2
     assert all(s.on_shell for s in solved1)
@@ -202,7 +248,7 @@ def test_solved_eigenvalues_in_spectrum(cs2, bp, solved2, rng):
     # The eigenvalue expression on each root set must reproduce an actual
     # transfer-matrix eigenvalue at a fresh spectral point.
     probe = draw_spectral_point(rng, cs=cs2, bp=bp)
-    spectrum = np.linalg.eigvals(transfer_matrix(probe, cs2, bp).matrix)
+    spectrum = np.linalg.eigvals(transfer_matrix(probe, cs2, bp))
     for sol in solved2:
         lam = lambda_total(probe, sol.roots, cs2, bp)
         assert min(abs(spectrum - lam)) <= 1e-8 * max(1.0, abs(lam))
@@ -222,7 +268,7 @@ def test_tq_relation_on_solved_sets(cs2, bp, solved2, rng):
     # Lambda(u) Q(u) = abar lam1 Q(u-1) + dbar lam2 Q(u+1) + rho phit lam1 lam2,
     # with Lambda an actual transfer-matrix eigenvalue at a fresh point.
     for u in draw_spectral_points(rng, 3, cs=cs2, bp=bp):
-        spectrum = np.linalg.eigvals(transfer_matrix(u, cs2, bp).matrix)
+        spectrum = np.linalg.eigvals(transfer_matrix(u, cs2, bp))
         lam1, lam2 = vacuum_eigenvalues(u, cs2, bp)
         inhom = bp.rho * kn.tilde_phi(u, bp.p) * lam1 * lam2
         for sol in solved2:
@@ -269,6 +315,6 @@ def test_diagonal_empty_sector_is_vacuum(cs2, bp_diag, solved2_diag, rng):
     assert sol.roots == ()
     probe = draw_spectral_point(rng, cs=cs2, bp=bp_diag)
     vac = vacuum_state(cs2.sites)
-    expect = complex(vac @ transfer_matrix(probe, cs2, bp_diag).matrix @ vac)
+    expect = complex(vac @ transfer_matrix(probe, cs2, bp_diag) @ vac)
     lam = lambda_total(probe, (), cs2, bp_diag)
     assert abs(lam - expect) <= 1e-10 * max(1.0, abs(expect))

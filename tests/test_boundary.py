@@ -7,12 +7,12 @@ from segment_bethe.boundary import (
     PERMUTATION,
     check_dual_reflection,
     check_gl2_invariance,
+    check_kplus_diagonalization,
     check_reflection,
     check_unitarity,
     check_ybe,
     k_minus,
     k_plus,
-    k_plus_diagonalized,
     modified_k_plus_entries,
     q_similarity,
     r_matrix,
@@ -81,12 +81,7 @@ def test_gl2_invariance(rng):
 
 def test_similarity_diagonalizes_k_plus(bp):
     for u in (0.3 + 0.1j, -0.8 + 0.6j, 1.4 - 0.2j):
-        diag = k_plus_diagonalized(u, bp)
-        top, bottom = modified_k_plus_entries(u, bp)
-        assert abs(diag[0, 0] - top) <= TOL * max(1.0, abs(top))
-        assert abs(diag[1, 1] - bottom) <= TOL * max(1.0, abs(bottom))
-        assert abs(diag[0, 1]) <= TOL * np.abs(diag).max()
-        assert abs(diag[1, 0]) <= TOL * np.abs(diag).max()
+        assert check_kplus_diagonalization(u, bp) <= TOL
 
 
 def test_modified_entries_sum_and_difference(bp):

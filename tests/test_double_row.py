@@ -73,10 +73,10 @@ def test_double_row_blocks_single_site(cs1, bp):
         @ hat_monodromy(u, cs1)
     )
     e = double_row(u, cs1, bp)
-    assert np.allclose(e.a.matrix, full[:2, :2])
-    assert np.allclose(e.b.matrix, full[:2, 2:])
-    assert np.allclose(e.c.matrix, full[2:, :2])
-    assert np.allclose(e.d.matrix, full[2:, 2:] - full[:2, :2] / (2 * u + 1))
+    assert np.allclose(e.a, full[:2, :2])
+    assert np.allclose(e.b, full[:2, 2:])
+    assert np.allclose(e.c, full[2:, :2])
+    assert np.allclose(e.d, full[2:, 2:] - full[:2, :2] / (2 * u + 1))
 
 
 def _dense_double_row(u, cs, bp):
@@ -114,7 +114,7 @@ def test_operators_match_dense_oracle(sites, bp):
         e = double_row(u, cs, bp)
         m = modified_entries(u, cs, bp)
         pairs = list(zip((e.a, e.b, e.c, e.d), _entries(full, u)))
-        pairs += zip((m.a_bar, m.b_bar, m.c_bar, m.d_bar), _entries(conjugated, u))
+        pairs += zip((m.a, m.b, m.c, m.d), _entries(conjugated, u))
         pairs.append(
             (
                 transfer_matrix(u, cs, bp),
@@ -122,7 +122,7 @@ def test_operators_match_dense_oracle(sites, bp):
             )
         )
         for op, oracle in pairs:
-            assert relative_residual(op.matrix - oracle, oracle) <= 1e-13
+            assert relative_residual(op - oracle, oracle) <= 1e-13
 
 
 def test_routes_agree_near_pole(cs2, bp):
@@ -157,9 +157,14 @@ def test_double_row_pole_guard(cs1, bp):
 
 
 def test_cached_matrices_are_frozen(cs1, bp):
-    e = double_row(0.21 + 0.43j, cs1, bp)
-    with pytest.raises(ValueError):
-        e.a.matrix[0, 0] = 0
+    u = 0.21 + 0.43j
+    e = double_row(u, cs1, bp)
+    m = modified_entries(u, cs1, bp)
+    frozen = [e.a, e.b, e.c, e.d, e.raw, m.a, m.b, m.c, m.d]
+    frozen.append(transfer_matrix(u, cs1, bp))
+    for op in frozen:
+        with pytest.raises(ValueError):
+            op[0, 0] = 0
 
 
 def test_transfer_is_boundary_trace(cs2, bp):
@@ -169,12 +174,12 @@ def test_transfer_is_boundary_trace(cs2, bp):
     e = double_row(u, cs2, bp)
     raw = np.block(
         [
-            [e.a.matrix, e.b.matrix],
-            [e.c.matrix, e.d.matrix + e.a.matrix / (2 * u + 1)],
+            [e.a, e.b],
+            [e.c, e.d + e.a / (2 * u + 1)],
         ]
     )
     oracle = trace_aux(kron(k_plus(u, bp), identity(4)) @ raw)
-    got = transfer_matrix(u, cs2, bp).matrix
+    got = transfer_matrix(u, cs2, bp)
     assert relative_residual(got - oracle, got, oracle) <= 1e-13
 
 
@@ -187,8 +192,8 @@ def test_transfer_family_commutes(cs2, bp, rng):
     us = draw_spectral_points(rng, 4, cs=cs2, bp=bp)
     vs = draw_spectral_points(rng, 4, avoid=us, cs=cs2, bp=bp)
     for u, v in zip(us, vs):
-        a = transfer_matrix(u, cs2, bp).matrix
-        b = transfer_matrix(v, cs2, bp).matrix
+        a = transfer_matrix(u, cs2, bp)
+        b = transfer_matrix(v, cs2, bp)
         assert relative_residual(a @ b - b @ a, a @ b, b @ a) <= 1e-10
 
 
@@ -199,7 +204,7 @@ def test_crossing_symmetry(cs2, bp, rng):
 
 def test_hamiltonian_explicit_oracle(bp):
     # Rebuild the two-site Hamiltonian with raw kron sums.
-    h = hamiltonian(ChainSpec.homogeneous(2), bp).matrix
+    h = hamiltonian(ChainSpec.homogeneous(2), bp)
     i2 = np.eye(2, dtype=complex)
     oracle = (1 / bp.q) * (
         np.kron(SIGMA_Z, i2)
@@ -214,9 +219,9 @@ def test_hamiltonian_explicit_oracle(bp):
 
 def test_hamiltonian_commutes_with_transfer(bp, rng):
     cs0 = ChainSpec.homogeneous(3)
-    h = hamiltonian(cs0, bp).matrix
+    h = hamiltonian(cs0, bp)
     for u in draw_spectral_points(rng, 3, bp=bp):
-        t = transfer_matrix(u, cs0, bp).matrix
+        t = transfer_matrix(u, cs0, bp)
         assert relative_residual(h @ t - t @ h, h @ t, t @ h) <= 1e-10
 
 
@@ -247,21 +252,21 @@ def test_modified_entries_vacuum_action(cs2, bp, rng):
     rxp = bp.rho / bp.xi_plus
     pu, pm = kn.phi(u), kn.phi(-u - 1)
 
-    b_vac = m.b_bar.matrix @ vac
+    b_vac = m.b @ vac
     cases = [
-        (m.a_bar.matrix @ vac, lam1 * vac - rxm * b_vac),
-        (m.d_bar.matrix @ vac, lam2 * vac + rxm * pu * b_vac),
+        (m.a @ vac, lam1 * vac - rxm * b_vac),
+        (m.d @ vac, lam2 * vac + rxm * pu * b_vac),
         (
-            m.c_bar.matrix @ vac,
+            m.c @ vac,
             rxm * (pm * lam1 - lam2) * vac - rxm * rxm * b_vac,
         ),
     ]
-    c_vac = vac @ m.c_bar.matrix
+    c_vac = vac @ m.c
     cases += [
-        (vac @ m.a_bar.matrix, lam1 * vac - rxp * c_vac),
-        (vac @ m.d_bar.matrix, lam2 * vac + rxp * pu * c_vac),
+        (vac @ m.a, lam1 * vac - rxp * c_vac),
+        (vac @ m.d, lam2 * vac + rxp * pu * c_vac),
         (
-            vac @ m.b_bar.matrix,
+            vac @ m.b,
             rxp * (pm * lam1 - lam2) * vac - rxp * rxp * c_vac,
         ),
     ]

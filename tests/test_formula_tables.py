@@ -381,7 +381,7 @@ def _square_root_system(builds, failure=None):
 def test_newton_builds_one_jacobian_per_step():
     # From 1.5, Newton reaches |x^2 - 2| <= 1e-4 in exactly two steps.
     builds = []
-    x, err = _newton(_square_root_system(builds), [1.5], 1e-4)
+    x, err, _, _ = _newton(_square_root_system(builds), [1.5], 1e-4)
     assert err <= 1e-4
     assert abs(x[0] - math.sqrt(2)) < 1e-5
     assert builds == [1.5, pytest.approx(17 / 12)]
@@ -414,7 +414,7 @@ def test_refine_builds_jacobians_only_for_steps_taken(monkeypatch, cs2, bp, solv
 )
 def test_newton_halves_when_trial_jacobian_fails(failure):
     builds = []
-    x, err = _newton(_square_root_system(builds, failure), [1.5], 1e-10)
+    x, err, _, _ = _newton(_square_root_system(builds, failure), [1.5], 1e-10)
     assert err <= 1e-10
     assert abs(x[0] - math.sqrt(2)) < 1e-9
     # The full first step was refused, the halved one taken.

@@ -116,26 +116,6 @@ def test_trace_coefficient_derivatives(rng):
         assert abs(got - ref) < DTOL * max(1.0, abs(got))
 
 
-def test_kernel_values_consistency():
-    u, v = 0.9 + 0.2j, -0.3 + 0.6j
-    kv = kn.kernel_values(u, v)
-    assert kv.f == kn.f(u, v)
-    assert kv.g == kn.g(u, v)
-    assert kv.w == kn.w(u, v)
-    assert kv.h == kn.h(u, v)
-    assert kv.k == kn.k(u, v)
-    assert kv.n == kn.n(u, v)
-    assert kv.x == kn.x(u, v)
-    assert kv.s == kn.s(u, v)
-    assert kv.q == kn.q(u, v)
-    assert kv.r == kn.r(u, v)
-    assert kv.y == kn.y(u, v)
-    assert kv.big_q == kn.Q(u, v)
-    assert kv.big_f == kn.F(u, v)
-    assert kv.phi_u == kn.phi(u)
-    assert kv.phi_v == kn.phi(v)
-
-
 def test_products():
     u = 1.1 + 0.3j
     others = (0.2 - 0.4j, -0.7 + 0.1j)

@@ -6,12 +6,8 @@ import pytest
 from segment_bethe.errors import DimensionError
 from segment_bethe.linalg import (
     MAX_DIM,
-    QuantumOperator,
-    det,
-    dual_vacuum_state,
     embed_site,
     embed_two_site,
-    eig,
     frobenius,
     identity,
     kron,
@@ -101,47 +97,9 @@ def test_embed_two_site_rejects_equal_positions(rng):
         embed_two_site(random_matrix(rng, 4), 3, 1, 1)
 
 
-def test_eig_recovers_constructed_spectrum(rng):
-    target = np.array([1.5, -0.25 + 1j, 3j, -2.0])
-    basis = random_matrix(rng, 4) + 4 * np.eye(4)
-    m = basis @ np.diag(target) @ np.linalg.inv(basis)
-    got = np.sort_complex(eig(m))
-    assert np.allclose(got, np.sort_complex(target), atol=1e-10)
-
-
-def test_eig_vectors_satisfy_definition(rng):
-    m = random_matrix(rng, 5)
-    vals, vecs = eig(m, vectors=True)
-    assert np.allclose(m @ vecs, vecs * vals)
-
-
-def test_det_matches_numpy(rng):
-    m = random_matrix(rng, 5)
-    assert np.isclose(det(m), np.linalg.det(m))
-
-
-def test_det_triangular_shortcut(rng):
-    m = np.triu(random_matrix(rng, 6))
-    assert np.isclose(det(m), np.prod(np.diag(m)))
-    assert np.isclose(det(m.T), np.prod(np.diag(m)))
-
-
-def test_det_requires_square(rng):
-    with pytest.raises(DimensionError):
-        det(rng.normal(size=(3, 4)))
-
-
 def test_vacuum_state_is_all_up():
     v = vacuum_state(3)
     assert v[0] == 1.0 and np.count_nonzero(v) == 1 and v.size == 8
-    assert np.array_equal(dual_vacuum_state(3), v)
-
-
-def test_quantum_operator_shape_validation():
-    with pytest.raises(DimensionError):
-        QuantumOperator(2, np.eye(3, dtype=complex))
-    op = QuantumOperator(2, np.eye(4, dtype=complex))
-    assert op.sites == 2
 
 
 def test_relative_residual_scale_invariance(rng):
