@@ -8,8 +8,6 @@ and certifies the determinant formulas for scalar products and norms.
 from ._version import __version__
 from .bethe import (
     BetheRoots,
-    eigenvalue_dressed,
-    eigenvalue_inhomogeneous,
     lambda_total,
     refine_roots,
     solve_bethe,
@@ -84,8 +82,6 @@ __all__ = [
     "draw_chain_spec",
     "draw_spectral_point",
     "draw_spectral_points",
-    "eigenvalue_dressed",
-    "eigenvalue_inhomogeneous",
     "gaudin_korepin_norm",
     "gaudin_matrix",
     "hamiltonian",

@@ -32,13 +32,12 @@ __all__ = [
     "vacuum_eigenvalue_derivatives",
     "RootTerms",
     "root_terms",
-    "eigenvalue_dressed",
-    "eigenvalue_inhomogeneous",
     "lambda_total",
     "lambda_total_derivative",
     "lambda_total_gradient",
     "bethe_residuals",
     "bethe_residuals_scaled",
+    "unwanted_terms",
     "residual_jacobian",
     "solve_bethe",
     "solve_bethe_diagonal",
@@ -47,6 +46,9 @@ __all__ = [
     "root_sets_match",
     "transfer_branch_basis",
 ]
+
+# Largest scaled Bethe residual the solver certifies a root set at.
+BETHE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +143,11 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
 # Eigenvalue terms and Bethe residuals.
 
 
-def _others(roots, i):
-    return tuple(roots[:i]) + tuple(roots[i + 1 :])
-
-
 def dressed_value(u, roots, cs, bp):
     lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
     return kn.alpha_bar(u, bp) * lam1 * kn.f_product(u, roots) + kn.delta_bar(
         u, bp
     ) * lam2 * kn.h_product(u, roots)
-
-
-def dressed_unwanted(i, roots, cs, bp):
-    """Coefficient whose vanishing is the dressed part of the Bethe equation."""
-    ui = roots[i]
-    rest = _others(roots, i)
-    lam1, lam2 = vacuum_eigenvalues(ui, cs, bp)
-    return -kn.phi(-ui - 1) * kn.alpha_bar(ui, bp) * lam1 * kn.f_product(
-        ui, rest
-    ) + kn.phi(ui) * kn.delta_bar(ui, bp) * lam2 * kn.h_product(ui, rest)
 
 
 def inhomogeneous_value(u, roots, cs, bp):
@@ -173,47 +161,6 @@ def inhomogeneous_value(u, roots, cs, bp):
         * lam2
         / kn.Q_product(u, roots)
     )
-
-
-def inhomogeneous_unwanted(i, roots, cs, bp):
-    if bp.diagonal_mode:
-        return 0j
-    ui = roots[i]
-    rest = _others(roots, i)
-    lam1, lam2 = vacuum_eigenvalues(ui, cs, bp)
-    return (
-        bp.rho
-        * (kn.tilde_phi(ui, bp.p) / (2 * ui + 1))
-        * lam1
-        * lam2
-        / kn.Q_product(ui, rest)
-    )
-
-
-def eigenvalue_dressed(u, roots, cs: ChainSpec, bp: BoundaryParams):
-    """Dressed eigenvalue term and the per-root unwanted coefficients."""
-    roots = tuple(roots)
-    value = dressed_value(u, roots, cs, bp)
-    unwanted = [dressed_unwanted(i, roots, cs, bp) for i in range(len(roots))]
-    return value, unwanted
-
-
-def eigenvalue_inhomogeneous(u, roots, cs: ChainSpec, bp: BoundaryParams):
-    """Inhomogeneous term, its unwanted coefficients, and the full eigenvalue.
-
-    Only defined when the number of roots equals the number of sites.
-    """
-    roots = tuple(roots)
-    if len(roots) != cs.sites:
-        raise ParameterError(
-            "inhomogeneous eigenvalue term needs exactly one root per site"
-        )
-    value = inhomogeneous_value(u, roots, cs, bp)
-    unwanted = [
-        inhomogeneous_unwanted(i, roots, cs, bp) for i in range(len(roots))
-    ]
-    total = dressed_value(u, roots, cs, bp) + value
-    return value, unwanted, total
 
 
 def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
@@ -237,8 +184,6 @@ def lambda_total_gradient(
     roots,
     cs: ChainSpec,
     bp: BoundaryParams,
-    include_dressed: bool = True,
-    include_inhomogeneous: bool = True,
 ):
     """d/d roots[i] of the eigenvalue expression at ``v``, for every ``i``.
 
@@ -251,11 +196,10 @@ def lambda_total_gradient(
     pairs = [kn.fhq(v, u) for u in roots]
     f_vals = [p[0] for p in pairs]
     h_vals = [p[1] for p in pairs]
-    with_inhomogeneous = include_inhomogeneous and not bp.diagonal_mode
-    if include_dressed:
-        a_term = kn.alpha_bar(v, bp) * lam1
-        d_term = kn.delta_bar(v, bp) * lam2
-    if with_inhomogeneous:
+    generic = not bp.diagonal_mode
+    a_term = kn.alpha_bar(v, bp) * lam1
+    d_term = kn.delta_bar(v, bp) * lam2
+    if generic:
         lam_g = (
             bp.rho
             * kn.tilde_phi(v, bp.p)
@@ -266,10 +210,9 @@ def lambda_total_gradient(
     out = []
     for i, ui in enumerate(roots):
         entry = 0j
-        if include_dressed:
-            entry = entry + a_term * kn.d_f_dv(v, ui) * _product(f_vals, (i,))
-            entry = entry + d_term * kn.d_h_dv(v, ui) * _product(h_vals, (i,))
-        if with_inhomogeneous:
+        entry = entry + a_term * kn.d_f_dv(v, ui) * _product(f_vals, (i,))
+        entry = entry + d_term * kn.d_h_dv(v, ui) * _product(h_vals, (i,))
+        if generic:
             entry = entry + lam_g * (2 * ui + 1) / pairs[i][2]
         out.append(entry)
     return out
@@ -281,30 +224,22 @@ def lambda_total_derivative(
     i: int,
     cs: ChainSpec,
     bp: BoundaryParams,
-    include_dressed: bool = True,
-    include_inhomogeneous: bool = True,
 ):
     """d/d roots[i] of the eigenvalue expression evaluated at spectral point v."""
-    return lambda_total_gradient(
-        v,
-        roots,
-        cs,
-        bp,
-        include_dressed=include_dressed,
-        include_inhomogeneous=include_inhomogeneous,
-    )[i]
+    return lambda_total_gradient(v, roots, cs, bp)[i]
 
 
 def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
-    """Residuals, scales and a Jacobian builder of the Bethe system.
+    """``(residuals, scales, jacobian, dressed, inhomogeneous)`` at ``roots``.
 
     Residual ``i`` is ``-c1 prod_k f(u_i,u_k) + c2 prod_k h(u_i,u_k)
     + c3 / prod_k Q(u_i,u_k)`` with ``c3 = rho tilde_phi lam1 lam2/(2u_i+1)``;
-    its scale is the sum of the three terms' magnitudes.  Each root's
-    :class:`RootTerms` (``terms``, computed here unless given) and its pair
-    kernels are evaluated once.  The third return value builds the Jacobian
-    ``d residual_i / d roots[j]`` from the same tables when called, so
-    Newton pays for it only when it takes a step.
+    its scale is the sum of the three terms' magnitudes.  The first two
+    terms are its dressed part, the third its inhomogeneous part (``0j``
+    for diagonal couplings).  Each root's :class:`RootTerms` (``terms``,
+    computed here unless given) and its pair kernels are evaluated once.
+    The Jacobian ``d residual_i / d roots[j]`` is built from the same tables
+    when called, so Newton pays for it only when it takes a step.
     """
     roots = tuple(roots)
     m = len(roots)
@@ -320,10 +255,11 @@ def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
     pf = [_product(row) for row in f_vals]
     ph = [_product(row) for row in h_vals]
     pq = [_product([p[2] for p in row]) for row in pairs]
-    raw, scales, t_g = [], [], []
+    raw, scales, dressed, t_g = [], [], [], []
     for i, t in enumerate(terms):
         res = -t.c1 * pf[i] + t.c2 * ph[i]
         s = abs(t.c1) * abs(pf[i]) + abs(t.c2) * abs(ph[i])
+        dressed.append(res)
         if generic:
             t_g.append(rho * (t.tp / (2 * t.u + 1)) * t.lam1 * t.lam2 / pq[i])
             res = res + t_g[i]
@@ -365,7 +301,7 @@ def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
             rows.append(row)
         return rows
 
-    return raw, scales, jacobian
+    return raw, scales, jacobian, dressed, t_g if generic else [0j] * m
 
 
 def bethe_residuals(roots, cs: ChainSpec, bp: BoundaryParams):
@@ -378,8 +314,17 @@ def bethe_residuals(roots, cs: ChainSpec, bp: BoundaryParams):
 
 def bethe_residuals_scaled(roots, cs: ChainSpec, bp: BoundaryParams):
     """(raw residuals, scale per equation); scale = sum of term magnitudes."""
-    raw, scales, _ = _bethe_system(roots, cs, bp)
-    return raw, scales
+    return _bethe_system(roots, cs, bp)[:2]
+
+
+def unwanted_terms(roots, cs: ChainSpec, bp: BoundaryParams):
+    """(dressed, inhomogeneous) parts of each root's unwanted coefficient.
+
+    They are read from the solver's one-pass table; their sum is the Bethe
+    residual, and ``F(u, u_i)`` times it weighs the state with ``u_i -> u``
+    in the off-shell transfer action.
+    """
+    return _bethe_system(roots, cs, bp)[3:]
 
 
 def _sum_replaced(values, dvalues):
@@ -399,20 +344,35 @@ def residual_jacobian(roots, cs: ChainSpec, bp: BoundaryParams):
 # Small generic linear algebra for the Newton steps (works on mpmath too).
 
 
-def solve_small(rows, rhs):
-    """Gaussian elimination with partial pivoting on a list-of-lists system."""
-    m = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+def _eliminate(a):
+    """Forward elimination with partial pivoting on the rows ``a``, in place.
+
+    Entries right of the square part (a right-hand side) are carried along.
+    Returns one flag per cleared column, true where rows were swapped; it
+    stops at an exactly zero pivot, so a short list marks a singular matrix.
+    """
+    m = len(a)
+    swaps = []
     for col in range(m):
         piv = max(range(col, m), key=lambda r: abs(a[r][col]))
         if abs(a[piv][col]) == 0:
-            raise ConvergenceError("singular Newton system")
+            break
+        swaps.append(piv != col)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
         for r in range(col + 1, m):
             factor = a[r][col] / a[col][col]
-            for cc in range(col, m + 1):
+            for cc in range(col, len(a[r])):
                 a[r][cc] = a[r][cc] - factor * a[col][cc]
+    return swaps
+
+
+def solve_small(rows, rhs):
+    """Gaussian elimination with partial pivoting on a list-of-lists system."""
+    m = len(rows)
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    if len(_eliminate(a)) < m:
+        raise ConvergenceError("singular Newton system")
     out = [0] * m
     for r in reversed(range(m)):
         acc = a[r][m]
@@ -424,22 +384,14 @@ def solve_small(rows, rhs):
 
 def det_small(rows):
     """Determinant of a small list-of-lists matrix, backend agnostic."""
-    m = len(rows)
     a = [list(r) for r in rows]
+    swaps = _eliminate(a)
     detval = 1
-    for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) == 0:
-            return 0 * detval
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    for col, swapped in enumerate(swaps):
+        if swapped:
             detval = -detval
         detval = detval * a[col][col]
-        for r in range(col + 1, m):
-            factor = a[r][col] / a[col][col]
-            for cc in range(col, m):
-                a[r][cc] = a[r][cc] - factor * a[col][cc]
-    return detval
+    return detval if len(swaps) == len(a) else 0 * detval
 
 
 def _newton(system, x0, tol, max_iter=100, max_halvings=30):
@@ -545,23 +497,23 @@ class BetheRoots:
     eigenvalue_residual: float | None = None
 
 
-def _package(roots, raw, scales, tol, branch=None, eig_res=None) -> BetheRoots:
+def _package(roots, raw, scales, branch, eig_res) -> BetheRoots:
     """Certification record of ``roots`` from its Bethe residuals and scales."""
     scaled = tuple(float(abs(r) / s) for r, s in zip(raw, scales))
     return BetheRoots(
         roots=tuple(complex(r) for r in roots),
         residuals=tuple(complex(r) for r in raw),
         residuals_scaled=scaled,
-        on_shell=bool(max(scaled, default=0.0) <= tol),
+        on_shell=bool(max(scaled, default=0.0) <= BETHE_TOL),
         branch=branch,
-        eigenvalue_residual=None if eig_res is None else float(eig_res),
+        eigenvalue_residual=float(eig_res),
     )
 
 
 def _refine(roots, cs, bp, tol):
     """Newton polish: the roots with the residuals and scales Newton accepted."""
     refined, _, raw, scales = _newton(
-        lambda x: _bethe_system(x, cs, bp), list(roots), tol
+        lambda x: _bethe_system(x, cs, bp)[:3], list(roots), tol
     )
     return tuple(refined), raw, scales
 
@@ -689,15 +641,14 @@ def _polish(seed, cs, bp):
 
 def _verify_branch(roots, targets, points, cs, bp):
     """Worst relative gap between the eigenvalue expression and ``targets``."""
-    value = dressed_value if bp.diagonal_mode else lambda_total
     worst = 0.0
     for w, target in zip(points, targets):
-        lam = value(w, roots, cs, bp)
+        lam = lambda_total(w, roots, cs, bp)
         worst = max(worst, abs(lam - target) / (1.0 + abs(target)))
     return worst
 
 
-def _solve_branches(cs, bp, m, rng, tol, sector=None):
+def _solve_branches(cs, bp, m, rng, sector=None):
     """Certified root sets with ``m`` roots for every branch of the family."""
     basis = transfer_branch_basis(cs, bp, rng=rng, sector=sector)
     check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
@@ -716,7 +667,7 @@ def _solve_branches(cs, bp, m, rng, tol, sector=None):
         worst = _verify_branch(roots, targets[:, br], check_points, cs, bp)
         if worst > 1e-8:
             continue
-        sol = _package(roots, raw, scales, tol, branch=br, eig_res=worst)
+        sol = _package(roots, raw, scales, br, worst)
         if sol.on_shell:
             found.append(sol)
     return found
@@ -726,7 +677,6 @@ def solve_bethe(
     cs: ChainSpec,
     bp: BoundaryParams,
     rng=None,
-    tol: float = 1e-10,
 ):
     """Find Bethe root sets for every transfer-matrix branch.
 
@@ -734,14 +684,14 @@ def solve_bethe(
     its Baxter polynomial through the inhomogeneous T-Q relation (one linear
     least-squares solve); the polynomial's zeros are Newton-polished on the
     Bethe system.  A set is returned only if its scaled residuals are below
-    ``tol`` and the eigenvalue expression matches its branch to 1e-8 at five
-    fresh spectral points.  ``rng`` draws the eigenbasis reference point, the
+    ``BETHE_TOL`` and the eigenvalue expression matches its branch to 1e-8 at
+    five fresh spectral points.  ``rng`` draws the eigenbasis reference point, the
     nodes and the check points, so equal seeds give equal output.
     """
     if bp.diagonal_mode:
         raise ParameterError("use solve_bethe_diagonal for diagonal couplings")
     rng = rng or np.random.default_rng()
-    return _solve_branches(cs, bp, cs.sites, rng, tol)
+    return _solve_branches(cs, bp, cs.sites, rng)
 
 
 def solve_bethe_diagonal(
@@ -749,7 +699,6 @@ def solve_bethe_diagonal(
     bp: BoundaryParams,
     magnons: int,
     rng=None,
-    tol: float = 1e-10,
 ):
     """Root sets of the dressed (diagonal) Bethe system in one magnon sector.
 
@@ -765,4 +714,4 @@ def solve_bethe_diagonal(
     sector = [
         idx for idx in range(1 << cs.sites) if bin(idx).count("1") == magnons
     ]
-    return _solve_branches(cs, bp, magnons, rng, tol, sector=sector)
+    return _solve_branches(cs, bp, magnons, rng, sector=sector)

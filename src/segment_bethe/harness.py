@@ -41,7 +41,7 @@ from .double_row import (
     transfer_matrix,
 )
 from .errors import ConvergenceError, ParameterError
-from .linalg import relative_residual
+from .linalg import pair_residual, relative_residual
 from .params import (
     BoundaryParams,
     ChainSpec,
@@ -658,14 +658,14 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
                 continue
             break
         worst["bra"] = max(
-            worst["bra"], _pair_residual(formula_bra, direct_bra)
+            worst["bra"], pair_residual(formula_bra, direct_bra)
         )
         worst["ket"] = max(
-            worst["ket"], _pair_residual(formula_ket, direct_ket)
+            worst["ket"], pair_residual(formula_ket, direct_ket)
         )
         worst["cauchy"] = max(
             worst["cauchy"],
-            _pair_residual(
+            pair_residual(
                 det_small(cauchy_matrix(free, on)),
                 cauchy_det_factorized(free, on),
             ),
@@ -711,9 +711,9 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
             )
             formula = slavnov_diagonal(free, on, cs, bp_diag)
             direct = scalar_product_direct(free, on, cs, bp_diag)
-            worst_diag = max(worst_diag, _pair_residual(formula, direct))
+            worst_diag = max(worst_diag, pair_residual(formula, direct))
             if magnons == sites:
-                worst_w0 = _pair_residual(
+                worst_w0 = pair_residual(
                     diagonal_w0_product(on, cs, bp_diag),
                     w0_scalar(on, cs, bp_diag),
                 )
@@ -735,11 +735,6 @@ def _require_roots(solutions):
     if not solutions:
         raise ConvergenceError("the Bethe solver certified no root set")
     return solutions
-
-
-def _pair_residual(a, b) -> float:
-    a, b = complex(a), complex(b)
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -764,17 +759,15 @@ def run_norm(config: RunConfig) -> VerificationReport:
         solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
         sol = solutions[d % len(solutions)]
         on = sol.roots
-        formula = gaudin_korepin_norm(
-            on, cs, bp, diag="explicit", precision=config.precision
-        )
+        formula = gaudin_korepin_norm(on, cs, bp, precision=config.precision)
         direct = scalar_product_direct(on, on, cs, bp)
-        worst_norm = max(worst_norm, _pair_residual(formula, direct))
+        worst_norm = max(worst_norm, pair_residual(formula, direct))
         explicit = gaudin_matrix(on, cs, bp, diag="explicit")
         derivative = gaudin_matrix(on, cs, bp, diag="derivative")
         for i in range(len(on)):
             worst_routes = max(
                 worst_routes,
-                _pair_residual(explicit[i][i], derivative[i][i]),
+                pair_residual(explicit[i][i], derivative[i][i]),
             )
         if sample is None:
             sample = (on, cs, bp, formula)
@@ -791,7 +784,7 @@ def run_norm(config: RunConfig) -> VerificationReport:
     rec.run(
         "norm-limit-consistency",
         "slavnov-coincident-limit",
-        lambda: _pair_residual(
+        lambda: pair_residual(
             norm_from_slavnov_limit(on, cs, bp), formula
         ),
     )
@@ -848,7 +841,7 @@ def run_n1(config: RunConfig) -> VerificationReport:
     rec.run(
         "n1-norm-limit",
         "slavnov-coincident-limit",
-        lambda: _pair_residual(
+        lambda: pair_residual(
             norm_from_slavnov_limit(on, cs, bp),
             gaudin_korepin_norm(on, cs, bp),
         ),

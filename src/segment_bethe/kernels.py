@@ -151,14 +151,6 @@ def d_tilde_phi(u, p):
     return (d_num * den - num * d_den) / (den * den)
 
 
-def d_Q_du(u, v):
-    return 2 * u + 1
-
-
-def d_Q_dv(u, v):
-    return -(2 * v + 1)
-
-
 def d_f_du(u, v):
     _guard("f", (u, v), u - v, u + v + 1)
     qq = Q(u, v)

@@ -21,6 +21,7 @@ __all__ = [
     "frobenius",
     "relative_residual",
     "relative_residuals",
+    "pair_residual",
 ]
 
 # Hard cap on tensor-product dimension: 2^14 covers an aux space plus 13 sites.
@@ -118,6 +119,12 @@ def relative_residual(delta, *scales) -> float:
     if bottom == 0.0:
         return top
     return top / bottom
+
+
+def pair_residual(a, b) -> float:
+    """``|a - b| / max(|a|, |b|)`` for two scalars (``complex`` or ``mpc``)."""
+    a, b = complex(a), complex(b)
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 def relative_residuals(x, y) -> np.ndarray:

@@ -18,6 +18,11 @@ from .errors import ParameterError
 RHO_ONE_TOL = 1e-8
 GENERIC_TOL = 1e-9
 
+# Spectral points are drawn uniformly from the disc |u| <= SPECTRAL_RADIUS
+# and kept at least CLEARANCE away from every pole locus.
+SPECTRAL_RADIUS = 2.0
+CLEARANCE = 1e-3
+
 
 def _sqrt(z):
     """Principal square root that works for both complex and mpmath scalars."""
@@ -161,8 +166,6 @@ def draw_spectral_point(
     avoid: tuple = (),
     cs: ChainSpec | None = None,
     bp: BoundaryParams | None = None,
-    radius: float = 2.0,
-    clearance: float = 1e-3,
 ) -> complex:
     """One spectral parameter keeping clear of kernel poles.
 
@@ -171,23 +174,23 @@ def draw_spectral_point(
     loci of the dressed/inhomogeneous eigenvalue terms.
     """
     for _ in range(10_000):
-        u = _uniform_disc(rng, radius)
-        if abs(2 * u + 1) < clearance:
+        u = _uniform_disc(rng, SPECTRAL_RADIUS)
+        if abs(2 * u + 1) < CLEARANCE:
             continue
         if any(
-            abs(u - a) < clearance or abs(u + a + 1) < clearance for a in avoid
+            abs(u - a) < CLEARANCE or abs(u + a + 1) < CLEARANCE for a in avoid
         ):
             continue
         if cs is not None and any(
             min(abs(u - t), abs(u + t), abs(u + 1 - t), abs(u + 1 + t))
-            < clearance
+            < CLEARANCE
             for t in cs.thetas
         ):
             continue
         if bp is not None:
-            if abs(u + bp.p) < clearance or abs(bp.p - u - 1) < clearance:
+            if abs(u + bp.p) < CLEARANCE or abs(bp.p - u - 1) < CLEARANCE:
                 continue
-            if abs(u + bp.q) < clearance:
+            if abs(u + bp.q) < CLEARANCE:
                 continue
         return u
     raise ParameterError("could not draw a spectral point clear of poles")
@@ -199,8 +202,6 @@ def draw_spectral_points(
     avoid: tuple = (),
     cs: ChainSpec | None = None,
     bp: BoundaryParams | None = None,
-    radius: float = 2.0,
-    clearance: float = 1e-3,
 ) -> list[complex]:
     points: list[complex] = []
     while len(points) < count:
@@ -209,8 +210,6 @@ def draw_spectral_points(
             avoid=tuple(avoid) + tuple(points),
             cs=cs,
             bp=bp,
-            radius=radius,
-            clearance=clearance,
         )
         points.append(u)
     return points

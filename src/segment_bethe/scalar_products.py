@@ -18,6 +18,7 @@ from . import kernels as kn
 from .bethe import (
     _bethe_system,
     det_small,
+    inhomogeneous_value,
     lambda_total_derivative,
     lambda_total_gradient,
     refine_roots,
@@ -26,7 +27,7 @@ from .bethe import (
 )
 from .double_row import double_row
 from .errors import ConditioningWarning, ParameterError
-from .linalg import vacuum_state
+from .linalg import pair_residual, vacuum_state
 from .params import BoundaryParams, ChainSpec
 from .precision import (
     lift,
@@ -65,16 +66,11 @@ def scalar_product_direct(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParam
     return complex(bra @ ket)
 
 
-def _proximity(first, second) -> float:
+def _warn_if_close(first, second):
     dmin = math.inf
     for a in first:
         for b in second:
             dmin = min(dmin, abs(a - b), abs(a + b + 1))
-    return dmin
-
-
-def _warn_if_close(first, second):
-    dmin = _proximity(first, second)
     if dmin < PROXIMITY_THRESHOLD:
         loss = max(0.0, 2 * math.log10(1.0 / max(dmin, 1e-300)))
         warnings.warn(
@@ -84,7 +80,6 @@ def _warn_if_close(first, second):
             ),
             stacklevel=3,
         )
-    return dmin
 
 
 def _v_kernel(a, b):
@@ -117,8 +112,6 @@ def slavnov_jacobian(
     onshell,
     cs: ChainSpec,
     bp: BoundaryParams,
-    include_dressed: bool = True,
-    include_inhomogeneous: bool = True,
 ):
     """Rows: derivative in onshell[i]; columns: eigenvalue at free[j].
 
@@ -126,17 +119,7 @@ def slavnov_jacobian(
     so a free point's scalar data is computed once for all its entries.
     """
     onshell = tuple(onshell)
-    columns = [
-        lambda_total_gradient(
-            v,
-            onshell,
-            cs,
-            bp,
-            include_dressed=include_dressed,
-            include_inhomogeneous=include_inhomogeneous,
-        )
-        for v in free
-    ]
+    columns = [lambda_total_gradient(v, onshell, cs, bp) for v in free]
     return [[col[i] for col in columns] for i in range(len(onshell))]
 
 
@@ -152,7 +135,6 @@ def slavnov_modified(
     bp: BoundaryParams,
     onshell: str = "bra",
     precision: str = "double",
-    warn: bool = True,
 ):
     """Determinant formula for the scalar product with one set on shell.
 
@@ -167,8 +149,7 @@ def slavnov_modified(
         raise ParameterError("scalar product needs equally sized root sets")
     if onshell not in ("bra", "ket"):
         raise ParameterError("onshell must be 'bra' or 'ket'")
-    if warn:
-        _warn_if_close(bra_roots, ket_roots)
+    _warn_if_close(bra_roots, ket_roots)
     nn = len(bra_roots)
     if nn == 0:
         return 1.0 + 0j
@@ -284,7 +265,6 @@ def gaudin_korepin_norm(
     roots,
     cs: ChainSpec,
     bp: BoundaryParams,
-    diag: str = "explicit",
     precision: str = "double",
 ):
     """Square norm of an on-shell Bethe state from the Gaudin-Korepin formula."""
@@ -298,7 +278,7 @@ def gaudin_korepin_norm(
     with working_precision(precision):
         cs_l, bp_l = lift_problem(cs, bp, precision)
         roots_l = lift_roots(roots, precision)
-        gm = gaudin_matrix(roots_l, cs_l, bp_l, diag=diag)
+        gm = gaudin_matrix(roots_l, cs_l, bp_l)
         w0 = w0_scalar(roots_l, cs_l, bp_l)
         pref = _slavnov_prefactor(nn, bp_l)
         den = 1
@@ -349,16 +329,13 @@ def norm_from_slavnov_limit(roots, cs: ChainSpec, bp: BoundaryParams):
 # Diagonal limit.
 
 
-def slavnov_diagonal(
-    bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams, warn: bool = True
-):
+def slavnov_diagonal(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams):
     """Determinant formula for diagonal couplings; the ket set is on shell."""
     if not bp.diagonal_mode:
         raise ParameterError("diagonal formula needs diagonal couplings")
     if len(bra_roots) != len(ket_roots):
         raise ParameterError("scalar product needs equally sized root sets")
-    if warn:
-        _warn_if_close(bra_roots, ket_roots)
+    _warn_if_close(bra_roots, ket_roots)
     mm = len(ket_roots)
     if mm == 0:
         return 1.0 + 0j
@@ -370,18 +347,13 @@ def slavnov_diagonal(
         pref = pref * lam2 * (2 * v + 1) / (v + bp.q)
         for vj in on[:i]:
             pref = pref * (v + vj + 2) / (v + vj)
-    jac = slavnov_jacobian(free, on, cs, bp, include_inhomogeneous=False)
+    jac = slavnov_jacobian(free, on, cs, bp)
     vmat = cauchy_matrix(free, on)
     return pref * det_small(jac) / det_small(vmat)
 
 
 # ---------------------------------------------------------------------------
 # One-root identities.
-
-
-def _lambda_g_pair(u, v, cs, bp):
-    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
-    return bp.rho * kn.tilde_phi(u, bp.p) * lam1 * lam2 / kn.Q(u, v)
 
 
 def _s_diag_formula(u1, v1, cs, bp):
@@ -424,8 +396,8 @@ def n1_identities(
         sd = _s_diag_formula(a, b, cs, bp)
         return ((rho - 2) / (2 * (rho - 1) ** 2)) * (
             (rho - 1) * sd
-            + _lambda_g_pair(a, b, cs, bp) * w0(b) / (2 * (a + 1))
-            + _lambda_g_pair(b, a, cs, bp) * w0(a) / (2 * (b + 1))
+            + inhomogeneous_value(a, (b,), cs, bp) * w0(b) / (2 * (a + 1))
+            + inhomogeneous_value(b, (a,), cs, bp) * w0(a) / (2 * (b + 1))
         )
 
     direct = scalar_product_direct((u1,), (v1,), cs, bp)
@@ -442,8 +414,8 @@ def n1_identities(
         _s_diag_formula(u1, v1, cs, bp)
         - (rho / (2 * (rho - 1) ** 2))
         * (
-            _lambda_g_pair(u1, v1, cs, bp) * w0(v1) / (2 * (u1 + 1))
-            + _lambda_g_pair(v1, u1, cs, bp) * w0(u1) / (2 * (v1 + 1))
+            inhomogeneous_value(u1, (v1,), cs, bp) * w0(v1) / (2 * (u1 + 1))
+            + inhomogeneous_value(v1, (u1,), cs, bp) * w0(u1) / (2 * (v1 + 1))
         )
         + (rho / (2 * (rho - 1)))
         * (
@@ -477,9 +449,7 @@ def n1_identities(
         @ vac
     )
     sd_formula = _s_diag_formula(u1, v1, cs, bp)
-    out["plain_product"] = abs(sd_matrix - sd_formula) / max(
-        abs(sd_matrix), abs(sd_formula), 1e-300
-    )
+    out["plain_product"] = pair_residual(sd_matrix, sd_formula)
 
     if onshell_root is not None:
         wv = complex(onshell_root)

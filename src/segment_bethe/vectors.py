@@ -19,16 +19,15 @@ import numpy as np
 
 from . import kernels as kn
 from .bethe import (
-    dressed_unwanted,
     dressed_value,
-    inhomogeneous_unwanted,
     inhomogeneous_value,
     lambda_total,
+    unwanted_terms,
     vacuum_eigenvalues,
 )
 from .double_row import Entries, double_row, modified_entries, transfer_matrix
 from .errors import ParameterError
-from .linalg import vacuum_state
+from .linalg import pair_residual, relative_residual, vacuum_state
 from .params import BoundaryParams, ChainSpec
 
 __all__ = [
@@ -122,11 +121,8 @@ def _state_cache(side: _Side, cs, bp):
 
 
 def _residual(lhs, terms) -> float:
-    rhs = sum(terms)
-    scale = max([np.linalg.norm(lhs)] + [np.linalg.norm(t) for t in terms])
-    if scale == 0.0:
-        return float(np.linalg.norm(lhs - rhs))
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    """Defect of ``lhs = sum(terms)`` relative to the largest of its terms."""
+    return relative_residual(lhs - sum(terms), lhs, *terms)
 
 
 def _swap(roots, i, u):
@@ -160,13 +156,9 @@ def check_offshell_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
         raise ParameterError("off-shell action requires one root per site")
     t = transfer_matrix(u, cs, bp)
     lam = lambda_total(u, roots, cs, bp)
+    dressed, inhomogeneous = unwanted_terms(roots, cs, bp)
     coeffs = [
-        kn.F(u, roots[i])
-        * (
-            dressed_unwanted(i, roots, cs, bp)
-            + inhomogeneous_unwanted(i, roots, cs, bp)
-        )
-        for i in range(len(roots))
+        kn.F(u, r) * (d + g) for r, d, g in zip(roots, dressed, inhomogeneous)
     ]
     out = {}
     for side in SIDES:
@@ -186,10 +178,8 @@ def check_central_relation(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
         raise ParameterError("central relation requires one root per site")
 
     lam_g = inhomogeneous_value(u, roots, cs, bp)
-    coeffs = [
-        kn.F(u, roots[i]) * inhomogeneous_unwanted(i, roots, cs, bp)
-        for i in range(len(roots))
-    ]
+    inhomogeneous = unwanted_terms(roots, cs, bp)[1]
+    coeffs = [kn.F(u, r) * g for r, g in zip(roots, inhomogeneous)]
     out = {}
     for side in SIDES:
         state = _state_cache(side, cs, bp)
@@ -236,9 +226,7 @@ def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     h_all = kn.h_product(u, roots)
     t = transfer_matrix(u, cs, bp)
     lam_d = dressed_value(u, roots, cs, bp)
-    coeffs = [
-        kn.F(u, roots[i]) * dressed_unwanted(i, roots, cs, bp) for i in range(m)
-    ]
+    coeffs = [kn.F(u, r) * d for r, d in zip(roots, unwanted_terms(roots, cs, bp)[0])]
 
     out = {}
     for side in SIDES:
@@ -514,9 +502,7 @@ def check_expansion(roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
                 )
         out[side.key] = _residual(side.state(roots, cs, bp), terms)
 
-    out["w0_routes"] = abs(coeff.w0 - coeff.w0_matrix) / max(
-        abs(coeff.w0), abs(coeff.w0_matrix), 1e-300
-    )
+    out["w0_routes"] = pair_residual(coeff.w0, coeff.w0_matrix)
     return out
 
 

@@ -1,9 +1,9 @@
 """The formula layer's per-root-set tables against the per-entry formulas.
 
 The oracles below are the per-entry constructions the tables replaced: each
-residual, Jacobian entry, eigenvalue derivative and norm-matrix entry
-recomputes its own vacuum eigenvalues and kernel products, and the
-contracted coefficient ``w0`` is the symmetrised sum over all orderings.
+residual (and its dressed and inhomogeneous parts), Jacobian entry,
+eigenvalue derivative and norm-matrix entry recomputes its own vacuum
+eigenvalues and kernel products, and the contracted coefficient ``w0`` is the symmetrised sum over all orderings.
 They are kept here, as the dense ``embed_two_site`` construction is kept for
 the operator layer, so the tables stay certified against them.
 """
@@ -21,11 +21,10 @@ from segment_bethe import scalar_products as sp
 from segment_bethe.bethe import (
     _newton,
     bethe_residuals_scaled,
-    dressed_unwanted,
-    inhomogeneous_unwanted,
     inhomogeneous_value,
     refine_roots,
     residual_jacobian,
+    unwanted_terms,
     vacuum_eigenvalue_derivatives,
     vacuum_eigenvalues,
 )
@@ -56,6 +55,31 @@ SIZES = (1, 2, 3, 4)
 
 def _others(roots, i):
     return tuple(roots[:i]) + tuple(roots[i + 1 :])
+
+
+def dressed_unwanted(i, roots, cs, bp):
+    """Coefficient whose vanishing is the dressed part of the Bethe equation."""
+    ui = roots[i]
+    rest = _others(roots, i)
+    lam1, lam2 = vacuum_eigenvalues(ui, cs, bp)
+    return -kn.phi(-ui - 1) * kn.alpha_bar(ui, bp) * lam1 * kn.f_product(
+        ui, rest
+    ) + kn.phi(ui) * kn.delta_bar(ui, bp) * lam2 * kn.h_product(ui, rest)
+
+
+def inhomogeneous_unwanted(i, roots, cs, bp):
+    if bp.diagonal_mode:
+        return 0j
+    ui = roots[i]
+    rest = _others(roots, i)
+    lam1, lam2 = vacuum_eigenvalues(ui, cs, bp)
+    return (
+        bp.rho
+        * (kn.tilde_phi(ui, bp.p) / (2 * ui + 1))
+        * lam1
+        * lam2
+        / kn.Q_product(ui, rest)
+    )
 
 
 def oracle_residuals_scaled(roots, cs, bp):
@@ -129,7 +153,7 @@ def oracle_residual_jacobian(roots, cs, bp):
         if not bp.diagonal_mode:
             sum_dq = 0
             for uk in rest:
-                sum_dq = sum_dq + kn.d_Q_du(ui, uk) / kn.Q(ui, uk)
+                sum_dq = sum_dq + (2 * ui + 1) / kn.Q(ui, uk)
             diag = diag + dc3 * pq_inv - c3 * pq_inv * sum_dq
         row[i] = diag
         for jpos, j in enumerate([jj for jj in range(m) if jj != i]):
@@ -289,33 +313,48 @@ def test_one_pass_system_matches_per_entry(size, diagonal, backend):
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize(
-    "diagonal,flags",
-    [
-        (False, (True, True)),
-        (False, (False, True)),
-        (False, (True, False)),
-        (True, (True, False)),
-    ],
-)
-def test_slavnov_jacobian_matches_per_entry(size, diagonal, flags, backend):
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_unwanted_terms_equal_per_entry(size, diagonal):
+    # The table and the per-entry formulas take the same operations in the
+    # same order, so in double precision they agree exactly.
+    for seed in range(3):
+        cs, bp, roots = _problem(size, seed, diagonal)[:3]
+        dressed, inhomogeneous = unwanted_terms(roots, cs, bp)
+        assert dressed == [dressed_unwanted(i, roots, cs, bp) for i in range(size)]
+        assert inhomogeneous == [
+            inhomogeneous_unwanted(i, roots, cs, bp) for i in range(size)
+        ]
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_unwanted_terms_match_per_entry_at_sixty_digits(size, diagonal):
+    with workdps(DEFAULT_DPS):
+        for seed in range(3):
+            cs, bp, roots = _problem(size, seed, diagonal)[:3]
+            cs, bp = lift_problem(cs, bp)
+            roots = lift_roots(roots)
+            dressed, inhomogeneous = unwanted_terms(roots, cs, bp)
+            scales = oracle_residuals_scaled(roots, cs, bp)[1]
+            for i, scale in enumerate(scales):
+                ref_d = dressed_unwanted(i, roots, cs, bp)
+                ref_g = inhomogeneous_unwanted(i, roots, cs, bp)
+                assert abs(dressed[i] - ref_d) <= EXTENDED_TOL * scale
+                assert abs(inhomogeneous[i] - ref_g) <= EXTENDED_TOL * scale
+
+
+@pytest.mark.parametrize("size", SIZES)
+# The ids are the ones these two cases had when the Jacobian still took
+# switches for its dressed and inhomogeneous parts, so each check keeps its
+# name across versions.
+@pytest.mark.parametrize("diagonal", [False, True], ids=["False-flags0", "True-flags3"])
+def test_slavnov_jacobian_matches_per_entry(size, diagonal, backend):
     lift, tol = backend
-    dressed, inhomogeneous = flags
     for seed in range(3):
         cs, bp, on, free = lift(*_problem(size, seed, diagonal))
-        got = slavnov_jacobian(
-            free,
-            on,
-            cs,
-            bp,
-            include_dressed=dressed,
-            include_inhomogeneous=inhomogeneous,
-        )
+        got = slavnov_jacobian(free, on, cs, bp)
         ref = [
-            [
-                oracle_lambda_derivative(v, on, i, cs, bp, dressed, inhomogeneous)
-                for v in free
-            ]
+            [oracle_lambda_derivative(v, on, i, cs, bp) for v in free]
             for i in range(size)
         ]
         assert _close(got, ref, tol)
@@ -392,7 +431,7 @@ def test_refine_builds_jacobians_only_for_steps_taken(monkeypatch, cs2, bp, solv
     real = bethe._bethe_system
 
     def counted(roots, cs, bp, terms=None):
-        raw, scales, jacobian = real(roots, cs, bp, terms)
+        raw, scales, jacobian = real(roots, cs, bp, terms)[:3]
         calls["systems"] += 1
 
         def counted_jacobian():

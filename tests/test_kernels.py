@@ -97,8 +97,6 @@ def test_pair_derivatives(rng):
             (kn.d_f_dv(u, v), lambda z: kn.f(u, z), v),
             (kn.d_h_du(u, v), lambda z: kn.h(z, v), u),
             (kn.d_h_dv(u, v), lambda z: kn.h(u, z), v),
-            (kn.d_Q_du(u, v), lambda z: kn.Q(z, v), u),
-            (kn.d_Q_dv(u, v), lambda z: kn.Q(u, z), v),
         ]
         for got, fn, at in cases:
             assert abs(got - central(fn, at)) < DTOL * max(1.0, abs(got))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segment_bethe import kernels as kn
-from segment_bethe.bethe import inhomogeneous_unwanted, inhomogeneous_value, vacuum_eigenvalues
+from segment_bethe.bethe import inhomogeneous_value, unwanted_terms, vacuum_eigenvalues
 from segment_bethe.errors import ParameterError
 from segment_bethe.params import BoundaryParams, draw_spectral_point, draw_spectral_points
 from segment_bethe.vectors import (
@@ -159,13 +159,10 @@ def _central_rhs_size(u, roots, cs, bp):
     """Norm of the inhomogeneous-term combination relative to the state norm."""
     psi = build_psi(roots, cs, bp)
     rhs = inhomogeneous_value(u, roots, cs, bp) * psi
+    inhomogeneous = unwanted_terms(roots, cs, bp)[1]
     for i, ui in enumerate(roots):
         swapped = tuple(u if j == i else r for j, r in enumerate(roots))
-        rhs = rhs + (
-            kn.F(u, ui)
-            * inhomogeneous_unwanted(i, roots, cs, bp)
-            * build_psi(swapped, cs, bp)
-        )
+        rhs = rhs + kn.F(u, ui) * inhomogeneous[i] * build_psi(swapped, cs, bp)
     return np.linalg.norm(rhs) / np.linalg.norm(psi)
 
 
