@@ -19,6 +19,7 @@ from .double_row import (
     double_row,
     hamiltonian,
     modified_entries,
+    transfer_matrices,
     transfer_matrix,
 )
 from .errors import (
@@ -100,6 +101,7 @@ __all__ = [
     "slavnov_modified",
     "solve_bethe",
     "solve_bethe_diagonal",
+    "transfer_matrices",
     "transfer_matrix",
     "w_coefficients",
 ]

@@ -16,7 +16,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import kernels as kn
-from .double_row import transfer_matrix
+from .double_row import transfer_matrices, transfer_matrix
 from .errors import ConvergenceError, ParameterError, PoleError
 from .params import (
     BoundaryParams,
@@ -460,7 +460,13 @@ def normalize_root_set(roots, tol: float = 1e-12):
         if z.imag < -tol or (abs(z.imag) <= tol and z.real < 0):
             u = -u - 1
         reps.append(complex(u))
-    reps.sort(key=lambda c: (round(c.real, 9), round(c.imag, 9)))
+    # Roots whose rounded keys tie are ordered by a continuous key, so the
+    # order follows neither the input order nor the last-bit changes a
+    # reflection u -> -u-1 -> u leaves (an exact (real, imag) tie-break
+    # flips when a tiny real part is lost while the imaginary parts differ).
+    reps.sort(
+        key=lambda c: (round(c.real, 9), round(c.imag, 9), c.real + math.pi * c.imag)
+    )
     return tuple(reps)
 
 
@@ -528,7 +534,11 @@ def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
 
 
 class _BranchBasis:
-    """Common eigenbasis of the commuting transfer family."""
+    """Common eigenbasis of the commuting transfer family.
+
+    Built from ``t(u)`` at one reference point; :meth:`eigenvalues` reads the
+    branches' eigenvalues at any list of points off one stacked build.
+    """
 
     def __init__(self, cs, bp, sector=None, rng=None):
         self.cs = cs
@@ -538,7 +548,7 @@ class _BranchBasis:
         last = None
         for _ in range(8):
             ref = draw_spectral_point(rng, cs=cs, bp=bp)
-            t0 = self._matrix(ref)
+            t0 = self._restrict(transfer_matrix(ref, cs, bp))
             vals, vecs = np.linalg.eig(t0)
             if np.linalg.cond(vecs) > 1e8:
                 last = "ill-conditioned eigenbasis"
@@ -550,21 +560,30 @@ class _BranchBasis:
             return
         raise ConvergenceError(f"could not build transfer eigenbasis: {last}")
 
-    def _matrix(self, u):
-        t = transfer_matrix(u, self.cs, self.bp)
+    def _restrict(self, t):
+        """``t`` (one matrix or a stack) on the sector, if there is one."""
         if self.sector is None:
             return t
-        return t[np.ix_(self.sector, self.sector)]
+        return t[(...,) + np.ix_(self.sector, self.sector)]
 
-    def values(self, u) -> np.ndarray:
-        d = self.vinv @ self._matrix(u) @ self.vecs
-        scale = max(np.abs(d).max(), 1.0)
-        off = d - np.diag(np.diag(d))
-        if np.abs(off).max() > 1e-7 * scale:
+    def eigenvalues(self, points) -> np.ndarray:
+        """Branch eigenvalues at each point, shape ``(len(points), size)``.
+
+        ``t(u)`` is built at all points in one :func:`transfer_matrices` call
+        and projected on the basis in one batched product; every point's
+        projection must be diagonal to 1e-7 of its largest entry.
+        """
+        t = self._restrict(transfer_matrices(points, self.cs, self.bp))
+        d = self.vinv @ t @ self.vecs
+        mags = np.abs(d)
+        scale = np.maximum(mags.max(axis=(1, 2)), 1.0)
+        diag = np.arange(self.size)
+        mags[:, diag, diag] = 0.0
+        if (mags.max(axis=(1, 2)) > 1e-7 * scale).any():
             raise ConvergenceError(
                 "transfer family failed to diagonalize in the common basis"
             )
-        return np.diag(d)
+        return d[:, diag, diag]
 
     @property
     def size(self) -> int:
@@ -595,11 +614,12 @@ def _tq_terms(w, m, cs, bp):
     return own, down + up, rhs
 
 
-def _tq_seeds(basis, nodes, m, cs, bp):
+def _tq_seeds(eigs, nodes, m, cs, bp):
     """One root set per branch from the linear T-Q system at ``nodes``.
 
-    The monic Baxter polynomial ``P`` of degree ``m`` in ``z = u(u+1)`` solves
-    a linear least-squares system per branch; its zeros give the roots through
+    ``eigs[k, br]`` is branch ``br``'s eigenvalue at ``nodes[k]``.  The monic
+    Baxter polynomial ``P`` of degree ``m`` in ``z = u(u+1)`` solves a linear
+    least-squares system per branch; its zeros give the roots through
     ``u = (-1 + sqrt(1+4z))/2`` (either branch of the root is the same set up
     to the reflection ``u -> -u-1``).
     """
@@ -607,9 +627,8 @@ def _tq_seeds(basis, nodes, m, cs, bp):
     own = np.array([t[0] for t in terms])
     shifted = np.array([t[1] for t in terms])
     rhs = np.array([t[2] for t in terms])
-    eigs = np.array([basis.values(w) for w in nodes])
     seeds = []
-    for br in range(basis.size):
+    for br in range(eigs.shape[1]):
         rows = eigs[:, br, None] * own - shifted
         a, b = rows[:, :m], rhs - rows[:, m]
         scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
@@ -653,8 +672,11 @@ def _solve_branches(cs, bp, m, rng, sector=None):
     basis = transfer_branch_basis(cs, bp, rng=rng, sector=sector)
     check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
     nodes = draw_spectral_points(rng, m + 2, cs=cs, bp=bp)
-    targets = np.array([basis.values(w) for w in check_points])
-    seeds = _tq_seeds(basis, nodes, m, cs, bp) if m else [()] * basis.size
+    # One stacked build for the check points and the nodes; the empty sector
+    # has no Baxter polynomial to fit, so its nodes are drawn but not built.
+    eigs = basis.eigenvalues(check_points + nodes if m else check_points)
+    targets, node_eigs = eigs[:5], eigs[5:]
+    seeds = _tq_seeds(node_eigs, nodes, m, cs, bp) if m else [()] * basis.size
 
     found = []
     for br, seed in enumerate(seeds):

@@ -13,8 +13,11 @@ scaling.  The raw block ``T(u) K^-(u) T_hat(u)`` is built once per
 ``(u, cs, bp)``, and the entries, the modified entries and the transfer
 matrix are 2x2 block contractions of it.
 
-Builders are memoised on ``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries
-each; cached arrays are frozen read-only.
+Every step runs on a stack of points with a leading point axis, each gate
+judged per point.  The per-point builders run it with one point and are
+memoised on ``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries each; cached
+arrays are frozen read-only.  :func:`transfer_matrices` builds ``t(u)`` for a
+whole list of points in chunks of at most ``STACK_BYTES`` and caches nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "double_row",
     "modified_entries",
     "transfer_matrix",
+    "transfer_matrices",
     "transfer_forms_residual",
     "crossing_residual",
     "hamiltonian",
@@ -56,6 +60,15 @@ __all__ = [
 # one check or draw: a cap of 16 already loses no hit in `all` at N = 2, 3 or
 # in `offshell` at N = 5.  At 32 the three caches hold at most 20 MiB at N = 6.
 CACHE_SIZE = 32
+
+# Byte budget of one stacked raw block ``(B, 2^(N+1), 2^(N+1))`` in
+# :func:`transfer_matrices`; the build's temporaries are a few times that.
+# Measured on a 2-core Xeon VM (2 MiB L2 per core) over one solve's points:
+# at N = 5, 12 points took 8.5 ms one by one, 7.4 ms in chunks of 4 (256 KiB)
+# and 9.8 ms in one stack (768 KiB); at N = 6, 13 points took 25.5 ms in
+# chunks of 1 or 2 (256 or 512 KiB) and 33 ms in chunks of 4.  So a chunk is
+# 16 points at N = 4 (a whole solve), 4 at N = 5 and 1 from N = 6 on.
+STACK_BYTES = 1 << 18
 
 
 class Entries(NamedTuple):
@@ -90,74 +103,111 @@ def _dimension(cs: ChainSpec) -> int:
     return dim
 
 
-def _times_r_string(m: np.ndarray, factors) -> np.ndarray:
-    """``m @ R_{0,i}(v) @ ...`` over ``factors = [(v, i), ...]`` in order.
+def _points(points) -> list:
+    """Spectral points as a flat list of ``complex``, one stack entry each."""
+    return np.asarray(points, dtype=complex).reshape(-1).tolist()
 
-    ``m @ R_{0i}(v) = v m + m P_{0i}``, and ``m P_{0i}`` is ``m`` with its
-    auxiliary and site-i column axes swapped.
+
+def _columns(rows) -> np.ndarray:
+    """Per-point scalar rows ``[(s0, s1, ...), ...]`` as columns ``s_k``.
+
+    Each column has shape ``(B, 1, 1)``, so it scales a ``(B, n, n)`` stack
+    point by point.
     """
-    dim = m.shape[0]
-    t = m.reshape((dim,) + (2,) * (dim.bit_length() - 1))
-    for v, i in factors:
-        t = v * t + t.swapaxes(1, 2 + i)
-    return t.reshape(dim, dim)
+    return np.array(rows, dtype=complex).T[:, :, None, None]
 
 
-def _hat_factors(u: complex, cs: ChainSpec) -> list:
-    return [(u + cs.thetas[i], i) for i in reversed(range(cs.sites))]
+def _times_r_string(m: np.ndarray, values, sites) -> np.ndarray:
+    """``m[b] @ R_{0,sites[0]}(values[0][b]) @ R_{0,sites[1]}(...) @ ...``.
+
+    ``m`` is a ``(B, dim, dim)`` stack, or one ``(1, dim, dim)`` matrix that
+    the first factor broadcasts over the stack; ``values[k]`` holds factor
+    k's parameter at each of the B points.  ``m @ R_{0i}(v) = v m + m P_{0i}``,
+    and ``m P_{0i}`` is ``m`` with its auxiliary and site-i column axes
+    swapped.
+    """
+    dim = m.shape[1]
+    t = m.reshape(m.shape[:2] + (2,) * (dim.bit_length() - 1))
+    values = np.array(values, dtype=complex)
+    values = values.reshape(values.shape + (1,) * (t.ndim - 1))
+    for v, i in zip(values, sites):
+        t = v * t + t.swapaxes(2, 3 + i)
+    return t.reshape(-1, dim, dim)
+
+
+def _bulk_string(us: list, cs: ChainSpec) -> tuple:
+    """Parameters and sites of the bulk factors ``R_{0i}(u - theta_i)``."""
+    return [[u - theta for u in us] for theta in cs.thetas], range(cs.sites)
+
+
+def _hat_string(us: list, cs: ChainSpec) -> tuple:
+    """Parameters and sites of the return-trip factors ``R_{0i}(u + theta_i)``."""
+    sites = range(cs.sites - 1, -1, -1)
+    return [[u + cs.thetas[i] for u in us] for i in sites], sites
+
+
+def _monodromy(u, cs: ChainSpec, string) -> np.ndarray:
+    dim = _dimension(cs)
+    return _times_r_string(identity(dim)[None], *string(_points(u), cs))[0]
 
 
 def bulk_monodromy(u, cs: ChainSpec) -> np.ndarray:
     """Ordered product of R-matrices coupling the auxiliary space to each site."""
-    u = complex(u)
-    factors = [(u - theta, i) for i, theta in enumerate(cs.thetas)]
-    return _times_r_string(identity(_dimension(cs)), factors)
+    return _monodromy(u, cs, _bulk_string)
 
 
 def hat_monodromy(u, cs: ChainSpec) -> np.ndarray:
     """Return-trip monodromy: same couplings in reverse order, shifted signs."""
-    u = complex(u)
-    return _times_r_string(identity(_dimension(cs)), _hat_factors(u, cs))
+    return _monodromy(u, cs, _hat_string)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
-    """Entries of the double-row monodromy with the dressed d-shift applied."""
-    u = complex(u)
-    if abs(2 * u + 1) < kn.POLE_TOL:
-        raise PoleError("double_row", u, abs(2 * u + 1))
-    half = 1 << cs.sites
-    # T K^-: K^- is diagonal on the auxiliary space, so it scales columns.
-    t_k = bulk_monodromy(u, cs) * np.repeat(np.diag(k_minus(u, bp)), half)
-    raw = _freeze(
-        _times_r_string(t_k, _hat_factors(u, cs)).reshape(2, half, 2, half)
-    )
-    a = raw[0, :, 0, :]
-    return Entries(
-        a=a,
-        b=raw[0, :, 1, :],
-        c=raw[1, :, 0, :],
-        d=_freeze(raw[1, :, 1, :] - a / (2 * u + 1)),
-        raw=raw,
-    )
+# ---------------------------------------------------------------------------
+# Stacked construction steps.  Each takes a list ``us`` of B points and works
+# on ``(B, ...)`` stacks; every gate is judged point by point and names the
+# point it trips at.  The per-point builders below run the same steps with
+# B = 1.
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
-    """Entries after conjugating the auxiliary space by the similarity matrix.
+def _raw_blocks(us: list, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+    """Raw blocks ``T(u) K^-(u) T_hat(u)``, shape ``(B, 2, 2^N, 2, 2^N)``."""
+    dim = _dimension(cs)
+    for u in us:
+        if abs(2 * u + 1) < kn.POLE_TOL:
+            raise PoleError("double_row", u, abs(2 * u + 1))
+    count, half = len(us), dim // 2
+    bulk = _times_r_string(identity(dim)[None], *_bulk_string(us, cs))
+    # T K^-: K^- is diagonal on the auxiliary space, so it scales the
+    # columns of each auxiliary half.
+    k_diag = np.array([k_minus(u, bp) for u in us]).diagonal(axis1=1, axis2=2)
+    t_k = bulk.reshape(count, dim, 2, half) * k_diag[:, None, :, None]
+    return _times_r_string(
+        t_k.reshape(count, dim, dim), *_hat_string(us, cs)
+    ).reshape(count, 2, half, 2, half)
+
+
+def _shifts(us: list) -> np.ndarray:
+    """``2u + 1`` per point, shaped to divide a ``(B, n, n)`` stack."""
+    return np.array([2 * u + 1 for u in us])[:, None, None]
+
+
+def _entries(raw: np.ndarray, us: list) -> tuple:
+    """Blocks ``a, b, c`` (views) and the shifted ``d = D - a/(2u+1)``."""
+    a = raw[:, 0, :, 0, :]
+    d = raw[:, 1, :, 1, :] - a / _shifts(us)
+    return a, raw[:, 0, :, 1, :], raw[:, 1, :, 0, :], d
+
+
+def _modified_blocks(raw: np.ndarray, us: list, bp: BoundaryParams):
+    """Modified entries ``a_bar, b_bar, c_bar, d_bar``, shape ``(B, 4, 2^N, 2^N)``.
 
     Built twice from the raw blocks: once from the closed-form linear
     combinations, once by actually conjugating with ``q_similarity``.  Both
     routes apply the d-shift ``d_bar = D_bar - a_bar / (2u+1)`` last, so no
     term of size ``1/(2u+1)`` is formed and cancelled inside a combination.
-    The two routes must agree to 1e-12; disagreement means a construction
-    bug, not a numerical accident, so it raises.
+    The two routes must agree to 1e-12 at every point; disagreement means a
+    construction bug, not a numerical accident, so it raises.
     """
-    u = complex(u)
-    if bp.diagonal_mode:
-        raise ParameterError("modified entries are undefined for diagonal couplings")
-    raw = double_row(u, cs, bp).raw
-    half = raw.shape[1]
+    count, _, half = raw.shape[:3]
     rho = bp.rho
     xp, xm = bp.xi_plus, bp.xi_minus
     # Rows: a_bar, b_bar, c_bar and the unshifted D_bar; columns: the raw
@@ -170,45 +220,111 @@ def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
             [rho, xm, xp, rho - 2],
         ]
     ) / (2 * (rho - 1))
-    blocks = raw.transpose(0, 2, 1, 3).reshape(4, half * half)
-    closed = (closed_form @ blocks).reshape(4, half, half)
+    blocks = raw.transpose(0, 1, 3, 2, 4).reshape(count, 4, half * half)
+    closed = (closed_form @ blocks).reshape(count, 4, half, half)
 
-    # Independent route: conjugate the raw block matrix and re-split.
+    # Independent route: conjugate the raw block matrix and re-split.  Block
+    # (j, l) of Q^-1 M Q is sum_{k,m} Q^-1[j,k] M[k,m] Q[m,l], the Kronecker
+    # product Q^-1 x Q^T acting on the flattened block index (k, m).
     qm = q_similarity(bp)
-    conjugated = np.einsum(
-        "jk,kxmy,ml->jlxy", np.linalg.inv(qm), raw, qm
-    ).reshape(4, half, half)
+    (q00, q01), (q10, q11) = qm.tolist()
+    q_inv = np.array([[q11, -q01], [-q10, q00]]) / (q00 * q11 - q01 * q10)
+    conjugation = (q_inv[:, None, :, None] * qm.T[None, :, None, :]).reshape(4, 4)
+    conjugated = (conjugation @ blocks).reshape(count, 4, half, half)
+    shifts = _shifts(us)
     for route in (closed, conjugated):
-        route[3] -= route[0] / (2 * u + 1)
+        route[:, 3] -= route[:, 0] / shifts
 
-    for name, res in zip("abcd", relative_residuals(closed, conjugated)):
-        if res > 1e-12:
-            raise ConstructionError(
-                f"modified entry {name!r}: construction routes disagree ({res:.3e})"
-            )
-    _freeze(closed)
-    return Entries(*closed)
+    res = relative_residuals(closed, conjugated)
+    if (res > 1e-12).any():
+        k, name = np.argwhere(res > 1e-12)[0]
+        raise ConstructionError(
+            f"modified entry {'abcd'[name]!r} at u = {us[k]}: construction "
+            f"routes disagree ({res[k, name]:.3e})"
+        )
+    return closed
 
 
-def _transfer_trace_form(e: Entries, u: complex, bp) -> np.ndarray:
-    return (
-        kn.alpha(u, bp) * e.a
-        + kn.delta(u, bp) * e.d
-        + kn.beta(u, bp) * e.b
-        + kn.gamma(u, bp) * e.c
+def _trace_form(entries, us: list, bp) -> np.ndarray:
+    a, b, c, d = entries
+    alpha, delta, beta, gamma = _columns(
+        [
+            (kn.alpha(u, bp), kn.delta(u, bp), kn.beta(u, bp), kn.gamma(u, bp))
+            for u in us
+        ]
     )
+    return alpha * a + delta * d + beta * b + gamma * c
 
 
-def _transfer_modified_form(u: complex, cs: ChainSpec, bp) -> np.ndarray:
-    m = modified_entries(u, cs, bp)
-    return kn.alpha_bar(u, bp) * m.a + kn.delta_bar(u, bp) * m.d
+def _modified_form(a_bar, d_bar, us: list, bp) -> np.ndarray:
+    alpha_bar, delta_bar = _columns(
+        [(kn.alpha_bar(u, bp), kn.delta_bar(u, bp)) for u in us]
+    )
+    return alpha_bar * a_bar + delta_bar * d_bar
+
+
+def _transfer_blocks(raw, entries, us: list, bp, modified=None):
+    """Trace form of ``t(u)`` for each point, shape ``(B, 2^N, 2^N)``.
+
+    ``entries`` are the shifted entries of ``raw``.  Every point is
+    cross-checked against the literal ``K^+`` trace of its raw block
+    (1e-12) and, when the modified entries ``(a_bar, d_bar)`` are given,
+    against the two-term modified form (1e-11).
+    """
+    t1 = _trace_form(entries, us, bp)
+    # tr_0 (K^+ x 1) raw, contracted block by block.
+    kp = np.array([k_plus(u, bp) for u in us])
+    others = [np.einsum("bjk,bkxjy->bxy", kp, raw)]
+    gates = [("transfer trace decomposition broke", 1e-12)]
+    if modified is not None:
+        others.append(_modified_form(*modified, us, bp))
+        gates.append(("transfer matrix: modified form disagrees", 1e-11))
+    res = relative_residuals(t1[:, None], np.stack(others, axis=1))
+    bad = res > [tol for _, tol in gates]
+    if bad.any():
+        k, gate = np.argwhere(bad)[0]
+        raise ConstructionError(
+            f"{gates[gate][0]} at u = {us[k]} ({res[k, gate]:.3e})"
+        )
+    return t1
+
+
+# ---------------------------------------------------------------------------
+# Per-point builders (memoised) and the stacked transfer-matrix builder.
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
+    """Entries of the double-row monodromy with the dressed d-shift applied."""
+    us = _points(u)
+    raw = _freeze(_raw_blocks(us, cs, bp)[0])
+    a, b, c, d = _entries(raw[None], us)
+    return Entries(a=a[0], b=b[0], c=c[0], d=_freeze(d[0]), raw=raw)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
+    """Entries after conjugating the auxiliary space by the similarity matrix.
+
+    Two construction routes, cross-checked to 1e-12 (see
+    :func:`_modified_blocks`).
+    """
+    u = complex(u)
+    if bp.diagonal_mode:
+        raise ParameterError("modified entries are undefined for diagonal couplings")
+    raw = double_row(u, cs, bp).raw
+    closed = _freeze(_modified_blocks(raw[None], _points(u), bp)[0])
+    return Entries(*closed)
 
 
 def transfer_forms_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Relative disagreement between the two transfer-matrix decompositions."""
     u = complex(u)
-    t1 = _transfer_trace_form(double_row(u, cs, bp), u, bp)
-    t2 = _transfer_modified_form(u, cs, bp)
+    us = _points(u)
+    e = double_row(u, cs, bp)
+    m = modified_entries(u, cs, bp)
+    t1 = _trace_form((e.a, e.b, e.c, e.d), us, bp)
+    t2 = _modified_form(m.a, m.d, us, bp)
     return relative_residual(t1 - t2, t1, t2)
 
 
@@ -222,19 +338,39 @@ def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """
     u = complex(u)
     e = double_row(u, cs, bp)
-    t1 = _transfer_trace_form(e, u, bp)
-    # tr_0 (K^+ x 1) raw, contracted block by block.
-    others = [np.einsum("jk,kxjy->xy", k_plus(u, bp), e.raw)]
+    modified = None
     if not bp.diagonal_mode:
-        others.append(_transfer_modified_form(u, cs, bp))
-    res = relative_residuals([t1] * len(others), others)
-    if res[0] > 1e-12:
-        raise ConstructionError(f"transfer trace decomposition broke ({res[0]:.3e})")
-    if len(res) > 1 and res[1] > 1e-11:
-        raise ConstructionError(
-            f"transfer matrix: modified form disagrees ({res[1]:.3e})"
+        m = modified_entries(u, cs, bp)
+        modified = (m.a[None], m.d[None])
+    entries = tuple(x[None] for x in (e.a, e.b, e.c, e.d))
+    return _freeze(
+        _transfer_blocks(e.raw[None], entries, _points(u), bp, modified)[0]
+    )
+
+
+def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+    """``t(u)`` at every point, one frozen ``(len(points), 2^N, 2^N)`` array.
+
+    Entry ``k`` equals ``transfer_matrix(points[k], cs, bp)`` and passes the
+    same gates, judged per point; an error names the point it trips at.  The
+    points are built in stacked chunks whose raw block stays within
+    ``STACK_BYTES``.  Nothing is cached.
+    """
+    dim = _dimension(cs)
+    us = _points(points)
+    out = np.empty((len(us), dim // 2, dim // 2), dtype=complex)
+    step = max(1, STACK_BYTES // (dim * dim * out.itemsize))
+    for lo in range(0, len(us), step):
+        chunk = us[lo : lo + step]
+        raw = _raw_blocks(chunk, cs, bp)
+        modified = None
+        if not bp.diagonal_mode:
+            closed = _modified_blocks(raw, chunk, bp)
+            modified = (closed[:, 0], closed[:, 3])
+        out[lo : lo + step] = _transfer_blocks(
+            raw, _entries(raw, chunk), chunk, bp, modified
         )
-    return _freeze(t1)
+    return _freeze(out)
 
 
 def crossing_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:

@@ -128,12 +128,19 @@ def pair_residual(a, b) -> float:
 
 
 def relative_residuals(x, y) -> np.ndarray:
-    """``relative_residual(x[k] - y[k], x[k], y[k])`` for each k, in one reduction.
+    """``relative_residual(x[k] - y[k], x[k], y[k])`` for each k of a stack.
 
-    ``x`` and ``y`` are equal-shape stacks of matrices.
+    ``x`` and ``y`` are stacks of matrices whose leading shapes broadcast
+    against each other.
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    top, norm_x, norm_y = np.linalg.norm(np.stack([x - y, x, y]), axis=(-2, -1))
-    bottom = np.maximum(norm_x, norm_y)
+
+    def norms(m):
+        # Frobenius norm over the last two axes, as ``np.linalg.norm`` takes
+        # it, without its per-call dispatch.
+        return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+
+    top = norms(x - y)
+    bottom = np.maximum(norms(x), norms(y))
     return np.divide(top, bottom, out=top, where=bottom > 0)

@@ -1,8 +1,10 @@
 """Eigenvalue expressions, Bethe system, Jacobians, and the T-Q root solver."""
 
+import importlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segment_bethe import bethe
@@ -35,6 +37,9 @@ from segment_bethe.params import (
     draw_spectral_point,
     draw_spectral_points,
 )
+
+# The module, not the function of the same name the package re-exports.
+dr_module = importlib.import_module("segment_bethe.double_row")
 
 STEP = 1e-6
 DTOL = 1e-6
@@ -152,6 +157,12 @@ def test_solve_small_singular_raises():
     seed=st.integers(min_value=0, max_value=999),
 )
 @settings(max_examples=100, deadline=None)
+# Roots whose rounded sort keys tie: the order must follow neither the input
+# nor the last-bit change a reflection leaves on a tiny real part.
+@example(data=[(0j, False), (0j, False), (1e-10 + 0j, False)], seed=0)
+@example(
+    data=[(2.2250738585072014e-308 + 0j, False), (6.3e-201 + 1e-10j, True)], seed=0
+)
 def test_normalize_root_set_invariance(data, seed):
     # The representative must not depend on per-root reflections u -> -u-1
     # or on the input order.
@@ -224,6 +235,24 @@ def test_certified_sets_cost_one_system_evaluation(monkeypatch):
         found += len(solve_bethe(cs, bp, rng=rng))
     assert found == 80
     assert len(calls) <= found + found // 10
+
+
+def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
+    # t(u) is built once at the eigenbasis reference point and once, as one
+    # stack, at the 5 check points and the m + 2 nodes.
+    sizes = []
+    real = dr_module._raw_blocks
+
+    def counted(us, cs, bp):
+        sizes.append(len(us))
+        return real(us, cs, bp)
+
+    monkeypatch.setattr(dr_module, "_raw_blocks", counted)
+    for cached in (transfer_matrix, double_row, dr_module.modified_entries):
+        cached.cache_clear()
+    sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    assert len(sols) == 4
+    assert sizes == [1, 5 + cs2.sites + 2]
 
 
 def test_solve_bethe_completeness_n1(solved1):

@@ -1,10 +1,12 @@
 """Double-row monodromy construction, transfer matrix, exchange relations."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe.boundary import (
     SIGMA_MINUS,
@@ -26,9 +28,15 @@ from segment_bethe.double_row import (
     hat_monodromy,
     modified_entries,
     transfer_forms_residual,
+    transfer_matrices,
     transfer_matrix,
 )
-from segment_bethe.errors import DimensionError, ParameterError, PoleError
+from segment_bethe.errors import (
+    ConstructionError,
+    DimensionError,
+    ParameterError,
+    PoleError,
+)
 from segment_bethe.linalg import (
     embed_two_site,
     identity,
@@ -37,11 +45,16 @@ from segment_bethe.linalg import (
     trace_aux,
 )
 from segment_bethe.params import (
+    BoundaryParams,
     ChainSpec,
+    draw_boundary_params,
     draw_chain_spec,
     draw_spectral_point,
     draw_spectral_points,
 )
+
+# The module, not the function of the same name the package re-exports.
+dr = importlib.import_module("segment_bethe.double_row")
 
 
 def test_bulk_monodromy_single_site(cs1):
@@ -145,10 +158,112 @@ def test_dimension_guard_allocates_nothing(bp):
             double_row(0.3 + 0.2j, cs, bp)
         with pytest.raises(DimensionError):
             bulk_monodromy(0.3 + 0.2j, cs)
+        with pytest.raises(DimensionError):
+            transfer_matrices([0.3 + 0.2j, -0.1 + 0.4j], cs, bp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _relative_gap(a, b):
+    return relative_residual(a - b, a, b)
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5])
+def test_stack_matches_per_point(sites, diagonal):
+    # At N = 5 a chunk holds 4 points, so the 12 points take three chunks.
+    rng = np.random.default_rng(300 + sites)
+    bp = draw_boundary_params(rng)
+    if diagonal:
+        bp = BoundaryParams(bp.p, bp.q)
+    cs = draw_chain_spec(rng, sites)
+    # As many points as one solve builds at this N: 5 checks, N + 2 nodes.
+    points = draw_spectral_points(rng, sites + 7, cs=cs, bp=bp)
+    stack = transfer_matrices(points, cs, bp)
+    assert stack.shape == (len(points), 1 << sites, 1 << sites)
+    for u, t in zip(points, stack):
+        assert _relative_gap(t, transfer_matrix(u, cs, bp)) <= 1e-14
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0
+
+
+def test_diagonal_sector_solve_reads_per_point_spectrum(
+    monkeypatch, cs2, bp_diag
+):
+    # The one-magnon solve takes its eigenvalues from stacked builds; every
+    # stack it read must be the per-point transfer matrices.
+    stacks = []
+    real = bethe.transfer_matrices
+
+    def recorded(points, cs, bp):
+        out = real(points, cs, bp)
+        stacks.append((list(points), out))
+        return out
+
+    monkeypatch.setattr(bethe, "transfer_matrices", recorded)
+    sols = bethe.solve_bethe_diagonal(
+        cs2, bp_diag, 1, rng=np.random.default_rng(77)
+    )
+    assert len(sols) == 2
+    assert stacks
+    for points, stack in stacks:
+        for u, t in zip(points, stack):
+            assert _relative_gap(t, transfer_matrix(u, cs2, bp_diag)) <= 1e-14
+
+
+def test_stack_pole_gate_names_the_point(cs2, bp, rng):
+    points = draw_spectral_points(rng, 4, cs=cs2, bp=bp)
+    bad = -0.5 + 2e-10j
+    points[2] = bad
+    with pytest.raises(PoleError) as err:
+        transfer_matrices(points, cs2, bp)
+    assert err.value.point == bad
+    assert str(bad) in str(err.value)
+
+
+def test_stack_route_gate_names_the_point(monkeypatch, cs2, bp, rng):
+    points = draw_spectral_points(rng, 4, cs=cs2, bp=bp)
+    good = q_similarity(bp)
+    monkeypatch.setattr(
+        dr, "q_similarity", lambda b: good + np.array([[1e-6, 0], [0, 0]])
+    )
+    with pytest.raises(ConstructionError, match="construction routes") as err:
+        transfer_matrices(points, cs2, bp)
+    # Every point trips the corrupted similarity; the first one is named.
+    assert f"u = {points[0]}" in str(err.value)
+
+
+def test_stack_trace_gate_names_the_point(monkeypatch, cs2, bp, rng):
+    points = draw_spectral_points(rng, 4, cs=cs2, bp=bp)
+    bad = points[2]
+    real = kn.alpha
+    monkeypatch.setattr(
+        kn, "alpha", lambda u, b: real(u, b) * (1 + 1e-6 * (u == bad))
+    )
+    with pytest.raises(ConstructionError, match="trace decomposition") as err:
+        transfer_matrices(points, cs2, bp)
+    assert f"u = {bad}" in str(err.value)
+    assert f"u = {points[0]}" not in str(err.value)
+
+
+@pytest.mark.parametrize("sites, sizes", [(4, [11]), (6, [1, 1, 1])])
+def test_stack_chunks_stay_within_budget(monkeypatch, sites, sizes, bp):
+    # One solve at N <= 4 is one chunk; from N = 6 on each point is its own.
+    seen = []
+    real = dr._raw_blocks
+
+    def counted(us, cs, bp):
+        seen.append(len(us))
+        return real(us, cs, bp)
+
+    monkeypatch.setattr(dr, "_raw_blocks", counted)
+    rng = np.random.default_rng(400 + sites)
+    cs = draw_chain_spec(rng, sites)
+    points = draw_spectral_points(rng, sum(sizes), cs=cs, bp=bp)
+    transfer_matrices(points, cs, bp)
+    assert seen == sizes
 
 
 def test_double_row_pole_guard(cs1, bp):
