@@ -2,9 +2,10 @@
 
 The scalar functions in this module (vacuum eigenvalues, dressed and
 inhomogeneous eigenvalue terms, residuals, Jacobians) are written with plain
-arithmetic only, so they run unchanged on ``complex`` and ``mpmath.mpc``
-inputs.  Matrix work (the common eigenbasis, the T-Q least squares) stays in
-numpy double precision.
+arithmetic only, so they run unchanged on ``complex`` and on the
+extended-precision :class:`~segment_bethe.precision.DecimalComplex` inputs.
+Matrix work (the common eigenbasis, the T-Q least squares) stays in numpy
+double precision.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ def vacuum_eigenvalues(u, cs: ChainSpec, bp: BoundaryParams):
     return lam1, kn.phi(-u - 1) * lam2
 
 
-def vacuum_eigenvalue_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
-    """(lam1, dlam1, lam2, dlam2) with derivatives in u."""
+def _vacuum_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
+    """(lam1, dlam1, lam2, dlam2, pm, dpm), ``pm = phi(-u-1)``, with
+    derivatives in u."""
     val1, dval1 = u + bp.p, 1
     val2, dval2 = bp.p - u - 1, -1
     for t in cs.thetas:
@@ -78,7 +80,12 @@ def vacuum_eigenvalue_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
             val2 = val2 * fac
     pm = kn.phi(-u - 1)
     dpm = 2 / ((2 * u + 1) * (2 * u + 1))
-    return val1, dval1, pm * val2, dpm * val2 + pm * dval2
+    return val1, dval1, pm * val2, dpm * val2 + pm * dval2, pm, dpm
+
+
+def vacuum_eigenvalue_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
+    """(lam1, dlam1, lam2, dlam2) with derivatives in u."""
+    return _vacuum_derivatives(u, cs, bp)[:4]
 
 
 class RootTerms(NamedTuple):
@@ -111,13 +118,20 @@ class RootTerms(NamedTuple):
 
 
 def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
-    """The per-root table of one root, computed in one pass."""
-    lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(u, cs, bp)
-    pm, pu = kn.phi(-u - 1), kn.phi(u)
-    ab, db = kn.alpha_bar(u, bp), kn.delta_bar(u, bp)
+    """The per-root table of one root, computed in one pass.
+
+    Each kernel and its derivative is evaluated once, with the operations of
+    the separate kernels in the same order, so every field equals what
+    :func:`vacuum_eigenvalue_derivatives` and the ``kernels`` functions give.
+    """
+    lam1, dlam1, lam2, dlam2, pm, dpm = _vacuum_derivatives(u, cs, bp)
+    pu, dpu = kn.phi_and_derivative(u)
+    one_rho = 1 - bp.rho
+    shifted = bp.q + u * one_rho
+    ab, db = pu * shifted, bp.q - (1 + u) * one_rho
     tp = dtp = None
     if not bp.diagonal_mode:
-        tp, dtp = kn.tilde_phi(u, bp.p), kn.d_tilde_phi(u, bp.p)
+        tp, dtp = kn.tilde_phi_and_derivative(u, bp.p)
     return RootTerms(
         u=u,
         lam1=lam1,
@@ -125,13 +139,13 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
         lam2=lam2,
         dlam2=dlam2,
         pm=pm,
-        dpm=2 / ((2 * u + 1) * (2 * u + 1)),
+        dpm=dpm,
         pu=pu,
-        dpu=kn.d_phi(u),
+        dpu=dpu,
         ab=ab,
-        dab=kn.d_alpha_bar(u, bp),
+        dab=dpu * shifted + pu * one_rho,
         db=db,
-        ddb=kn.d_delta_bar(u, bp),
+        ddb=-one_rho,
         tp=tp,
         dtp=dtp,
         c1=pm * ab * lam1,
@@ -341,7 +355,7 @@ def residual_jacobian(roots, cs: ChainSpec, bp: BoundaryParams):
 
 
 # ---------------------------------------------------------------------------
-# Small generic linear algebra for the Newton steps (works on mpmath too).
+# Small generic linear algebra for the Newton steps (works in both backends).
 
 
 def _eliminate(a):

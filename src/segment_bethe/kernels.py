@@ -3,7 +3,8 @@
 Single-letter names follow the conventional labelling of the exchange-relation
 coefficients; all of them are plain rational functions of one or two spectral
 parameters.  Every function is written in terms of ``+ - * /`` only, so the
-same code path runs on ``complex`` and on ``mpmath.mpc`` scalars.
+same code path runs on ``complex`` and on the extended-precision
+:class:`~segment_bethe.precision.DecimalComplex` scalars.
 
 Denominators are guarded: an evaluation within ``POLE_TOL`` of a pole raises
 :class:`~segment_bethe.errors.PoleError` naming the kernel, so parameter sweeps
@@ -42,8 +43,8 @@ __all__ = [
 
 def _guard(name, point, *denominators):
     # The distance to the pole is only compared with POLE_TOL, so it is taken
-    # in double precision: for mpmath scalars that is two float conversions
-    # instead of an extended-precision hypot and square root.
+    # in double precision: for extended-precision scalars that is two float
+    # conversions instead of an extended-precision square root.
     for d in denominators:
         a = abs(complex(d))
         if a < POLE_TOL:
@@ -137,18 +138,30 @@ def fhq(u, v):
 # Derivatives used by Jacobians and the norm matrix.
 
 
+def phi_and_derivative(u):
+    """``(phi(u), phi'(u))`` sharing ``2u+1`` and one pole guard."""
+    two = 2 * u + 1
+    _guard("phi", u, two)
+    return 2 * (u + 1) / two, -2 / (two * two)
+
+
 def d_phi(u):
-    _guard("phi", u, 2 * u + 1)
-    return -2 / ((2 * u + 1) * (2 * u + 1))
+    return phi_and_derivative(u)[1]
 
 
-def d_tilde_phi(u, p):
+def tilde_phi_and_derivative(u, p):
+    """``(tilde_phi(u, p), d/du tilde_phi(u, p))`` from one numerator,
+    denominator and pole guard."""
     _guard("tilde_phi", u, p + u, p - u - 1)
     num = (u + 1) * (2 * u + 1)
     den = (p + u) * (p - u - 1)
     d_num = 4 * u + 3
     d_den = -(2 * u + 1)
-    return (d_num * den - num * d_den) / (den * den)
+    return num / den, (d_num * den - num * d_den) / (den * den)
+
+
+def d_tilde_phi(u, p):
+    return tilde_phi_and_derivative(u, p)[1]
 
 
 def d_f_du(u, v):

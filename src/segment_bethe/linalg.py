@@ -122,7 +122,7 @@ def relative_residual(delta, *scales) -> float:
 
 
 def pair_residual(a, b) -> float:
-    """``|a - b| / max(|a|, |b|)`` for two scalars (``complex`` or ``mpc``)."""
+    """``|a - b| / max(|a|, |b|)`` for two scalars of either backend, in double."""
     a, b = complex(a), complex(b)
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 

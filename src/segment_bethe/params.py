@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from decimal import getcontext
 
-import mpmath
 import numpy as np
 
 from .errors import ParameterError
@@ -25,10 +25,10 @@ CLEARANCE = 1e-3
 
 
 def _sqrt(z):
-    """Principal square root that works for both complex and mpmath scalars."""
+    """Principal square root of a double or an extended-precision scalar."""
     if isinstance(z, (complex, float, int)):
         return cmath.sqrt(z)
-    return mpmath.sqrt(z)
+    return z.sqrt()
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,10 @@ class BoundaryParams:
     couplings ``xi_plus``/``xi_minus`` at the left end.  Either both ``xi``
     vanish (diagonal mode) or neither does.
 
-    ``rho`` is memoised per instance and per mpmath working precision, so
-    couplings lifted to ``mpmath.mpc`` give a ``rho`` accurate to whatever
-    precision is in force when it is read.  The memo is not a field: it
-    takes no part in equality or hashing.
+    ``rho`` is memoised per instance and per decimal context precision, so
+    couplings lifted to extended precision give a ``rho`` accurate to
+    whatever precision is in force when it is read.  The memo is not a
+    field: it takes no part in equality or hashing.
     """
 
     p: complex
@@ -70,7 +70,7 @@ class BoundaryParams:
     def rho(self):
         """Root of rho^2 - 2 rho = xi_plus*xi_minus on the principal branch."""
         memo = self._rho_memo
-        prec = mpmath.mp.prec
+        prec = getcontext().prec
         if prec not in memo:
             memo[prec] = 1 - _sqrt(1 + self.xi_plus * self.xi_minus)
         return memo[prec]

@@ -1,28 +1,37 @@
-"""Switchable scalar backend: complex128 or mpmath extended precision.
+"""Switchable scalar backend: complex128 or 60-digit decimal complex numbers.
 
 The formula layer (kernels, eigenvalues, determinant formulas) is written in
-plain arithmetic, so the same code runs on ``complex`` and on ``mpmath.mpc``
-scalars.  Feeding it ``mpc`` scalars is not enough for extended precision:
-mpmath computes at its global working precision, 15 digits unless changed.
-Every extended entry point therefore lifts its inputs (:func:`lift_problem`,
-:func:`lift_roots`) and evaluates inside :func:`working_precision`, which
-sets ``DEFAULT_DPS = 60`` digits.  Operator matrices always stay in double
+plain arithmetic, so the same code runs on ``complex`` and on
+:class:`DecimalComplex` scalars, whose parts are ``decimal.Decimal`` numbers
+(the standard library's C ``libmpdec``).  Decimal arithmetic rounds to the
+digits of the current decimal context, 28 unless changed, so every extended
+entry point lifts its inputs (:func:`lift_problem`, :func:`lift_roots`) and
+evaluates inside :func:`working_precision`, which carries ``DEFAULT_DPS = 60``
+digits plus ``GUARD_DIGITS``.  Operator matrices always stay in double
 precision; only the scalar formulas suffer catastrophic cancellation near
 coinciding root sets, and only they get the extended path.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import nullcontext
-
-import mpmath
+from decimal import Context, Decimal, localcontext
 
 from .errors import ParameterError
 from .params import BoundaryParams, ChainSpec
 
 DEFAULT_DPS = 60
 
+# Digits carried beyond the requested ones: 62 at DEFAULT_DPS, at least the
+# 203 bits (about 61.1 digits) that a 60-digit binary context carries.
+GUARD_DIGITS = 2
+
 PRECISIONS = ("double", "extended")
+
+_ZERO = Decimal(0)
+_HASH_MODULUS = 1 << sys.hash_info.width
 
 
 def validate_precision(precision: str) -> str:
@@ -33,11 +42,148 @@ def validate_precision(precision: str) -> str:
     return precision
 
 
+class DecimalComplex:
+    """Complex number with ``decimal.Decimal`` real and imaginary parts.
+
+    Arithmetic rounds to the current decimal context.  Operands may be
+    ``int``, ``float``, ``complex`` or ``Decimal`` on either side; they are
+    converted exactly.  ``abs()`` returns a ``float``: the formula layer
+    only uses magnitudes as pivots, scales and tolerances, in double.
+    Division by an exact zero raises ``ZeroDivisionError``.  The parts are
+    ``Decimal`` numbers; :func:`lift` builds one from any other scalar.
+    """
+
+    __slots__ = ("real", "imag")
+
+    # numpy scalars on the left defer to the reflected operators.
+    __array_ufunc__ = None
+
+    def __init__(self, real, imag):
+        self.real = real
+        self.imag = imag
+
+    def __repr__(self):
+        return f"DecimalComplex({self.real!r}, {self.imag!r})"
+
+    def __complex__(self):
+        return complex(float(self.real), float(self.imag))
+
+    def __abs__(self):
+        return math.hypot(float(self.real), float(self.imag))
+
+    def __neg__(self):
+        return DecimalComplex(-self.real, -self.imag)
+
+    # Each operator reads a DecimalComplex operand directly and sends every
+    # other type through ``_parts``: the formula layer's operands are mostly
+    # DecimalComplex, and a call per operand costs as much as the arithmetic.
+
+    def __add__(self, other):
+        if type(other) is DecimalComplex:
+            return DecimalComplex(self.real + other.real, self.imag + other.imag)
+        c, d = _parts(other)
+        return DecimalComplex(self.real + c, self.imag + d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is DecimalComplex:
+            return DecimalComplex(self.real - other.real, self.imag - other.imag)
+        c, d = _parts(other)
+        return DecimalComplex(self.real - c, self.imag - d)
+
+    def __rsub__(self, other):
+        c, d = _parts(other)
+        return DecimalComplex(c - self.real, d - self.imag)
+
+    def __mul__(self, other):
+        a, b = self.real, self.imag
+        if type(other) is DecimalComplex:
+            c, d = other.real, other.imag
+        else:
+            c, d = _parts(other)
+            if not d:
+                return DecimalComplex(a * c, b * c)
+        return DecimalComplex(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is DecimalComplex:
+            return _divide(self.real, self.imag, other.real, other.imag)
+        c, d = _parts(other)
+        return _divide(self.real, self.imag, c, d)
+
+    def __rtruediv__(self, other):
+        a, b = _parts(other)
+        return _divide(a, b, self.real, self.imag)
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        out, base, k = DecimalComplex(Decimal(1), _ZERO), self, abs(exponent)
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return 1 / out if exponent < 0 else out
+
+    def __eq__(self, other):
+        try:
+            c, d = _parts(other)
+        except TypeError:
+            return NotImplemented
+        return self.real == c and self.imag == d
+
+    def __hash__(self):
+        # Equal to hash(complex(...)) whenever the value is a double.
+        h = (hash(self.real) + sys.hash_info.imag * hash(self.imag)) % _HASH_MODULUS
+        if h >= _HASH_MODULUS >> 1:
+            h -= _HASH_MODULUS
+        return -2 if h == -1 else h
+
+    def sqrt(self):
+        """Principal square root, on the branch of ``cmath.sqrt``."""
+        a, b = self.real, self.imag
+        if not a and not b:
+            return DecimalComplex(_ZERO, b)
+        r = (a * a + b * b).sqrt()
+        if a >= 0:
+            t = ((r + a) / 2).sqrt()
+            return DecimalComplex(t, b / (2 * t))
+        t = ((r - a) / 2).sqrt()
+        return DecimalComplex(abs(b) / (2 * t), t.copy_sign(b))
+
+
+def _parts(z):
+    """``(real, imag)`` of an operand as ``Decimal`` numbers, exactly."""
+    if type(z) is DecimalComplex:
+        return z.real, z.imag
+    if isinstance(z, complex):
+        return Decimal(z.real), Decimal(z.imag)
+    if isinstance(z, (int, float, Decimal)):
+        return Decimal(z), _ZERO
+    raise TypeError(f"cannot combine DecimalComplex with {type(z).__name__}")
+
+
+def _divide(a, b, c, d):
+    """``(a + ib) / (c + id)``."""
+    if not d:
+        if not c:
+            raise ZeroDivisionError("DecimalComplex division by zero")
+        return DecimalComplex(a / c, b / c)
+    den = c * c + d * d
+    return DecimalComplex((a * c + b * d) / den, (b * c - a * d) / den)
+
+
 def lift(z, precision: str = "extended"):
     """Lift one scalar into the requested backend (exact for doubles)."""
+    z = complex(z)
     if precision == "double":
-        return complex(z)
-    return mpmath.mpc(complex(z))
+        return z
+    return DecimalComplex(Decimal(z.real), Decimal(z.imag))
 
 
 def lift_roots(roots, precision: str = "extended"):
@@ -48,21 +194,24 @@ def lift_problem(cs: ChainSpec, bp: BoundaryParams, precision: str = "extended")
     """Chain and boundary data with all scalars lifted."""
     if precision == "double":
         return cs, bp
-    cs2 = ChainSpec(cs.sites, tuple(mpmath.mpc(complex(t)) for t in cs.thetas))
+    cs2 = ChainSpec(cs.sites, lift_roots(cs.thetas))
     bp2 = BoundaryParams(
-        mpmath.mpc(complex(bp.p)),
-        mpmath.mpc(complex(bp.q)),
-        mpmath.mpc(complex(bp.xi_plus)),
-        mpmath.mpc(complex(bp.xi_minus)),
+        lift(bp.p), lift(bp.q), lift(bp.xi_plus), lift(bp.xi_minus)
     )
     return cs2, bp2
 
 
-def workdps(dps: int = DEFAULT_DPS):
-    """Context manager setting the mpmath working precision."""
-    return mpmath.workdps(dps)
+def workdps(dps: int | None = None):
+    """Decimal context carrying ``dps`` digits plus ``GUARD_DIGITS``.
+
+    ``dps`` defaults to ``DEFAULT_DPS``, read at the call.  The context is a
+    fresh one (default rounding and traps), and the caller's is restored on
+    exit.
+    """
+    digits = DEFAULT_DPS if dps is None else dps
+    return localcontext(Context(prec=digits + GUARD_DIGITS))
 
 
-def working_precision(precision: str, dps: int = DEFAULT_DPS):
-    """``workdps(dps)`` for ``extended``; a no-op context for ``double``."""
-    return workdps(dps) if precision == "extended" else nullcontext()
+def working_precision(precision: str):
+    """``workdps()`` for ``extended``; a no-op context for ``double``."""
+    return workdps() if precision == "extended" else nullcontext()

@@ -6,7 +6,8 @@ differentiates/evaluates against the ``i``-th member of one set and column
 ``j`` against the ``j``-th member of the other; see each builder's docstring.
 
 The formulas are evaluated through the generic scalar layer, so passing
-``precision="extended"`` reruns the same code on mpmath scalars.
+``precision="extended"`` reruns the same code on 60-digit
+:class:`~segment_bethe.precision.DecimalComplex` scalars.
 """
 
 from __future__ import annotations

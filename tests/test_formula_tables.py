@@ -8,10 +8,10 @@ They are kept here, as the dense ``embed_two_site`` construction is kept for
 the operator layer, so the tables stay certified against them.
 """
 
+import decimal
 import math
 from itertools import combinations, permutations
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -19,11 +19,13 @@ from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe import scalar_products as sp
 from segment_bethe.bethe import (
+    RootTerms,
     _newton,
     bethe_residuals_scaled,
     inhomogeneous_value,
     refine_roots,
     residual_jacobian,
+    root_terms,
     unwanted_terms,
     vacuum_eigenvalue_derivatives,
     vacuum_eigenvalues,
@@ -35,7 +37,13 @@ from segment_bethe.params import (
     draw_chain_spec,
     draw_spectral_points,
 )
-from segment_bethe.precision import DEFAULT_DPS, lift_problem, lift_roots, workdps
+from segment_bethe.precision import (
+    DEFAULT_DPS,
+    GUARD_DIGITS,
+    lift_problem,
+    lift_roots,
+    workdps,
+)
 from segment_bethe.scalar_products import (
     gaudin_korepin_norm,
     gaudin_matrix,
@@ -294,6 +302,55 @@ def _close(got, ref, tol):
     return max(abs(a - b) for a, b in zip(flat_got, flat_ref)) <= tol * scale
 
 
+def oracle_root_terms(u, cs, bp):
+    """Every field from its own kernel call."""
+    lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(u, cs, bp)
+    pm, pu = kn.phi(-u - 1), kn.phi(u)
+    ab, db = kn.alpha_bar(u, bp), kn.delta_bar(u, bp)
+    tp = dtp = None
+    if not bp.diagonal_mode:
+        tp, dtp = kn.tilde_phi(u, bp.p), kn.d_tilde_phi(u, bp.p)
+    return RootTerms(
+        u=u,
+        lam1=lam1,
+        dlam1=dlam1,
+        lam2=lam2,
+        dlam2=dlam2,
+        pm=pm,
+        dpm=2 / ((2 * u + 1) * (2 * u + 1)),
+        pu=pu,
+        dpu=kn.d_phi(u),
+        ab=ab,
+        dab=kn.d_alpha_bar(u, bp),
+        db=db,
+        ddb=kn.d_delta_bar(u, bp),
+        tp=tp,
+        dtp=dtp,
+        c1=pm * ab * lam1,
+        c2=pu * db * lam2,
+    )
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_root_terms_match_separate_kernels(size, diagonal):
+    # One pass takes each kernel's operations in the same order, so in
+    # double precision every field is equal, and at 60 digits it agrees.
+    for seed in range(3):
+        cs, bp, roots = _problem(size, seed, diagonal)[:3]
+        for u in roots:
+            assert root_terms(u, cs, bp) == oracle_root_terms(u, cs, bp)
+        with workdps(DEFAULT_DPS):
+            cs_l, bp_l = lift_problem(cs, bp)
+            for u in lift_roots(roots):
+                got, ref = root_terms(u, cs_l, bp_l), oracle_root_terms(u, cs_l, bp_l)
+                for name, a, b in zip(RootTerms._fields, got, ref):
+                    if b is None:
+                        assert a is None, name
+                    else:
+                        assert abs(a - b) <= 1e-55 * max(abs(b), 1e-300), name
+
+
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("diagonal", [False, True])
 def test_one_pass_system_matches_per_entry(size, diagonal, backend):
@@ -467,9 +524,10 @@ def test_newton_halves_when_trial_jacobian_fails(failure):
 def test_extended_formulas_run_at_sixty_digits(monkeypatch, cs2, bp, solved2):
     seen = []
     real = sp.w0_scalar
+    outer = decimal.getcontext().prec
 
     def recording(*args):
-        seen.append(mpmath.mp.dps)
+        seen.append(decimal.getcontext().prec - GUARD_DIGITS)
         return real(*args)
 
     monkeypatch.setattr(sp, "w0_scalar", recording)
@@ -479,7 +537,7 @@ def test_extended_formulas_run_at_sixty_digits(monkeypatch, cs2, bp, solved2):
     slavnov_modified(on, free, cs2, bp, precision="extended")
     gaudin_korepin_norm(on, cs2, bp, precision="extended")
     assert seen == [DEFAULT_DPS, DEFAULT_DPS]
-    assert mpmath.mp.dps == 15
+    assert decimal.getcontext().prec == outer
 
 
 def _rho_defect(bp):
