@@ -131,13 +131,9 @@ def _stream(config: "RunConfig", name: str) -> np.random.Generator:
 
 
 def _lookup(table: dict, name: str):
-    if name in table:
-        return table[name]
-    best = None
-    for key in table:
-        if name.startswith(key) and (best is None or len(key) > len(best)):
-            best = key
-    return table[best] if best is not None else None
+    """The value under the longest key that prefixes ``name``, or None."""
+    keys = [key for key in table if name.startswith(key)]
+    return table[max(keys, key=len)] if keys else None
 
 
 @dataclass(frozen=True)
@@ -240,29 +236,33 @@ class RunConfig:
 
 
 def _jsonable(value):
-    if isinstance(value, str):
+    if value is None or isinstance(value, (str, bool)):
         return value
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, complex):
+    if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return float(value)
-    if isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if value is None:
-        return None
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One named check: its worst residual over the draws and its cost.
+
+    ``wall_time`` is the seconds the suite spent since its previous record
+    was folded, summed over the draws.  Shared set-up is charged to the
+    first record folded after it (the spectrum solve to
+    ``spectrum-completeness``, each draw's ``solve_bethe`` to
+    ``slavnov-onshell-bra`` or ``norm-vs-direct``), so no second is counted
+    twice and a suite's records sum to at most its run time.
+    """
+
     name: str
     anchor: str
     residual: float
@@ -321,24 +321,47 @@ class VerificationReport:
 
 
 class _Recorder:
+    """One suite's records, made only by :meth:`fold` and timed only here."""
+
     def __init__(self, config: RunConfig, command: str):
         self.config = config
-        self.report = VerificationReport(command=command, config=config.echo())
+        self._report = VerificationReport(command=command, config=config.echo())
+        # name -> [anchor, worst residual, tolerance, wall time]
+        self._folds: dict[str, list] = {}
+        self._lap = time.perf_counter()
 
-    def add(self, name, anchor, residual, wall_time, tol_key=None):
-        tol = self.config.tolerance(tol_key or name)
+    def fold(self, name, anchor, residual, tol_key=None):
+        """Keep the worst ``residual`` seen under ``name`` and charge the
+        record the suite time since the previous fold."""
+        now = time.perf_counter()
+        lap, self._lap = now - self._lap, now
         residual = float(residual)
-        self.report.checks.append(
-            CheckRecord(name, anchor, residual, tol, residual <= tol, wall_time)
-        )
-
-    def run(self, name, anchor, fn, tol_key=None):
-        start = time.perf_counter()
-        residual = fn()
-        self.add(name, anchor, residual, time.perf_counter() - start, tol_key)
+        entry = self._folds.get(name)
+        if entry is None:
+            tol = self.config.tolerance(tol_key or name)
+            self._folds[name] = [anchor, residual, tol, lap]
+        else:
+            entry[1] = max(entry[1], residual)
+            entry[3] += lap
 
     def detail(self, key, value):
-        self.report.details[key] = _jsonable(value)
+        self._report.details[key] = _jsonable(value)
+
+    @property
+    def report(self) -> VerificationReport:
+        """The report, its records in first-fold order."""
+        self._report.checks = [
+            CheckRecord(name, anchor, worst, tol, worst <= tol, wall)
+            for name, (anchor, worst, tol, wall) in self._folds.items()
+        ]
+        return self._report
+
+
+def _require_direct(config: RunConfig):
+    if config.sites > config.direct_cap:
+        raise ParameterError(
+            f"direct scalar products capped at {config.direct_cap} sites"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -357,28 +380,28 @@ def run_check_algebra(config: RunConfig) -> VerificationReport:
         if abs(np.linalg.det(m)) > 0.2:
             ms.append(m)
 
-    rec.run("ybe", "yang-baxter", lambda: max(map(check_ybe, us, vs)))
-    rec.run("r-unitarity", "r-unitarity", lambda: max(map(check_unitarity, us)))
-    rec.run(
+    rec.fold("ybe", "yang-baxter", max(map(check_ybe, us, vs)))
+    rec.fold("r-unitarity", "r-unitarity", max(map(check_unitarity, us)))
+    rec.fold(
         "reflection",
         "boundary-reflection",
-        lambda: max(check_reflection(u, v, bp) for u, v in zip(us, vs)),
+        max(check_reflection(u, v, bp) for u, v in zip(us, vs)),
     )
-    rec.run(
+    rec.fold(
         "dual-reflection",
         "dual-boundary-reflection",
-        lambda: max(check_dual_reflection(u, v, bp) for u, v in zip(us, vs)),
+        max(check_dual_reflection(u, v, bp) for u, v in zip(us, vs)),
     )
-    rec.run(
+    rec.fold(
         "gl2-invariance",
         "gl2-invariance",
-        lambda: max(check_gl2_invariance(u, m) for u, m in zip(us, ms)),
+        max(check_gl2_invariance(u, m) for u, m in zip(us, ms)),
     )
     if not bp.diagonal_mode:
-        rec.run(
+        rec.fold(
             "kplus-diagonalization",
             "twist-diagonalization",
-            lambda: max(check_kplus_diagonalization(u, bp) for u in us),
+            max(check_kplus_diagonalization(u, bp) for u in us),
         )
     return rec.report
 
@@ -393,36 +416,30 @@ def run_exchange(config: RunConfig) -> VerificationReport:
     bp = config.boundary(rng)
     cs = config.chain(rng)
 
-    start = time.perf_counter()
-    maxima: dict[str, float] = {}
     for _ in range(config.draws):
         u = draw_spectral_point(rng, cs=cs, bp=bp)
         v = draw_spectral_point(rng, (u,), cs=cs, bp=bp)
         for key, res in check_exchange_relations(u, v, cs, bp).items():
-            maxima[key] = max(maxima.get(key, 0.0), res)
-    elapsed = time.perf_counter() - start
-    for key in maxima:
-        family, relation = key.split(":")
-        rec.add(
-            f"exchange-{family}-{relation}",
-            f"fundamental-exchange-{relation}",
-            maxima[key],
-            elapsed,
-            tol_key="exchange",
-        )
+            family, relation = key.split(":")
+            rec.fold(
+                f"exchange-{family}-{relation}",
+                f"fundamental-exchange-{relation}",
+                res,
+                tol_key="exchange",
+            )
 
     points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
     partners = draw_spectral_points(rng, 5, avoid=points, cs=cs, bp=bp)
     if not bp.diagonal_mode:
-        rec.run(
+        rec.fold(
             "transfer-trace-vs-modified",
             "transfer-trace-decomposition",
-            lambda: max(transfer_forms_residual(u, cs, bp) for u in points),
+            max(transfer_forms_residual(u, cs, bp) for u in points),
         )
-    rec.run(
+    rec.fold(
         "transfer-commutation",
         "commuting-transfer-family",
-        lambda: max(
+        max(
             _commutator_residual(
                 transfer_matrix(u, cs, bp),
                 transfer_matrix(v, cs, bp),
@@ -433,10 +450,10 @@ def run_exchange(config: RunConfig) -> VerificationReport:
 
     cs0 = ChainSpec(cs.sites, (0j,) * cs.sites)
     ham = hamiltonian(cs0, bp)
-    rec.run(
+    rec.fold(
         "hamiltonian-commutation",
         "hamiltonian-from-transfer",
-        lambda: max(
+        max(
             _commutator_residual(ham, transfer_matrix(u, cs0, bp))
             for u in points
         ),
@@ -460,59 +477,52 @@ def _spectrum_suite(config: RunConfig, command: str) -> VerificationReport:
     bp = config.boundary(rng)
     cs = config.chain(rng)
 
-    start = time.perf_counter()
     if bp.diagonal_mode:
         solutions = []
         for magnons in range(cs.sites + 1):
-            sector = solve_bethe_diagonal(cs, bp, magnons, rng=rng)
-            solutions.extend(sector)
+            solutions += solve_bethe_diagonal(cs, bp, magnons, rng=rng)
     else:
         solutions = solve_bethe(cs, bp, rng=rng)
-    elapsed = time.perf_counter() - start
 
-    expected = 2**cs.sites
-    rec.add(
+    rec.fold(
         "spectrum-completeness",
         "spectrum-completeness",
-        float(expected - len(solutions)),
-        elapsed,
+        2**cs.sites - len(solutions),
     )
-    rec.add(
+    rec.fold(
         "spectrum-eigenvalue-agreement",
         "eigenvalue-expression-vs-diagonalization",
         max((s.eigenvalue_residual for s in solutions), default=0.0),
-        elapsed,
     )
-    rec.add(
+    rec.fold(
         "bethe-onshell-residual",
         "bethe-system-residual",
         max((max(s.residuals_scaled, default=0.0) for s in solutions), default=0.0),
-        elapsed,
     )
-    duplicates = 0
     nonempty = [s.roots for s in solutions if s.roots]
-    for i in range(len(nonempty)):
-        for j in range(i + 1, len(nonempty)):
-            if len(nonempty[i]) == len(nonempty[j]) and root_sets_match(
-                nonempty[i], nonempty[j]
-            ):
-                duplicates += 1
-    rec.add("root-sets-distinct", "root-set-dedup", float(duplicates), elapsed)
+    rec.fold(
+        "root-sets-distinct",
+        "root-set-dedup",
+        sum(
+            len(a) == len(b) and root_sets_match(a, b)
+            for i, a in enumerate(nonempty)
+            for b in nonempty[i + 1:]
+        ),
+    )
 
     probe = draw_spectral_point(rng, cs=cs, bp=bp)
-    table = []
-    for idx, sol in enumerate(solutions):
-        table.append(
-            {
-                "branch": idx,
-                "magnons": len(sol.roots),
-                "roots": list(sol.roots),
-                "bethe_residual": max(sol.residuals_scaled, default=0.0),
-                "eigenvalue_residual": sol.eigenvalue_residual,
-                "eigenvalue_at_probe": lambda_total(probe, sol.roots, cs, bp),
-                "on_shell": sol.on_shell,
-            }
-        )
+    table = [
+        {
+            "branch": idx,
+            "magnons": len(sol.roots),
+            "roots": list(sol.roots),
+            "bethe_residual": max(sol.residuals_scaled, default=0.0),
+            "eigenvalue_residual": sol.eigenvalue_residual,
+            "eigenvalue_at_probe": lambda_total(probe, sol.roots, cs, bp),
+            "on_shell": sol.on_shell,
+        }
+        for idx, sol in enumerate(solutions)
+    ]
     rec.detail("probe_point", probe)
     rec.detail("branches", table)
     rec.detail("csv", _roots_csv(solutions))
@@ -572,45 +582,34 @@ def run_offshell(config: RunConfig) -> VerificationReport:
         )
     cs = config.chain(rng)
 
-    start = time.perf_counter()
-    maxima: dict[str, float] = {}
-
-    def fold(key, value):
-        maxima[key] = max(maxima.get(key, 0.0), float(value))
-
     for _ in range(config.draws):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
         off = check_offshell_action(u, roots, cs, bp)
-        fold("offshell-action-right", off["right"])
-        fold("offshell-action-left", off["left"])
+        for side in ("right", "left"):
+            rec.fold(f"offshell-action-{side}", "offshell-transfer-action", off[side])
         central = check_central_relation(u, roots, cs, bp)
-        fold("central-relation-right", central["right"])
-        fold("central-relation-left", central["left"])
-        for value in check_multiple_actions(u, roots, cs, bp).values():
-            fold("multiple-actions", value)
-        fold("cb-sweep", check_cb_sweep(u, roots, cs, bp))
-        fold("c-action", check_c_action(u, roots, cs, bp))
+        for side in ("right", "left"):
+            rec.fold(
+                f"central-relation-{side}",
+                "inhomogeneous-central-relation",
+                central[side],
+            )
+        rec.fold(
+            "multiple-actions",
+            "operator-commutation-sweep",
+            max(check_multiple_actions(u, roots, cs, bp).values()),
+        )
+        rec.fold("cb-sweep", "cb-kernel-sweep", check_cb_sweep(u, roots, cs, bp))
+        rec.fold(
+            "c-action",
+            "annihilation-action-expansion",
+            check_c_action(u, roots, cs, bp),
+        )
         expansion = check_expansion(roots, cs, bp)
-        fold("expansion-right", expansion["right"])
-        fold("expansion-left", expansion["left"])
-        fold("w0-routes", expansion["w0_routes"])
-    elapsed = time.perf_counter() - start
-
-    anchors = {
-        "offshell-action-right": "offshell-transfer-action",
-        "offshell-action-left": "offshell-transfer-action",
-        "central-relation-right": "inhomogeneous-central-relation",
-        "central-relation-left": "inhomogeneous-central-relation",
-        "multiple-actions": "operator-commutation-sweep",
-        "cb-sweep": "cb-kernel-sweep",
-        "c-action": "annihilation-action-expansion",
-        "expansion-right": "modified-state-expansion",
-        "expansion-left": "modified-state-expansion",
-        "w0-routes": "w0-coefficient-routes",
-    }
-    for name in anchors:
-        rec.add(name, anchors[name], maxima[name], elapsed)
+        for side in ("right", "left"):
+            rec.fold(f"expansion-{side}", "modified-state-expansion", expansion[side])
+        rec.fold("w0-routes", "w0-coefficient-routes", expansion["w0_routes"])
     return rec.report
 
 
@@ -623,22 +622,14 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
     rng = _stream(config, "slavnov")
     sites = config.sites
     tol_key = "slavnov-n4" if sites >= 4 else "slavnov-onshell"
-    if sites > config.direct_cap:
-        raise ParameterError(
-            f"direct scalar products capped at {config.direct_cap} sites"
-        )
+    _require_direct(config)
 
-    worst = {"bra": 0.0, "ket": 0.0, "cauchy": 0.0}
     redraws = 0
-    start = time.perf_counter()
-    last = None
     for d in range(config.draws):
         bp = config.boundary(rng)
         cs = config.chain(rng)
         solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
-        sol = solutions[d % len(solutions)]
-        on = sol.roots
-        last = (cs, bp)
+        on = solutions[d % len(solutions)].roots
         for _ in range(8):
             free = tuple(
                 draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp)
@@ -657,48 +648,31 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
                 redraws += 1
                 continue
             break
-        worst["bra"] = max(
-            worst["bra"], pair_residual(formula_bra, direct_bra)
+        rec.fold(
+            "slavnov-onshell-bra",
+            "modified-slavnov-determinant",
+            pair_residual(formula_bra, direct_bra),
+            tol_key=tol_key,
         )
-        worst["ket"] = max(
-            worst["ket"], pair_residual(formula_ket, direct_ket)
+        rec.fold(
+            "slavnov-onshell-ket",
+            "modified-slavnov-determinant",
+            pair_residual(formula_ket, direct_ket),
+            tol_key=tol_key,
         )
-        worst["cauchy"] = max(
-            worst["cauchy"],
+        rec.fold(
+            "cauchy-factorization",
+            "cauchy-determinant-factorization",
             pair_residual(
                 det_small(cauchy_matrix(free, on)),
                 cauchy_det_factorized(free, on),
             ),
         )
-    elapsed = time.perf_counter() - start
-    rec.add(
-        "slavnov-onshell-bra",
-        "modified-slavnov-determinant",
-        worst["bra"],
-        elapsed,
-        tol_key=tol_key,
-    )
-    rec.add(
-        "slavnov-onshell-ket",
-        "modified-slavnov-determinant",
-        worst["ket"],
-        elapsed,
-        tol_key=tol_key,
-    )
-    rec.add(
-        "cauchy-factorization",
-        "cauchy-determinant-factorization",
-        worst["cauchy"],
-        elapsed,
-    )
     rec.detail("conditioning_redraws", redraws)
 
     if sites <= 3:
-        cs, bp_generic = last[0], last[1]
-        bp_diag = BoundaryParams(bp_generic.p, bp_generic.q)
-        start = time.perf_counter()
-        worst_diag = 0.0
-        worst_w0 = 0.0
+        # The diagonal limit of the last draw's chain and couplings.
+        bp_diag = BoundaryParams(bp.p, bp.q)
         for magnons in range(sites + 1):
             sols = _require_roots(
                 solve_bethe_diagonal(cs, bp_diag, magnons, rng=rng)
@@ -709,23 +683,21 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
             free = tuple(
                 draw_spectral_points(rng, magnons, avoid=on, cs=cs, bp=bp_diag)
             )
-            formula = slavnov_diagonal(free, on, cs, bp_diag)
-            direct = scalar_product_direct(free, on, cs, bp_diag)
-            worst_diag = max(worst_diag, pair_residual(formula, direct))
-            if magnons == sites:
-                worst_w0 = pair_residual(
-                    diagonal_w0_product(on, cs, bp_diag),
-                    w0_scalar(on, cs, bp_diag),
-                )
-        elapsed = time.perf_counter() - start
-        rec.add(
-            "slavnov-diagonal",
-            "diagonal-slavnov-determinant",
-            worst_diag,
-            elapsed,
-        )
-        rec.add(
-            "w0-diagonal-product", "w0-diagonal-product", worst_w0, elapsed
+            rec.fold(
+                "slavnov-diagonal",
+                "diagonal-slavnov-determinant",
+                pair_residual(
+                    slavnov_diagonal(free, on, cs, bp_diag),
+                    scalar_product_direct(free, on, cs, bp_diag),
+                ),
+            )
+        rec.fold(
+            "w0-diagonal-product",
+            "w0-diagonal-product",
+            pair_residual(
+                diagonal_w0_product(on, cs, bp_diag),
+                w0_scalar(on, cs, bp_diag),
+            ),
         )
     return rec.report
 
@@ -744,50 +716,38 @@ def _require_roots(solutions):
 def run_norm(config: RunConfig) -> VerificationReport:
     rec = _Recorder(config, "norm")
     rng = _stream(config, "norm")
-    if config.sites > config.direct_cap:
-        raise ParameterError(
-            f"direct scalar products capped at {config.direct_cap} sites"
-        )
+    _require_direct(config)
 
-    worst_norm = 0.0
-    worst_routes = 0.0
-    start = time.perf_counter()
-    sample = None
     for d in range(config.draws):
         bp = config.boundary(rng)
         cs = config.chain(rng)
         solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
-        sol = solutions[d % len(solutions)]
-        on = sol.roots
+        on = solutions[d % len(solutions)].roots
         formula = gaudin_korepin_norm(on, cs, bp, precision=config.precision)
-        direct = scalar_product_direct(on, on, cs, bp)
-        worst_norm = max(worst_norm, pair_residual(formula, direct))
+        rec.fold(
+            "norm-vs-direct",
+            "gaudin-korepin-norm",
+            pair_residual(formula, scalar_product_direct(on, on, cs, bp)),
+        )
         explicit = gaudin_matrix(on, cs, bp, diag="explicit")
         derivative = gaudin_matrix(on, cs, bp, diag="derivative")
-        for i in range(len(on)):
-            worst_routes = max(
-                worst_routes,
-                pair_residual(explicit[i][i], derivative[i][i]),
+        rec.fold(
+            "gaudin-diagonal-routes",
+            "gaudin-diagonal-routes",
+            max(
+                (
+                    pair_residual(explicit[i][i], derivative[i][i])
+                    for i in range(len(on))
+                ),
+                default=0.0,
+            ),
+        )
+        if d == 0:
+            rec.fold(
+                "norm-limit-consistency",
+                "slavnov-coincident-limit",
+                pair_residual(norm_from_slavnov_limit(on, cs, bp), formula),
             )
-        if sample is None:
-            sample = (on, cs, bp, formula)
-    elapsed = time.perf_counter() - start
-    rec.add("norm-vs-direct", "gaudin-korepin-norm", worst_norm, elapsed)
-    rec.add(
-        "gaudin-diagonal-routes",
-        "gaudin-diagonal-routes",
-        worst_routes,
-        elapsed,
-    )
-
-    on, cs, bp, formula = sample
-    rec.run(
-        "norm-limit-consistency",
-        "slavnov-coincident-limit",
-        lambda: pair_residual(
-            norm_from_slavnov_limit(on, cs, bp), formula
-        ),
-    )
     return rec.report
 
 
@@ -814,37 +774,25 @@ def run_n1(config: RunConfig) -> VerificationReport:
         k: refine_roots(solutions[k].roots, cs, bp, tol=1e-14)
         for k in sorted(read)
     }
-    worst: dict[str, float] = {}
-    start = time.perf_counter()
     for d in range(config.draws):
         u1 = draw_spectral_point(rng, cs=cs, bp=bp)
         v1 = draw_spectral_point(rng, (u1,), cs=cs, bp=bp)
         root = polished[d % len(solutions)][0]
         out = n1_identities(u1, v1, cs, bp, onshell_root=root)
-        for key, name in (
-            ("four_way", "n1-four-way"),
-            ("plain_product", "n1-plain-product"),
-            ("prescription", "n1-prescription"),
-            ("determinant_direct", "n1-determinant-direct"),
-            ("determinant_general", "n1-determinant-general"),
+        for key, anchor in (
+            ("four_way", "single-root-identities"),
+            ("plain_product", "single-root-identities"),
+            ("prescription", "determinant-prescription"),
+            ("determinant_direct", "determinant-prescription"),
+            ("determinant_general", "determinant-prescription"),
         ):
-            worst[name] = max(worst.get(name, 0.0), float(out[key]))
-    elapsed = time.perf_counter() - start
-    anchors = {
-        "n1-four-way": "single-root-identities",
-        "n1-plain-product": "single-root-identities",
-        "n1-prescription": "determinant-prescription",
-        "n1-determinant-direct": "determinant-prescription",
-        "n1-determinant-general": "determinant-prescription",
-    }
-    for name in anchors:
-        rec.add(name, anchors[name], worst[name], elapsed)
+            rec.fold("n1-" + key.replace("_", "-"), anchor, out[key])
 
     on = polished[0]
-    rec.run(
+    rec.fold(
         "n1-norm-limit",
         "slavnov-coincident-limit",
-        lambda: pair_residual(
+        pair_residual(
             norm_from_slavnov_limit(on, cs, bp),
             gaudin_korepin_norm(on, cs, bp),
         ),

@@ -13,9 +13,16 @@ can redraw instead of silently blowing up.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from .errors import PoleError
+from .precision import DecimalComplex
 
 POLE_TOL = 1e-9
+
+# A decimal part at least this large puts the denominator at least POLE_TOL
+# from the pole in double precision too (rounding to double is monotone).
+_POLE_TOL_PART = Decimal(POLE_TOL)
 
 __all__ = [
     "POLE_TOL",
@@ -44,9 +51,18 @@ __all__ = [
 def _guard(name, point, *denominators):
     # The distance to the pole is only compared with POLE_TOL, so it is taken
     # in double precision: for extended-precision scalars that is two float
-    # conversions instead of an extended-precision square root.
+    # conversions instead of an extended-precision square root, and none at
+    # all when one exact part already clears the tolerance.
     for d in denominators:
-        a = abs(complex(d))
+        if type(d) is complex:
+            a = abs(d)
+        elif type(d) is DecimalComplex and (
+            d.real.copy_abs() >= _POLE_TOL_PART
+            or d.imag.copy_abs() >= _POLE_TOL_PART
+        ):
+            continue
+        else:
+            a = abs(complex(d))
         if a < POLE_TOL:
             raise PoleError(name, point, a)
 

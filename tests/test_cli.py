@@ -170,9 +170,14 @@ def test_solve_bethe_csv_out(tmp_path, capsys):
     assert len(rows) == 2
 
 
-def test_stdout_deterministic_up_to_timing(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["n1", "--seed", "4", "--draws", "2"], ["all", "--sites", "1"]],
+    ids=["n1", "all-sites-1"],
+)
+def test_stdout_deterministic_up_to_timing(capsys, argv):
     def run_once():
-        assert main(["n1", "--seed", "4", "--draws", "2"]) == 0
+        assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         for check in report["checks"]:
             check.pop("wall_time")

@@ -1,11 +1,13 @@
 """Run configuration, report records, and the check registry."""
 
 import json
+import time
 
 import pytest
 
 from segment_bethe.errors import ParameterError
 from segment_bethe.harness import (
+    COMMANDS,
     DEFAULT_TOLERANCES,
     CheckRecord,
     RunConfig,
@@ -154,6 +156,79 @@ def test_check_algebra_report_deterministic():
         "gl2-invariance",
         "kplus-diagonalization",
     ]
+
+
+ALL_RECORD_NAMES = [
+    "ybe",
+    "r-unitarity",
+    "reflection",
+    "dual-reflection",
+    "gl2-invariance",
+    "kplus-diagonalization",
+    "exchange-plain-bb",
+    "exchange-plain-cc",
+    "exchange-plain-ab",
+    "exchange-plain-ca",
+    "exchange-plain-db",
+    "exchange-plain-cd",
+    "exchange-plain-cb",
+    "exchange-modified-bb",
+    "exchange-modified-cc",
+    "exchange-modified-ab",
+    "exchange-modified-ca",
+    "exchange-modified-db",
+    "exchange-modified-cd",
+    "exchange-modified-cb",
+    "transfer-trace-vs-modified",
+    "transfer-commutation",
+    "hamiltonian-commutation",
+    "spectrum-completeness",
+    "spectrum-eigenvalue-agreement",
+    "bethe-onshell-residual",
+    "root-sets-distinct",
+    "offshell-action-right",
+    "offshell-action-left",
+    "central-relation-right",
+    "central-relation-left",
+    "multiple-actions",
+    "cb-sweep",
+    "c-action",
+    "expansion-right",
+    "expansion-left",
+    "w0-routes",
+    "slavnov-onshell-bra",
+    "slavnov-onshell-ket",
+    "cauchy-factorization",
+    "slavnov-diagonal",
+    "w0-diagonal-product",
+    "norm-vs-direct",
+    "gaudin-diagonal-routes",
+    "norm-limit-consistency",
+    "n1-four-way",
+    "n1-plain-product",
+    "n1-prescription",
+    "n1-determinant-direct",
+    "n1-determinant-general",
+    "n1-norm-limit",
+]
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+def test_run_all_record_names_and_order(sites):
+    report = run("all", RunConfig(sites=sites, seed=0, draws=2))
+    assert [c.name for c in report.checks] == ALL_RECORD_NAMES
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_wall_times_sum_to_at_most_the_run(command):
+    # Each record is charged the suite time since the previous one, so no
+    # second is counted twice.
+    start = time.perf_counter()
+    report = run(command, RunConfig(sites=2, seed=1, draws=3))
+    elapsed = time.perf_counter() - start
+    times = [c.wall_time for c in report.checks]
+    assert times and min(times) >= 0
+    assert sum(times) <= elapsed
 
 
 def test_run_all_namespaces_details():

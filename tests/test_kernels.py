@@ -4,6 +4,8 @@ Derivatives are cross-checked against central finite differences; the kernels
 are rational, so a 1e-6 step leaves plenty of headroom at 1e-7 tolerance.
 """
 
+from decimal import Context, Decimal
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from segment_bethe import kernels as kn
 from segment_bethe.errors import PoleError
 from segment_bethe.params import BoundaryParams
+from segment_bethe.precision import DecimalComplex
 
 STEP = 1e-6
 DTOL = 1e-7
@@ -146,6 +149,42 @@ def test_pole_guard_on_mpmath_scalars():
         assert caught.value.distance == pytest.approx(2e-12)
         clear = mpmath.mpc("-0.5", "1e-8")
         assert abs(kn.phi(clear) - 2 * (clear + 1) / (2 * clear + 1)) == 0
+
+
+@pytest.mark.parametrize(
+    "d, raises",
+    [
+        (0j, True),
+        (5e-10 + 0j, True),
+        (-5e-10j, True),
+        (1e-9 + 0j, False),
+        (-1e-9j, False),
+        (8e-10 + 8e-10j, False),
+        (-8e-10 + 8e-10j, False),
+        (2e-9 + 0j, False),
+        (-2e-9j, False),
+    ],
+)
+def test_pole_guard_same_on_both_backends(d, raises):
+    # A decimal denominator whose part clears POLE_TOL exactly skips the
+    # float conversion; every other one takes the double-precision distance,
+    # so both backends raise on exactly the same inputs.
+    exact = DecimalComplex(Decimal(d.real), Decimal(d.imag))
+    for denominator in (d, exact):
+        if raises:
+            with pytest.raises(PoleError) as caught:
+                kn._guard("t", 0, 1 + 0j, denominator)
+            assert caught.value.distance == abs(d)
+        else:
+            kn._guard("t", 0, 1 + 0j, denominator)
+
+
+def test_pole_guard_decimal_just_below_tolerance():
+    # Exactly below Decimal(POLE_TOL) but rounding to POLE_TOL in double:
+    # the guard keeps the double-precision meaning and does not raise.
+    below = Decimal(kn.POLE_TOL).next_minus(Context(prec=80))
+    assert below < Decimal(kn.POLE_TOL) and float(below) == kn.POLE_TOL
+    kn._guard("t", 0, DecimalComplex(below, Decimal(0)))
 
 
 def test_fhq_matches_single_kernels(rng):
