@@ -3,9 +3,10 @@
 The scalar functions in this module (vacuum eigenvalues, dressed and
 inhomogeneous eigenvalue terms, residuals, Jacobians) are written with plain
 arithmetic only, so they run unchanged on ``complex`` and on the
-extended-precision :class:`~segment_bethe.precision.DecimalComplex` inputs.
-Matrix work (the common eigenbasis, the T-Q least squares) stays in numpy
-double precision.
+extended-precision :class:`~segment_bethe.precision.DecimalComplex` inputs
+that callers lift.  The root solver itself runs in double precision only:
+numpy for the common eigenbasis and the T-Q least squares, and one Newton
+polish of each seed on the Bethe system.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .params import (
     draw_spectral_point,
     draw_spectral_points,
 )
-from .precision import lift_problem, lift_roots, workdps
 
 __all__ = [
     "BetheRoots",
@@ -413,13 +413,16 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
 
     ``system(x)`` returns (residuals, scales, jacobian), where ``jacobian()``
     builds the rows at ``x``; it is called only at points Newton steps from,
-    never at the accepted final iterate.  Convergence is on
-    max_i |residual_i| / scale_i; the accepted iterate is returned with that
-    error and the residuals and scales it was judged on.  Wild trial steps
-    may overflow the rational expressions; those evaluations return inf/nan,
-    fail the descent test, and get halved away, so numpy's transient warnings
-    are suppressed.  A pole hit while evaluating a trial point, or while
-    building its Jacobian, halves the step too.
+    never at the returned iterate.  The error is max_i |residual_i| /
+    scale_i.  Newton stops once the error is at most ``tol``, when no halved
+    step lowers it, or after ``max_iter`` steps, and returns its best iterate
+    with that error and the residuals and scales it was judged on; the
+    caller decides whether the error is good enough.  An out-of-range start
+    and a singular Newton system raise ``ConvergenceError``.  Wild trial
+    steps may overflow the rational expressions; those evaluations return
+    inf/nan, fail the descent test, and get halved away, so numpy's
+    transient warnings are suppressed.  A pole hit while evaluating a trial
+    point, or while building its Jacobian, halves the step too.
     """
     x = list(x0)
 
@@ -452,14 +455,15 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
                         return cand, nerr, nres, nscales
                     if nerr < err:
                         jac = njacobian()
-                        x, res, err = cand, nres, nerr
+                        x, res, scales, err = cand, nres, nscales, nerr
                         break
                 except (PoleError, ZeroDivisionError):
                     pass
                 t = t / 2
             else:
-                raise ConvergenceError("Newton step stalled")
-    raise ConvergenceError(f"Newton did not reach tolerance ({err:.3e})")
+                # No halved step lowers the error: Newton has stalled.
+                break
+    return x, err, res, scales
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +535,23 @@ def _package(roots, raw, scales, branch, eig_res) -> BetheRoots:
 
 
 def _refine(roots, cs, bp, tol):
-    """Newton polish: the roots with the residuals and scales Newton accepted."""
-    refined, _, raw, scales = _newton(
+    """Newton polish on the Bethe system: ``(roots, error, residuals, scales)``.
+
+    The residuals and scales are those of Newton's last evaluation, at the
+    returned roots, which may miss ``tol`` where Newton stalled.
+    """
+    refined, err, raw, scales = _newton(
         lambda x: _bethe_system(x, cs, bp)[:3], list(roots), tol
     )
-    return tuple(refined), raw, scales
+    return tuple(refined), err, raw, scales
 
 
 def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
-    """Newton-polish a root set on the Bethe system itself."""
-    return _refine(roots, cs, bp, tol)[0]
+    """Newton-polish a root set on the Bethe system to ``tol``, or raise."""
+    refined, err = _refine(roots, cs, bp, tol)[:2]
+    if err > tol:
+        raise ConvergenceError(f"Newton did not reach tolerance ({err:.3e})")
+    return refined
 
 
 # ---------------------------------------------------------------------------
@@ -652,26 +663,6 @@ def _tq_seeds(eigs, nodes, m, cs, bp):
     return seeds
 
 
-def _polish(seed, cs, bp):
-    """Newton-polish a T-Q seed on the Bethe system: roots, residuals, scales.
-
-    The double polish hands on the residuals and scales of Newton's last
-    evaluation, which is at the returned roots.  Some sets (a root pair with
-    ``u_j + u_k`` near zero) bottom out in double precision just above the
-    1e-12 stop; those are polished in extended precision and rounded back,
-    and their residuals are evaluated at the rounded roots, so the caller's
-    double gates judge what is returned.
-    """
-    try:
-        return _refine(seed, cs, bp, 1e-12)
-    except ConvergenceError:
-        pass
-    with workdps():
-        lifted = refine_roots(lift_roots(seed), *lift_problem(cs, bp), tol=1e-30)
-    roots = tuple(complex(r) for r in lifted)
-    return (roots, *bethe_residuals_scaled(roots, cs, bp))
-
-
 def _verify_branch(roots, targets, points, cs, bp):
     """Worst relative gap between the eigenvalue expression and ``targets``."""
     worst = 0.0
@@ -695,7 +686,7 @@ def _solve_branches(cs, bp, m, rng, sector=None):
     found = []
     for br, seed in enumerate(seeds):
         try:
-            roots, raw, scales = _polish(seed, cs, bp)
+            roots, _, raw, scales = _refine(seed, cs, bp, 1e-12)
         except (ConvergenceError, PoleError, ZeroDivisionError):
             continue
         if not _set_is_generic(roots):
@@ -719,10 +710,12 @@ def solve_bethe(
     Each branch's eigenvalue, sampled at ``sites + 2`` spectral points, fixes
     its Baxter polynomial through the inhomogeneous T-Q relation (one linear
     least-squares solve); the polynomial's zeros are Newton-polished on the
-    Bethe system.  A set is returned only if its scaled residuals are below
-    ``BETHE_TOL`` and the eigenvalue expression matches its branch to 1e-8 at
-    five fresh spectral points.  ``rng`` draws the eigenbasis reference point, the
-    nodes and the check points, so equal seeds give equal output.
+    Bethe system in double precision toward a 1e-12 stop, and where Newton
+    stalls above it its best iterate is judged.  A set is returned only if
+    its scaled residuals are below ``BETHE_TOL`` and the eigenvalue
+    expression matches its branch to 1e-8 at five fresh spectral points.
+    ``rng`` draws the eigenbasis reference point, the nodes and the check
+    points, so equal seeds give equal output.
     """
     if bp.diagonal_mode:
         raise ParameterError("use solve_bethe_diagonal for diagonal couplings")

@@ -185,17 +185,12 @@ class RunConfig:
             if not float(tol) > 0:
                 raise ParameterError(f"tolerance {name!r} must be positive")
 
-    def boundary(self, rng, diagonal: bool = False) -> BoundaryParams:
+    def boundary(self, rng) -> BoundaryParams:
         if self.p is not None:
-            if diagonal:
-                return BoundaryParams(self.p, self.q)
             return BoundaryParams(
                 self.p, self.q, self.xi_plus or 0j, self.xi_minus or 0j
             )
-        bp = draw_boundary_params(rng)
-        if diagonal:
-            return BoundaryParams(bp.p, bp.q)
-        return bp
+        return draw_boundary_params(rng)
 
     def chain(self, rng, sites: int | None = None) -> ChainSpec:
         n = self.sites if sites is None else sites

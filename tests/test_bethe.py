@@ -1,5 +1,6 @@
 """Eigenvalue expressions, Bethe system, Jacobians, and the T-Q root solver."""
 
+import cmath
 import importlib
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from segment_bethe import bethe
 from segment_bethe import kernels as kn
+from segment_bethe import precision
 from segment_bethe.bethe import (
+    _newton,
     bethe_residuals,
     bethe_residuals_scaled,
     det_small,
@@ -192,27 +195,84 @@ def test_refine_roots_recovers_solution(cs2, bp, solved2):
     assert max(abs(r) / s for r, s in zip(raw, scales)) <= 1e-12
 
 
-def test_polish_returns_residuals_at_its_roots(monkeypatch, cs2, bp, solved2):
-    # Both polish paths hand on the residuals and scales of the roots they
-    # return: the double path Newton's last evaluation, the extended fallback
-    # an evaluation at its roots rounded back to double.
-    seeds = [tuple(r + 1e-5 * (1 + 1j) for r in sol.roots) for sol in solved2]
-    for seed in seeds:
-        roots, raw, scales = bethe._polish(seed, cs2, bp)
-        assert (raw, scales) == bethe_residuals_scaled(roots, cs2, bp)
+def _stalling_draw():
+    """An N = 4 problem on which one T-Q seed stalls the polish above 1e-12.
 
+    The couplings, chain and solver generator follow the solve-table seeding
+    (draw 7); the solver still certifies all 16 branches there.
+    """
+    bp = draw_boundary_params(np.random.default_rng(1007))
+    cs = draw_chain_spec(np.random.default_rng(2007), 4)
+    return cs, bp, np.random.default_rng(7)
+
+
+def test_polish_returns_residuals_at_its_roots(monkeypatch, cs2, bp, solved2):
+    # The polish hands on the residuals and scales of Newton's last
+    # evaluation, at the roots it returns, whether Newton met its 1e-12 stop
+    # or stalled above it (one seed of the N = 4 draw).
+    problems = [
+        (tuple(r + 1e-5 * (1 + 1j) for r in sol.roots), cs2, bp)
+        for sol in solved2
+    ]
     real = bethe._refine
 
-    def double_stalls(roots, cs, bp, tol):
-        if isinstance(roots[0], complex):
-            raise ConvergenceError("stalled")
+    def recording(roots, cs, bp, tol):
+        problems.append((roots, cs, bp))
         return real(roots, cs, bp, tol)
 
-    monkeypatch.setattr(bethe, "_refine", double_stalls)
-    for seed in seeds:
-        roots, raw, scales = bethe._polish(seed, cs2, bp)
-        assert all(type(r) is complex for r in roots)
-        assert (raw, scales) == bethe_residuals_scaled(roots, cs2, bp)
+    monkeypatch.setattr(bethe, "_refine", recording)
+    assert len(solve_bethe(*_stalling_draw())) == 16
+    monkeypatch.undo()
+    errors = []
+    for seed, cs, bp_ in problems:
+        roots, err, raw, scales = bethe._refine(seed, cs, bp_, 1e-12)
+        errors.append(err)
+        assert (raw, scales) == bethe_residuals_scaled(roots, cs, bp_)
+        assert err == max(abs(r) / s for r, s in zip(raw, scales))
+    assert max(errors) > 1e-12
+
+
+def test_stalled_polish_makes_no_extended_precision_call(monkeypatch):
+    def refuse(self, real, imag):
+        raise RuntimeError("extended precision on the solve path")
+
+    monkeypatch.setattr(precision.DecimalComplex, "__init__", refuse)
+    assert len(solve_bethe(*_stalling_draw())) == 16
+
+
+def test_newton_returns_its_best_iterate_when_it_cannot_reach_tol():
+    # x^2 - 2 has a rounding floor of about 2e-16 in double, so Newton stalls
+    # above a 1e-30 tolerance; exp(x) has no zero, so Newton runs out of
+    # steps.  Both hand back the lowest-error point they evaluated, with the
+    # residuals and scales of that point, instead of raising.
+    def recorded(residual, derivative):
+        seen = []
+
+        def system(x):
+            res, scales = [residual(x[0])], [1.0]
+            seen.append((x, res, scales))
+            return res, scales, lambda: [[derivative(x[0])]]
+
+        return system, seen
+
+    cases = [
+        (lambda x: x * x - 2, lambda x: 2 * x, 100, 2**0.5),
+        (cmath.exp, cmath.exp, 3, 1.5 - 3),
+    ]
+    for residual, derivative, max_iter, expected in cases:
+        system, seen = recorded(residual, derivative)
+        x, err, res, scales = _newton(system, [1.5], 1e-30, max_iter=max_iter)
+        best = min(seen, key=lambda p: abs(p[1][0]) / p[2][0])
+        assert err > 1e-30
+        assert (x, res, scales) == best
+        assert err == abs(res[0]) / scales[0]
+        assert abs(x[0] - expected) < 1e-12
+
+
+def test_refine_roots_raises_above_tol(cs2, bp, solved2):
+    # 1e-40 is out of reach in double: the polish stalls, refine_roots raises.
+    with pytest.raises(ConvergenceError):
+        refine_roots(solved2[0].roots, cs2, bp, tol=1e-40)
 
 
 def test_certified_sets_cost_one_system_evaluation(monkeypatch):

@@ -172,8 +172,13 @@ def test_solve_bethe_csv_out(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["n1", "--seed", "4", "--draws", "2"], ["all", "--sites", "1"]],
-    ids=["n1", "all-sites-1"],
+    [
+        ["n1", "--seed", "4", "--draws", "2"],
+        ["all", "--sites", "1"],
+        # A draw on which the double-precision polish stalls above its stop.
+        ["spectrum", "--sites", "4", "--seed", "0"],
+    ],
+    ids=["n1", "all-sites-1", "spectrum-sites-4"],
 )
 def test_stdout_deterministic_up_to_timing(capsys, argv):
     def run_once():
