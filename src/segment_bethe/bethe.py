@@ -561,20 +561,26 @@ def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
 class _BranchBasis:
     """Common eigenbasis of the commuting transfer family.
 
-    Built from ``t(u)`` at one reference point; :meth:`eigenvalues` reads the
-    branches' eigenvalues at any list of points off one stacked build.
+    Built from ``t(u)`` at one reference point: ``reference``, a prebuilt
+    ``(point, t(point))`` pair, if given and well-conditioned; otherwise a
+    point drawn from ``rng`` and built on its own, redrawn while the
+    eigenbasis is ill-conditioned.  :meth:`eigenvalues` reads the branches'
+    eigenvalues off a stack of transfer matrices.
     """
 
-    def __init__(self, cs, bp, sector=None, rng=None):
+    def __init__(self, cs, bp, sector=None, rng=None, reference=None):
         self.cs = cs
         self.bp = bp
         self.sector = sector
         rng = rng or np.random.default_rng(0)
         last = None
-        for _ in range(8):
-            ref = draw_spectral_point(rng, cs=cs, bp=bp)
-            t0 = self._restrict(transfer_matrix(ref, cs, bp))
-            vals, vecs = np.linalg.eig(t0)
+        for attempt in range(8):
+            if attempt == 0 and reference is not None:
+                ref, t_ref = reference
+            else:
+                ref = draw_spectral_point(rng, cs=cs, bp=bp)
+                t_ref = transfer_matrix(ref, cs, bp)
+            vals, vecs = np.linalg.eig(self._restrict(t_ref))
             if np.linalg.cond(vecs) > 1e8:
                 last = "ill-conditioned eigenbasis"
                 continue
@@ -591,15 +597,15 @@ class _BranchBasis:
             return t
         return t[(...,) + np.ix_(self.sector, self.sector)]
 
-    def eigenvalues(self, points) -> np.ndarray:
-        """Branch eigenvalues at each point, shape ``(len(points), size)``.
+    def eigenvalues(self, t) -> np.ndarray:
+        """Branch eigenvalues of the stack ``t``, shape ``(len(t), size)``.
 
-        ``t(u)`` is built at all points in one :func:`transfer_matrices` call
-        and projected on the basis in one batched product; every point's
-        projection must be diagonal to 1e-7 of its largest entry.
+        ``t`` holds ``t(u)`` at each point, as :func:`transfer_matrices`
+        builds it; the stack is projected on the basis in one batched
+        product, and every point's projection must be diagonal to 1e-7 of
+        its largest entry.
         """
-        t = self._restrict(transfer_matrices(points, self.cs, self.bp))
-        d = self.vinv @ t @ self.vecs
+        d = self.vinv @ self._restrict(t) @ self.vecs
         mags = np.abs(d)
         scale = np.maximum(mags.max(axis=(1, 2)), 1.0)
         diag = np.arange(self.size)
@@ -616,9 +622,9 @@ class _BranchBasis:
 
 
 def transfer_branch_basis(
-    cs: ChainSpec, bp: BoundaryParams, rng=None, sector=None
+    cs: ChainSpec, bp: BoundaryParams, rng=None, sector=None, reference=None
 ) -> _BranchBasis:
-    return _BranchBasis(cs, bp, sector=sector, rng=rng)
+    return _BranchBasis(cs, bp, sector=sector, rng=rng, reference=reference)
 
 
 def _tq_terms(w, m, cs, bp):
@@ -646,57 +652,115 @@ def _tq_seeds(eigs, nodes, m, cs, bp):
     Baxter polynomial ``P`` of degree ``m`` in ``z = u(u+1)`` solves a linear
     least-squares system per branch; its zeros give the roots through
     ``u = (-1 + sqrt(1+4z))/2`` (either branch of the root is the same set up
-    to the reflection ``u -> -u-1``).
+    to the reflection ``u -> -u-1``).  A branch whose coefficients are not
+    finite has no seed (``None``).
     """
     terms = [_tq_terms(w, m, cs, bp) for w in nodes]
     own = np.array([t[0] for t in terms])
     shifted = np.array([t[1] for t in terms])
     rhs = np.array([t[2] for t in terms])
-    seeds = []
-    for br in range(eigs.shape[1]):
+    # Row ``br``: branch ``br``'s monic coefficients, highest power first.
+    poly = np.ones((eigs.shape[1], m + 1), dtype=complex)
+    for br, coef in enumerate(poly):
         rows = eigs[:, br, None] * own - shifted
         a, b = rows[:, :m], rhs - rows[:, m]
         scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
-        coef = np.linalg.lstsq(a / scale[:, None], b / scale, rcond=None)[0]
-        zs = np.roots(np.concatenate(([1.0], coef[::-1])))
-        seeds.append(tuple(complex(u) for u in (-1 + np.sqrt(1 + 4 * zs)) / 2))
-    return seeds
+        fit = np.linalg.lstsq(a / scale[:, None], b / scale, rcond=None)[0]
+        coef[1:] = fit[::-1]
+    roots = (-1 + np.sqrt(1 + 4 * _polynomial_zeros(poly))) / 2
+    return [
+        tuple(complex(u) for u in us) if np.isfinite(us).all() else None
+        for us in roots
+    ]
 
 
-def _verify_branch(roots, targets, points, cs, bp):
-    """Worst relative gap between the eigenvalue expression and ``targets``."""
+def _polynomial_zeros(poly):
+    """Zeros of each row's polynomial (coefficients highest power first).
+
+    One batched ``eigvals`` on the companion matrices ``np.roots`` builds,
+    so each row's zeros are exactly those of ``np.roots``; a row with a
+    non-finite coefficient gets NaN zeros and costs the others nothing.
+    """
+    count, degree = poly.shape[0], poly.shape[1] - 1
+    finite = np.isfinite(poly).all(axis=1)
+    companion = np.zeros((int(finite.sum()), degree, degree), dtype=complex)
+    companion[:, 0, :] = -poly[finite, 1:] / poly[finite, :1]
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1
+    zs = np.full((count, degree), np.nan, dtype=complex)
+    zs[finite] = np.linalg.eigvals(companion)
+    return zs
+
+
+def _check_factors(points, cs, bp):
+    """Root-free factors of the eigenvalue expression at each check point.
+
+    ``(abar lam1, dbar lam2, rho phit lam1 lam2)`` per point, the last
+    ``None`` for diagonal couplings, each formed in :func:`lambda_total`'s
+    order.
+    """
+    out = []
+    for w in points:
+        lam1, lam2 = vacuum_eigenvalues(w, cs, bp)
+        inhom = None
+        if not bp.diagonal_mode:
+            inhom = bp.rho * kn.tilde_phi(w, bp.p) * lam1 * lam2
+        out.append((kn.alpha_bar(w, bp) * lam1, kn.delta_bar(w, bp) * lam2, inhom))
+    return out
+
+
+def _verify_branch(roots, targets, points, factors):
+    """Worst relative gap between the eigenvalue expression and ``targets``.
+
+    The expression at each point is :func:`lambda_total` with the point's
+    root-free ``factors`` read from :func:`_check_factors`; the operations
+    and their order are the same, so the values are too.
+    """
     worst = 0.0
-    for w, target in zip(points, targets):
-        lam = lambda_total(w, roots, cs, bp)
+    for w, target, (down, up, inhom) in zip(points, targets, factors):
+        lam = down * kn.f_product(w, roots) + up * kn.h_product(w, roots)
+        lam = lam + (0j if inhom is None else inhom / kn.Q_product(w, roots))
         worst = max(worst, abs(lam - target) / (1.0 + abs(target)))
     return worst
 
 
-def _solve_branches(cs, bp, m, rng, sector=None):
-    """Certified root sets with ``m`` roots for every branch of the family."""
-    basis = transfer_branch_basis(cs, bp, rng=rng, sector=sector)
+def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
+    """Certified root sets with ``m`` roots, for every branch of the family
+    or, with ``branch``, for the first one from ``branch`` on that passes."""
+    ref = draw_spectral_point(rng, cs=cs, bp=bp)
     check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
     nodes = draw_spectral_points(rng, m + 2, cs=cs, bp=bp)
-    # One stacked build for the check points and the nodes; the empty sector
-    # has no Baxter polynomial to fit, so its nodes are drawn but not built.
-    eigs = basis.eigenvalues(check_points + nodes if m else check_points)
+    # One stacked build for the reference, the check points and the nodes;
+    # the empty sector has no Baxter polynomial to fit, so its nodes are
+    # drawn but not built.
+    t = transfer_matrices([ref] + check_points + (nodes if m else []), cs, bp)
+    basis = transfer_branch_basis(
+        cs, bp, rng=rng, sector=sector, reference=(ref, t[0])
+    )
+    eigs = basis.eigenvalues(t[1:])
     targets, node_eigs = eigs[:5], eigs[5:]
     seeds = _tq_seeds(node_eigs, nodes, m, cs, bp) if m else [()] * basis.size
+    factors = _check_factors(check_points, cs, bp)
 
+    size = basis.size
+    start = 0 if branch is None else branch % size
     found = []
-    for br, seed in enumerate(seeds):
+    for br in [(start + k) % size for k in range(size)]:
+        if seeds[br] is None:
+            continue
         try:
-            roots, _, raw, scales = _refine(seed, cs, bp, 1e-12)
+            roots, _, raw, scales = _refine(seeds[br], cs, bp, 1e-12)
         except (ConvergenceError, PoleError, ZeroDivisionError):
             continue
         if not _set_is_generic(roots):
             continue
-        worst = _verify_branch(roots, targets[:, br], check_points, cs, bp)
+        worst = _verify_branch(roots, targets[:, br], check_points, factors)
         if worst > 1e-8:
             continue
         sol = _package(roots, raw, scales, br, worst)
         if sol.on_shell:
             found.append(sol)
+            if branch is not None:
+                break
     return found
 
 
@@ -704,6 +768,7 @@ def solve_bethe(
     cs: ChainSpec,
     bp: BoundaryParams,
     rng=None,
+    branch: int | None = None,
 ):
     """Find Bethe root sets for every transfer-matrix branch.
 
@@ -714,13 +779,19 @@ def solve_bethe(
     stalls above it its best iterate is judged.  A set is returned only if
     its scaled residuals are below ``BETHE_TOL`` and the eigenvalue
     expression matches its branch to 1e-8 at five fresh spectral points.
-    ``rng`` draws the eigenbasis reference point, the nodes and the check
-    points, so equal seeds give equal output.
+    ``rng`` draws the eigenbasis reference point, the check points and the
+    nodes, so equal seeds give equal output.
+
+    With ``branch=k`` only one set is sought: the list holds the first
+    branch, in basis order from ``k`` modulo the number of branches, that
+    passes every gate, or is empty if none does.  It draws what a full
+    solve draws, and it is ``solve_bethe(cs, bp, rng)[k]`` whenever the full
+    solve misses no branch.
     """
     if bp.diagonal_mode:
         raise ParameterError("use solve_bethe_diagonal for diagonal couplings")
     rng = rng or np.random.default_rng()
-    return _solve_branches(cs, bp, cs.sites, rng)
+    return _solve_branches(cs, bp, cs.sites, rng, branch=branch)
 
 
 def solve_bethe_diagonal(
@@ -728,12 +799,14 @@ def solve_bethe_diagonal(
     bp: BoundaryParams,
     magnons: int,
     rng=None,
+    branch: int | None = None,
 ):
     """Root sets of the dressed (diagonal) Bethe system in one magnon sector.
 
-    The same T-Q solve and certification as :func:`solve_bethe`, restricted
-    to the transfer matrix on the ``magnons`` sector, with the inhomogeneous
-    term absent; the empty sector returns the vacuum with no roots.
+    The same T-Q solve, certification and ``branch`` choice as
+    :func:`solve_bethe`, restricted to the transfer matrix on the
+    ``magnons`` sector, with the inhomogeneous term absent; the empty sector
+    returns the vacuum with no roots.
     """
     if not bp.diagonal_mode:
         raise ParameterError("diagonal solver needs diagonal couplings")
@@ -743,4 +816,4 @@ def solve_bethe_diagonal(
     sector = [
         idx for idx in range(1 << cs.sites) if bin(idx).count("1") == magnons
     ]
-    return _solve_branches(cs, bp, magnons, rng, sector=sector)
+    return _solve_branches(cs, bp, magnons, rng, sector=sector, branch=branch)

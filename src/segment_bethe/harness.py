@@ -38,7 +38,7 @@ from .double_row import (
     check_exchange_relations,
     hamiltonian,
     transfer_forms_residual,
-    transfer_matrix,
+    transfer_matrices,
 )
 from .errors import ConvergenceError, ParameterError
 from .linalg import pair_residual, relative_residual
@@ -431,15 +431,13 @@ def run_exchange(config: RunConfig) -> VerificationReport:
             "transfer-trace-decomposition",
             max(transfer_forms_residual(u, cs, bp) for u in points),
         )
+    t = transfer_matrices(points + partners, cs, bp)
     rec.fold(
         "transfer-commutation",
         "commuting-transfer-family",
         max(
-            _commutator_residual(
-                transfer_matrix(u, cs, bp),
-                transfer_matrix(v, cs, bp),
-            )
-            for u, v in zip(points, partners)
+            _commutator_residual(t[k], t[len(points) + k])
+            for k in range(len(points))
         ),
     )
 
@@ -449,8 +447,8 @@ def run_exchange(config: RunConfig) -> VerificationReport:
         "hamiltonian-commutation",
         "hamiltonian-from-transfer",
         max(
-            _commutator_residual(ham, transfer_matrix(u, cs0, bp))
-            for u in points
+            _commutator_residual(ham, t0)
+            for t0 in transfer_matrices(points, cs0, bp)
         ),
     )
     return rec.report
@@ -623,8 +621,7 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
     for d in range(config.draws):
         bp = config.boundary(rng)
         cs = config.chain(rng)
-        solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
-        on = solutions[d % len(solutions)].roots
+        on = _require_roots(solve_bethe(cs, bp, rng=rng, branch=d))[0].roots
         for _ in range(8):
             free = tuple(
                 draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp)
@@ -669,10 +666,8 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
         # The diagonal limit of the last draw's chain and couplings.
         bp_diag = BoundaryParams(bp.p, bp.q)
         for magnons in range(sites + 1):
-            sols = _require_roots(
-                solve_bethe_diagonal(cs, bp_diag, magnons, rng=rng)
-            )
-            on = sols[0].roots
+            sols = solve_bethe_diagonal(cs, bp_diag, magnons, rng=rng, branch=0)
+            on = _require_roots(sols)[0].roots
             if magnons == 0:
                 continue
             free = tuple(
@@ -716,8 +711,7 @@ def run_norm(config: RunConfig) -> VerificationReport:
     for d in range(config.draws):
         bp = config.boundary(rng)
         cs = config.chain(rng)
-        solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
-        on = solutions[d % len(solutions)].roots
+        on = _require_roots(solve_bethe(cs, bp, rng=rng, branch=d))[0].roots
         formula = gaudin_korepin_norm(on, cs, bp, precision=config.precision)
         rec.fold(
             "norm-vs-direct",

@@ -35,6 +35,7 @@ from segment_bethe.double_row import double_row, transfer_matrix
 from segment_bethe.errors import ConvergenceError, ParameterError
 from segment_bethe.linalg import vacuum_state
 from segment_bethe.params import (
+    BoundaryParams,
     draw_boundary_params,
     draw_chain_spec,
     draw_spectral_point,
@@ -297,9 +298,8 @@ def test_certified_sets_cost_one_system_evaluation(monkeypatch):
     assert len(calls) <= found + found // 10
 
 
-def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
-    # t(u) is built once at the eigenbasis reference point and once, as one
-    # stack, at the 5 check points and the m + 2 nodes.
+def _count_raw_blocks(monkeypatch):
+    """Sizes of the ``_raw_blocks`` stacks built from here on, caches cold."""
     sizes = []
     real = dr_module._raw_blocks
 
@@ -310,9 +310,151 @@ def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
     monkeypatch.setattr(dr_module, "_raw_blocks", counted)
     for cached in (transfer_matrix, double_row, dr_module.modified_entries):
         cached.cache_clear()
+    return sizes
+
+
+def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
+    # t(u) is built as one stack at the eigenbasis reference point, the 5
+    # check points and the m + 2 nodes; with a well-conditioned reference no
+    # per-point transfer matrix is built.
+    sizes = _count_raw_blocks(monkeypatch)
     sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
     assert len(sols) == 4
-    assert sizes == [1, 5 + cs2.sites + 2]
+    assert sizes == [1 + 5 + cs2.sites + 2]
+    assert transfer_matrix.cache_info().misses == 0
+
+
+def test_ill_conditioned_reference_is_redrawn(monkeypatch, cs2, bp):
+    # The stacked reference is rejected once: a fresh reference is drawn
+    # after the nodes and built on its own, and the solve is still complete.
+    full = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    sizes = _count_raw_blocks(monkeypatch)
+    real = np.linalg.cond
+    conds = []
+
+    def first_ill(a, *args, **kwargs):
+        conds.append(real(a, *args, **kwargs))
+        return 1e9 if len(conds) == 1 else conds[-1]
+
+    monkeypatch.setattr(np.linalg, "cond", first_ill)
+    sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    assert len(conds) == 2
+    assert sizes == [1 + 5 + cs2.sites + 2, 1]
+    assert transfer_matrix.cache_info().misses == 1
+    assert sorted(s.branch for s in sols) == [0, 1, 2, 3]
+    for a in full:
+        assert sum(root_sets_match(a.roots, b.roots, tol=1e-7) for b in sols) == 1
+
+
+def _problems(sites):
+    """Three draws per chain length, generic and diagonal, with a solver rng."""
+    out = []
+    for seed in range(3):
+        rng = np.random.default_rng([sites, seed])
+        bp_ = draw_boundary_params(rng)
+        cs = draw_chain_spec(rng, sites)
+        out.append((cs, bp_, None, rng))
+        diag = BoundaryParams(bp_.p, bp_.q)
+        for magnons in range(1, sites + 1):
+            out.append((cs, diag, magnons, np.random.default_rng([sites, seed, 1])))
+    return out
+
+
+def _solve(cs, bp_, magnons, rng, **kwargs):
+    if magnons is None:
+        return solve_bethe(cs, bp_, rng=rng, **kwargs)
+    return solve_bethe_diagonal(cs, bp_, magnons, rng=rng, **kwargs)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_batched_zeros_match_np_roots(monkeypatch, sites):
+    # One eigvals on the stacked companion matrices gives, branch by branch,
+    # the very zeros np.roots finds on each Baxter polynomial.
+    seen = []
+    real = bethe._polynomial_zeros
+
+    def recording(poly):
+        zs = real(poly)
+        seen.append((poly, zs))
+        return zs
+
+    monkeypatch.setattr(bethe, "_polynomial_zeros", recording)
+    for problem in _problems(sites):
+        _solve(*problem)
+    assert seen
+    for poly, zs in seen:
+        assert zs.shape == (poly.shape[0], poly.shape[1] - 1)
+        for row, got in zip(poly, zs):
+            assert np.array_equal(got, np.roots(row))
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_factored_verify_matches_lambda_total(sites):
+    # The check-point factors computed once per solve, multiplied into the
+    # root products, give lambda_total bit for bit: the gap to it is 0.0.
+    for cs, bp_, magnons, rng in _problems(sites):
+        points = draw_spectral_points(rng, 5, cs=cs, bp=bp_)
+        factors = bethe._check_factors(points, cs, bp_)
+        for sol in _solve(cs, bp_, magnons, rng):
+            for w, f in zip(points, factors):
+                lam = lambda_total(w, sol.roots, cs, bp_)
+                assert bethe._verify_branch(sol.roots, [lam], [w], [f]) == 0.0
+
+
+def test_branch_choice_is_that_branch_of_a_full_solve(cs2, bp):
+    full = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    assert [s.branch for s in full] == [0, 1, 2, 3]
+    for k in range(6):
+        rng = np.random.default_rng(91)
+        assert solve_bethe(cs2, bp, rng=rng, branch=k) == [full[k % 4]]
+
+
+def test_branch_choice_moves_on_when_a_branch_fails(monkeypatch, cs2, bp):
+    full = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    real = bethe._refine
+    calls = []
+
+    def fail_first(roots, cs, bp_, tol):
+        calls.append(roots)
+        if len(calls) == 1:
+            raise ConvergenceError("forced")
+        return real(roots, cs, bp_, tol)
+
+    monkeypatch.setattr(bethe, "_refine", fail_first)
+    sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91), branch=3)
+    assert len(calls) == 2
+    assert sols == [full[0]]
+
+
+def test_branch_choice_draws_what_a_full_solve_draws(cs2, bp, bp_diag):
+    def next_draws(**kwargs):
+        rng, rng_diag = np.random.default_rng(91), np.random.default_rng(91)
+        solve_bethe(cs2, bp, rng=rng, **kwargs)
+        solve_bethe_diagonal(cs2, bp_diag, 1, rng=rng_diag, **kwargs)
+        return rng.random(), rng_diag.random()
+
+    assert next_draws(branch=2) == next_draws()
+
+
+def test_non_finite_tq_coefficients_lose_one_branch(monkeypatch, cs2, bp):
+    # A branch whose least-squares coefficients come out NaN has no seed: it
+    # is missing from the result, and the other branches still return.
+    real = np.linalg.lstsq
+    calls = []
+
+    def nan_once(a, b, *args, **kwargs):
+        out = real(a, b, *args, **kwargs)
+        calls.append(a)
+        if len(calls) == 2:
+            out = (np.full_like(out[0], np.nan),) + out[1:]
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_once)
+    sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    assert [s.branch for s in sols] == [0, 2, 3]
+    calls.clear()
+    picked = solve_bethe(cs2, bp, rng=np.random.default_rng(91), branch=1)
+    assert [s.branch for s in picked] == [2]
 
 
 def test_solve_bethe_completeness_n1(solved1):

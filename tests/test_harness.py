@@ -1,5 +1,6 @@
 """Run configuration, report records, and the check registry."""
 
+import importlib
 import json
 import time
 
@@ -273,3 +274,13 @@ def test_spectrum_complete_n3_seed_1007():
     record = next(c for c in report.checks if c.name == "spectrum-completeness")
     assert record.residual == 0
     assert report.all_passed
+
+
+def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange():
+    # Solves and the exchange suite build t(u) in stacks; the one per-point
+    # build left in `all` at N = 2 is the off-shell suite's.
+    dr = importlib.import_module("segment_bethe.double_row")
+    for cached in (dr.transfer_matrix, dr.double_row, dr.modified_entries):
+        cached.cache_clear()
+    run("all", RunConfig(sites=2, seed=0, draws=1))
+    assert dr.transfer_matrix.cache_info().misses <= 1
