@@ -157,17 +157,18 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
 # Eigenvalue terms and Bethe residuals.
 
 
-def dressed_value(u, roots, cs, bp):
-    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
+def _dressed(u, roots, lam1, lam2, bp):
+    """Dressed terms of the eigenvalue at ``u``, given its vacuum eigenvalues."""
     return kn.alpha_bar(u, bp) * lam1 * kn.f_product(u, roots) + kn.delta_bar(
         u, bp
     ) * lam2 * kn.h_product(u, roots)
 
 
-def inhomogeneous_value(u, roots, cs, bp):
+def _inhomogeneous(u, roots, lam1, lam2, bp):
+    """Inhomogeneous term of the eigenvalue at ``u``, given its vacuum
+    eigenvalues; zero for diagonal couplings."""
     if bp.diagonal_mode:
         return 0j
-    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
     return (
         bp.rho
         * kn.tilde_phi(u, bp.p)
@@ -177,10 +178,23 @@ def inhomogeneous_value(u, roots, cs, bp):
     )
 
 
+def dressed_value(u, roots, cs, bp):
+    return _dressed(u, roots, *vacuum_eigenvalues(u, cs, bp), bp)
+
+
+def inhomogeneous_value(u, roots, cs, bp):
+    if bp.diagonal_mode:
+        return 0j
+    return _inhomogeneous(u, roots, *vacuum_eigenvalues(u, cs, bp), bp)
+
+
 def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
+    """``dressed_value + inhomogeneous_value``, with the vacuum eigenvalues
+    evaluated once for both."""
     roots = tuple(roots)
-    return dressed_value(u, roots, cs, bp) + inhomogeneous_value(
-        u, roots, cs, bp
+    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
+    return _dressed(u, roots, lam1, lam2, bp) + _inhomogeneous(
+        u, roots, lam1, lam2, bp
     )
 
 
@@ -562,34 +576,33 @@ class _BranchBasis:
     """Common eigenbasis of the commuting transfer family.
 
     Built from ``t(u)`` at one reference point: ``reference``, a prebuilt
-    ``(point, t(point))`` pair, if given and well-conditioned; otherwise a
-    point drawn from ``rng`` and built on its own, redrawn while the
-    eigenbasis is ill-conditioned.  :meth:`eigenvalues` reads the branches'
-    eigenvalues off a stack of transfer matrices.
+    ``(point, t(point))`` pair, unless its eigenbasis is ill-conditioned;
+    then a new point is drawn from ``rng`` and built on its own, up to seven
+    times.  :meth:`eigenvalues` reads the branches' eigenvalues off a stack
+    of transfer matrices.
     """
 
-    def __init__(self, cs, bp, sector=None, rng=None, reference=None):
+    def __init__(self, cs, bp, reference, sector=None, rng=None):
         self.cs = cs
         self.bp = bp
         self.sector = sector
         rng = rng or np.random.default_rng(0)
-        last = None
+        ref, t_ref = reference
         for attempt in range(8):
-            if attempt == 0 and reference is not None:
-                ref, t_ref = reference
-            else:
+            if attempt:
                 ref = draw_spectral_point(rng, cs=cs, bp=bp)
                 t_ref = transfer_matrix(ref, cs, bp)
             vals, vecs = np.linalg.eig(self._restrict(t_ref))
             if np.linalg.cond(vecs) > 1e8:
-                last = "ill-conditioned eigenbasis"
                 continue
             order = np.lexsort((np.round(vals.imag, 9), np.round(vals.real, 9)))
             self.vecs = vecs[:, order]
             self.vinv = np.linalg.inv(self.vecs)
             self.ref = ref
             return
-        raise ConvergenceError(f"could not build transfer eigenbasis: {last}")
+        raise ConvergenceError(
+            "could not build transfer eigenbasis: ill-conditioned eigenbasis"
+        )
 
     def _restrict(self, t):
         """``t`` (one matrix or a stack) on the sector, if there is one."""
@@ -622,9 +635,9 @@ class _BranchBasis:
 
 
 def transfer_branch_basis(
-    cs: ChainSpec, bp: BoundaryParams, rng=None, sector=None, reference=None
+    cs: ChainSpec, bp: BoundaryParams, reference, rng=None, sector=None
 ) -> _BranchBasis:
-    return _BranchBasis(cs, bp, sector=sector, rng=rng, reference=reference)
+    return _BranchBasis(cs, bp, reference, sector=sector, rng=rng)
 
 
 def _tq_terms(w, m, cs, bp):
@@ -691,34 +704,11 @@ def _polynomial_zeros(poly):
     return zs
 
 
-def _check_factors(points, cs, bp):
-    """Root-free factors of the eigenvalue expression at each check point.
-
-    ``(abar lam1, dbar lam2, rho phit lam1 lam2)`` per point, the last
-    ``None`` for diagonal couplings, each formed in :func:`lambda_total`'s
-    order.
-    """
-    out = []
-    for w in points:
-        lam1, lam2 = vacuum_eigenvalues(w, cs, bp)
-        inhom = None
-        if not bp.diagonal_mode:
-            inhom = bp.rho * kn.tilde_phi(w, bp.p) * lam1 * lam2
-        out.append((kn.alpha_bar(w, bp) * lam1, kn.delta_bar(w, bp) * lam2, inhom))
-    return out
-
-
-def _verify_branch(roots, targets, points, factors):
-    """Worst relative gap between the eigenvalue expression and ``targets``.
-
-    The expression at each point is :func:`lambda_total` with the point's
-    root-free ``factors`` read from :func:`_check_factors`; the operations
-    and their order are the same, so the values are too.
-    """
+def _verify_branch(roots, targets, points, cs, bp):
+    """Worst relative gap between the eigenvalue expression and ``targets``."""
     worst = 0.0
-    for w, target, (down, up, inhom) in zip(points, targets, factors):
-        lam = down * kn.f_product(w, roots) + up * kn.h_product(w, roots)
-        lam = lam + (0j if inhom is None else inhom / kn.Q_product(w, roots))
+    for w, target in zip(points, targets):
+        lam = lambda_total(w, roots, cs, bp)
         worst = max(worst, abs(lam - target) / (1.0 + abs(target)))
     return worst
 
@@ -733,13 +723,10 @@ def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
     # the empty sector has no Baxter polynomial to fit, so its nodes are
     # drawn but not built.
     t = transfer_matrices([ref] + check_points + (nodes if m else []), cs, bp)
-    basis = transfer_branch_basis(
-        cs, bp, rng=rng, sector=sector, reference=(ref, t[0])
-    )
+    basis = transfer_branch_basis(cs, bp, (ref, t[0]), rng=rng, sector=sector)
     eigs = basis.eigenvalues(t[1:])
     targets, node_eigs = eigs[:5], eigs[5:]
     seeds = _tq_seeds(node_eigs, nodes, m, cs, bp) if m else [()] * basis.size
-    factors = _check_factors(check_points, cs, bp)
 
     size = basis.size
     start = 0 if branch is None else branch % size
@@ -753,7 +740,7 @@ def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
             continue
         if not _set_is_generic(roots):
             continue
-        worst = _verify_branch(roots, targets[:, br], check_points, factors)
+        worst = _verify_branch(roots, targets[:, br], check_points, cs, bp)
         if worst > 1e-8:
             continue
         sol = _package(roots, raw, scales, br, worst)

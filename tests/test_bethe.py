@@ -388,19 +388,6 @@ def test_batched_zeros_match_np_roots(monkeypatch, sites):
             assert np.array_equal(got, np.roots(row))
 
 
-@pytest.mark.parametrize("sites", [1, 2, 3, 4])
-def test_factored_verify_matches_lambda_total(sites):
-    # The check-point factors computed once per solve, multiplied into the
-    # root products, give lambda_total bit for bit: the gap to it is 0.0.
-    for cs, bp_, magnons, rng in _problems(sites):
-        points = draw_spectral_points(rng, 5, cs=cs, bp=bp_)
-        factors = bethe._check_factors(points, cs, bp_)
-        for sol in _solve(cs, bp_, magnons, rng):
-            for w, f in zip(points, factors):
-                lam = lambda_total(w, sol.roots, cs, bp_)
-                assert bethe._verify_branch(sol.roots, [lam], [w], [f]) == 0.0
-
-
 def test_branch_choice_is_that_branch_of_a_full_solve(cs2, bp):
     full = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
     assert [s.branch for s in full] == [0, 1, 2, 3]

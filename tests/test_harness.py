@@ -1,11 +1,11 @@
 """Run configuration, report records, and the check registry."""
 
-import importlib
 import json
 import time
 
 import pytest
 
+from segment_bethe.double_row import double_row, modified_entries, transfer_matrix
 from segment_bethe.errors import ParameterError
 from segment_bethe.harness import (
     COMMANDS,
@@ -279,8 +279,7 @@ def test_spectrum_complete_n3_seed_1007():
 def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange():
     # Solves and the exchange suite build t(u) in stacks; the one per-point
     # build left in `all` at N = 2 is the off-shell suite's.
-    dr = importlib.import_module("segment_bethe.double_row")
-    for cached in (dr.transfer_matrix, dr.double_row, dr.modified_entries):
+    for cached in (transfer_matrix, double_row, modified_entries):
         cached.cache_clear()
     run("all", RunConfig(sites=2, seed=0, draws=1))
-    assert dr.transfer_matrix.cache_info().misses <= 1
+    assert transfer_matrix.cache_info().misses <= 1
