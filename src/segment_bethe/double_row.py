@@ -16,8 +16,10 @@ matrix are 2x2 block contractions of it.
 Every step runs on a stack of points with a leading point axis, each gate
 judged per point.  The per-point builders run it with one point and are
 memoised on ``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries each; cached
-arrays are frozen read-only.  :func:`transfer_matrices` builds ``t(u)`` for a
-whole list of points in chunks of at most ``STACK_BYTES`` and caches nothing.
+arrays are frozen read-only.  :func:`transfer_matrices` builds ``t(u)``, and
+:func:`transfer_forms_residual` compares its two forms, for a whole list of
+points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
+builds its pair as one stack.  None of the three caches anything.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def _raw_blocks(us: list, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     bulk = _times_r_string(identity(dim)[None], *_bulk_string(us, cs))
     # T K^-: K^- is diagonal on the auxiliary space, so it scales the
     # columns of each auxiliary half.
-    k_diag = np.array([k_minus(u, bp) for u in us]).diagonal(axis1=1, axis2=2)
+    k_diag = k_minus(us, bp).diagonal(axis1=1, axis2=2)
     t_k = bulk.reshape(count, dim, 2, half) * k_diag[:, None, :, None]
     return _times_r_string(
         t_k.reshape(count, dim, dim), *_hat_string(us, cs)
@@ -273,8 +275,7 @@ def _transfer_blocks(raw, entries, us: list, bp, modified=None):
     """
     t1 = _trace_form(entries, us, bp)
     # tr_0 (K^+ x 1) raw, contracted block by block.
-    kp = np.array([k_plus(u, bp) for u in us])
-    others = [np.einsum("bjk,bkxjy->bxy", kp, raw)]
+    others = [np.einsum("bjk,bkxjy->bxy", k_plus(us, bp), raw)]
     gates = [("transfer trace decomposition broke", 1e-12)]
     if modified is not None:
         others.append(_modified_form(*modified, us, bp))
@@ -317,15 +318,22 @@ def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     return Entries(*closed)
 
 
-def transfer_forms_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:
-    """Relative disagreement between the two transfer-matrix decompositions."""
-    u = complex(u)
-    us = _points(u)
-    e = double_row(u, cs, bp)
-    m = modified_entries(u, cs, bp)
-    t1 = _trace_form((e.a, e.b, e.c, e.d), us, bp)
-    t2 = _modified_form(m.a, m.d, us, bp)
-    return relative_residual(t1 - t2, t1, t2)
+def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
+    """Relative disagreement between the two transfer-matrix decompositions.
+
+    ``points`` is one spectral point, giving a ``float``, or a list of them,
+    giving one residual per point; the points are built in the stacked
+    chunks of :func:`transfer_matrices` and nothing is cached.
+    """
+    if bp.diagonal_mode:
+        raise ParameterError("modified entries are undefined for diagonal couplings")
+    us = _points(points)
+    out = np.empty(len(us))
+    for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
+        t1 = _trace_form(_entries(raw, chunk), chunk, bp)
+        t2 = _modified_form(closed[:, 0], closed[:, 3], chunk, bp)
+        out[where] = relative_residuals(t1, t2)
+    return float(out[0]) if np.ndim(points) == 0 else out
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -348,6 +356,22 @@ def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     )
 
 
+def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):
+    """Raw and modified blocks of ``us`` in chunks within ``STACK_BYTES``.
+
+    Yields ``(where, chunk, raw, closed)``: the slice of ``us`` the chunk
+    covers, its points, their raw blocks and, for generic couplings, their
+    modified blocks (``None`` for diagonal ones).
+    """
+    dim = _dimension(cs)
+    step = max(1, STACK_BYTES // (dim * dim * np.dtype(complex).itemsize))
+    for lo in range(0, len(us), step):
+        chunk = us[lo : lo + step]
+        raw = _raw_blocks(chunk, cs, bp)
+        closed = None if bp.diagonal_mode else _modified_blocks(raw, chunk, bp)
+        yield slice(lo, lo + len(chunk)), chunk, raw, closed
+
+
 def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """``t(u)`` at every point, one frozen ``(len(points), 2^N, 2^N)`` array.
 
@@ -359,15 +383,9 @@ def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     dim = _dimension(cs)
     us = _points(points)
     out = np.empty((len(us), dim // 2, dim // 2), dtype=complex)
-    step = max(1, STACK_BYTES // (dim * dim * out.itemsize))
-    for lo in range(0, len(us), step):
-        chunk = us[lo : lo + step]
-        raw = _raw_blocks(chunk, cs, bp)
-        modified = None
-        if not bp.diagonal_mode:
-            closed = _modified_blocks(raw, chunk, bp)
-            modified = (closed[:, 0], closed[:, 3])
-        out[lo : lo + step] = _transfer_blocks(
+    for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
+        modified = None if closed is None else (closed[:, 0], closed[:, 3])
+        out[where] = _transfer_blocks(
             raw, _entries(raw, chunk), chunk, bp, modified
         )
     return _freeze(out)
@@ -399,52 +417,56 @@ def hamiltonian(cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     return _freeze(hm)
 
 
-def _relation_residuals(eu: Entries, ev: Entries, u: complex, v: complex) -> dict:
-    """Residuals of the quadratic exchange relations for one entry family."""
-    au, bu, cu, du = eu.a, eu.b, eu.c, eu.d
-    av, bv, cv, dv = ev.a, ev.b, ev.c, ev.d
+def _relation_residuals(eu, ev, u: complex, v: complex) -> dict:
+    """Residuals of the quadratic exchange relations for one entry family.
+
+    ``eu`` and ``ev`` are the entries ``(a, b, c, d)`` at ``u`` and ``v``;
+    all seven residuals come from one stacked call.
+    """
+    au, bu, cu, du = eu
+    av, bv, cv, dv = ev
     f, g, w = kn.f(u, v), kn.g(u, v), kn.w(u, v)
     h, k, n = kn.h(u, v), kn.k(u, v), kn.n(u, v)
     s, x, y, r, q = kn.s(u, v), kn.x(u, v), kn.y(u, v), kn.r(u, v), kn.q(u, v)
-    out = {}
-
-    def put(name, lhs, rhs):
-        out[name] = relative_residual(lhs - rhs, lhs, rhs)
-
-    put("bb", bu @ bv, bv @ bu)
-    put("cc", cu @ cv, cv @ cu)
-    put("ab", au @ bv, f * bv @ au + g * bu @ av + w * bu @ dv)
-    put("ca", cv @ au, f * au @ cv + g * av @ cu + w * dv @ cu)
-    put("db", du @ bv, h * bv @ du + k * bu @ dv + n * bu @ av)
-    put("cd", cv @ du, h * du @ cv + k * dv @ cu + n * av @ cu)
-    put(
-        "cb",
-        cu @ bv,
-        bv @ cu
-        + s * au @ av
-        + x * av @ au
-        + y * du @ av
-        + r * au @ dv
-        + q * av @ du
-        + w * du @ dv,
-    )
-    return out
+    sides = {
+        "bb": (bu @ bv, bv @ bu),
+        "cc": (cu @ cv, cv @ cu),
+        "ab": (au @ bv, f * bv @ au + g * bu @ av + w * bu @ dv),
+        "ca": (cv @ au, f * au @ cv + g * av @ cu + w * dv @ cu),
+        "db": (du @ bv, h * bv @ du + k * bu @ dv + n * bu @ av),
+        "cd": (cv @ du, h * du @ cv + k * dv @ cu + n * av @ cu),
+        "cb": (
+            cu @ bv,
+            bv @ cu
+            + s * au @ av
+            + x * av @ au
+            + y * du @ av
+            + r * au @ dv
+            + q * av @ du
+            + w * du @ dv,
+        ),
+    }
+    lhs, rhs = zip(*sides.values())
+    residuals = relative_residuals(np.stack(lhs), np.stack(rhs))
+    return dict(zip(sides, residuals.tolist()))
 
 
 def check_exchange_relations(u, v, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """Scale-free residuals of every exchange relation at the pair (u, v).
 
     Keys are prefixed ``plain:`` / ``modified:``; the modified family is
-    skipped for diagonal couplings.
+    skipped for diagonal couplings.  Both points are built as one stack and
+    nothing is cached.
     """
-    u, v = complex(u), complex(v)
-    families = [("plain", double_row)]
+    us = [complex(u), complex(v)]
+    raw = _raw_blocks(us, cs, bp)
+    families = [("plain", _entries(raw, us))]
     if not bp.diagonal_mode:
-        families.append(("modified", modified_entries))
+        closed = _modified_blocks(raw, us, bp)
+        families.append(("modified", closed.transpose(1, 0, 2, 3)))
     res = {}
     for family, entries in families:
-        for name, val in _relation_residuals(
-            entries(u, cs, bp), entries(v, cs, bp), u, v
-        ).items():
+        at_u, at_v = zip(*entries)
+        for name, val in _relation_residuals(at_u, at_v, *us).items():
             res[f"{family}:{name}"] = val
     return res

@@ -50,7 +50,7 @@ from .params import (
     draw_spectral_point,
     draw_spectral_points,
 )
-from .precision import validate_precision
+from .precision import lift_roots, validate_precision, working_precision
 from .scalar_products import (
     cauchy_det_factorized,
     cauchy_matrix,
@@ -375,28 +375,24 @@ def run_check_algebra(config: RunConfig) -> VerificationReport:
         if abs(np.linalg.det(m)) > 0.2:
             ms.append(m)
 
-    rec.fold("ybe", "yang-baxter", max(map(check_ybe, us, vs)))
-    rec.fold("r-unitarity", "r-unitarity", max(map(check_unitarity, us)))
+    rec.fold("ybe", "yang-baxter", check_ybe(us, vs).max())
+    rec.fold("r-unitarity", "r-unitarity", check_unitarity(us).max())
     rec.fold(
-        "reflection",
-        "boundary-reflection",
-        max(check_reflection(u, v, bp) for u, v in zip(us, vs)),
+        "reflection", "boundary-reflection", check_reflection(us, vs, bp).max()
     )
     rec.fold(
         "dual-reflection",
         "dual-boundary-reflection",
-        max(check_dual_reflection(u, v, bp) for u, v in zip(us, vs)),
+        check_dual_reflection(us, vs, bp).max(),
     )
     rec.fold(
-        "gl2-invariance",
-        "gl2-invariance",
-        max(check_gl2_invariance(u, m) for u, m in zip(us, ms)),
+        "gl2-invariance", "gl2-invariance", check_gl2_invariance(us, ms).max()
     )
     if not bp.diagonal_mode:
         rec.fold(
             "kplus-diagonalization",
             "twist-diagonalization",
-            max(check_kplus_diagonalization(u, bp) for u in us),
+            check_kplus_diagonalization(us, bp).max(),
         )
     return rec.report
 
@@ -429,7 +425,7 @@ def run_exchange(config: RunConfig) -> VerificationReport:
         rec.fold(
             "transfer-trace-vs-modified",
             "transfer-trace-decomposition",
-            max(transfer_forms_residual(u, cs, bp) for u in points),
+            transfer_forms_residual(points, cs, bp).max(),
         )
     t = transfer_matrices(points + partners, cs, bp)
     rec.fold(
@@ -652,14 +648,14 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
             pair_residual(formula_ket, direct_ket),
             tol_key=tol_key,
         )
-        rec.fold(
-            "cauchy-factorization",
-            "cauchy-determinant-factorization",
-            pair_residual(
-                det_small(cauchy_matrix(free, on)),
-                cauchy_det_factorized(free, on),
-            ),
-        )
+        with working_precision(config.precision):
+            free_w = lift_roots(free, config.precision)
+            on_w = lift_roots(on, config.precision)
+            cauchy = pair_residual(
+                det_small(cauchy_matrix(free_w, on_w)),
+                cauchy_det_factorized(free_w, on_w),
+            )
+        rec.fold("cauchy-factorization", "cauchy-determinant-factorization", cauchy)
     rec.detail("conditioning_redraws", redraws)
 
     if sites <= 3:

@@ -42,15 +42,20 @@ def identity(dim: int) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product with the first factor slowest (standard kron order)."""
+    """Tensor product with the first factor slowest (standard kron order).
+
+    Taken over the last two axes and broadcast over any leading ones, so a
+    stack of matrices gives the stack of their products.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[0] * b.shape[0] > MAX_DIM:
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    if ra * rb > MAX_DIM:
         raise DimensionError(
-            f"tensor product of dims {a.shape[0]} x {b.shape[0]} exceeds "
-            f"MAX_DIM = {MAX_DIM}"
+            f"tensor product of dims {ra} x {rb} exceeds MAX_DIM = {MAX_DIM}"
         )
-    return np.kron(a, b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
 def trace_aux(m) -> np.ndarray:
@@ -127,11 +132,12 @@ def pair_residual(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def relative_residuals(x, y) -> np.ndarray:
+def relative_residuals(x, y):
     """``relative_residual(x[k] - y[k], x[k], y[k])`` for each k of a stack.
 
-    ``x`` and ``y`` are stacks of matrices whose leading shapes broadcast
-    against each other.
+    ``x`` and ``y`` are matrices or stacks of matrices whose leading shapes
+    broadcast against each other.  One pair gives a ``float``, a stack an
+    array of that leading shape.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -143,4 +149,5 @@ def relative_residuals(x, y) -> np.ndarray:
 
     top = norms(x - y)
     bottom = np.maximum(norms(x), norms(y))
-    return np.divide(top, bottom, out=top, where=bottom > 0)
+    out = top / np.where(bottom > 0, bottom, 1.0)
+    return float(out) if out.ndim == 0 else out

@@ -300,7 +300,58 @@ def test_transfer_is_boundary_trace(cs2, bp):
 
 def test_transfer_two_term_form(cs2, bp, rng):
     points = draw_spectral_points(rng, 5, cs=cs2, bp=bp)
-    assert max(transfer_forms_residual(u, cs2, bp) for u in points) <= 1e-11
+    assert transfer_forms_residual(points, cs2, bp).max() <= 1e-11
+
+
+def _transfer_forms_oracle(u, cs, bp):
+    """Both transfer-matrix forms from the memoised per-point entries."""
+    e = double_row(u, cs, bp)
+    m = modified_entries(u, cs, bp)
+    t1 = (
+        kn.alpha(u, bp) * e.a
+        + kn.delta(u, bp) * e.d
+        + kn.beta(u, bp) * e.b
+        + kn.gamma(u, bp) * e.c
+    )
+    t2 = kn.alpha_bar(u, bp) * m.a + kn.delta_bar(u, bp) * m.d
+    return relative_residual(t1 - t2, t1, t2)
+
+
+@pytest.mark.parametrize("sites_fixture", ["cs1", "cs2", "cs3"])
+def test_stacked_transfer_forms_match_point_by_point(
+    sites_fixture, bp, rng, request
+):
+    cs = request.getfixturevalue(sites_fixture)
+    points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
+    got = transfer_forms_residual(points, cs, bp)
+    assert got.shape == (5,)
+    for k, u in enumerate(points):
+        one = transfer_forms_residual(u, cs, bp)
+        assert isinstance(one, float)
+        assert abs(got[k] - one) <= 2e-15
+        assert abs(got[k] - _transfer_forms_oracle(u, cs, bp)) <= 2e-15
+
+
+def test_transfer_forms_chunked_equal_unchunked(monkeypatch, cs2, bp, rng):
+    points = draw_spectral_points(rng, 5, cs=cs2, bp=bp)
+    whole = transfer_forms_residual(points, cs2, bp)
+    # Two points of 2^3-square raw blocks per chunk: chunks of 2, 2 and 1.
+    monkeypatch.setattr(dr, "STACK_BYTES", 2 * 8 * 8 * 16)
+    assert np.array_equal(transfer_forms_residual(points, cs2, bp), whole)
+
+
+def test_transfer_forms_flag_a_wrong_modified_coefficient(
+    monkeypatch, cs2, bp, rng
+):
+    points = draw_spectral_points(rng, 5, cs=cs2, bp=bp)
+    delta_bar = kn.delta_bar
+    monkeypatch.setattr(kn, "delta_bar", lambda u, bp: -delta_bar(u, bp))
+    assert (transfer_forms_residual(points, cs2, bp) > 1e-3).all()
+
+
+def test_transfer_forms_need_generic_couplings(cs2, bp_diag):
+    with pytest.raises(ParameterError):
+        transfer_forms_residual([0.3 + 0.1j], cs2, bp_diag)
 
 
 def test_transfer_family_commutes(cs2, bp, rng):
@@ -404,6 +455,66 @@ def test_exchange_relations(sites_fixture, bp, rng, request):
         }
         worst = max(worst, max(res.values()))
     assert worst <= 1e-11
+
+
+def _exchange_oracle(u, v, entries, cs, bp):
+    """The seven exchange residuals from memoised per-point entries."""
+    au, bu, cu, du = entries(u, cs, bp)[:4]
+    av, bv, cv, dv = entries(v, cs, bp)[:4]
+    f, g, w = kn.f(u, v), kn.g(u, v), kn.w(u, v)
+    h, k, n = kn.h(u, v), kn.k(u, v), kn.n(u, v)
+    s, x, y, r, q = kn.s(u, v), kn.x(u, v), kn.y(u, v), kn.r(u, v), kn.q(u, v)
+    sides = {
+        "bb": (bu @ bv, bv @ bu),
+        "cc": (cu @ cv, cv @ cu),
+        "ab": (au @ bv, f * bv @ au + g * bu @ av + w * bu @ dv),
+        "ca": (cv @ au, f * au @ cv + g * av @ cu + w * dv @ cu),
+        "db": (du @ bv, h * bv @ du + k * bu @ dv + n * bu @ av),
+        "cd": (cv @ du, h * du @ cv + k * dv @ cu + n * av @ cu),
+        "cb": (
+            cu @ bv,
+            bv @ cu
+            + s * au @ av
+            + x * av @ au
+            + y * du @ av
+            + r * au @ dv
+            + q * av @ du
+            + w * du @ dv,
+        ),
+    }
+    return {
+        name: relative_residual(lhs - rhs, lhs, rhs)
+        for name, (lhs, rhs) in sides.items()
+    }
+
+
+@pytest.mark.parametrize("sites_fixture", ["cs1", "cs2", "cs3"])
+def test_stacked_exchange_relations_match_point_by_point(
+    sites_fixture, bp, rng, request
+):
+    cs = request.getfixturevalue(sites_fixture)
+    u = draw_spectral_point(rng, cs=cs, bp=bp)
+    v = draw_spectral_point(rng, (u,), cs=cs, bp=bp)
+    res = check_exchange_relations(u, v, cs, bp)
+    for family, entries in (("plain", double_row), ("modified", modified_entries)):
+        for name, oracle in _exchange_oracle(u, v, entries, cs, bp).items():
+            got = res[f"{family}:{name}"]
+            assert isinstance(got, float)
+            assert abs(got - oracle) <= 2e-15
+
+
+def test_exchange_relations_flag_a_shifted_k_minus(monkeypatch, cs2, bp, rng):
+    # K^-(u + 1) is outside the reflection family diag(xi + u, xi - u), so
+    # the double-row entries no longer close the reflection algebra.
+    k_minus_ok = dr.k_minus
+    monkeypatch.setattr(
+        dr, "k_minus", lambda u, bp: k_minus_ok(np.asarray(u) + 1, bp)
+    )
+    u = draw_spectral_point(rng, cs=cs2, bp=bp)
+    v = draw_spectral_point(rng, (u,), cs=cs2, bp=bp)
+    res = check_exchange_relations(u, v, cs2, bp)
+    assert len(res) == 14
+    assert min(res.values()) > 1e-3
 
 
 def test_exchange_relations_diagonal_skips_modified(cs2, bp_diag, rng):

@@ -276,10 +276,36 @@ def test_spectrum_complete_n3_seed_1007():
     assert report.all_passed
 
 
-def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange():
-    # Solves and the exchange suite build t(u) in stacks; the one per-point
-    # build left in `all` at N = 2 is the off-shell suite's.
-    for cached in (transfer_matrix, double_row, modified_entries):
+def _misses_of(command):
+    builders = (double_row, modified_entries, transfer_matrix)
+    for cached in builders:
         cached.cache_clear()
-    run("all", RunConfig(sites=2, seed=0, draws=1))
-    assert transfer_matrix.cache_info().misses <= 1
+    run(command, RunConfig(sites=2, seed=0, draws=1))
+    return tuple(cached.cache_info().misses for cached in builders)
+
+
+def test_exchange_builds_nothing_per_point():
+    # The exchange relations, the two transfer forms and t(u) are all built
+    # in stacks.
+    assert _misses_of("exchange") == (0, 0, 0)
+
+
+def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange():
+    # Solves and the exchange suite build in stacks; the one per-point t(u)
+    # left in `all` at N = 2 is the off-shell suite's, and the per-point
+    # entries are those the off-shell suite and the states read.
+    rows, modified, transfers = _misses_of("all")
+    assert transfers <= 1
+    assert rows <= 18
+    assert modified <= 12
+
+
+def test_cauchy_factorization_honours_extended_precision():
+    # In double this draw's Cauchy determinant loses seven digits (1.5e-7,
+    # over the 1e-10 gate); in the working precision both sides agree.
+    report = run(
+        "slavnov", RunConfig(sites=5, seed=7, draws=1, precision="extended")
+    )
+    record = next(c for c in report.checks if c.name == "cauchy-factorization")
+    assert record.passed
+    assert record.residual <= 1e-20

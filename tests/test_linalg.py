@@ -119,6 +119,28 @@ def test_relative_residuals_match_one_by_one(rng):
     assert np.allclose(got, expected, rtol=1e-14, atol=0)
 
 
+def test_relative_residuals_single_pair_is_a_float():
+    got = relative_residuals(np.eye(2), 2 * np.eye(2))
+    assert isinstance(got, float)
+    assert got == 0.5
+
+
+def test_relative_residuals_zero_denominator_gives_the_defect():
+    # Both sides zero: no scale to divide by, and the defect is zero too.
+    assert relative_residuals(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    got = relative_residuals(np.zeros((3, 2, 2)), np.zeros((1, 2, 2)))
+    assert got.shape == (3,) and not got.any()
+
+
+def test_kron_broadcasts_over_leading_axes(rng):
+    a = np.stack([random_matrix(rng, 2) for _ in range(3)])
+    b = random_matrix(rng, 4)
+    got = kron(a, b)
+    assert got.shape == (3, 8, 8)
+    for k in range(3):
+        assert np.array_equal(got[k], np.kron(a[k], b))
+
+
 def test_frobenius_nonnegative(rng):
     assert frobenius(random_matrix(rng, 3)) > 0
     assert frobenius(np.zeros((2, 2))) == 0.0
