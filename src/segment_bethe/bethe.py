@@ -18,7 +18,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from . import kernels as kn
-from .double_row import transfer_matrices, transfer_matrix
+from .double_row import transfer_matrices
 from .errors import ConvergenceError, ParameterError, PoleError
 from .params import (
     BoundaryParams,
@@ -157,45 +157,52 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
 # Eigenvalue terms and Bethe residuals.
 
 
-def _dressed(u, roots, lam1, lam2, bp):
-    """Dressed terms of the eigenvalue at ``u``, given its vacuum eigenvalues."""
-    return kn.alpha_bar(u, bp) * lam1 * kn.f_product(u, roots) + kn.delta_bar(
-        u, bp
-    ) * lam2 * kn.h_product(u, roots)
+def _coefficients(u, cs: ChainSpec, bp: BoundaryParams):
+    """``(abar lam1, dbar lam2, rho phit lam1 lam2)`` at ``u``.
+
+    The weights of the eigenvalue's ``f``-, ``h``- and ``1/Q``-terms at
+    ``u`` (and of the T-Q relation's three terms); the last is ``0j`` for
+    diagonal couplings.  Every eigenvalue evaluation reads this table.
+    """
+    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
+    g = 0j
+    if not bp.diagonal_mode:
+        g = bp.rho * kn.tilde_phi(u, bp.p) * lam1 * lam2
+    return kn.alpha_bar(u, bp) * lam1, kn.delta_bar(u, bp) * lam2, g
 
 
-def _inhomogeneous(u, roots, lam1, lam2, bp):
-    """Inhomogeneous term of the eigenvalue at ``u``, given its vacuum
-    eigenvalues; zero for diagonal couplings."""
+def _dressed_part(u, roots, coeffs):
+    """Dressed terms of the eigenvalue at ``u`` from its coefficient table."""
+    return coeffs[0] * kn.f_product(u, roots) + coeffs[1] * kn.h_product(u, roots)
+
+
+def _inhomogeneous_part(u, roots, coeffs, bp):
+    """Inhomogeneous term of the eigenvalue at ``u`` from its coefficient
+    table; zero for diagonal couplings."""
     if bp.diagonal_mode:
         return 0j
-    return (
-        bp.rho
-        * kn.tilde_phi(u, bp.p)
-        * lam1
-        * lam2
-        / kn.Q_product(u, roots)
+    return coeffs[2] / kn.Q_product(u, roots)
+
+
+def _eigenvalue(u, roots, coeffs, bp):
+    return _dressed_part(u, roots, coeffs) + _inhomogeneous_part(
+        u, roots, coeffs, bp
     )
 
 
 def dressed_value(u, roots, cs, bp):
-    return _dressed(u, roots, *vacuum_eigenvalues(u, cs, bp), bp)
+    return _dressed_part(u, roots, _coefficients(u, cs, bp))
 
 
 def inhomogeneous_value(u, roots, cs, bp):
     if bp.diagonal_mode:
         return 0j
-    return _inhomogeneous(u, roots, *vacuum_eigenvalues(u, cs, bp), bp)
+    return _inhomogeneous_part(u, roots, _coefficients(u, cs, bp), bp)
 
 
 def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
-    """``dressed_value + inhomogeneous_value``, with the vacuum eigenvalues
-    evaluated once for both."""
-    roots = tuple(roots)
-    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
-    return _dressed(u, roots, lam1, lam2, bp) + _inhomogeneous(
-        u, roots, lam1, lam2, bp
-    )
+    """``dressed_value + inhomogeneous_value``, from one coefficient table."""
+    return _eigenvalue(u, tuple(roots), _coefficients(u, cs, bp), bp)
 
 
 def _product(values, skip=()):
@@ -215,26 +222,17 @@ def lambda_total_gradient(
 ):
     """d/d roots[i] of the eigenvalue expression at ``v``, for every ``i``.
 
-    The point's vacuum eigenvalues, trace coefficients, pair kernels
-    ``f, h, Q`` with every root and inhomogeneous term are computed once and
-    every entry reads them.
+    The point's coefficient table, pair kernels ``f, h, Q`` with every root
+    and inhomogeneous term are computed once and every entry reads them.
     """
     roots = tuple(roots)
-    lam1, lam2 = vacuum_eigenvalues(v, cs, bp)
+    a_term, d_term, g = _coefficients(v, cs, bp)
     pairs = [kn.fhq(v, u) for u in roots]
     f_vals = [p[0] for p in pairs]
     h_vals = [p[1] for p in pairs]
     generic = not bp.diagonal_mode
-    a_term = kn.alpha_bar(v, bp) * lam1
-    d_term = kn.delta_bar(v, bp) * lam2
     if generic:
-        lam_g = (
-            bp.rho
-            * kn.tilde_phi(v, bp.p)
-            * lam1
-            * lam2
-            / _product([p[2] for p in pairs])
-        )
+        lam_g = g / _product([p[2] for p in pairs])
     out = []
     for i, ui in enumerate(roots):
         entry = 0j
@@ -575,30 +573,22 @@ def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
 class _BranchBasis:
     """Common eigenbasis of the commuting transfer family.
 
-    Built from ``t(u)`` at one reference point: ``reference``, a prebuilt
-    ``(point, t(point))`` pair, unless its eigenbasis is ill-conditioned;
-    then a new point is drawn from ``rng`` and built on its own, up to seven
-    times.  :meth:`eigenvalues` reads the branches' eigenvalues off a stack
-    of transfer matrices.
+    Built from the first entry of the stack ``t`` whose eigenbasis has a
+    condition number of at most 1e8: the solve's drawn reference point or,
+    where that one is ill-conditioned, the next point already in the stack.
+    :meth:`eigenvalues` reads the branches' eigenvalues off a stack of
+    transfer matrices.
     """
 
-    def __init__(self, cs, bp, reference, sector=None, rng=None):
-        self.cs = cs
-        self.bp = bp
+    def __init__(self, t, sector=None):
         self.sector = sector
-        rng = rng or np.random.default_rng(0)
-        ref, t_ref = reference
-        for attempt in range(8):
-            if attempt:
-                ref = draw_spectral_point(rng, cs=cs, bp=bp)
-                t_ref = transfer_matrix(ref, cs, bp)
+        for t_ref in t:
             vals, vecs = np.linalg.eig(self._restrict(t_ref))
-            if np.linalg.cond(vecs) > 1e8:
+            if not np.linalg.cond(vecs) <= 1e8:
                 continue
             order = np.lexsort((np.round(vals.imag, 9), np.round(vals.real, 9)))
             self.vecs = vecs[:, order]
             self.vinv = np.linalg.inv(self.vecs)
-            self.ref = ref
             return
         raise ConvergenceError(
             "could not build transfer eigenbasis: ill-conditioned eigenbasis"
@@ -623,7 +613,7 @@ class _BranchBasis:
         scale = np.maximum(mags.max(axis=(1, 2)), 1.0)
         diag = np.arange(self.size)
         mags[:, diag, diag] = 0.0
-        if (mags.max(axis=(1, 2)) > 1e-7 * scale).any():
+        if not (mags.max(axis=(1, 2)) <= 1e-7 * scale).all():
             raise ConvergenceError(
                 "transfer family failed to diagonalize in the common basis"
             )
@@ -634,10 +624,8 @@ class _BranchBasis:
         return self.vecs.shape[0]
 
 
-def transfer_branch_basis(
-    cs: ChainSpec, bp: BoundaryParams, reference, rng=None, sector=None
-) -> _BranchBasis:
-    return _BranchBasis(cs, bp, reference, sector=sector, rng=rng)
+def transfer_branch_basis(t, sector=None) -> _BranchBasis:
+    return _BranchBasis(t, sector=sector)
 
 
 def _tq_terms(w, m, cs, bp):
@@ -649,13 +637,10 @@ def _tq_terms(w, m, cs, bp):
     powers ``z0^k`` and ``abar lam1 z-^k + dbar lam2 z+^k`` for ``k = 0..m``,
     and the right-hand side (zero for diagonal couplings).
     """
-    lam1, lam2 = vacuum_eigenvalues(w, cs, bp)
+    a, d, rhs = _coefficients(w, cs, bp)
     powers = np.arange(m + 1)
-    own = (w * (w + 1)) ** powers
-    down = kn.alpha_bar(w, bp) * lam1 * ((w - 1) * w) ** powers
-    up = kn.delta_bar(w, bp) * lam2 * ((w + 1) * (w + 2)) ** powers
-    rhs = 0j if bp.diagonal_mode else bp.rho * kn.tilde_phi(w, bp.p) * lam1 * lam2
-    return own, down + up, rhs
+    shifted = a * ((w - 1) * w) ** powers + d * ((w + 1) * (w + 2)) ** powers
+    return (w * (w + 1)) ** powers, shifted, rhs
 
 
 def _tq_seeds(eigs, nodes, m, cs, bp):
@@ -704,11 +689,12 @@ def _polynomial_zeros(poly):
     return zs
 
 
-def _verify_branch(roots, targets, points, cs, bp):
-    """Worst relative gap between the eigenvalue expression and ``targets``."""
+def _verify_branch(roots, targets, points, table, bp):
+    """Worst relative gap between the eigenvalue expression and ``targets``,
+    with ``table`` holding each point's :func:`_coefficients`."""
     worst = 0.0
-    for w, target in zip(points, targets):
-        lam = lambda_total(w, roots, cs, bp)
+    for w, coeffs, target in zip(points, table, targets):
+        lam = _eigenvalue(w, roots, coeffs, bp)
         worst = max(worst, abs(lam - target) / (1.0 + abs(target)))
     return worst
 
@@ -723,10 +709,11 @@ def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
     # the empty sector has no Baxter polynomial to fit, so its nodes are
     # drawn but not built.
     t = transfer_matrices([ref] + check_points + (nodes if m else []), cs, bp)
-    basis = transfer_branch_basis(cs, bp, (ref, t[0]), rng=rng, sector=sector)
+    basis = transfer_branch_basis(t, sector=sector)
     eigs = basis.eigenvalues(t[1:])
     targets, node_eigs = eigs[:5], eigs[5:]
     seeds = _tq_seeds(node_eigs, nodes, m, cs, bp) if m else [()] * basis.size
+    table = [_coefficients(w, cs, bp) for w in check_points]
 
     size = basis.size
     start = 0 if branch is None else branch % size
@@ -740,7 +727,7 @@ def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
             continue
         if not _set_is_generic(roots):
             continue
-        worst = _verify_branch(roots, targets[:, br], check_points, cs, bp)
+        worst = _verify_branch(roots, targets[:, br], check_points, table, bp)
         if worst > 1e-8:
             continue
         sol = _package(roots, raw, scales, br, worst)
@@ -767,7 +754,8 @@ def solve_bethe(
     its scaled residuals are below ``BETHE_TOL`` and the eigenvalue
     expression matches its branch to 1e-8 at five fresh spectral points.
     ``rng`` draws the eigenbasis reference point, the check points and the
-    nodes, so equal seeds give equal output.
+    nodes, so equal seeds give equal output; all of them are built in one
+    :func:`transfer_matrices` stack.
 
     With ``branch=k`` only one set is sought: the list holds the first
     branch, in basis order from ``k`` modulo the number of branches, that

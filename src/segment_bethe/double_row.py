@@ -14,12 +14,14 @@ scaling.  The raw block ``T(u) K^-(u) T_hat(u)`` is built once per
 matrix are 2x2 block contractions of it.
 
 Every step runs on a stack of points with a leading point axis, each gate
-judged per point.  The per-point builders run it with one point and are
-memoised on ``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries each; cached
-arrays are frozen read-only.  :func:`transfer_matrices` builds ``t(u)``, and
+judged per point.  :func:`transfer_matrices` builds ``t(u)``, and
 :func:`transfer_forms_residual` compares its two forms, for a whole list of
 points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
-builds its pair as one stack.  None of the three caches anything.
+builds its pair as one stack.  None of the three caches anything.  The
+per-point builders run the same steps with one point and are memoised on
+``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries each; cached arrays are
+frozen read-only.  :func:`transfer_matrix` is a one-point
+:func:`transfer_matrices` stack.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from .params import BoundaryParams, ChainSpec
 
 __all__ = [
     "Entries",
-    "bulk_monodromy",
-    "hat_monodromy",
     "double_row",
     "modified_entries",
     "transfer_matrix",
@@ -148,26 +148,11 @@ def _hat_string(us: list, cs: ChainSpec) -> tuple:
     return [[u + cs.thetas[i] for u in us] for i in sites], sites
 
 
-def _monodromy(u, cs: ChainSpec, string) -> np.ndarray:
-    dim = _dimension(cs)
-    return _times_r_string(identity(dim)[None], *string(_points(u), cs))[0]
-
-
-def bulk_monodromy(u, cs: ChainSpec) -> np.ndarray:
-    """Ordered product of R-matrices coupling the auxiliary space to each site."""
-    return _monodromy(u, cs, _bulk_string)
-
-
-def hat_monodromy(u, cs: ChainSpec) -> np.ndarray:
-    """Return-trip monodromy: same couplings in reverse order, shifted signs."""
-    return _monodromy(u, cs, _hat_string)
-
-
 # ---------------------------------------------------------------------------
 # Stacked construction steps.  Each takes a list ``us`` of B points and works
-# on ``(B, ...)`` stacks; every gate is judged point by point and names the
-# point it trips at.  The per-point builders below run the same steps with
-# B = 1.
+# on ``(B, ...)`` stacks; every gate is judged point by point, fails on NaN,
+# and names the point it trips at.  The per-point builders below run the same
+# steps with B = 1.
 
 
 def _raw_blocks(us: list, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
@@ -238,8 +223,9 @@ def _modified_blocks(raw: np.ndarray, us: list, bp: BoundaryParams):
         route[:, 3] -= route[:, 0] / shifts
 
     res = relative_residuals(closed, conjugated)
-    if (res > 1e-12).any():
-        k, name = np.argwhere(res > 1e-12)[0]
+    bad = ~(res <= 1e-12)
+    if bad.any():
+        k, name = np.argwhere(bad)[0]
         raise ConstructionError(
             f"modified entry {'abcd'[name]!r} at u = {us[k]}: construction "
             f"routes disagree ({res[k, name]:.3e})"
@@ -265,23 +251,22 @@ def _modified_form(a_bar, d_bar, us: list, bp) -> np.ndarray:
     return alpha_bar * a_bar + delta_bar * d_bar
 
 
-def _transfer_blocks(raw, entries, us: list, bp, modified=None):
+def _transfer_blocks(raw, us: list, bp, closed=None):
     """Trace form of ``t(u)`` for each point, shape ``(B, 2^N, 2^N)``.
 
-    ``entries`` are the shifted entries of ``raw``.  Every point is
-    cross-checked against the literal ``K^+`` trace of its raw block
-    (1e-12) and, when the modified entries ``(a_bar, d_bar)`` are given,
+    Every point is cross-checked against the literal ``K^+`` trace of its
+    raw block (1e-12) and, when the modified blocks ``closed`` are given,
     against the two-term modified form (1e-11).
     """
-    t1 = _trace_form(entries, us, bp)
+    t1 = _trace_form(_entries(raw, us), us, bp)
     # tr_0 (K^+ x 1) raw, contracted block by block.
     others = [np.einsum("bjk,bkxjy->bxy", k_plus(us, bp), raw)]
     gates = [("transfer trace decomposition broke", 1e-12)]
-    if modified is not None:
-        others.append(_modified_form(*modified, us, bp))
+    if closed is not None:
+        others.append(_modified_form(closed[:, 0], closed[:, 3], us, bp))
         gates.append(("transfer matrix: modified form disagrees", 1e-11))
     res = relative_residuals(t1[:, None], np.stack(others, axis=1))
-    bad = res > [tol for _, tol in gates]
+    bad = ~(res <= [tol for _, tol in gates])
     if bad.any():
         k, gate = np.argwhere(bad)[0]
         raise ConstructionError(
@@ -291,7 +276,8 @@ def _transfer_blocks(raw, entries, us: list, bp, modified=None):
 
 
 # ---------------------------------------------------------------------------
-# Per-point builders (memoised) and the stacked transfer-matrix builder.
+# Per-point builders (memoised) and the stacked transfer-matrix builder, the
+# one path every t(u) is built on.
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -338,22 +324,8 @@ def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
-    """Double-row transfer matrix t(u).
-
-    Always cross-checked against the literal auxiliary-space trace; for
-    generic couplings the modified (two-term) decomposition is verified as
-    well.
-    """
-    u = complex(u)
-    e = double_row(u, cs, bp)
-    modified = None
-    if not bp.diagonal_mode:
-        m = modified_entries(u, cs, bp)
-        modified = (m.a[None], m.d[None])
-    entries = tuple(x[None] for x in (e.a, e.b, e.c, e.d))
-    return _freeze(
-        _transfer_blocks(e.raw[None], entries, _points(u), bp, modified)[0]
-    )
+    """Double-row transfer matrix t(u): :func:`transfer_matrices` at one point."""
+    return transfer_matrices([u], cs, bp)[0]
 
 
 def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):
@@ -375,19 +347,17 @@ def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):
 def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """``t(u)`` at every point, one frozen ``(len(points), 2^N, 2^N)`` array.
 
-    Entry ``k`` equals ``transfer_matrix(points[k], cs, bp)`` and passes the
-    same gates, judged per point; an error names the point it trips at.  The
-    points are built in stacked chunks whose raw block stays within
-    ``STACK_BYTES``.  Nothing is cached.
+    Every point is cross-checked against the literal ``K^+`` trace and, for
+    generic couplings, against the modified two-term form (see
+    :func:`_transfer_blocks`), judged per point; an error names the point it
+    trips at.  The points are built in stacked chunks whose raw block stays
+    within ``STACK_BYTES``.  Nothing is cached.
     """
     dim = _dimension(cs)
     us = _points(points)
     out = np.empty((len(us), dim // 2, dim // 2), dtype=complex)
     for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
-        modified = None if closed is None else (closed[:, 0], closed[:, 3])
-        out[where] = _transfer_blocks(
-            raw, _entries(raw, chunk), chunk, bp, modified
-        )
+        out[where] = _transfer_blocks(raw, chunk, bp, closed)
     return _freeze(out)
 
 

@@ -8,6 +8,7 @@ its own or as part of ``all``.  One check = one record; the report payload
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -142,8 +143,11 @@ class RunConfig:
 
     Boundary couplings are either fully drawn from the seed (the default) or
     pinned by giving ``p`` and ``q`` together, with ``xi_plus``/``xi_minus``
-    optional (both absent means diagonal couplings).  ``thetas`` is the string
-    ``"random"`` or an explicit generic tuple of length ``sites``.
+    optional (both absent means diagonal couplings).  Pinned couplings are
+    built into one ``BoundaryParams`` here, so a degenerate set is refused
+    with the config.  ``thetas`` is the string ``"random"`` or an explicit
+    generic tuple of length ``sites``.  Pinned couplings and thetas must be
+    finite.
     """
 
     sites: int = 2
@@ -172,8 +176,20 @@ class RunConfig:
             self.xi_plus is not None or self.xi_minus is not None
         ):
             raise ParameterError("xi couplings need p and q as well")
+        for name in ("p", "q", "xi_plus", "xi_minus"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ParameterError(f"{name} must be finite")
+        pinned = None
+        if self.p is not None:
+            pinned = BoundaryParams(
+                self.p, self.q, self.xi_plus or 0j, self.xi_minus or 0j
+            )
+        object.__setattr__(self, "_pinned", pinned)
         if self.thetas != "random":
             thetas = tuple(complex(t) for t in self.thetas)
+            if not all(map(cmath.isfinite, thetas)):
+                raise ParameterError("thetas must be finite")
             if len(thetas) != self.sites:
                 raise ParameterError("thetas must match the site count")
             if not ChainSpec(self.sites, thetas).is_generic():
@@ -186,10 +202,8 @@ class RunConfig:
                 raise ParameterError(f"tolerance {name!r} must be positive")
 
     def boundary(self, rng) -> BoundaryParams:
-        if self.p is not None:
-            return BoundaryParams(
-                self.p, self.q, self.xi_plus or 0j, self.xi_minus or 0j
-            )
+        if self._pinned is not None:
+            return self._pinned
         return draw_boundary_params(rng)
 
     def chain(self, rng, sites: int | None = None) -> ChainSpec:
@@ -437,7 +451,7 @@ def run_exchange(config: RunConfig) -> VerificationReport:
         ),
     )
 
-    cs0 = ChainSpec(cs.sites, (0j,) * cs.sites)
+    cs0 = ChainSpec.homogeneous(cs.sites)
     ham = hamiltonian(cs0, bp)
     rec.fold(
         "hamiltonian-commutation",

@@ -121,15 +121,11 @@ def _annulus(rng: np.random.Generator, rmin: float, rmax: float) -> complex:
     return complex(r * np.cos(phase), r * np.sin(phase))
 
 
-def draw_boundary_params(
-    rng: np.random.Generator, diagonal: bool = False
-) -> BoundaryParams:
+def draw_boundary_params(rng: np.random.Generator) -> BoundaryParams:
     """Draw boundary couplings away from every degenerate combination."""
     while True:
         p = complex(rng.uniform(1.0, 3.0), rng.uniform(-0.5, 0.5))
         q = complex(rng.uniform(1.0, 3.0), rng.uniform(-0.5, 0.5))
-        if diagonal:
-            return BoundaryParams(p, q)
         xi_plus = _annulus(rng, 0.2, 1.5)
         xi_minus = _annulus(rng, 0.2, 1.5)
         try:

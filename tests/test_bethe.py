@@ -315,8 +315,8 @@ def _count_raw_blocks(monkeypatch):
 
 def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
     # t(u) is built as one stack at the eigenbasis reference point, the 5
-    # check points and the m + 2 nodes; with a well-conditioned reference no
-    # per-point transfer matrix is built.
+    # check points and the m + 2 nodes; no per-point transfer matrix is
+    # built.
     sizes = _count_raw_blocks(monkeypatch)
     sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
     assert len(sols) == 4
@@ -324,10 +324,13 @@ def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
     assert transfer_matrix.cache_info().misses == 0
 
 
-def test_ill_conditioned_reference_is_redrawn(monkeypatch, cs2, bp):
-    # The stacked reference is rejected once: a fresh reference is drawn
-    # after the nodes and built on its own, and the solve is still complete.
-    full = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+def test_ill_conditioned_reference_falls_back_to_stack(monkeypatch, cs2, bp):
+    # The drawn reference is rejected once: the basis is built at the first
+    # check point, already in the one stack, so nothing more is drawn or
+    # built per point, and the solve is still complete.
+    rng = np.random.default_rng(91)
+    full = solve_bethe(cs2, bp, rng=rng)
+    after_full = rng.random()
     sizes = _count_raw_blocks(monkeypatch)
     real = np.linalg.cond
     conds = []
@@ -337,13 +340,21 @@ def test_ill_conditioned_reference_is_redrawn(monkeypatch, cs2, bp):
         return 1e9 if len(conds) == 1 else conds[-1]
 
     monkeypatch.setattr(np.linalg, "cond", first_ill)
-    sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    rng = np.random.default_rng(91)
+    sols = solve_bethe(cs2, bp, rng=rng)
     assert len(conds) == 2
-    assert sizes == [1 + 5 + cs2.sites + 2, 1]
-    assert transfer_matrix.cache_info().misses == 1
+    assert sizes == [1 + 5 + cs2.sites + 2]
+    assert transfer_matrix.cache_info().misses == 0
+    assert rng.random() == after_full
     assert sorted(s.branch for s in sols) == [0, 1, 2, 3]
     for a in full:
         assert sum(root_sets_match(a.roots, b.roots, tol=1e-7) for b in sols) == 1
+
+
+def test_no_well_conditioned_entry_raises(monkeypatch, cs2, bp):
+    monkeypatch.setattr(np.linalg, "cond", lambda a, *args, **kwargs: np.nan)
+    with pytest.raises(ConvergenceError, match="ill-conditioned"):
+        solve_bethe(cs2, bp, rng=np.random.default_rng(91))
 
 
 def _problems(sites):

@@ -3,6 +3,7 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from segment_bethe import harness, linalg
@@ -144,6 +145,41 @@ def test_exit_three_on_aborted_run(tmp_path, capsys):
     code = main(["offshell", "--sites", "1", "--config", path])
     assert code == 3
     assert "run failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"p": 1e308, "q": 2, "xi_plus": 0.5, "xi_minus": 0.7},
+        {"p": 1.5, "q": 2, "xi_plus": 1e200, "xi_minus": 1e200},
+        {"p": 1.5, "q": 2, "xi_plus": 0.5, "xi_minus": 0.7, "thetas": [1e200]},
+    ],
+)
+def test_exit_three_when_couplings_overflow(tmp_path, capsys, payload):
+    # Finite couplings whose operators overflow to NaN trip a construction
+    # gate: an aborted run, not a failed check and not a traceback.
+    path = _write_config(tmp_path, payload)
+    with np.errstate(all="ignore"):
+        code = main(["all", "--sites", "1", "--draws", "1", "--config", path])
+    assert code == 3
+    assert "construction routes disagree (nan)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"p": 1.5, "q": 2, "xi_plus": 1, "xi_minus": -1}, "rho too close to 1"),
+        ({"p": 1.5, "q": 2, "xi_plus": 1}, "both vanish or both be nonzero"),
+        ({"p": [1.5, float("nan")], "q": 2}, "p must be finite"),
+        ({"p": 1.5, "q": 2, "xi_plus": 0.5, "xi_minus": 1e400}, "xi_minus"),
+        ({"p": 1.5, "q": 2, "thetas": [float("nan")]}, "thetas must be finite"),
+    ],
+)
+def test_exit_two_on_bad_pinned_couplings(tmp_path, capsys, payload, message):
+    path = _write_config(tmp_path, payload)
+    assert main(["all", "--sites", "1", "--draws", "1", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_out_writes_report_file(tmp_path, capsys):

@@ -20,12 +20,10 @@ from segment_bethe.boundary import (
     r_matrix,
 )
 from segment_bethe.double_row import (
-    bulk_monodromy,
     check_exchange_relations,
     crossing_residual,
     double_row,
     hamiltonian,
-    hat_monodromy,
     modified_entries,
     transfer_forms_residual,
     transfer_matrices,
@@ -55,41 +53,6 @@ from segment_bethe.params import (
 
 # The module, not the function of the same name the package re-exports.
 dr = importlib.import_module("segment_bethe.double_row")
-
-
-def test_bulk_monodromy_single_site(cs1):
-    u = 0.8 + 0.3j
-    theta = cs1.thetas[0]
-    assert np.allclose(bulk_monodromy(u, cs1), r_matrix(u - theta))
-    assert np.allclose(hat_monodromy(u, cs1), r_matrix(u + theta))
-
-
-def test_bulk_monodromy_two_sites(cs2):
-    # Einsum reconstruction on axes (aux, site1, site2): R reshaped as
-    # (row_first, row_second, col_first, col_second) with aux first.
-    u = -0.4 + 0.7j
-    t1, t2 = cs2.thetas
-    r_a1 = np.einsum(
-        "abij,ck->abcijk", r_matrix(u - t1).reshape(2, 2, 2, 2), np.eye(2)
-    ).reshape(8, 8)
-    r_a2 = np.einsum(
-        "acik,bj->abcijk", r_matrix(u - t2).reshape(2, 2, 2, 2), np.eye(2)
-    ).reshape(8, 8)
-    assert np.allclose(bulk_monodromy(u, cs2), r_a1 @ r_a2)
-
-
-def test_double_row_blocks_single_site(cs1, bp):
-    u = 0.55 - 0.25j
-    full = (
-        bulk_monodromy(u, cs1)
-        @ kron(k_minus(u, bp), identity(2))
-        @ hat_monodromy(u, cs1)
-    )
-    e = double_row(u, cs1, bp)
-    assert np.allclose(e.a, full[:2, :2])
-    assert np.allclose(e.b, full[:2, 2:])
-    assert np.allclose(e.c, full[2:, :2])
-    assert np.allclose(e.d, full[2:, 2:] - full[:2, :2] / (2 * u + 1))
 
 
 def _dense_double_row(u, cs, bp):
@@ -156,8 +119,6 @@ def test_dimension_guard_allocates_nothing(bp):
     try:
         with pytest.raises(DimensionError):
             double_row(0.3 + 0.2j, cs, bp)
-        with pytest.raises(DimensionError):
-            bulk_monodromy(0.3 + 0.2j, cs)
         with pytest.raises(DimensionError):
             transfer_matrices([0.3 + 0.2j, -0.1 + 0.4j], cs, bp)
         _, peak = tracemalloc.get_traced_memory()
@@ -264,6 +225,31 @@ def test_stack_chunks_stay_within_budget(monkeypatch, sites, sizes, bp):
     points = draw_spectral_points(rng, sum(sizes), cs=cs, bp=bp)
     transfer_matrices(points, cs, bp)
     assert seen == sizes
+
+
+def test_transfer_matrix_is_a_one_point_stack(cs2, bp, bp_diag, rng):
+    # The per-point transfer matrix is the stacked build at one point, frozen
+    # and memoised.
+    for couplings in (bp, bp_diag):
+        u = draw_spectral_point(rng, cs=cs2, bp=couplings)
+        transfer_matrix.cache_clear()
+        t = transfer_matrix(u, cs2, couplings)
+        assert np.array_equal(t, transfer_matrices([u], cs2, couplings)[0])
+        with pytest.raises(ValueError):
+            t[0, 0] = 0
+        assert transfer_matrix(u, cs2, couplings) is t
+        info = transfer_matrix.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+def test_gates_reject_nan(cs2):
+    # p = 1e308 overflows the raw blocks to inf and the route comparison to
+    # NaN; a gate that compares with ``>`` would let that through.
+    bp = BoundaryParams(1e308, 2, 0.5, 0.7)
+    with np.errstate(all="ignore"), pytest.raises(
+        ConstructionError, match=r"routes disagree \(nan\)"
+    ):
+        transfer_matrices([0.3 + 0.2j, -0.1 + 0.4j], cs2, bp)
 
 
 def test_double_row_pole_guard(cs1, bp):

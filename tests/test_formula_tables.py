@@ -273,7 +273,9 @@ def oracle_w_value(part_out, part_keep, cs, bp):
 
 def _problem(size, seed, diagonal=False):
     rng = np.random.default_rng(7000 + 10 * size + seed)
-    bp = draw_boundary_params(rng, diagonal=diagonal)
+    bp = draw_boundary_params(rng)
+    if diagonal:
+        bp = BoundaryParams(bp.p, bp.q)
     cs = draw_chain_spec(rng, size)
     roots = tuple(draw_spectral_points(rng, size, cs=cs, bp=bp))
     free = tuple(draw_spectral_points(rng, size, avoid=roots, cs=cs, bp=bp))
@@ -398,6 +400,92 @@ def test_unwanted_terms_match_per_entry_at_sixty_digits(size, diagonal):
                 ref_g = inhomogeneous_unwanted(i, roots, cs, bp)
                 assert abs(dressed[i] - ref_d) <= EXTENDED_TOL * scale
                 assert abs(inhomogeneous[i] - ref_g) <= EXTENDED_TOL * scale
+
+
+def oracle_dressed_value(u, roots, cs, bp):
+    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
+    return kn.alpha_bar(u, bp) * lam1 * kn.f_product(u, roots) + kn.delta_bar(
+        u, bp
+    ) * lam2 * kn.h_product(u, roots)
+
+
+def oracle_inhomogeneous_value(u, roots, cs, bp):
+    if bp.diagonal_mode:
+        return 0j
+    lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
+    return bp.rho * kn.tilde_phi(u, bp.p) * lam1 * lam2 / kn.Q_product(u, roots)
+
+
+def oracle_lambda_gradient(v, roots, cs, bp):
+    """Every entry from its own kernel calls, in the table's operation order."""
+    lam1, lam2 = vacuum_eigenvalues(v, cs, bp)
+    out = []
+    for i, ui in enumerate(roots):
+        rest = _others(roots, i)
+        entry = 0j
+        entry = entry + kn.alpha_bar(v, bp) * lam1 * kn.d_f_dv(v, ui) * kn.f_product(
+            v, rest
+        )
+        entry = entry + kn.delta_bar(v, bp) * lam2 * kn.d_h_dv(v, ui) * kn.h_product(
+            v, rest
+        )
+        if not bp.diagonal_mode:
+            lam_g = bp.rho * kn.tilde_phi(v, bp.p) * lam1 * lam2 / kn.Q_product(v, roots)
+            entry = entry + lam_g * (2 * ui + 1) / kn.Q(v, ui)
+        out.append(entry)
+    return out
+
+
+def oracle_tq_terms(w, m, cs, bp):
+    lam1, lam2 = vacuum_eigenvalues(w, cs, bp)
+    powers = np.arange(m + 1)
+    own = (w * (w + 1)) ** powers
+    down = kn.alpha_bar(w, bp) * lam1 * ((w - 1) * w) ** powers
+    up = kn.delta_bar(w, bp) * lam2 * ((w + 1) * (w + 2)) ** powers
+    rhs = 0j if bp.diagonal_mode else bp.rho * kn.tilde_phi(w, bp.p) * lam1 * lam2
+    return own, down + up, rhs
+
+
+def _eigenvalue_routes(v, roots, cs, bp):
+    """(table route, kernel-by-kernel oracle) pairs of every eigenvalue
+    function at ``v``."""
+    dressed = oracle_dressed_value(v, roots, cs, bp)
+    inhomogeneous = oracle_inhomogeneous_value(v, roots, cs, bp)
+    pairs = [
+        (bethe.dressed_value(v, roots, cs, bp), dressed),
+        (bethe.inhomogeneous_value(v, roots, cs, bp), inhomogeneous),
+        (bethe.lambda_total(v, roots, cs, bp), dressed + inhomogeneous),
+    ]
+    pairs += zip(
+        bethe.lambda_total_gradient(v, roots, cs, bp),
+        oracle_lambda_gradient(v, roots, cs, bp),
+    )
+    return pairs
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_coefficient_table_matches_kernels(size, diagonal):
+    # Every eigenvalue evaluation reads one coefficient table per point and
+    # takes the kernels' operations in their order, so in double precision
+    # each value is equal, and at 60 digits it agrees.
+    for seed in range(3):
+        cs, bp, roots, free = _problem(size, seed, diagonal)
+        for k in range(size + 1):
+            for v in free:
+                for got, ref in _eigenvalue_routes(v, roots[:k], cs, bp):
+                    assert got == ref
+                got = bethe._tq_terms(v, k, cs, bp)
+                ref = oracle_tq_terms(v, k, cs, bp)
+                assert np.array_equal(got[0], ref[0])
+                assert np.array_equal(got[1], ref[1])
+                assert got[2] == ref[2]
+        with workdps(DEFAULT_DPS):
+            cs_l, bp_l = lift_problem(cs, bp)
+            roots_l, free_l = lift_roots(roots), lift_roots(free)
+            for v in free_l:
+                for got, ref in _eigenvalue_routes(v, roots_l, cs_l, bp_l):
+                    assert abs(got - ref) <= 1e-55 * max(abs(ref), 1e-300)
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -84,11 +84,6 @@ def test_draw_boundary_params_stays_generic(rng):
         assert 0.2 <= abs(bp.xi_minus) <= 1.5
 
 
-def test_draw_boundary_params_diagonal(rng):
-    bp = draw_boundary_params(rng, diagonal=True)
-    assert bp.diagonal_mode and bp.xi_plus == 0 and bp.xi_minus == 0
-
-
 def test_draw_chain_spec_separation(rng):
     cs = draw_chain_spec(rng, 4, min_sep=1e-2)
     assert cs.sites == 4
