@@ -36,7 +36,7 @@ __all__ = [
     "lambda_total",
     "lambda_total_derivative",
     "lambda_total_gradient",
-    "bethe_residuals",
+    "eigenvalue_parts",
     "bethe_residuals_scaled",
     "unwanted_terms",
     "residual_jacobian",
@@ -50,6 +50,12 @@ __all__ = [
 
 # Largest scaled Bethe residual the solver certifies a root set at.
 BETHE_TOL = 1e-10
+# Imaginary part below which 2u+1 counts as real when picking u or -u-1.
+REFLECT_TOL = 1e-12
+# Largest gap between matching roots of two normalised root sets.
+ROOT_MATCH_TOL = 1e-6
+# Smallest distance a certified set keeps from its degenerate loci.
+GENERIC_ROOT_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +101,9 @@ class RootTerms(NamedTuple):
     ``pu = phi(u)``, ``ab``/``db`` the modified trace coefficients
     ``alpha_bar``/``delta_bar``, ``tp = tilde_phi(u, p)`` (``None`` for
     diagonal couplings), each with its ``u``-derivative ``d*``;
-    ``c1 = pm ab lam1`` and ``c2 = pu db lam2`` weigh the dressed terms.
+    ``c1 = pm ab lam1`` and ``c2 = pu db lam2`` weigh the dressed terms
+    of the Bethe equation at ``u``, ``c3 = rho tp lam1 lam2 / (2u+1)`` its
+    inhomogeneous term (``0j`` for diagonal couplings).
     """
 
     u: Any
@@ -115,6 +123,7 @@ class RootTerms(NamedTuple):
     dtp: Any
     c1: Any
     c2: Any
+    c3: Any
 
 
 def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
@@ -126,12 +135,15 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
     """
     lam1, dlam1, lam2, dlam2, pm, dpm = _vacuum_derivatives(u, cs, bp)
     pu, dpu = kn.phi_and_derivative(u)
-    one_rho = 1 - bp.rho
+    rho = bp.rho
+    one_rho = 1 - rho
     shifted = bp.q + u * one_rho
     ab, db = pu * shifted, bp.q - (1 + u) * one_rho
     tp = dtp = None
+    c3 = 0j
     if not bp.diagonal_mode:
         tp, dtp = kn.tilde_phi_and_derivative(u, bp.p)
+        c3 = rho * (tp / (2 * u + 1)) * lam1 * lam2
     return RootTerms(
         u=u,
         lam1=lam1,
@@ -150,6 +162,7 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
         dtp=dtp,
         c1=pm * ab * lam1,
         c2=pu * db * lam2,
+        c3=c3,
     )
 
 
@@ -171,40 +184,6 @@ def _coefficients(u, cs: ChainSpec, bp: BoundaryParams):
     return kn.alpha_bar(u, bp) * lam1, kn.delta_bar(u, bp) * lam2, g
 
 
-def _dressed_part(u, roots, coeffs):
-    """Dressed terms of the eigenvalue at ``u`` from its coefficient table."""
-    return coeffs[0] * kn.f_product(u, roots) + coeffs[1] * kn.h_product(u, roots)
-
-
-def _inhomogeneous_part(u, roots, coeffs, bp):
-    """Inhomogeneous term of the eigenvalue at ``u`` from its coefficient
-    table; zero for diagonal couplings."""
-    if bp.diagonal_mode:
-        return 0j
-    return coeffs[2] / kn.Q_product(u, roots)
-
-
-def _eigenvalue(u, roots, coeffs, bp):
-    return _dressed_part(u, roots, coeffs) + _inhomogeneous_part(
-        u, roots, coeffs, bp
-    )
-
-
-def dressed_value(u, roots, cs, bp):
-    return _dressed_part(u, roots, _coefficients(u, cs, bp))
-
-
-def inhomogeneous_value(u, roots, cs, bp):
-    if bp.diagonal_mode:
-        return 0j
-    return _inhomogeneous_part(u, roots, _coefficients(u, cs, bp), bp)
-
-
-def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
-    """``dressed_value + inhomogeneous_value``, from one coefficient table."""
-    return _eigenvalue(u, tuple(roots), _coefficients(u, cs, bp), bp)
-
-
 def _product(values, skip=()):
     """Ordered product of ``values`` leaving out the positions in ``skip``."""
     out = 1
@@ -214,43 +193,63 @@ def _product(values, skip=()):
     return out
 
 
-def lambda_total_gradient(
-    v,
-    roots,
-    cs: ChainSpec,
-    bp: BoundaryParams,
-):
-    """d/d roots[i] of the eigenvalue expression at ``v``, for every ``i``.
+class _Expression:
+    """``E(v) = a prod_k f(v,u_k) + d prod_k h(v,u_k) + g / prod_k Q(v,u_k)``.
 
-    The point's coefficient table, pair kernels ``f, h, Q`` with every root
-    and inhomogeneous term are computed once and every entry reads them.
+    The eigenvalue at ``v`` is ``E`` with :func:`_coefficients` at ``v``;
+    Bethe residual ``i`` is ``E`` at ``u_i`` over the other roots with
+    weights ``(-c1, c2, c3)``.  Each pair's ``(f, h, Q)`` is computed once
+    and kept with the three products; ``dressed`` is ``a prod f + d prod h``
+    and ``inhomogeneous`` is ``g / prod Q`` (``0j`` unless ``generic``).
     """
-    roots = tuple(roots)
-    a_term, d_term, g = _coefficients(v, cs, bp)
-    pairs = [kn.fhq(v, u) for u in roots]
-    f_vals = [p[0] for p in pairs]
-    h_vals = [p[1] for p in pairs]
-    generic = not bp.diagonal_mode
-    if generic:
-        lam_g = g / _product([p[2] for p in pairs])
-    out = []
-    for i, ui in enumerate(roots):
-        entry = 0j
-        entry = entry + a_term * kn.d_f_dv(v, ui) * _product(f_vals, (i,))
-        entry = entry + d_term * kn.d_h_dv(v, ui) * _product(h_vals, (i,))
-        if generic:
-            entry = entry + lam_g * (2 * ui + 1) / pairs[i][2]
-        out.append(entry)
-    return out
+
+    def __init__(self, v, roots, coeffs, generic):
+        a, d, g = coeffs
+        pairs = [kn.fhq(v, u) for u in roots]
+        self.f = [p[0] for p in pairs]
+        self.h = [p[1] for p in pairs]
+        self.q = [p[2] for p in pairs]
+        self.pf, self.ph, self.pq = map(_product, (self.f, self.h, self.q))
+        self.dressed = a * self.pf + d * self.ph
+        self.inhomogeneous = g / self.pq if generic else 0j
+        self.v, self.roots, self.a, self.d, self.generic = v, roots, a, d, generic
+
+    def gradient(self):
+        """``dE / du_k`` for every root ``u_k``, from the same pair table."""
+        out = []
+        for k, u in enumerate(self.roots):
+            entry = self.a * kn.d_f_dv(self.v, u) * _product(self.f, (k,)) + (
+                self.d * kn.d_h_dv(self.v, u) * _product(self.h, (k,))
+            )
+            if self.generic:
+                entry = entry + self.inhomogeneous * (2 * u + 1) / self.q[k]
+            out.append(entry)
+        return out
 
 
-def lambda_total_derivative(
-    v,
-    roots,
-    i: int,
-    cs: ChainSpec,
-    bp: BoundaryParams,
-):
+def _eigenvalue_at(u, roots, cs: ChainSpec, bp: BoundaryParams) -> _Expression:
+    return _Expression(u, tuple(roots), _coefficients(u, cs, bp), not bp.diagonal_mode)
+
+
+def eigenvalue_parts(u, roots, cs: ChainSpec, bp: BoundaryParams):
+    """``(dressed, inhomogeneous)`` terms of the eigenvalue at ``u``; the
+    second is ``0j`` for diagonal couplings."""
+    e = _eigenvalue_at(u, roots, cs, bp)
+    return e.dressed, e.inhomogeneous
+
+
+def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
+    """The eigenvalue expression at ``u``: the sum of :func:`eigenvalue_parts`."""
+    e = _eigenvalue_at(u, roots, cs, bp)
+    return e.dressed + e.inhomogeneous
+
+
+def lambda_total_gradient(v, roots, cs: ChainSpec, bp: BoundaryParams):
+    """d/d roots[i] of the eigenvalue expression at ``v``, for every ``i``."""
+    return _eigenvalue_at(v, roots, cs, bp).gradient()
+
+
+def lambda_total_derivative(v, roots, i: int, cs: ChainSpec, bp: BoundaryParams):
     """d/d roots[i] of the eigenvalue expression evaluated at spectral point v."""
     return lambda_total_gradient(v, roots, cs, bp)[i]
 
@@ -258,14 +257,13 @@ def lambda_total_derivative(
 def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
     """``(residuals, scales, jacobian, dressed, inhomogeneous)`` at ``roots``.
 
-    Residual ``i`` is ``-c1 prod_k f(u_i,u_k) + c2 prod_k h(u_i,u_k)
-    + c3 / prod_k Q(u_i,u_k)`` with ``c3 = rho tilde_phi lam1 lam2/(2u_i+1)``;
-    its scale is the sum of the three terms' magnitudes.  The first two
-    terms are its dressed part, the third its inhomogeneous part (``0j``
-    for diagonal couplings).  Each root's :class:`RootTerms` (``terms``,
-    computed here unless given) and its pair kernels are evaluated once.
-    The Jacobian ``d residual_i / d roots[j]`` is built from the same tables
-    when called, so Newton pays for it only when it takes a step.
+    Residual ``i`` is the :class:`_Expression` at ``u_i`` over the other
+    roots with weights ``(-c1, c2, c3)`` from its :class:`RootTerms`
+    (``terms``, computed here unless given); its scale is ``|c1| |prod f|
+    + |c2| |prod h| + |inhomogeneous|``.  The Jacobian
+    ``d residual_i / d roots[j]`` is built from the same tables when called,
+    so Newton pays for it only when it takes a step: row ``i`` off the
+    diagonal is that expression's gradient.
     """
     roots = tuple(roots)
     m = len(roots)
@@ -274,36 +272,29 @@ def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
     if terms is None:
         terms = [root_terms(u, cs, bp) for u in roots]
     others = [[k for k in range(m) if k != i] for i in range(m)]
-    # pairs[i][pos] = (f, h, Q) at (u_i, u_k) for the pos-th other root k.
-    pairs = [[kn.fhq(roots[i], roots[k]) for k in others[i]] for i in range(m)]
-    f_vals = [[p[0] for p in row] for row in pairs]
-    h_vals = [[p[1] for p in row] for row in pairs]
-    pf = [_product(row) for row in f_vals]
-    ph = [_product(row) for row in h_vals]
-    pq = [_product([p[2] for p in row]) for row in pairs]
-    raw, scales, dressed, t_g = [], [], [], []
-    for i, t in enumerate(terms):
-        res = -t.c1 * pf[i] + t.c2 * ph[i]
-        s = abs(t.c1) * abs(pf[i]) + abs(t.c2) * abs(ph[i])
-        dressed.append(res)
-        if generic:
-            t_g.append(rho * (t.tp / (2 * t.u + 1)) * t.lam1 * t.lam2 / pq[i])
-            res = res + t_g[i]
-            s = s + abs(t_g[i])
-        raw.append(res)
+    rows = [
+        _Expression(t.u, [roots[k] for k in others[i]], (-t.c1, t.c2, t.c3), generic)
+        for i, t in enumerate(terms)
+    ]
+    raw, scales = [], []
+    for t, e in zip(terms, rows):
+        raw.append(e.dressed + e.inhomogeneous)
+        s = abs(t.c1) * abs(e.pf) + abs(t.c2) * abs(e.ph) + abs(e.inhomogeneous)
         scales.append(max(float(s), 1e-300))
 
     def jacobian():
-        rows = []
-        for i, t in enumerate(terms):
+        out = []
+        for i, (t, e) in enumerate(zip(terms, rows)):
             ui = t.u
+            row = [0j] * m
+            for j, entry in zip(others[i], e.gradient()):
+                row[j] = entry
             dc1 = (t.dpm * t.ab + t.pm * t.dab) * t.lam1 + t.pm * t.ab * t.dlam1
             dc2 = (t.dpu * t.db + t.pu * t.ddb) * t.lam2 + t.pu * t.db * t.dlam2
             df = [kn.d_f_du(ui, roots[k]) for k in others[i]]
             dh = [kn.d_h_du(ui, roots[k]) for k in others[i]]
-            row = [0j] * m
-            row[i] = -(dc1 * pf[i] + t.c1 * _sum_replaced(f_vals[i], df)) + (
-                dc2 * ph[i] + t.c2 * _sum_replaced(h_vals[i], dh)
+            row[i] = -(dc1 * e.pf + t.c1 * _sum_replaced(e.f, df)) + (
+                dc2 * e.ph + t.c2 * _sum_replaced(e.h, dh)
             )
             if generic:
                 two = 2 * ui + 1
@@ -312,30 +303,14 @@ def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
                     + (t.tp / two) * (t.dlam1 * t.lam2 + t.lam1 * t.dlam2)
                 )
                 sum_dq = 0
-                for p in pairs[i]:
-                    sum_dq = sum_dq + two / p[2]
-                row[i] = row[i] + dc3 / pq[i] - t_g[i] * sum_dq
-            # Off-diagonal entries: only the pair kernel with roots[j] moves.
-            for pos, j in enumerate(others[i]):
-                uj = roots[j]
-                val = -t.c1 * kn.d_f_dv(ui, uj) * _product(f_vals[i], (pos,)) + (
-                    t.c2 * kn.d_h_dv(ui, uj) * _product(h_vals[i], (pos,))
-                )
-                if generic:
-                    val = val + t_g[i] * (2 * uj + 1) / pairs[i][pos][2]
-                row[j] = val
-            rows.append(row)
-        return rows
+                for q in e.q:
+                    sum_dq = sum_dq + two / q
+                row[i] = row[i] + dc3 / e.pq - e.inhomogeneous * sum_dq
+            out.append(row)
+        return out
 
-    return raw, scales, jacobian, dressed, t_g if generic else [0j] * m
-
-
-def bethe_residuals(roots, cs: ChainSpec, bp: BoundaryParams):
-    """Unwanted-term coefficients whose simultaneous vanishing is the Bethe system."""
-    roots = tuple(roots)
-    if len(roots) != cs.sites and not bp.diagonal_mode:
-        raise ParameterError("full Bethe system needs one root per site")
-    return _bethe_system(roots, cs, bp)[0]
+    dressed = [e.dressed for e in rows]
+    return raw, scales, jacobian, dressed, [e.inhomogeneous for e in rows]
 
 
 def bethe_residuals_scaled(roots, cs: ChainSpec, bp: BoundaryParams):
@@ -482,12 +457,12 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
 # Root bookkeeping.
 
 
-def normalize_root_set(roots, tol: float = 1e-12):
+def normalize_root_set(roots):
     """Canonical representative under u -> -u-1 per root, sorted."""
     reps = []
     for u in roots:
         z = 2 * u + 1
-        if z.imag < -tol or (abs(z.imag) <= tol and z.real < 0):
+        if z.imag < -REFLECT_TOL or (abs(z.imag) <= REFLECT_TOL and z.real < 0):
             u = -u - 1
         reps.append(complex(u))
     # Roots whose rounded keys tie are ordered by a continuous key, so the
@@ -500,14 +475,15 @@ def normalize_root_set(roots, tol: float = 1e-12):
     return tuple(reps)
 
 
-def root_sets_match(a, b, tol: float = 1e-6) -> bool:
+def root_sets_match(a, b) -> bool:
     na, nb = normalize_root_set(a), normalize_root_set(b)
     if len(na) != len(nb):
         return False
-    return all(abs(x - z) <= tol for x, z in zip(na, nb))
+    return all(abs(x - z) <= ROOT_MATCH_TOL for x, z in zip(na, nb))
 
 
-def _set_is_generic(roots, tol: float = 1e-6) -> bool:
+def _set_is_generic(roots) -> bool:
+    tol = GENERIC_ROOT_TOL
     for i, a in enumerate(roots):
         if abs(2 * a + 1) < tol:
             return False
@@ -526,7 +502,6 @@ class BetheRoots:
     """One solution of the Bethe system with its certification data."""
 
     roots: tuple
-    residuals: tuple
     residuals_scaled: tuple
     on_shell: bool
     branch: int | None = None
@@ -538,7 +513,6 @@ def _package(roots, raw, scales, branch, eig_res) -> BetheRoots:
     scaled = tuple(float(abs(r) / s) for r, s in zip(raw, scales))
     return BetheRoots(
         roots=tuple(complex(r) for r in roots),
-        residuals=tuple(complex(r) for r in raw),
         residuals_scaled=scaled,
         on_shell=bool(max(scaled, default=0.0) <= BETHE_TOL),
         branch=branch,
@@ -694,7 +668,8 @@ def _verify_branch(roots, targets, points, table, bp):
     with ``table`` holding each point's :func:`_coefficients`."""
     worst = 0.0
     for w, coeffs, target in zip(points, table, targets):
-        lam = _eigenvalue(w, roots, coeffs, bp)
+        e = _Expression(w, roots, coeffs, not bp.diagonal_mode)
+        lam = e.dressed + e.inhomogeneous
         worst = max(worst, abs(lam - target) / (1.0 + abs(target)))
     return worst
 

@@ -20,8 +20,8 @@ points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
 builds its pair as one stack.  None of the three caches anything.  The
 per-point builders run the same steps with one point and are memoised on
 ``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries each; cached arrays are
-frozen read-only.  :func:`transfer_matrix` is a one-point
-:func:`transfer_matrices` stack.
+frozen read-only.  :func:`transfer_matrix` assembles one point's ``t(u)``
+from the cached entries at that point.
 """
 
 from __future__ import annotations
@@ -324,8 +324,14 @@ def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
-    """Double-row transfer matrix t(u): :func:`transfer_matrices` at one point."""
-    return transfer_matrices([u], cs, bp)[0]
+    """Double-row transfer matrix t(u), equal to :func:`transfer_matrices` at
+    one point and assembled from the cached :func:`double_row` and
+    :func:`modified_entries` at ``u``, so both gates reuse their blocks."""
+    raw = double_row(u, cs, bp).raw[None]
+    closed = None
+    if not bp.diagonal_mode:
+        closed = np.stack(modified_entries(u, cs, bp)[:4])[None]
+    return _freeze(_transfer_blocks(raw, _points(u), bp, closed)[0])
 
 
 def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):

@@ -20,10 +20,11 @@ import numpy as np
 
 from ._version import REPORT_SCHEMA, __version__
 from .bethe import (
+    ROOT_MATCH_TOL,
     det_small,
     lambda_total,
+    normalize_root_set,
     refine_roots,
-    root_sets_match,
     solve_bethe,
     solve_bethe_diagonal,
 )
@@ -41,7 +42,7 @@ from .double_row import (
     transfer_forms_residual,
     transfer_matrices,
 )
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, DimensionError, ParameterError
 from .linalg import pair_residual, relative_residual
 from .params import (
     BoundaryParams,
@@ -169,6 +170,8 @@ class RunConfig:
             raise ParameterError("seed must fit in 64 bits")
         if self.draws < 1:
             raise ParameterError("draws must be at least 1")
+        if self.direct_cap < 1:
+            raise ParameterError("direct_cap must be at least 1")
         validate_precision(self.precision)
         if (self.p is None) != (self.q is None):
             raise ParameterError("p and q must be given together")
@@ -367,8 +370,9 @@ class _Recorder:
 
 
 def _require_direct(config: RunConfig):
+    """A chain beyond ``direct_cap`` is a configuration fault (exit 2)."""
     if config.sites > config.direct_cap:
-        raise ParameterError(
+        raise DimensionError(
             f"direct scalar products capped at {config.direct_cap} sites"
         )
 
@@ -502,16 +506,19 @@ def _spectrum_suite(config: RunConfig, command: str) -> VerificationReport:
         "bethe-system-residual",
         max((max(s.residuals_scaled, default=0.0) for s in solutions), default=0.0),
     )
-    nonempty = [s.roots for s in solutions if s.roots]
-    rec.fold(
-        "root-sets-distinct",
-        "root-set-dedup",
-        sum(
-            len(a) == len(b) and root_sets_match(a, b)
-            for i, a in enumerate(nonempty)
-            for b in nonempty[i + 1:]
-        ),
-    )
+    # Matching pairs of nonempty sets, each set normalised once.
+    by_size = {}
+    for sol in solutions:
+        if sol.roots:
+            by_size.setdefault(len(sol.roots), []).append(
+                normalize_root_set(sol.roots)
+            )
+    duplicates = 0
+    for sets in map(np.array, by_size.values()):
+        for i in range(len(sets) - 1):
+            close = np.abs(sets[i + 1:] - sets[i]) <= ROOT_MATCH_TOL
+            duplicates += int(close.all(axis=1).sum())
+    rec.fold("root-sets-distinct", "root-set-dedup", duplicates)
 
     probe = draw_spectral_point(rng, cs=cs, bp=bp)
     table = [
@@ -804,6 +811,7 @@ def run_n1(config: RunConfig) -> VerificationReport:
 
 
 def run_all(config: RunConfig) -> VerificationReport:
+    _require_direct(config)
     merged = VerificationReport(command="all", config=config.echo())
     for name in ("check-algebra", "exchange", "spectrum", "offshell",
                  "slavnov", "norm", "n1"):

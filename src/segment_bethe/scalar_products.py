@@ -19,7 +19,7 @@ from . import kernels as kn
 from .bethe import (
     _bethe_system,
     det_small,
-    inhomogeneous_value,
+    eigenvalue_parts,
     lambda_total_derivative,
     lambda_total_gradient,
     refine_roots,
@@ -397,8 +397,8 @@ def n1_identities(
         sd = _s_diag_formula(a, b, cs, bp)
         return ((rho - 2) / (2 * (rho - 1) ** 2)) * (
             (rho - 1) * sd
-            + inhomogeneous_value(a, (b,), cs, bp) * w0(b) / (2 * (a + 1))
-            + inhomogeneous_value(b, (a,), cs, bp) * w0(a) / (2 * (b + 1))
+            + eigenvalue_parts(a, (b,), cs, bp)[1] * w0(b) / (2 * (a + 1))
+            + eigenvalue_parts(b, (a,), cs, bp)[1] * w0(a) / (2 * (b + 1))
         )
 
     direct = scalar_product_direct((u1,), (v1,), cs, bp)
@@ -415,8 +415,8 @@ def n1_identities(
         _s_diag_formula(u1, v1, cs, bp)
         - (rho / (2 * (rho - 1) ** 2))
         * (
-            inhomogeneous_value(u1, (v1,), cs, bp) * w0(v1) / (2 * (u1 + 1))
-            + inhomogeneous_value(v1, (u1,), cs, bp) * w0(u1) / (2 * (v1 + 1))
+            eigenvalue_parts(u1, (v1,), cs, bp)[1] * w0(v1) / (2 * (u1 + 1))
+            + eigenvalue_parts(v1, (u1,), cs, bp)[1] * w0(u1) / (2 * (v1 + 1))
         )
         + (rho / (2 * (rho - 1)))
         * (

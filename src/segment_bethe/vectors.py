@@ -19,8 +19,7 @@ import numpy as np
 
 from . import kernels as kn
 from .bethe import (
-    dressed_value,
-    inhomogeneous_value,
+    eigenvalue_parts,
     lambda_total,
     unwanted_terms,
     vacuum_eigenvalues,
@@ -177,7 +176,7 @@ def check_central_relation(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     if len(roots) != cs.sites:
         raise ParameterError("central relation requires one root per site")
 
-    lam_g = inhomogeneous_value(u, roots, cs, bp)
+    lam_g = eigenvalue_parts(u, roots, cs, bp)[1]
     inhomogeneous = unwanted_terms(roots, cs, bp)[1]
     coeffs = [kn.F(u, r) * g for r, g in zip(roots, inhomogeneous)]
     out = {}
@@ -225,7 +224,7 @@ def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     f_all = kn.f_product(u, roots)
     h_all = kn.h_product(u, roots)
     t = transfer_matrix(u, cs, bp)
-    lam_d = dressed_value(u, roots, cs, bp)
+    lam_d = eigenvalue_parts(u, roots, cs, bp)[0]
     coeffs = [kn.F(u, r) * d for r, d in zip(roots, unwanted_terms(roots, cs, bp)[0])]
 
     out = {}

@@ -235,6 +235,17 @@ def test_exit_three_when_solver_finds_nothing(monkeypatch, capsys, command):
     assert "run failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["slavnov", "norm", "all"])
+def test_exit_two_beyond_direct_cap(tmp_path, capsys, command):
+    # A chain longer than the direct-contraction cap is a configuration
+    # fault, refused before any suite runs.
+    path = _write_config(tmp_path, {"direct_cap": 2})
+    assert main([command, "--sites", "3", "--draws", "1", "--config", path]) == 2
+    assert "config error: direct scalar products capped at 2 sites" in (
+        capsys.readouterr().err
+    )
+
+
 def test_exit_two_on_dimension_error(monkeypatch, capsys):
     # An operator beyond the dimension cap is a configuration fault.
     monkeypatch.setattr(linalg, "MAX_DIM", 4)

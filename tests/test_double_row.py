@@ -228,8 +228,8 @@ def test_stack_chunks_stay_within_budget(monkeypatch, sites, sizes, bp):
 
 
 def test_transfer_matrix_is_a_one_point_stack(cs2, bp, bp_diag, rng):
-    # The per-point transfer matrix is the stacked build at one point, frozen
-    # and memoised.
+    # The per-point transfer matrix equals the stacked build at one point,
+    # frozen and memoised.
     for couplings in (bp, bp_diag):
         u = draw_spectral_point(rng, cs=cs2, bp=couplings)
         transfer_matrix.cache_clear()
@@ -240,6 +240,36 @@ def test_transfer_matrix_is_a_one_point_stack(cs2, bp, bp_diag, rng):
         assert transfer_matrix(u, cs2, couplings) is t
         info = transfer_matrix.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+
+def test_transfer_matrix_reuses_cached_entries(monkeypatch, cs2, bp, bp_diag, rng):
+    # t(u) is assembled from the entries at u: one raw build, and a later
+    # read of the plain or modified entries at u is a cache hit.
+    seen = []
+    real = dr._raw_blocks
+
+    def counted(us, cs, bp):
+        seen.append(len(us))
+        return real(us, cs, bp)
+
+    monkeypatch.setattr(dr, "_raw_blocks", counted)
+    for couplings in (bp, bp_diag):
+        u = draw_spectral_point(rng, cs=cs2, bp=couplings)
+        builders = [double_row, transfer_matrix]
+        if not couplings.diagonal_mode:
+            builders.append(modified_entries)
+        for cached in builders:
+            cached.cache_clear()
+        seen.clear()
+        t = transfer_matrix(u, cs2, couplings)
+        before = {cached: cached.cache_info() for cached in builders}
+        for cached in builders:
+            cached(u, cs2, couplings)
+        assert seen == [1]
+        for cached in builders:
+            info, old = cached.cache_info(), before[cached]
+            assert (info.hits - old.hits, info.misses - old.misses) == (1, 0)
+        assert t.tobytes() == transfer_matrices([u], cs2, couplings)[0].tobytes()
 
 
 def test_gates_reject_nan(cs2):

@@ -22,7 +22,7 @@ from segment_bethe.bethe import (
     RootTerms,
     _newton,
     bethe_residuals_scaled,
-    inhomogeneous_value,
+    eigenvalue_parts,
     refine_roots,
     residual_jacobian,
     root_terms,
@@ -192,7 +192,7 @@ def oracle_lambda_derivative(v, roots, i, cs, bp, dressed=True, inhomogeneous=Tr
             v, rest
         )
     if inhomogeneous and not bp.diagonal_mode:
-        out = out + inhomogeneous_value(v, roots, cs, bp) * (2 * ui + 1) / kn.Q(v, ui)
+        out = out + eigenvalue_parts(v, roots, cs, bp)[1] * (2 * ui + 1) / kn.Q(v, ui)
     return out
 
 
@@ -310,8 +310,10 @@ def oracle_root_terms(u, cs, bp):
     pm, pu = kn.phi(-u - 1), kn.phi(u)
     ab, db = kn.alpha_bar(u, bp), kn.delta_bar(u, bp)
     tp = dtp = None
+    c3 = 0j
     if not bp.diagonal_mode:
         tp, dtp = kn.tilde_phi(u, bp.p), kn.d_tilde_phi(u, bp.p)
+        c3 = bp.rho * (tp / (2 * u + 1)) * lam1 * lam2
     return RootTerms(
         u=u,
         lam1=lam1,
@@ -330,6 +332,7 @@ def oracle_root_terms(u, cs, bp):
         dtp=dtp,
         c1=pm * ab * lam1,
         c2=pu * db * lam2,
+        c3=c3,
     )
 
 
@@ -451,11 +454,9 @@ def _eigenvalue_routes(v, roots, cs, bp):
     function at ``v``."""
     dressed = oracle_dressed_value(v, roots, cs, bp)
     inhomogeneous = oracle_inhomogeneous_value(v, roots, cs, bp)
-    pairs = [
-        (bethe.dressed_value(v, roots, cs, bp), dressed),
-        (bethe.inhomogeneous_value(v, roots, cs, bp), inhomogeneous),
-        (bethe.lambda_total(v, roots, cs, bp), dressed + inhomogeneous),
-    ]
+    pairs = list(
+        zip(eigenvalue_parts(v, roots, cs, bp), (dressed, inhomogeneous))
+    ) + [(bethe.lambda_total(v, roots, cs, bp), dressed + inhomogeneous)]
     pairs += zip(
         bethe.lambda_total_gradient(v, roots, cs, bp),
         oracle_lambda_gradient(v, roots, cs, bp),

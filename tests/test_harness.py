@@ -3,8 +3,11 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
+from segment_bethe import harness
+from segment_bethe.bethe import BetheRoots, root_sets_match
 from segment_bethe.double_row import double_row, modified_entries, transfer_matrix
 from segment_bethe.errors import ParameterError
 from segment_bethe.harness import (
@@ -49,6 +52,7 @@ def test_config_defaults():
         {"tolerances": {"made-up-check": 1e-6}},
         {"tolerances": {"ybe": 0.0}},
         {"tolerances": {"ybe": -1e-3}},
+        {"direct_cap": 0},
     ],
 )
 def test_config_rejects(kwargs):
@@ -274,6 +278,36 @@ def test_spectrum_complete_n3_seed_1007():
     record = next(c for c in report.checks if c.name == "spectrum-completeness")
     assert record.residual == 0
     assert report.all_passed
+
+
+def test_root_sets_distinct_counts_matching_pairs(monkeypatch):
+    # Matches up to reflection, order and 1e-7, a miss at 1e-5, and sets of
+    # another size: the record counts what the pairwise loop counts.
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    base = [tuple(complex(u) for u in row) for row in points]
+    (a0, a1), (b0, b1), (c0, c1) = base
+    sets = base + [
+        (-a0 - 1, a1 + 1e-7),
+        (b1, b0),
+        (c0 + 1e-5, c1),
+        (a0,),
+        (-a0 - 1,),
+        base[0],
+    ]
+    solutions = [
+        BetheRoots(s, (0.0,) * len(s), True, branch=k, eigenvalue_residual=0.0)
+        for k, s in enumerate(sets)
+    ]
+    monkeypatch.setattr(harness, "solve_bethe", lambda *a, **k: solutions)
+    report = run_spectrum(RunConfig(sites=2, seed=0))
+    record = next(c for c in report.checks if c.name == "root-sets-distinct")
+    loop = sum(
+        len(a) == len(b) and root_sets_match(a, b)
+        for i, a in enumerate(sets)
+        for b in sets[i + 1 :]
+    )
+    assert record.residual == loop == 5
 
 
 def _misses_of(command):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segment_bethe import kernels as kn
-from segment_bethe.bethe import inhomogeneous_value, unwanted_terms, vacuum_eigenvalues
+from segment_bethe.bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
 from segment_bethe.errors import ParameterError
 from segment_bethe.params import BoundaryParams, draw_spectral_point, draw_spectral_points
 from segment_bethe.vectors import (
@@ -158,7 +158,7 @@ def test_diagonal_w0_product(cs2, bp_diag, solved2_diag):
 def _central_rhs_size(u, roots, cs, bp):
     """Norm of the inhomogeneous-term combination relative to the state norm."""
     psi = build_psi(roots, cs, bp)
-    rhs = inhomogeneous_value(u, roots, cs, bp) * psi
+    rhs = eigenvalue_parts(u, roots, cs, bp)[1] * psi
     inhomogeneous = unwanted_terms(roots, cs, bp)[1]
     for i, ui in enumerate(roots):
         swapped = tuple(u if j == i else r for j, r in enumerate(roots))
