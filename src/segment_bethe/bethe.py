@@ -1,18 +1,21 @@
 """Transfer-matrix eigenvalues, Bethe equations, and the T-Q root solver.
 
-The scalar functions in this module (vacuum eigenvalues, dressed and
-inhomogeneous eigenvalue terms, residuals, Jacobians) are written with plain
-arithmetic only, so they run unchanged on ``complex`` and on the
-extended-precision :class:`~segment_bethe.precision.DecimalComplex` inputs
-that callers lift.  The root solver itself runs in double precision only:
-numpy for the common eigenbasis and the T-Q least squares, and one Newton
-polish of each seed on the Bethe system.
+The eigenvalue expression, the Bethe system and its Jacobian are written
+with plain arithmetic on arrays whose leading axes stack points and root
+sets.  On complex arrays they run in numpy; on ``object`` arrays every entry
+takes the scalar operations in the same order, so they run unchanged on
+``complex`` and on the extended-precision
+:class:`~segment_bethe.precision.DecimalComplex` inputs that callers lift,
+one root set at a time.  The root solver runs in double precision only:
+numpy for the common eigenbasis, one stacked T-Q least-squares solve for
+every branch, and one batched Newton polish of all the seeds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -36,6 +39,7 @@ __all__ = [
     "lambda_total",
     "lambda_total_derivative",
     "lambda_total_gradient",
+    "lambda_gradient_rows",
     "eigenvalue_parts",
     "bethe_residuals_scaled",
     "unwanted_terms",
@@ -57,19 +61,28 @@ ROOT_MATCH_TOL = 1e-6
 # Smallest distance a certified set keeps from its degenerate loci.
 GENERIC_ROOT_TOL = 1e-6
 
+_EPS = np.finfo(float).eps
+
 
 # ---------------------------------------------------------------------------
 # Vacuum eigenvalues.
 
 
-def vacuum_eigenvalues(u, cs: ChainSpec, bp: BoundaryParams):
-    """Eigenvalues of the diagonal double-row entries on the reference state."""
+def _vacuum(u, cs: ChainSpec, bp: BoundaryParams):
+    """``(lam1, lam2, pm)``: the vacuum eigenvalues and ``pm = phi(-u-1)``."""
     lam1 = u + bp.p
     lam2 = bp.p - u - 1
+    u1 = u + 1
     for t in cs.thetas:
-        lam1 = lam1 * (u + 1 - t) * (u + 1 + t)
+        lam1 = lam1 * (u1 - t) * (u1 + t)
         lam2 = lam2 * (u - t) * (u + t)
-    return lam1, kn.phi(-u - 1) * lam2
+    pm = kn.phi(-u - 1)
+    return lam1, pm * lam2, pm
+
+
+def vacuum_eigenvalues(u, cs: ChainSpec, bp: BoundaryParams):
+    """Eigenvalues of the diagonal double-row entries on the reference state."""
+    return _vacuum(u, cs, bp)[:2]
 
 
 def _vacuum_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
@@ -77,15 +90,17 @@ def _vacuum_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
     derivatives in u."""
     val1, dval1 = u + bp.p, 1
     val2, dval2 = bp.p - u - 1, -1
+    u1 = u + 1
     for t in cs.thetas:
-        for fac in (u + 1 - t, u + 1 + t):
+        for fac in (u1 - t, u1 + t):
             dval1 = dval1 * fac + val1
             val1 = val1 * fac
         for fac in (u - t, u + t):
             dval2 = dval2 * fac + val2
             val2 = val2 * fac
     pm = kn.phi(-u - 1)
-    dpm = 2 / ((2 * u + 1) * (2 * u + 1))
+    two = 2 * u + 1
+    dpm = 2 / (two * two)
     return val1, dval1, pm * val2, dpm * val2 + pm * dval2, pm, dpm
 
 
@@ -127,7 +142,7 @@ class RootTerms(NamedTuple):
 
 
 def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
-    """The per-root table of one root, computed in one pass.
+    """The per-root table of one root (or of an array of roots), in one pass.
 
     Each kernel and its derivative is evaluated once, with the operations of
     the separate kernels in the same order, so every field equals what
@@ -135,15 +150,11 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
     """
     lam1, dlam1, lam2, dlam2, pm, dpm = _vacuum_derivatives(u, cs, bp)
     pu, dpu = kn.phi_and_derivative(u)
-    rho = bp.rho
-    one_rho = 1 - rho
-    shifted = bp.q + u * one_rho
-    ab, db = pu * shifted, bp.q - (1 + u) * one_rho
     tp = dtp = None
-    c3 = 0j
     if not bp.diagonal_mode:
         tp, dtp = kn.tilde_phi_and_derivative(u, bp.p)
-        c3 = rho * (tp / (2 * u + 1)) * lam1 * lam2
+    shifted, ab, db, c1, c2, c3 = _dressing(u, lam1, lam2, pm, pu, tp, bp)
+    one_rho = 1 - bp.rho
     return RootTerms(
         u=u,
         lam1=lam1,
@@ -160,10 +171,77 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
         ddb=-one_rho,
         tp=tp,
         dtp=dtp,
-        c1=pm * ab * lam1,
-        c2=pu * db * lam2,
+        c1=c1,
+        c2=c2,
         c3=c3,
     )
+
+
+class _Weights(NamedTuple):
+    """The Bethe-equation weights ``(c1, c2, c3)`` of :class:`RootTerms` and,
+    for a Jacobian, their ``u``-derivatives (``None`` where not formed)."""
+
+    c1: Any
+    c2: Any
+    c3: Any
+    dc1: Any = None
+    dc2: Any = None
+    dc3: Any = None
+
+
+def _weights(u, cs: ChainSpec, bp: BoundaryParams) -> _Weights:
+    """:func:`root_terms`' weights alone, in the same operations but without
+    the derivatives: all a residual needs."""
+    lam1, lam2, pm = _vacuum(u, cs, bp)
+    tp = None if bp.diagonal_mode else kn.tilde_phi(u, bp.p)
+    return _Weights(*_dressing(u, lam1, lam2, pm, kn.phi(u), tp, bp)[3:])
+
+
+def _weight_derivatives(t: RootTerms, bp: BoundaryParams):
+    """``(dc1, dc2, dc3)`` from the root table ``t`` (``dc3`` is ``0j`` for
+    diagonal couplings)."""
+    dc1 = (t.dpm * t.ab + t.pm * t.dab) * t.lam1 + t.pm * t.ab * t.dlam1
+    dc2 = (t.dpu * t.db + t.pu * t.ddb) * t.lam2 + t.pu * t.db * t.dlam2
+    if bp.diagonal_mode:
+        return dc1, dc2, 0j
+    two = 2 * t.u + 1
+    dc3 = bp.rho * (
+        ((t.dtp * two - 2 * t.tp) / (two * two)) * t.lam1 * t.lam2
+        + (t.tp / two) * (t.dlam1 * t.lam2 + t.lam1 * t.dlam2)
+    )
+    return dc1, dc2, dc3
+
+
+def _weights_and_derivatives(u, cs: ChainSpec, bp: BoundaryParams) -> _Weights:
+    """:func:`root_terms`' weights with their derivatives, from one pass."""
+    t = root_terms(u, cs, bp)
+    return _Weights(t.c1, t.c2, t.c3, *_weight_derivatives(t, bp))
+
+
+def _dressing(u, lam1, lam2, pm, pu, tp, bp: BoundaryParams):
+    """``(shifted, ab, db, c1, c2, c3)`` at the root ``u`` from its vacuum
+    eigenvalues, ``pm``, ``pu`` and ``tp`` (``None`` for diagonal couplings),
+    with ``ab = pu shifted`` and ``shifted = q + u (1 - rho)``."""
+    rho = bp.rho
+    one_rho = 1 - rho
+    shifted = bp.q + u * one_rho
+    ab, db = pu * shifted, bp.q - (1 + u) * one_rho
+    c3 = 0j if tp is None else rho * (tp / (2 * u + 1)) * lam1 * lam2
+    return shifted, ab, db, pm * ab * lam1, pu * db * lam2, c3
+
+
+def _per_root(func, x, cs: ChainSpec, bp: BoundaryParams):
+    """``func(x, cs, bp)``, a NamedTuple of per-root fields, at the roots of
+    the ``object`` array ``x``, evaluated root by root in scalar arithmetic
+    and each field stacked back into ``x``'s shape: on a few exact scalars
+    one numpy call per operation costs more than the operation itself.
+    """
+    if not x.size:
+        return func(x, cs, bp)
+    rows = [func(u, cs, bp) for u in x.ravel().tolist()]
+    table = np.empty((len(rows), len(rows[0])), dtype=object)
+    table[:] = rows
+    return type(rows[0])(*table.T.reshape((-1,) + x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +253,13 @@ def _coefficients(u, cs: ChainSpec, bp: BoundaryParams):
 
     The weights of the eigenvalue's ``f``-, ``h``- and ``1/Q``-terms at
     ``u`` (and of the T-Q relation's three terms); the last is ``0j`` for
-    diagonal couplings.  Every eigenvalue evaluation reads this table.
+    diagonal couplings.  Every eigenvalue evaluation reads this table.  For
+    a 1-d array of points (a solve's few check points or nodes) each entry
+    is the scalar table of its point, stacked.
     """
+    if isinstance(u, np.ndarray):
+        rows = [_coefficients(w, cs, bp) for w in u.tolist()]
+        return tuple(np.array(rows, dtype=complex).reshape(-1, 3).T)
     lam1, lam2 = vacuum_eigenvalues(u, cs, bp)
     g = 0j
     if not bp.diagonal_mode:
@@ -184,51 +267,114 @@ def _coefficients(u, cs: ChainSpec, bp: BoundaryParams):
     return kn.alpha_bar(u, bp) * lam1, kn.delta_bar(u, bp) * lam2, g
 
 
-def _product(values, skip=()):
-    """Ordered product of ``values`` leaving out the positions in ``skip``."""
-    out = 1
-    for k, v in enumerate(values):
-        if k not in skip:
-            out = out * v
+def _objects(values) -> np.ndarray:
+    """A 1-d ``object`` array holding ``values`` as they are, so that
+    arithmetic on it is the scalars' own (exact ``complex`` or 60-digit)."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = list(values)
     return out
+
+
+def _product(values):
+    """Ordered product ``v_0 * v_1 * ...`` along the last axis (``1`` if it
+    is empty).  A loop over the few pairs: on small stacks one numpy
+    multiply per pair costs less than one ``multiply.reduce``."""
+    if not values.shape[-1]:
+        return 1
+    out = values[..., 0][()]
+    for k in range(1, values.shape[-1]):
+        out = out * values[..., k]
+    return out
+
+
+def _sum(values):
+    """Ordered sum ``v_0 + v_1 + ...`` along the (non-empty) last axis."""
+    out = values[..., 0][()]
+    for k in range(1, values.shape[-1]):
+        out = out + values[..., k]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _others(n: int) -> np.ndarray:
+    """Row ``k``: the positions ``0..n-1`` other than ``k``, in order."""
+    out = np.array(
+        [[j for j in range(n) if j != k] for k in range(n)], dtype=np.intp
+    ).reshape(n, max(n - 1, 0))
+    out.flags.writeable = False
+    return out
+
+
+def _last(x):
+    """``x`` with a trailing unit axis, so it broadcasts against a pair axis."""
+    return x[..., None] if isinstance(x, np.ndarray) and x.ndim else x
 
 
 class _Expression:
     """``E(v) = a prod_k f(v,u_k) + d prod_k h(v,u_k) + g / prod_k Q(v,u_k)``.
 
-    The eigenvalue at ``v`` is ``E`` with :func:`_coefficients` at ``v``;
-    Bethe residual ``i`` is ``E`` at ``u_i`` over the other roots with
-    weights ``(-c1, c2, c3)``.  Each pair's ``(f, h, Q)`` is computed once
-    and kept with the three products; ``dressed`` is ``a prod f + d prod h``
+    Vectorised over leading axes: ``v`` has a shape ``S``, ``roots`` a shape
+    ``S' + (n,)`` with ``S`` and ``S'`` broadcasting, and the weights
+    ``(a, d, g)`` broadcast against ``S``.  The eigenvalue at ``v`` is ``E``
+    with :func:`_coefficients` at ``v``; Bethe residual ``i`` is ``E`` at
+    ``u_i`` over the other roots with weights ``(-c1, c2, c3)``.  The pair
+    table ``(f, h, Q)`` has the pairs on its last axis and is computed once;
+    ``dressed`` is the sum of the ``terms`` ``a prod f`` and ``d prod h``,
     and ``inhomogeneous`` is ``g / prod Q`` (``0j`` unless ``generic``).
+    On ``object`` arrays every entry takes the scalar operations of the
+    per-pair kernels in their order.
     """
 
     def __init__(self, v, roots, coeffs, generic):
         a, d, g = coeffs
-        pairs = [kn.fhq(v, u) for u in roots]
-        self.f = [p[0] for p in pairs]
-        self.h = [p[1] for p in pairs]
-        self.q = [p[2] for p in pairs]
+        self.fn, self.hn, self.q = kn.pair_numerators(_last(v), roots)
+        self.f, self.h = self.fn / self.q, self.hn / self.q
         self.pf, self.ph, self.pq = map(_product, (self.f, self.h, self.q))
-        self.dressed = a * self.pf + d * self.ph
+        self.terms = (a * self.pf, d * self.ph)
+        self.dressed = self.terms[0] + self.terms[1]
         self.inhomogeneous = g / self.pq if generic else 0j
         self.v, self.roots, self.a, self.d, self.generic = v, roots, a, d, generic
 
-    def gradient(self):
-        """``dE / du_k`` for every root ``u_k``, from the same pair table."""
-        out = []
-        for k, u in enumerate(self.roots):
-            entry = self.a * kn.d_f_dv(self.v, u) * _product(self.f, (k,)) + (
-                self.d * kn.d_h_dv(self.v, u) * _product(self.h, (k,))
-            )
-            if self.generic:
-                entry = entry + self.inhomogeneous * (2 * u + 1) / self.q[k]
-            out.append(entry)
+    @cached_property
+    def qsq(self):
+        """``Q(v, u_k)^2``, the denominator of every pair derivative."""
+        return self.q * self.q
+
+    def leave_one_out(self):
+        """``prod_{j != k} f_j`` and ``prod_{j != k} h_j`` for every pair ``k``."""
+        others = _others(self.roots.shape[-1])
+        return _product(self.f[..., others]), _product(self.h[..., others])
+
+    def gradient(self, leave_one_out=None):
+        """``dE / du_k`` for every root ``u_k`` (last axis), from the same
+        pair table; ``leave_one_out`` passes :meth:`leave_one_out` if
+        already formed."""
+        loo_f, loo_h = leave_one_out or self.leave_one_out()
+        v, two, qsq = _last(self.v), 2 * self.roots + 1, self.qsq
+        d_f = -2 * v * two / qsq
+        d_h = 2 * (v + 1) * two / qsq
+        out = _last(self.a) * d_f * loo_f + _last(self.d) * d_h * loo_h
+        if self.generic:
+            out = out + _last(self.inhomogeneous) * two / self.q
         return out
 
 
 def _eigenvalue_at(u, roots, cs: ChainSpec, bp: BoundaryParams) -> _Expression:
-    return _Expression(u, tuple(roots), _coefficients(u, cs, bp), not bp.diagonal_mode)
+    """The expression at one point ``u`` over one root set, on scalars."""
+    return _Expression(
+        np.asarray(u, dtype=object),
+        _objects(roots),
+        _coefficients(u, cs, bp),
+        not bp.diagonal_mode,
+    )
+
+
+def lambda_gradient_rows(points, roots, cs: ChainSpec, bp: BoundaryParams):
+    """:func:`lambda_total_gradient` at each of ``points``, one row per
+    point, from one evaluation on scalars."""
+    coeffs = [_objects(c) for c in zip(*(_coefficients(v, cs, bp) for v in points))]
+    e = _Expression(_objects(points), _objects(roots), coeffs, not bp.diagonal_mode)
+    return [list(row) for row in e.gradient()]
 
 
 def eigenvalue_parts(u, roots, cs: ChainSpec, bp: BoundaryParams):
@@ -246,7 +392,7 @@ def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
 
 def lambda_total_gradient(v, roots, cs: ChainSpec, bp: BoundaryParams):
     """d/d roots[i] of the eigenvalue expression at ``v``, for every ``i``."""
-    return _eigenvalue_at(v, roots, cs, bp).gradient()
+    return lambda_gradient_rows([v], roots, cs, bp)[0]
 
 
 def lambda_total_derivative(v, roots, i: int, cs: ChainSpec, bp: BoundaryParams):
@@ -254,68 +400,87 @@ def lambda_total_derivative(v, roots, i: int, cs: ChainSpec, bp: BoundaryParams)
     return lambda_total_gradient(v, roots, cs, bp)[i]
 
 
-def _bethe_system(roots, cs: ChainSpec, bp: BoundaryParams, terms=None):
-    """``(residuals, scales, jacobian, dressed, inhomogeneous)`` at ``roots``.
+def lambda_table(points, stack, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+    """The eigenvalue expression at every point for every root set at once.
 
-    Residual ``i`` is the :class:`_Expression` at ``u_i`` over the other
-    roots with weights ``(-c1, c2, c3)`` from its :class:`RootTerms`
-    (``terms``, computed here unless given); its scale is ``|c1| |prod f|
-    + |c2| |prod h| + |inhomogeneous|``.  The Jacobian
+    ``points`` holds ``P`` spectral points and ``stack`` is a ``(B, m)``
+    array of root sets; the result has shape ``(P, B)``.
+    """
+    points = np.asarray(points, dtype=complex)[:, None]
+    coeffs = [c[:, None] for c in _coefficients(points[:, 0], cs, bp)]
+    e = _Expression(points, stack, coeffs, not bp.diagonal_mode)
+    return e.dressed + e.inhomogeneous
+
+
+def _bethe_system(x, cs: ChainSpec, bp: BoundaryParams):
+    """``(residuals, scales, jacobian, dressed, inhomogeneous)`` on a stack.
+
+    ``x`` is a ``(B, m)`` array of ``B`` root sets: complex, or ``object``
+    for exact scalars.  Residual ``(b, i)`` is the :class:`_Expression` at
+    ``u_i`` over the other roots of set ``b``, with weights
+    ``(-c1, c2, c3)`` of its :class:`RootTerms`; its scale is the sum of
+    its three terms' magnitudes.  Every array but the scales has the dtype
+    of ``x``.  The ``(B, m, m)`` Jacobian
     ``d residual_i / d roots[j]`` is built from the same tables when called,
     so Newton pays for it only when it takes a step: row ``i`` off the
-    diagonal is that expression's gradient.
+    diagonal is that expression's gradient.  A root set within ``POLE_TOL``
+    of a pole raises :class:`PoleError`, as the kernels do.
     """
-    roots = tuple(roots)
-    m = len(roots)
+    m = x.shape[-1]
     generic = not bp.diagonal_mode
-    rho = bp.rho if generic else 0
-    if terms is None:
-        terms = [root_terms(u, cs, bp) for u in roots]
-    others = [[k for k in range(m) if k != i] for i in range(m)]
-    rows = [
-        _Expression(t.u, [roots[k] for k in others[i]], (-t.c1, t.c2, t.c3), generic)
-        for i, t in enumerate(terms)
-    ]
-    raw, scales = [], []
-    for t, e in zip(terms, rows):
-        raw.append(e.dressed + e.inhomogeneous)
-        s = abs(t.c1) * abs(e.pf) + abs(t.c2) * abs(e.ph) + abs(e.inhomogeneous)
-        scales.append(max(float(s), 1e-300))
+    # An exact (object) stack is one set polished far below double
+    # precision, stepped from at every evaluation but the last: it takes the
+    # derivatives in the same pass.  A complex stack mostly needs none.
+    exact = x.dtype == object
+    if exact:
+        w = _per_root(_weights_and_derivatives, x, cs, bp)
+    else:
+        w = _weights(x, cs, bp)
+    e = _Expression(x, x[..., _others(m)], (-w.c1, w.c2, w.c3), generic)
+    raw = e.dressed + e.inhomogeneous
+    scales = np.abs(e.terms[0]) + np.abs(e.terms[1]) + np.abs(e.inhomogeneous)
+    scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
+    inhomogeneous = e.inhomogeneous if generic else np.full(x.shape, 0j, x.dtype)
 
     def jacobian():
-        out = []
-        for i, (t, e) in enumerate(zip(terms, rows)):
-            ui = t.u
-            row = [0j] * m
-            for j, entry in zip(others[i], e.gradient()):
-                row[j] = entry
-            dc1 = (t.dpm * t.ab + t.pm * t.dab) * t.lam1 + t.pm * t.ab * t.dlam1
-            dc2 = (t.dpu * t.db + t.pu * t.ddb) * t.lam2 + t.pu * t.db * t.dlam2
-            df = [kn.d_f_du(ui, roots[k]) for k in others[i]]
-            dh = [kn.d_h_du(ui, roots[k]) for k in others[i]]
-            row[i] = -(dc1 * e.pf + t.c1 * _sum_replaced(e.f, df)) + (
-                dc2 * e.ph + t.c2 * _sum_replaced(e.h, dh)
-            )
-            if generic:
-                two = 2 * ui + 1
-                dc3 = rho * (
-                    ((t.dtp * two - 2 * t.tp) / (two * two)) * t.lam1 * t.lam2
-                    + (t.tp / two) * (t.dlam1 * t.lam2 + t.lam1 * t.dlam2)
-                )
-                sum_dq = 0
-                for q in e.q:
-                    sum_dq = sum_dq + two / q
-                row[i] = row[i] + dc3 / e.pq - e.inhomogeneous * sum_dq
-            out.append(row)
-        return out
+        if exact:
+            dc1, dc2, dc3 = w.dc1, w.dc2, w.dc3
+        else:
+            dc1, dc2, dc3 = _weight_derivatives(root_terms(x, cs, bp), bp)
+        jac = np.empty(x.shape + (m,), dtype=x.dtype)
+        diag_f, diag_h = dc1 * e.pf, dc2 * e.ph
+        # With one root there are no pairs: no off-diagonal entries and no
+        # pair derivatives on the diagonal.
+        if m > 1:
+            loo = e.leave_one_out()
+            rows, cols = np.repeat(np.arange(m), m - 1), _others(m).ravel()
+            jac[..., rows, cols] = e.gradient(loo).reshape(x.shape[:-1] + (-1,))
+            two_u = 2 * x[..., None]
+            two_u1 = two_u + 1
+            d_f = ((two_u - 1) * e.q - e.fn * two_u1) / e.qsq
+            d_h = ((two_u + 3) * e.q - e.hn * two_u1) / e.qsq
+            diag_f = diag_f + w.c1 * _sum(d_f * loo[0])
+            diag_h = diag_h + w.c2 * _sum(d_h * loo[1])
+        diag = -diag_f + diag_h
+        if generic:
+            diag = diag + dc3 / e.pq
+            if m > 1:
+                diag = diag - e.inhomogeneous * _sum(two_u1 / e.q)
+        jac[..., np.arange(m), np.arange(m)] = diag
+        return jac
 
-    dressed = [e.dressed for e in rows]
-    return raw, scales, jacobian, dressed, [e.inhomogeneous for e in rows]
+    return raw, scales, jacobian, e.dressed, inhomogeneous
+
+
+def _single(roots) -> np.ndarray:
+    """One root set as a ``(1, m)`` object stack."""
+    return _objects(roots)[None, :]
 
 
 def bethe_residuals_scaled(roots, cs: ChainSpec, bp: BoundaryParams):
     """(raw residuals, scale per equation); scale = sum of term magnitudes."""
-    return _bethe_system(roots, cs, bp)[:2]
+    raw, scales = _bethe_system(_single(roots), cs, bp)[:2]
+    return list(raw[0]), scales[0].tolist()
 
 
 def unwanted_terms(roots, cs: ChainSpec, bp: BoundaryParams):
@@ -325,132 +490,164 @@ def unwanted_terms(roots, cs: ChainSpec, bp: BoundaryParams):
     residual, and ``F(u, u_i)`` times it weighs the state with ``u_i -> u``
     in the off-shell transfer action.
     """
-    return _bethe_system(roots, cs, bp)[3:]
-
-
-def _sum_replaced(values, dvalues):
-    """sum_k dvalues[k] * prod_{m != k} values[m] (no divisions)."""
-    total = 0
-    for kk in range(len(values)):
-        total = total + dvalues[kk] * _product(values, (kk,))
-    return total
+    dressed, inhomogeneous = _bethe_system(_single(roots), cs, bp)[3:]
+    return list(dressed[0]), list(inhomogeneous[0])
 
 
 def residual_jacobian(roots, cs: ChainSpec, bp: BoundaryParams):
     """Analytic Jacobian d residual_i / d roots[j] of the Bethe system."""
-    return _bethe_system(roots, cs, bp)[2]()
+    return [list(row) for row in _bethe_system(_single(roots), cs, bp)[2]()[0]]
 
 
 # ---------------------------------------------------------------------------
-# Small generic linear algebra for the Newton steps (works in both backends).
+# Batched Gaussian elimination and Newton (complex or object stacks).
 
 
 def _eliminate(a):
-    """Forward elimination with partial pivoting on the rows ``a``, in place.
+    """Forward elimination with partial pivoting on a stack, in place.
 
-    Entries right of the square part (a right-hand side) are carried along.
-    Returns one flag per cleared column, true where rows were swapped; it
-    stops at an exactly zero pivot, so a short list marks a singular matrix.
+    ``a`` has shape ``(B, m, m + k)``; the columns right of the square part
+    (right-hand sides) are carried along.  Returns, per matrix, whether it
+    met an exactly zero pivot, which is then set to 1 so that the
+    elimination goes on without dividing by zero.
     """
-    m = len(a)
-    swaps = []
+    count, m = a.shape[:2]
+    rows = np.arange(count)
+    singular = np.zeros(count, dtype=bool)
     for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) == 0:
-            break
-        swaps.append(piv != col)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        for r in range(col + 1, m):
-            factor = a[r][col] / a[col][col]
-            for cc in range(col, len(a[r])):
-                a[r][cc] = a[r][cc] - factor * a[col][cc]
-    return swaps
+        mags = np.asarray(np.abs(a[:, col:, col]), dtype=float)
+        if col < m - 1:
+            piv = col + np.argmax(mags, axis=1)
+            swap = piv != col
+            if swap.any():
+                r, p = rows[swap], piv[swap]
+                a[r, col], a[r, p] = a[r, p], a[r, col]
+        zero = mags.max(axis=1) == 0
+        if zero.any():
+            singular |= zero
+            a[zero, col, col] = 1
+        if col < m - 1:
+            below = a[:, col + 1 :, col:]
+            factor = below[..., :1] / a[:, col, None, col, None]
+            a[:, col + 1 :, col:] = below - factor * a[:, None, col, col:]
+    return singular
 
 
-def solve_small(rows, rhs):
-    """Gaussian elimination with partial pivoting on a list-of-lists system."""
-    m = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    if len(_eliminate(a)) < m:
-        raise ConvergenceError("singular Newton system")
-    out = [0] * m
+def _solve(a, b):
+    """``(x, singular)`` with ``a[k] x[k] = b[k]`` for each ``(m, m)`` matrix
+    of the stack ``a``; ``x`` is meaningless where ``singular``."""
+    m = a.shape[-1]
+    aug = np.concatenate([a, b[..., None]], axis=-1)
+    singular = _eliminate(aug)
+    x = np.empty(b.shape, dtype=aug.dtype)
     for r in reversed(range(m)):
-        acc = a[r][m]
+        acc = aug[:, r, m]
         for cc in range(r + 1, m):
-            acc = acc - a[r][cc] * out[cc]
-        out[r] = acc / a[r][r]
-    return out
+            acc = acc - aug[:, r, cc] * x[:, cc]
+        x[:, r] = acc / aug[:, r, r]
+    return x, singular
 
 
 def det_small(rows):
-    """Determinant of a small list-of-lists matrix, backend agnostic."""
+    """Determinant of a small list-of-lists matrix, backend agnostic.
+
+    Row elimination with partial pivoting on the scalars themselves: a
+    formula's determinant is one small matrix, where the batched
+    elimination's numpy calls would cost far more than its arithmetic.
+    """
     a = [list(r) for r in rows]
-    swaps = _eliminate(a)
+    m = len(a)
     detval = 1
-    for col, swapped in enumerate(swaps):
-        if swapped:
+    for col in range(m):
+        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) == 0:
+            return 0 * detval
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
             detval = -detval
         detval = detval * a[col][col]
-    return detval if len(swaps) == len(a) else 0 * detval
+        for r in range(col + 1, m):
+            factor = a[r][col] / a[col][col]
+            for cc in range(col, m):
+                a[r][cc] = a[r][cc] - factor * a[col][cc]
+    return detval
+
+
+def _errors(res, scales) -> np.ndarray:
+    """``max_i |residual_i| / scale_i`` per set; ``inf`` if any is not finite."""
+    err = np.asarray(np.abs(res) / scales, dtype=float).max(axis=-1, initial=0.0)
+    err[~(err < math.inf)] = math.inf
+    return err
 
 
 def _newton(system, x0, tol, max_iter=100, max_halvings=30):
-    """Damped Newton iteration on a generic residual/Jacobian callback.
+    """Damped Newton iteration on a stack of independent problems.
 
-    ``system(x)`` returns (residuals, scales, jacobian), where ``jacobian()``
-    builds the rows at ``x``; it is called only at points Newton steps from,
-    never at the returned iterate.  The error is max_i |residual_i| /
-    scale_i.  Newton stops once the error is at most ``tol``, when no halved
-    step lowers it, or after ``max_iter`` steps, and returns its best iterate
-    with that error and the residuals and scales it was judged on; the
-    caller decides whether the error is good enough.  An out-of-range start
-    and a singular Newton system raise ``ConvergenceError``.  Wild trial
-    steps may overflow the rational expressions; those evaluations return
-    inf/nan, fail the descent test, and get halved away, so numpy's
-    transient warnings are suppressed.  A pole hit while evaluating a trial
-    point, or while building its Jacobian, halves the step too.
+    ``system(x)`` takes a ``(B, m)`` stack and returns ``(residuals,
+    scales, jacobian)``, where ``jacobian()`` builds the ``(B, m, m)`` stack
+    at ``x``; it is called only at points Newton steps from, never at a
+    returned iterate.  Each set's error is max_i |residual_i| / scale_i.
+    Each set steps on its own: it stops once its error is at most ``tol``,
+    when no halved step lowers it, or after ``max_iter`` steps, and keeps its
+    best iterate with that error and the residuals and scales it was judged
+    on; the caller decides whether the error is good enough.  Returns
+    ``(x, err, residuals, scales, failed)``, ``failed`` marking the sets
+    that started at a non-finite error or met a singular Newton system.
+
+    Wild trial steps may overflow the rational expressions; those entries
+    come out inf/nan, fail the descent test, and get halved away, so numpy's
+    transient warnings are suppressed.  A trial point that is not finite or
+    at a pole halves only its own set's step; a pole or zero division raised
+    while evaluating a trial stack, or while building its Jacobian, halves
+    every set of that stack (a system raises only on ``object`` stacks,
+    which hold one set).
     """
-    x = list(x0)
-
-    def err_of(res, scales):
-        out = 0.0
-        for r, s in zip(res, scales):
-            val = abs(r) / s
-            if not val < math.inf:
-                return math.inf
-            out = max(out, val)
-        return out
-
+    x = np.array(x0)
     with np.errstate(all="ignore"):
         res, scales, jacobian = system(x)
-        err = err_of(res, scales)
-        if not err < math.inf:
-            raise ConvergenceError("starting point is out of range")
-        if err <= tol:
-            return x, err, res, scales
-        jac = jacobian()
+        err = _errors(res, scales)
+        failed = ~(err < math.inf)
+        active = ~failed & (err > tol)
+        if active.any():
+            jac = jacobian()
         for _ in range(max_iter):
-            step = solve_small(jac, [-r for r in res])
+            idx = np.flatnonzero(active)
+            if not idx.size:
+                break
+            step, singular = _solve(jac[idx], -res[idx])
+            if singular.any():
+                failed[idx[singular]] = True
+                active[idx[singular]] = False
+                idx, step = idx[~singular], step[~singular]
             t = 1.0
             for _ in range(max_halvings):
-                cand = [xi + t * si for xi, si in zip(x, step)]
+                if not idx.size:
+                    break
+                cand = x[idx] + t * step
                 try:
                     nres, nscales, njacobian = system(cand)
-                    nerr = err_of(nres, nscales)
-                    if nerr <= tol:
-                        return cand, nerr, nres, nscales
-                    if nerr < err:
-                        jac = njacobian()
-                        x, res, scales, err = cand, nres, nscales, nerr
-                        break
+                    nerr = _errors(nres, nscales)
                 except (PoleError, ZeroDivisionError):
-                    pass
+                    nerr = np.full(idx.size, math.inf)
+                done = nerr <= tol
+                better = (nerr < err[idx]) & ~done
+                if better.any():
+                    try:
+                        jac[idx[better]] = njacobian()[better]
+                    except (PoleError, ZeroDivisionError):
+                        better[:] = False
+                take = done | better
+                if take.any():
+                    k = idx[take]
+                    x[k], res[k], scales[k], err[k] = (
+                        cand[take], nres[take], nscales[take], nerr[take]
+                    )
+                    active[idx[done]] = False
+                    idx, step = idx[~take], step[~take]
                 t = t / 2
-            else:
-                # No halved step lowers the error: Newton has stalled.
-                break
-    return x, err, res, scales
+            # No halved step lowers these sets' errors: Newton has stalled.
+            active[idx] = False
+    return x, err, res, scales, failed
 
 
 # ---------------------------------------------------------------------------
@@ -508,40 +705,50 @@ class BetheRoots:
     eigenvalue_residual: float | None = None
 
 
-def _package(roots, raw, scales, branch, eig_res) -> BetheRoots:
-    """Certification record of ``roots`` from its Bethe residuals and scales."""
-    scaled = tuple(float(abs(r) / s) for r, s in zip(raw, scales))
-    return BetheRoots(
-        roots=tuple(complex(r) for r in roots),
-        residuals_scaled=scaled,
-        on_shell=bool(max(scaled, default=0.0) <= BETHE_TOL),
-        branch=branch,
-        eigenvalue_residual=float(eig_res),
-    )
+def _stack_system(x, cs, bp):
+    """``_bethe_system(x)[:3]`` for Newton.
 
-
-def _refine(roots, cs, bp, tol):
-    """Newton polish on the Bethe system: ``(roots, error, residuals, scales)``.
-
-    The residuals and scales are those of Newton's last evaluation, at the
-    returned roots, which may miss ``tol`` where Newton stalled.
+    On a complex stack a set within ``POLE_TOL`` of a pole does not raise:
+    the stack is evaluated set by set and that set's rows come out NaN, so
+    Newton halves its step alone.  An ``object`` stack raises as the kernels
+    do.
     """
-    refined, err, raw, scales = _newton(
-        lambda x: _bethe_system(x, cs, bp)[:3], list(roots), tol
-    )
-    return tuple(refined), err, raw, scales
+    try:
+        return _bethe_system(x, cs, bp)[:3]
+    except PoleError:
+        if x.dtype == object:
+            raise
+    if len(x) > 1:
+        parts = [_stack_system(x[k : k + 1], cs, bp) for k in range(len(x))]
+        res, scales = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+        return res, scales, lambda: np.concatenate([p[2]() for p in parts])
+    rows = np.full(x.shape + x.shape[-1:], np.nan, dtype=x.dtype)
+    return rows[..., 0], np.ones(x.shape), lambda: rows
+
+
+def _refine(x, cs, bp, tol):
+    """Newton polish of the ``(B, m)`` stack ``x`` on the Bethe system:
+    ``(roots, errors, residuals, scales, failed)`` as :func:`_newton` gives
+    them, the residuals and scales those of each set's returned roots."""
+    return _newton(lambda y: _stack_system(y, cs, bp), x, tol)
 
 
 def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
-    """Newton-polish a root set on the Bethe system to ``tol``, or raise."""
-    refined, err = _refine(roots, cs, bp, tol)[:2]
-    if err > tol:
-        raise ConvergenceError(f"Newton did not reach tolerance ({err:.3e})")
-    return refined
+    """Newton-polish a root set on the Bethe system to ``tol``, or raise.
+
+    The set is polished as a one-set ``object`` stack, so it keeps its
+    scalar type: ``complex`` or 60-digit ``DecimalComplex``.
+    """
+    x, err, _, _, failed = _refine(_single(roots), cs, bp, tol)
+    if failed[0]:
+        raise ConvergenceError("Newton failed: non-finite start or singular system")
+    if err[0] > tol:
+        raise ConvergenceError(f"Newton did not reach tolerance ({err[0]:.3e})")
+    return tuple(x[0])
 
 
 # ---------------------------------------------------------------------------
-# Root solver: one linear T-Q solve per transfer-matrix branch.
+# Root solver: one stacked T-Q solve and one batched polish for all branches.
 
 
 class _BranchBasis:
@@ -603,18 +810,42 @@ def transfer_branch_basis(t, sector=None) -> _BranchBasis:
 
 
 def _tq_terms(w, m, cs, bp):
-    """T-Q coefficients at node ``w`` for a Baxter polynomial of degree ``m``.
+    """T-Q coefficients at the node ``w`` (or each of an array of nodes) for
+    a Baxter polynomial of degree ``m``.
 
     With ``Q(u) = prod_j (u-u_j)(u+u_j+1) = P(u(u+1))`` the eigenvalue obeys
     ``Lambda(w) P(z0) - abar lam1 P(z-) - dbar lam2 P(z+) = rho phit lam1 lam2``
     where ``z0 = w(w+1)``, ``z- = (w-1)w``, ``z+ = (w+1)(w+2)``.  Returns the
-    powers ``z0^k`` and ``abar lam1 z-^k + dbar lam2 z+^k`` for ``k = 0..m``,
-    and the right-hand side (zero for diagonal couplings).
+    powers ``z0^k`` and ``abar lam1 z-^k + dbar lam2 z+^k`` for ``k = 0..m``
+    on a last axis, and the right-hand side (zero for diagonal couplings).
     """
     a, d, rhs = _coefficients(w, cs, bp)
     powers = np.arange(m + 1)
-    shifted = a * ((w - 1) * w) ** powers + d * ((w + 1) * (w + 2)) ** powers
-    return (w * (w + 1)) ** powers, shifted, rhs
+
+    def power(z):
+        return _last(np.asarray(z)) ** powers
+
+    shifted = _last(a) * power((w - 1) * w) + _last(d) * power((w + 1) * (w + 2))
+    return power(w * (w + 1)), shifted, rhs
+
+
+def _least_squares(a, b):
+    """Least-squares solution of every system ``a[k] x = b[k]`` of a stack.
+
+    One stacked SVD, with the singular values at most ``np.linalg.lstsq``'s
+    cutoff (machine epsilon times the larger dimension times the largest)
+    left out; a system with a non-finite entry gets NaN.
+    """
+    count, rows, cols = a.shape
+    out = np.full((count, cols), np.nan, dtype=complex)
+    ok = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if ok.any():
+        u, s, vh = np.linalg.svd(a[ok], full_matrices=False)
+        kept = s > _EPS * max(rows, cols) * s[:, :1]
+        inv = kept / np.where(kept, s, 1.0)
+        ub = np.conj(u).transpose(0, 2, 1) @ b[ok][..., None]
+        out[ok] = (np.conj(vh).transpose(0, 2, 1) @ (inv[..., None] * ub))[..., 0]
+    return out
 
 
 def _tq_seeds(eigs, nodes, m, cs, bp):
@@ -622,28 +853,21 @@ def _tq_seeds(eigs, nodes, m, cs, bp):
 
     ``eigs[k, br]`` is branch ``br``'s eigenvalue at ``nodes[k]``.  The monic
     Baxter polynomial ``P`` of degree ``m`` in ``z = u(u+1)`` solves a linear
-    least-squares system per branch; its zeros give the roots through
-    ``u = (-1 + sqrt(1+4z))/2`` (either branch of the root is the same set up
-    to the reflection ``u -> -u-1``).  A branch whose coefficients are not
-    finite has no seed (``None``).
+    least-squares system per branch, all in one stacked solve; its zeros give
+    the roots through ``u = (-1 + sqrt(1+4z))/2`` (either branch of the root
+    is the same set up to the reflection ``u -> -u-1``).  Returns a
+    ``(branches, m)`` array; a branch whose coefficients are not finite has
+    no seed (a row that is not finite).
     """
-    terms = [_tq_terms(w, m, cs, bp) for w in nodes]
-    own = np.array([t[0] for t in terms])
-    shifted = np.array([t[1] for t in terms])
-    rhs = np.array([t[2] for t in terms])
+    own, shifted, rhs = _tq_terms(np.asarray(nodes), m, cs, bp)
+    rows = eigs.T[:, :, None] * own - shifted
+    a, b = rows[..., :m], rhs - rows[..., m]
+    scale = np.maximum(np.abs(a).max(axis=2, initial=0.0), np.abs(b))
+    fit = _least_squares(a / scale[..., None], b / scale)
     # Row ``br``: branch ``br``'s monic coefficients, highest power first.
-    poly = np.ones((eigs.shape[1], m + 1), dtype=complex)
-    for br, coef in enumerate(poly):
-        rows = eigs[:, br, None] * own - shifted
-        a, b = rows[:, :m], rhs - rows[:, m]
-        scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), np.abs(b))
-        fit = np.linalg.lstsq(a / scale[:, None], b / scale, rcond=None)[0]
-        coef[1:] = fit[::-1]
-    roots = (-1 + np.sqrt(1 + 4 * _polynomial_zeros(poly))) / 2
-    return [
-        tuple(complex(u) for u in us) if np.isfinite(us).all() else None
-        for us in roots
-    ]
+    poly = np.ones((len(fit), m + 1), dtype=complex)
+    poly[:, 1:] = fit[:, ::-1]
+    return (-1 + np.sqrt(1 + 4 * _polynomial_zeros(poly))) / 2
 
 
 def _polynomial_zeros(poly):
@@ -663,15 +887,33 @@ def _polynomial_zeros(poly):
     return zs
 
 
-def _verify_branch(roots, targets, points, table, bp):
-    """Worst relative gap between the eigenvalue expression and ``targets``,
-    with ``table`` holding each point's :func:`_coefficients`."""
-    worst = 0.0
-    for w, coeffs, target in zip(points, table, targets):
-        e = _Expression(w, roots, coeffs, not bp.diagonal_mode)
-        lam = e.dressed + e.inhomogeneous
-        worst = max(worst, abs(lam - target) / (1.0 + abs(target)))
-    return worst
+def _certify(branches, seeds, targets, points, cs, bp):
+    """The certified sets of ``branches``, in their order, from one batched
+    polish of their seeds and one eigenvalue gate at the check ``points``
+    (``targets[k, br]`` is branch ``br``'s eigenvalue at ``points[k]``)."""
+    branches = branches[np.isfinite(seeds[branches]).all(axis=1)]
+    if not branches.size:
+        return []
+    roots, _, raw, scales, failed = _refine(seeds[branches], cs, bp, 1e-12)
+    keep = ~failed & np.array([_set_is_generic(r) for r in roots.tolist()], dtype=bool)
+    worst = np.full(len(branches), np.inf)
+    if keep.any():
+        target = targets[:, branches[keep]]
+        gap = np.abs(lambda_table(points, roots[keep], cs, bp) - target)
+        worst[keep] = (gap / (1.0 + np.abs(target))).max(axis=0)
+    passed = np.flatnonzero(worst <= 1e-8)
+    scaled = (np.abs(raw[passed]) / scales[passed]).tolist()
+    return [
+        BetheRoots(
+            roots=tuple(root_set),
+            residuals_scaled=tuple(sc),
+            on_shell=True,
+            branch=int(branches[k]),
+            eigenvalue_residual=float(worst[k]),
+        )
+        for k, root_set, sc in zip(passed.tolist(), roots[passed].tolist(), scaled)
+        if max(sc, default=0.0) <= BETHE_TOL
+    ]
 
 
 def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
@@ -687,30 +929,21 @@ def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
     basis = transfer_branch_basis(t, sector=sector)
     eigs = basis.eigenvalues(t[1:])
     targets, node_eigs = eigs[:5], eigs[5:]
-    seeds = _tq_seeds(node_eigs, nodes, m, cs, bp) if m else [()] * basis.size
-    table = [_coefficients(w, cs, bp) for w in check_points]
-
     size = basis.size
-    start = 0 if branch is None else branch % size
-    found = []
-    for br in [(start + k) % size for k in range(size)]:
-        if seeds[br] is None:
-            continue
-        try:
-            roots, _, raw, scales = _refine(seeds[br], cs, bp, 1e-12)
-        except (ConvergenceError, PoleError, ZeroDivisionError):
-            continue
-        if not _set_is_generic(roots):
-            continue
-        worst = _verify_branch(roots, targets[:, br], check_points, table, bp)
-        if worst > 1e-8:
-            continue
-        sol = _package(roots, raw, scales, br, worst)
-        if sol.on_shell:
-            found.append(sol)
-            if branch is not None:
-                break
-    return found
+    if m:
+        seeds = _tq_seeds(node_eigs, nodes, m, cs, bp)
+    else:
+        seeds = np.zeros((size, 0), dtype=complex)
+
+    order = (np.arange(size) + (0 if branch is None else branch)) % size
+    if branch is None:
+        return _certify(order, seeds, targets, check_points, cs, bp)
+    # The chosen branch alone first; the others, in order, only if it fails.
+    for group in (order[:1], order[1:]):
+        found = _certify(group, seeds, targets, check_points, cs, bp)
+        if found:
+            return found[:1]
+    return []
 
 
 def solve_bethe(

@@ -153,6 +153,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that the report could not be written to."""
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(
+        target, os.W_OK
+    ):
+        raise ParameterError(f"cannot write the report to {path!r}")
+
+
 def _write_out(command: str, report, path: str) -> None:
     if command == "solve-bethe" and path.endswith(".csv"):
         text = report.details["csv"]
@@ -166,6 +176,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = build_config(args)
+        if args.out:
+            _check_out(args.out)
     except (ParameterError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

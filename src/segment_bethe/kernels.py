@@ -8,12 +8,17 @@ same code path runs on ``complex`` and on the extended-precision
 
 Denominators are guarded: an evaluation within ``POLE_TOL`` of a pole raises
 :class:`~segment_bethe.errors.PoleError` naming the kernel, so parameter sweeps
-can redraw instead of silently blowing up.
+can redraw instead of silently blowing up.  The kernels also run elementwise
+on numpy arrays (complex, or ``object`` arrays of either scalar type); an
+array raises if any of its entries is within ``POLE_TOL`` of a pole.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
+
+import numpy as np
 
 from .errors import PoleError
 from .precision import DecimalComplex
@@ -42,6 +47,7 @@ __all__ = [
     "Q",
     "F",
     "fhq",
+    "pair_numerators",
     "f_product",
     "h_product",
     "Q_product",
@@ -61,6 +67,11 @@ def _guard(name, point, *denominators):
             or d.imag.copy_abs() >= _POLE_TOL_PART
         ):
             continue
+        elif isinstance(d, np.ndarray):
+            if d.dtype == object:
+                _guard(name, point, *d.ravel().tolist())
+                continue
+            a = float(np.minimum.reduce(np.abs(d), axis=None, initial=math.inf))
         else:
             a = abs(complex(d))
         if a < POLE_TOL:
@@ -124,13 +135,15 @@ def y(u, v):
 
 def phi(u):
     """2(u+1)/(2u+1); the reflected value phi(-u-1) = 2u/(2u+1)."""
-    _guard("phi", u, 2 * u + 1)
-    return 2 * (u + 1) / (2 * u + 1)
+    two = 2 * u + 1
+    _guard("phi", u, two)
+    return 2 * (u + 1) / two
 
 
 def tilde_phi(u, p):
-    _guard("tilde_phi", u, p + u, p - u - 1)
-    return (u + 1) * (2 * u + 1) / ((p + u) * (p - u - 1))
+    plus, minus = p + u, p - u - 1
+    _guard("tilde_phi", u, plus, minus)
+    return (u + 1) * (2 * u + 1) / (plus * minus)
 
 
 def Q(u, v):
@@ -144,11 +157,19 @@ def F(u, v):
     return -(u + 1) * (2 * v + 1) / ((v + 1) * Q(u, v))
 
 
+def pair_numerators(u, v):
+    """``(fn, hn, Q(u, v))`` with ``f = fn / Q`` and ``h = hn / Q``, under the
+    pole guard of ``f``; ``u - v`` and ``u + v`` are formed once."""
+    diff, total = u - v, u + v
+    total1 = total + 1
+    _guard("f", (u, v), diff, total1)
+    return (diff - 1) * total, (diff + 1) * (total + 2), diff * total1
+
+
 def fhq(u, v):
     """``(f(u, v), h(u, v), Q(u, v))`` sharing one ``Q`` and one pole guard."""
-    _guard("f", (u, v), u - v, u + v + 1)
-    qq = Q(u, v)
-    return (u - v - 1) * (u + v) / qq, (u - v + 1) * (u + v + 2) / qq, qq
+    fn, hn, qq = pair_numerators(u, v)
+    return fn / qq, hn / qq, qq
 
 
 # Derivatives used by Jacobians and the norm matrix.
@@ -168,12 +189,13 @@ def d_phi(u):
 def tilde_phi_and_derivative(u, p):
     """``(tilde_phi(u, p), d/du tilde_phi(u, p))`` from one numerator,
     denominator and pole guard."""
-    _guard("tilde_phi", u, p + u, p - u - 1)
-    num = (u + 1) * (2 * u + 1)
-    den = (p + u) * (p - u - 1)
+    plus, minus = p + u, p - u - 1
+    _guard("tilde_phi", u, plus, minus)
+    two = 2 * u + 1
+    num = (u + 1) * two
+    den = plus * minus
     d_num = 4 * u + 3
-    d_den = -(2 * u + 1)
-    return num / den, (d_num * den - num * d_den) / (den * den)
+    return num / den, (d_num * den - num * -two) / (den * den)
 
 
 def d_tilde_phi(u, p):

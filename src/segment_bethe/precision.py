@@ -19,6 +19,8 @@ import sys
 from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
 
+import numpy as np
+
 from .errors import ParameterError
 from .params import BoundaryParams, ChainSpec
 
@@ -47,16 +49,16 @@ class DecimalComplex:
 
     Arithmetic rounds to the current decimal context.  Operands may be
     ``int``, ``float``, ``complex`` or ``Decimal`` on either side; they are
-    converted exactly.  ``abs()`` returns a ``float``: the formula layer
-    only uses magnitudes as pivots, scales and tolerances, in double.
+    converted exactly.  With a numpy array on either side the array's
+    operator runs, elementwise, so ``object`` arrays of these numbers
+    combine with them as the scalars do.  ``abs()`` returns a ``float``:
+    the formula layer only uses magnitudes as pivots, scales and
+    tolerances, in double.
     Division by an exact zero raises ``ZeroDivisionError``.  The parts are
     ``Decimal`` numbers; :func:`lift` builds one from any other scalar.
     """
 
     __slots__ = ("real", "imag")
-
-    # numpy scalars on the left defer to the reflected operators.
-    __array_ufunc__ = None
 
     def __init__(self, real, imag):
         self.real = real
@@ -77,10 +79,17 @@ class DecimalComplex:
     # Each operator reads a DecimalComplex operand directly and sends every
     # other type through ``_parts``: the formula layer's operands are mostly
     # DecimalComplex, and a call per operand costs as much as the arithmetic.
+    # An ``int`` operand (the formulas' constants) enters the Decimal
+    # arithmetic directly, which converts it exactly, as ``_parts`` would.
+    # An array operand is left to the array's reflected operator.
 
     def __add__(self, other):
         if type(other) is DecimalComplex:
             return DecimalComplex(self.real + other.real, self.imag + other.imag)
+        if type(other) is int:
+            return DecimalComplex(self.real + other, self.imag + _ZERO)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         c, d = _parts(other)
         return DecimalComplex(self.real + c, self.imag + d)
 
@@ -89,10 +98,18 @@ class DecimalComplex:
     def __sub__(self, other):
         if type(other) is DecimalComplex:
             return DecimalComplex(self.real - other.real, self.imag - other.imag)
+        if type(other) is int:
+            return DecimalComplex(self.real - other, self.imag - _ZERO)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         c, d = _parts(other)
         return DecimalComplex(self.real - c, self.imag - d)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return DecimalComplex(other - self.real, _ZERO - self.imag)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         c, d = _parts(other)
         return DecimalComplex(c - self.real, d - self.imag)
 
@@ -100,6 +117,10 @@ class DecimalComplex:
         a, b = self.real, self.imag
         if type(other) is DecimalComplex:
             c, d = other.real, other.imag
+        elif type(other) is int:
+            return DecimalComplex(a * other, b * other)
+        elif isinstance(other, np.ndarray):
+            return NotImplemented
         else:
             c, d = _parts(other)
             if not d:
@@ -111,10 +132,14 @@ class DecimalComplex:
     def __truediv__(self, other):
         if type(other) is DecimalComplex:
             return _divide(self.real, self.imag, other.real, other.imag)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         c, d = _parts(other)
         return _divide(self.real, self.imag, c, d)
 
     def __rtruediv__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         a, b = _parts(other)
         return _divide(a, b, self.real, self.imag)
 

@@ -17,12 +17,12 @@ import warnings
 
 from . import kernels as kn
 from .bethe import (
-    _bethe_system,
     det_small,
     eigenvalue_parts,
+    lambda_gradient_rows,
     lambda_total_derivative,
-    lambda_total_gradient,
     refine_roots,
+    residual_jacobian,
     root_terms,
     vacuum_eigenvalues,
 )
@@ -45,6 +45,7 @@ __all__ = [
     "cauchy_matrix",
     "cauchy_det_factorized",
     "slavnov_jacobian",
+    "slavnov_jacobians",
     "slavnov_modified",
     "gaudin_matrix",
     "gaudin_korepin_norm",
@@ -116,12 +117,25 @@ def slavnov_jacobian(
 ):
     """Rows: derivative in onshell[i]; columns: eigenvalue at free[j].
 
-    Each column is one :func:`~segment_bethe.bethe.lambda_total_gradient`,
-    so a free point's scalar data is computed once for all its entries.
+    Column ``j`` is :func:`~segment_bethe.bethe.lambda_total_gradient` at
+    ``free[j]``, all columns from one evaluation.
     """
+    return slavnov_jacobians([free], onshell, cs, bp)[0]
+
+
+def slavnov_jacobians(free_sets, onshell, cs: ChainSpec, bp: BoundaryParams):
+    """:func:`slavnov_jacobian` for each free set against one on-shell set,
+    every column from one :func:`~segment_bethe.bethe.lambda_gradient_rows`
+    evaluation."""
     onshell = tuple(onshell)
-    columns = [lambda_total_gradient(v, onshell, cs, bp) for v in free]
-    return [[col[i] for col in columns] for i in range(len(onshell))]
+    points = [v for free in free_sets for v in free]
+    columns = lambda_gradient_rows(points, onshell, cs, bp)
+    out, start = [], 0
+    for free in free_sets:
+        block = columns[start : start + len(free)]
+        start += len(free)
+        out.append([[col[i] for col in block] for i in range(len(onshell))])
+    return out
 
 
 def _slavnov_prefactor(nn, bp):
@@ -228,7 +242,7 @@ def gaudin_matrix(
     q_minus = [[kn.Q(-uj, uk) for uk in roots] for uj in roots]
     q_plus = [[kn.Q(uj + 1, uk) for uk in roots] for uj in roots]
     if diag == "derivative":
-        jac = _bethe_system(roots, cs, bp, terms)[2]()
+        jac = residual_jacobian(roots, cs, bp)
     rows = []
     for i in range(mm):
         others = [k for k in range(mm) if k != i]
@@ -310,10 +324,9 @@ def norm_from_slavnov_limit(roots, cs: ChainSpec, bp: BoundaryParams):
         # Only the free set moves with the step: w0 and the prefactor belong
         # to the on-shell set and are computed once.
         scale = _slavnov_prefactor(len(on), bp_l) * w0_scalar(on, cs_l, bp_l)
+        frees = [tuple(u + e for u in on) for e in steps]
         values = []
-        for e in steps:
-            free = tuple(u + e for u in on)
-            jac = slavnov_jacobian(free, on, cs_l, bp_l)
+        for free, jac in zip(frees, slavnov_jacobians(frees, on, cs_l, bp_l)):
             vmat = cauchy_matrix(free, on)
             values.append(scale * det_small(jac) / det_small(vmat))
         # Polynomial extrapolation to 0 in the step parameter (Neville).

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import kernels as kn
 from .bethe import (
+    _eigenvalue_at,
     eigenvalue_parts,
     lambda_total,
-    unwanted_terms,
     vacuum_eigenvalues,
 )
 from .double_row import Entries, double_row, modified_entries, transfer_matrix
@@ -147,15 +147,21 @@ def _action_terms(value, coeffs, u, roots, state) -> list:
     return terms
 
 
-def check_offshell_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
-    """Residuals of the full off-shell transfer action on ket and bra states."""
+def check_offshell_action(
+    u, roots, unwanted, cs: ChainSpec, bp: BoundaryParams
+) -> dict:
+    """Residuals of the full off-shell transfer action on ket and bra states.
+
+    ``unwanted`` is :func:`~segment_bethe.bethe.unwanted_terms` at
+    ``roots``, evaluated once for every check at these roots.
+    """
     u = complex(u)
     roots = tuple(roots)
     if len(roots) != cs.sites:
         raise ParameterError("off-shell action requires one root per site")
     t = transfer_matrix(u, cs, bp)
     lam = lambda_total(u, roots, cs, bp)
-    dressed, inhomogeneous = unwanted_terms(roots, cs, bp)
+    dressed, inhomogeneous = unwanted
     coeffs = [
         kn.F(u, r) * (d + g) for r, d, g in zip(roots, dressed, inhomogeneous)
     ]
@@ -167,8 +173,11 @@ def check_offshell_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     return out
 
 
-def check_central_relation(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
-    """Residuals of the inhomogeneous-term identity (requires generic couplings)."""
+def check_central_relation(
+    u, roots, unwanted, cs: ChainSpec, bp: BoundaryParams
+) -> dict:
+    """Residuals of the inhomogeneous-term identity (requires generic
+    couplings); ``unwanted`` as in :func:`check_offshell_action`."""
     u = complex(u)
     roots = tuple(roots)
     if bp.diagonal_mode:
@@ -177,7 +186,7 @@ def check_central_relation(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
         raise ParameterError("central relation requires one root per site")
 
     lam_g = eigenvalue_parts(u, roots, cs, bp)[1]
-    inhomogeneous = unwanted_terms(roots, cs, bp)[1]
+    inhomogeneous = unwanted[1]
     coeffs = [kn.F(u, r) * g for r, g in zip(roots, inhomogeneous)]
     out = {}
     for side in SIDES:
@@ -197,12 +206,15 @@ def _string_product(side: _Side, ws, cs, bp) -> np.ndarray:
     return prod
 
 
-def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
+def check_multiple_actions(
+    u, roots, unwanted, cs: ChainSpec, bp: BoundaryParams
+) -> dict:
     """Residuals of the sweep of diagonal entries through a creation string.
 
     The four operator identities are checked as full matrix equalities; the
     partial transfer action (valid for any number of roots) is checked on the
-    reference state and its dual.
+    reference state and its dual.  ``unwanted`` is as in
+    :func:`check_offshell_action`.
     """
     u = complex(u)
     roots = tuple(roots)
@@ -221,11 +233,11 @@ def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
         kd = kn.k(u, ui) * kn.h_product(ui, rest)
         na = kn.n(u, ui) * kn.f_product(ui, rest)
         sweeps.append((rest, e_i.a, e_i.d, ga, wd, kd, na))
-    f_all = kn.f_product(u, roots)
-    h_all = kn.h_product(u, roots)
+    # The dressed eigenvalue at u and its products of f and h over the roots.
+    e = _eigenvalue_at(u, roots, cs, bp)
+    f_all, h_all, lam_d = e.pf, e.ph, e.dressed
     t = transfer_matrix(u, cs, bp)
-    lam_d = eigenvalue_parts(u, roots, cs, bp)[0]
-    coeffs = [kn.F(u, r) * d for r, d in zip(roots, unwanted_terms(roots, cs, bp)[0])]
+    coeffs = [kn.F(u, r) * d for r, d in zip(roots, unwanted[0])]
 
     out = {}
     for side in SIDES:

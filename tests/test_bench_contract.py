@@ -71,3 +71,15 @@ def test_tracer_install_and_restore_leave_originals():
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
     assert params.BoundaryParams.__dict__["rho"] is rho
+
+
+@pytest.mark.parametrize("name, count", [("spectrum-n2", 20), ("certify-n2", 2)])
+def test_workload_ops_pass_the_benchmark_checks(name, count):
+    # The benchmark's own make, op and check functions: a solver change the
+    # benchmark would judge "wrong" or "failed" fails here.  The certify ops
+    # alternate double and extended precision, so two cover both.
+    wl = workloads.WORKLOADS[name]
+    for index in range(count):
+        problem = wl.make(1, index)
+        verdict, why = wl.check(problem, wl.op(problem))
+        assert verdict == "ok", f"{name} op {index}: {verdict}: {why}"

@@ -1,6 +1,5 @@
 """Eigenvalue expressions, Bethe system, Jacobians, and the T-Q root solver."""
 
-import cmath
 import importlib
 
 import numpy as np
@@ -12,6 +11,7 @@ from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe import precision
 from segment_bethe.bethe import (
+    _bethe_system,
     _newton,
     bethe_residuals_scaled,
     det_small,
@@ -24,13 +24,12 @@ from segment_bethe.bethe import (
     root_sets_match,
     solve_bethe,
     solve_bethe_diagonal,
-    solve_small,
     unwanted_terms,
     vacuum_eigenvalue_derivatives,
     vacuum_eigenvalues,
 )
 from segment_bethe.double_row import double_row, transfer_matrix
-from segment_bethe.errors import ConvergenceError, ParameterError
+from segment_bethe.errors import ConvergenceError, ParameterError, PoleError
 from segment_bethe.linalg import vacuum_state
 from segment_bethe.params import (
     BoundaryParams,
@@ -119,11 +118,19 @@ def test_residuals_scaled_are_bounded_by_raw(cs2, bp, rng):
     assert raw == [d + g for d, g in zip(dressed, inhomogeneous)]
 
 
-def test_solve_small_matches_numpy(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=4) + 1j * rng.normal(size=4)
-    got = solve_small([list(row) for row in a], list(b))
-    assert np.allclose(got, np.linalg.solve(a, b))
+def test_batched_elimination_matches_numpy(rng):
+    # One elimination solves every system of the stack, each as
+    # np.linalg.solve does; on an object stack it solves in the scalars'
+    # own arithmetic.
+    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    b = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    got, singular = bethe._solve(a, b)
+    assert not singular.any()
+    assert np.allclose(got, np.linalg.solve(a, b[..., None])[..., 0])
+    got_object, singular = bethe._solve(a.astype(object), b.astype(object))
+    assert not singular.any()
+    assert np.allclose(got_object.astype(complex), got)
+    assert all(type(v) is complex for v in got_object.ravel())
 
 
 def test_det_small_matches_numpy(rng):
@@ -135,9 +142,16 @@ def test_det_small_singular():
     assert det_small([[1.0, 2.0], [2.0, 4.0]]) == 0
 
 
-def test_solve_small_singular_raises():
-    with pytest.raises(ConvergenceError):
-        solve_small([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0])
+def test_batched_elimination_flags_singular_systems(rng):
+    # An exactly zero pivot marks its own system singular; the others of the
+    # stack are solved as if alone.
+    a = np.array([[[1.0, 2.0], [2.0, 4.0]], [[3.0, 1.0], [1.0, 2.0]]])
+    b = np.array([[1.0, 0.0], [1.0, 1.0]])
+    with np.errstate(all="raise"):
+        got, singular = bethe._solve(a, b)
+    assert singular.tolist() == [True, False]
+    assert np.array_equal(got[1], bethe._solve(a[1:], b[1:])[0][0])
+    assert np.allclose(got[1], np.linalg.solve(a[1], b[1]))
 
 
 @given(
@@ -204,28 +218,33 @@ def _stalling_draw():
 
 
 def test_polish_returns_residuals_at_its_roots(monkeypatch, cs2, bp, solved2):
-    # The polish hands on the residuals and scales of Newton's last
+    # The polish hands on, per set, the residuals and scales of Newton's last
     # evaluation, at the roots it returns, whether Newton met its 1e-12 stop
     # or stalled above it (one seed of the N = 4 draw).
     problems = [
-        (tuple(r + 1e-5 * (1 + 1j) for r in sol.roots), cs2, bp)
-        for sol in solved2
+        (
+            np.array([[r + 1e-5 * (1 + 1j) for r in sol.roots] for sol in solved2]),
+            cs2,
+            bp,
+        )
     ]
     real = bethe._refine
 
-    def recording(roots, cs, bp, tol):
-        problems.append((roots, cs, bp))
-        return real(roots, cs, bp, tol)
+    def recording(x, cs, bp, tol):
+        problems.append((x, cs, bp))
+        return real(x, cs, bp, tol)
 
     monkeypatch.setattr(bethe, "_refine", recording)
     assert len(solve_bethe(*_stalling_draw())) == 16
     monkeypatch.undo()
     errors = []
-    for seed, cs, bp_ in problems:
-        roots, err, raw, scales = bethe._refine(seed, cs, bp_, 1e-12)
-        errors.append(err)
-        assert (raw, scales) == bethe_residuals_scaled(roots, cs, bp_)
-        assert err == max(abs(r) / s for r, s in zip(raw, scales))
+    for seeds, cs, bp_ in problems:
+        roots, err, raw, scales, failed = bethe._refine(seeds, cs, bp_, 1e-12)
+        assert not failed.any()
+        errors.extend(err)
+        again = _bethe_system(roots, cs, bp_)
+        assert np.array_equal(raw, again[0]) and np.array_equal(scales, again[1])
+        assert np.array_equal(err, (np.abs(raw) / scales).max(axis=1))
     assert max(errors) > 1e-12
 
 
@@ -246,24 +265,60 @@ def test_newton_returns_its_best_iterate_when_it_cannot_reach_tol():
         seen = []
 
         def system(x):
-            res, scales = [residual(x[0])], [1.0]
-            seen.append((x, res, scales))
-            return res, scales, lambda: [[derivative(x[0])]]
+            res, scales = residual(x), np.ones(x.shape)
+            seen.append((x[0, 0], res[0, 0], scales[0, 0]))
+            return res, scales, lambda: derivative(x)[:, :, None]
 
         return system, seen
 
     cases = [
         (lambda x: x * x - 2, lambda x: 2 * x, 100, 2**0.5),
-        (cmath.exp, cmath.exp, 3, 1.5 - 3),
+        (np.exp, np.exp, 3, 1.5 - 3),
     ]
     for residual, derivative, max_iter, expected in cases:
         system, seen = recorded(residual, derivative)
-        x, err, res, scales = _newton(system, [1.5], 1e-30, max_iter=max_iter)
-        best = min(seen, key=lambda p: abs(p[1][0]) / p[2][0])
-        assert err > 1e-30
-        assert (x, res, scales) == best
-        assert err == abs(res[0]) / scales[0]
-        assert abs(x[0] - expected) < 1e-12
+        start = np.array([[1.5 + 0j]])
+        x, err, res, scales, failed = _newton(system, start, 1e-30, max_iter=max_iter)
+        best = min(seen, key=lambda p: abs(p[1]) / p[2])
+        assert err[0] > 1e-30 and not failed[0]
+        assert (x[0, 0], res[0, 0], scales[0, 0]) == best
+        assert err[0] == abs(res[0, 0]) / scales[0, 0]
+        assert abs(x[0, 0] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("failure", ["pole", "nan"])
+def test_trial_pole_or_nan_halves_only_its_branch(
+    monkeypatch, cs2, bp, solved2, failure
+):
+    # Branch 1's first trial point hits a pole (raised by the system) or
+    # comes out NaN: that branch halves its step and still converges, and
+    # every other branch returns exactly what it returns polished alone.
+    seeds = np.array([[r + 1e-4 * (1 + 1j) for r in sol.roots] for sol in solved2])
+    alone = [bethe._refine(seeds[k : k + 1], cs2, bp, 1e-12) for k in range(4)]
+    real = bethe._bethe_system
+    calls, poisoned = [], []
+
+    def faulty(x, cs, bp_):
+        if len(calls) == 1:
+            poisoned.append(x[1].copy())
+        calls.append(len(x))
+        hit = np.array([any(np.array_equal(row, p) for p in poisoned) for row in x])
+        if hit.any() and failure == "pole":
+            raise PoleError("f", x, 0.0)
+        out = real(x, cs, bp_)
+        if failure == "nan":
+            out[0][hit] = np.nan
+        return out
+
+    monkeypatch.setattr(bethe, "_bethe_system", faulty)
+    roots, err, raw, scales, failed = bethe._refine(seeds, cs2, bp, 1e-12)
+    assert calls[1] == 4 and poisoned
+    assert not failed.any() and (err <= 1e-12).all()
+    assert not np.array_equal(roots[1], poisoned[0])
+    for k in (0, 2, 3):
+        x1, err1, raw1, scales1, _ = alone[k]
+        assert np.array_equal(roots[k], x1[0]) and err[k] == err1[0]
+        assert np.array_equal(raw[k], raw1[0]) and np.array_equal(scales[k], scales1[0])
 
 
 def test_refine_roots_raises_above_tol(cs2, bp, solved2):
@@ -274,13 +329,13 @@ def test_refine_roots_raises_above_tol(cs2, bp, solved2):
 
 def test_certified_sets_cost_one_system_evaluation(monkeypatch):
     # At N = 2 nearly every T-Q seed meets the 1e-12 polish stop as it is, so
-    # Newton evaluates the Bethe system once per set; certifying the set must
-    # read that evaluation, not repeat it at the same point.
-    calls = []
+    # Newton evaluates the Bethe system once per set, all sets in one stack;
+    # certifying the sets must read that evaluation, not repeat it.
+    sets = []
     real = bethe._bethe_system
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        sets.append(len(args[0]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bethe, "_bethe_system", counted)
@@ -291,7 +346,8 @@ def test_certified_sets_cost_one_system_evaluation(monkeypatch):
         cs = draw_chain_spec(rng, 2)
         found += len(solve_bethe(cs, bp, rng=rng))
     assert found == 80
-    assert len(calls) <= found + found // 10
+    assert sum(sets) <= found + found // 10
+    assert len(sets) <= 20 + found // 10
 
 
 def _count_raw_blocks(monkeypatch):
@@ -404,19 +460,23 @@ def test_branch_choice_is_that_branch_of_a_full_solve(cs2, bp):
 
 
 def test_branch_choice_moves_on_when_a_branch_fails(monkeypatch, cs2, bp):
+    # The chosen branch is polished alone; when it fails, the others are
+    # polished in one stack and the first of them, in order, that passes is
+    # returned.
     full = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
     real = bethe._refine
     calls = []
 
-    def fail_first(roots, cs, bp_, tol):
-        calls.append(roots)
+    def fail_first(x, cs, bp_, tol):
+        calls.append(len(x))
+        out = real(x, cs, bp_, tol)
         if len(calls) == 1:
-            raise ConvergenceError("forced")
-        return real(roots, cs, bp_, tol)
+            out[4][:] = True
+        return out
 
     monkeypatch.setattr(bethe, "_refine", fail_first)
     sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91), branch=3)
-    assert len(calls) == 2
+    assert calls == [1, 3]
     assert sols == [full[0]]
 
 
@@ -433,20 +493,19 @@ def test_branch_choice_draws_what_a_full_solve_draws(cs2, bp, bp_diag):
 def test_non_finite_tq_coefficients_lose_one_branch(monkeypatch, cs2, bp):
     # A branch whose least-squares coefficients come out NaN has no seed: it
     # is missing from the result, and the other branches still return.
-    real = np.linalg.lstsq
+    real = np.linalg.svd
     calls = []
 
-    def nan_once(a, b, *args, **kwargs):
-        out = real(a, b, *args, **kwargs)
-        calls.append(a)
-        if len(calls) == 2:
-            out = (np.full_like(out[0], np.nan),) + out[1:]
-        return out
+    def nan_second(a, *args, **kwargs):
+        u, s, vh = real(a, *args, **kwargs)
+        calls.append(len(a))
+        u[1] = np.nan
+        return u, s, vh
 
-    monkeypatch.setattr(np.linalg, "lstsq", nan_once)
+    monkeypatch.setattr(np.linalg, "svd", nan_second)
     sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
+    assert calls == [4]
     assert [s.branch for s in sols] == [0, 2, 3]
-    calls.clear()
     picked = solve_bethe(cs2, bp, rng=np.random.default_rng(91), branch=1)
     assert [s.branch for s in picked] == [2]
 

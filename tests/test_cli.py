@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from segment_bethe import harness, linalg
+from segment_bethe import cli, harness, linalg
 from segment_bethe.cli import ENV_PRECISION, build_config, load_config_file, main
 from segment_bethe.errors import ParameterError
 
@@ -190,6 +190,20 @@ def test_out_writes_report_file(tmp_path, capsys):
     assert code == 0
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written == json.loads(capsys.readouterr().out)
+
+
+def test_exit_two_on_unwritable_out(monkeypatch, tmp_path, capsys):
+    # An --out path the report cannot be written to (a missing folder, or a
+    # folder itself) is a configuration fault, refused before any suite runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["n1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: cannot write the report to" in captured.err
 
 
 def test_solve_bethe_csv_out(tmp_path, capsys):

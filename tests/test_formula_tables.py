@@ -374,6 +374,65 @@ def test_one_pass_system_matches_per_entry(size, diagonal, backend):
         )
 
 
+# numpy's complex product fuses its multiply-adds and its quotient multiplies
+# by a reciprocal, so a complex stack's entries may differ from the scalar
+# arithmetic of a one-set call by a few units in the last place per
+# operation (at most 1.6e-15 of the scale and 8e-15 of the row in 200 draws
+# up to six roots).
+STACK_TOL = 1e-14
+
+
+def _stack_problem(size, seed, diagonal, count=5):
+    cs, bp = _problem(size, seed, diagonal)[:2]
+    rng = np.random.default_rng([size, seed])
+    sets = [tuple(draw_spectral_points(rng, size, cs=cs, bp=bp)) for _ in range(count)]
+    return cs, bp, sets
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_stack_system_matches_single_sets(size, diagonal):
+    # A complex (B, m) stack gives each set's residuals, scales and Jacobian
+    # as its own one-set call does, up to rounding.
+    for seed in range(3):
+        cs, bp, sets = _stack_problem(size, seed, diagonal)
+        raw, scales, jacobian = bethe._bethe_system(np.array(sets), cs, bp)[:3]
+        jac = jacobian()
+        assert raw.shape == scales.shape == (5, size) and jac.shape == (5, size, size)
+        for k, roots in enumerate(sets):
+            ref_raw, ref_scales = bethe_residuals_scaled(roots, cs, bp)
+            ref_jac = residual_jacobian(roots, cs, bp)
+            assert max(abs(raw[k] - ref_raw) / ref_scales) <= STACK_TOL
+            assert max(abs(scales[k] - ref_scales) / ref_scales) <= STACK_TOL
+            for row, ref_row in zip(jac[k], ref_jac):
+                assert max(abs(row - ref_row)) <= STACK_TOL * max(map(abs, ref_row))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_sixty_digit_stack_equals_single_sets(size, diagonal):
+    # An object stack of 60-digit sets takes every set's scalar operations
+    # as its one-set call does: the values are equal.
+    with workdps(DEFAULT_DPS):
+        cs, bp, sets = _stack_problem(size, 0, diagonal, count=3)
+        cs, bp = lift_problem(cs, bp)
+        sets = [lift_roots(roots) for roots in sets]
+        stack = np.empty((3, size), dtype=object)
+        stack[:] = sets
+        raw, scales, jacobian, dressed, inhomogeneous = bethe._bethe_system(
+            stack, cs, bp
+        )
+        jac = jacobian()
+        for k, roots in enumerate(sets):
+            assert (list(raw[k]), scales[k].tolist()) == bethe_residuals_scaled(
+                roots, cs, bp
+            )
+            assert (list(dressed[k]), list(inhomogeneous[k])) == unwanted_terms(
+                roots, cs, bp
+            )
+            assert [list(row) for row in jac[k]] == residual_jacobian(roots, cs, bp)
+
+
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("diagonal", [False, True])
 def test_unwanted_terms_equal_per_entry(size, diagonal):
@@ -544,21 +603,21 @@ def test_w_coefficients_match_permutation_sum(size):
 
 
 def _square_root_system(builds, failure=None):
-    """x^2 - 2 = 0; the Jacobian builds are recorded, and with ``failure``
-    the build at the first trial point raises it."""
+    """x^2 - 2 = 0 on a one-set stack; the Jacobian builds are recorded, and
+    with ``failure`` the build at the first trial point raises it."""
     points = []
 
     def system(x):
         index = len(points)
-        points.append(x[0])
+        points.append(x[0, 0])
 
         def jacobian():
             if failure is not None and index == 1:
                 raise failure
-            builds.append(x[0])
-            return [[2 * x[0]]]
+            builds.append(x[0, 0])
+            return 2 * x[:, :, None]
 
-        return [x[0] * x[0] - 2], [1.0], jacobian
+        return x * x - 2, np.ones(x.shape), jacobian
 
     return system
 
@@ -566,9 +625,9 @@ def _square_root_system(builds, failure=None):
 def test_newton_builds_one_jacobian_per_step():
     # From 1.5, Newton reaches |x^2 - 2| <= 1e-4 in exactly two steps.
     builds = []
-    x, err, _, _ = _newton(_square_root_system(builds), [1.5], 1e-4)
-    assert err <= 1e-4
-    assert abs(x[0] - math.sqrt(2)) < 1e-5
+    x, err, _, _, failed = _newton(_square_root_system(builds), np.array([[1.5]]), 1e-4)
+    assert err[0] <= 1e-4 and not failed[0]
+    assert abs(x[0, 0] - math.sqrt(2)) < 1e-5
     assert builds == [1.5, pytest.approx(17 / 12)]
 
 
@@ -576,8 +635,8 @@ def test_refine_builds_jacobians_only_for_steps_taken(monkeypatch, cs2, bp, solv
     calls = {"systems": 0, "builds": 0}
     real = bethe._bethe_system
 
-    def counted(roots, cs, bp, terms=None):
-        raw, scales, jacobian = real(roots, cs, bp, terms)[:3]
+    def counted(x, cs, bp):
+        raw, scales, jacobian = real(x, cs, bp)[:3]
         calls["systems"] += 1
 
         def counted_jacobian():
@@ -599,9 +658,10 @@ def test_refine_builds_jacobians_only_for_steps_taken(monkeypatch, cs2, bp, solv
 )
 def test_newton_halves_when_trial_jacobian_fails(failure):
     builds = []
-    x, err, _, _ = _newton(_square_root_system(builds, failure), [1.5], 1e-10)
-    assert err <= 1e-10
-    assert abs(x[0] - math.sqrt(2)) < 1e-9
+    system = _square_root_system(builds, failure)
+    x, err, _, _, failed = _newton(system, np.array([[1.5]]), 1e-10)
+    assert err[0] <= 1e-10 and not failed[0]
+    assert abs(x[0, 0] - math.sqrt(2)) < 1e-9
     # The full first step was refused, the halved one taken.
     assert builds[:2] == [1.5, pytest.approx(1.5 - 0.5 / 12)]
 

@@ -184,16 +184,18 @@ def test_newton_halves_past_a_pole():
         tried = []
 
         def system(x):
-            tried.append(x[0])
-            res = x[0] * x[0] - 2 + 0 / (x[0] - pole)
-            return [res], [1.0], lambda: [[2 * x[0]]]
+            tried.append(x[0, 0])
+            res = x * x - 2 + 0 / (x - pole)
+            return res, np.ones(x.shape), lambda: 2 * x[:, :, None]
 
-        x, err, _, _ = _newton(system, [x0], 1e-50)
-        assert err <= 1e-50
+        start = np.empty((1, 1), dtype=object)
+        start[0, 0] = x0
+        x, err, _, _, failed = _newton(system, start, 1e-50)
+        assert err[0] <= 1e-50 and not failed[0]
         assert tried[1] == pole
         assert tried[2] == x0 + 0.5 * step
         with mpmath.workdps(DEFAULT_DPS):
-            assert _relative(x[0], mpmath.sqrt(2)) <= 1e-50
+            assert _relative(x[0, 0], mpmath.sqrt(2)) <= 1e-50
 
 
 def test_pole_guard_on_decimal_scalars():

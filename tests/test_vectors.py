@@ -53,7 +53,7 @@ def test_offshell_action(sites, cs1, cs2, bp, rng):
     for _ in range(3):
         roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        res = check_offshell_action(u, roots, cs, bp)
+        res = check_offshell_action(u, roots, unwanted_terms(roots, cs, bp), cs, bp)
         assert res["right"] <= ACTION_TOL
         assert res["left"] <= ACTION_TOL
 
@@ -64,7 +64,7 @@ def test_central_relation(sites, cs1, cs2, bp, rng):
     for _ in range(3):
         roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        res = check_central_relation(u, roots, cs, bp)
+        res = check_central_relation(u, roots, unwanted_terms(roots, cs, bp), cs, bp)
         assert res["right"] <= ACTION_TOL
         assert res["left"] <= ACTION_TOL
 
@@ -72,11 +72,15 @@ def test_central_relation(sites, cs1, cs2, bp, rng):
 def test_root_count_guards(cs2, bp, bp_diag, rng):
     roots = (draw_spectral_point(rng, cs=cs2, bp=bp),)
     with pytest.raises(ParameterError):
-        check_offshell_action(0.4 + 0.1j, roots, cs2, bp)
+        check_offshell_action(
+            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), cs2, bp
+        )
     with pytest.raises(ParameterError):
-        check_central_relation(0.4 + 0.1j, roots, cs2, bp)
+        check_central_relation(
+            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), cs2, bp
+        )
     with pytest.raises(ParameterError):
-        check_central_relation(0.4 + 0.1j, roots * 2, cs2, bp_diag)
+        check_central_relation(0.4 + 0.1j, roots * 2, ((), ()), cs2, bp_diag)
     with pytest.raises(ParameterError):
         check_c_action(0.4 + 0.1j, roots, cs2, bp_diag)
     with pytest.raises(ParameterError):
@@ -86,7 +90,7 @@ def test_root_count_guards(cs2, bp, bp_diag, rng):
 def test_multiple_actions(cs2, bp, rng):
     roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp))
     u = draw_spectral_point(rng, roots, cs=cs2, bp=bp)
-    res = check_multiple_actions(u, roots, cs2, bp)
+    res = check_multiple_actions(u, roots, unwanted_terms(roots, cs2, bp), cs2, bp)
     assert set(res) == {
         "a_through_b",
         "d_through_b",
@@ -101,7 +105,8 @@ def test_multiple_actions(cs2, bp, rng):
 def test_multiple_actions_diagonal(cs2, bp_diag, rng):
     roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp_diag))
     u = draw_spectral_point(rng, roots, cs=cs2, bp=bp_diag)
-    res = check_multiple_actions(u, roots, cs2, bp_diag)
+    unwanted = unwanted_terms(roots, cs2, bp_diag)
+    res = check_multiple_actions(u, roots, unwanted, cs2, bp_diag)
     assert all(v <= EXPANSION_TOL for v in res.values())
 
 
@@ -177,7 +182,8 @@ def test_central_relation_scales_with_rho(cs2, bp, rng):
     sizes = []
     for t in (1.0, 0.3, 0.1, 0.05):
         bp_t = BoundaryParams(bp.p, bp.q, t * bp.xi_plus, t * bp.xi_minus)
-        defect = check_central_relation(u, roots, cs2, bp_t)
+        unwanted = unwanted_terms(roots, cs2, bp_t)
+        defect = check_central_relation(u, roots, unwanted, cs2, bp_t)
         assert max(defect.values()) <= ACTION_TOL
         size = _central_rhs_size(u, roots, cs2, bp_t)
         sizes.append(size)
