@@ -33,12 +33,10 @@ from .params import (
 __all__ = [
     "BetheRoots",
     "vacuum_eigenvalues",
-    "vacuum_eigenvalue_derivatives",
     "RootTerms",
     "root_terms",
     "lambda_total",
     "lambda_total_derivative",
-    "lambda_total_gradient",
     "lambda_gradient_rows",
     "eigenvalue_parts",
     "bethe_residuals_scaled",
@@ -104,11 +102,6 @@ def _vacuum_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
     return val1, dval1, pm * val2, dpm * val2 + pm * dval2, pm, dpm
 
 
-def vacuum_eigenvalue_derivatives(u, cs: ChainSpec, bp: BoundaryParams):
-    """(lam1, dlam1, lam2, dlam2) with derivatives in u."""
-    return _vacuum_derivatives(u, cs, bp)[:4]
-
-
 class RootTerms(NamedTuple):
     """Everything the Bethe system and the norm matrix need at one root ``u``.
 
@@ -118,7 +111,8 @@ class RootTerms(NamedTuple):
     diagonal couplings), each with its ``u``-derivative ``d*``;
     ``c1 = pm ab lam1`` and ``c2 = pu db lam2`` weigh the dressed terms
     of the Bethe equation at ``u``, ``c3 = rho tp lam1 lam2 / (2u+1)`` its
-    inhomogeneous term (``0j`` for diagonal couplings).
+    inhomogeneous term (``0j`` for diagonal couplings), and ``dc1``,
+    ``dc2``, ``dc3`` are their ``u``-derivatives.
     """
 
     u: Any
@@ -139,22 +133,32 @@ class RootTerms(NamedTuple):
     c1: Any
     c2: Any
     c3: Any
+    dc1: Any
+    dc2: Any
+    dc3: Any
 
 
 def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
     """The per-root table of one root (or of an array of roots), in one pass.
 
     Each kernel and its derivative is evaluated once, with the operations of
-    the separate kernels in the same order, so every field equals what
-    :func:`vacuum_eigenvalue_derivatives` and the ``kernels`` functions give.
+    the separate kernels in the same order, so every field equals what the
+    ``kernels`` functions give.
     """
     lam1, dlam1, lam2, dlam2, pm, dpm = _vacuum_derivatives(u, cs, bp)
     pu, dpu = kn.phi_and_derivative(u)
     tp = dtp = None
+    dc3 = 0j
     if not bp.diagonal_mode:
         tp, dtp = kn.tilde_phi_and_derivative(u, bp.p)
+        two = 2 * u + 1
+        dc3 = bp.rho * (
+            ((dtp * two - 2 * tp) / (two * two)) * lam1 * lam2
+            + (tp / two) * (dlam1 * lam2 + lam1 * dlam2)
+        )
     shifted, ab, db, c1, c2, c3 = _dressing(u, lam1, lam2, pm, pu, tp, bp)
     one_rho = 1 - bp.rho
+    dab, ddb = dpu * shifted + pu * one_rho, -one_rho
     return RootTerms(
         u=u,
         lam1=lam1,
@@ -166,56 +170,26 @@ def root_terms(u, cs: ChainSpec, bp: BoundaryParams) -> RootTerms:
         pu=pu,
         dpu=dpu,
         ab=ab,
-        dab=dpu * shifted + pu * one_rho,
+        dab=dab,
         db=db,
-        ddb=-one_rho,
+        ddb=ddb,
         tp=tp,
         dtp=dtp,
         c1=c1,
         c2=c2,
         c3=c3,
+        dc1=(dpm * ab + pm * dab) * lam1 + pm * ab * dlam1,
+        dc2=(dpu * db + pu * ddb) * lam2 + pu * db * dlam2,
+        dc3=dc3,
     )
 
 
-class _Weights(NamedTuple):
-    """The Bethe-equation weights ``(c1, c2, c3)`` of :class:`RootTerms` and,
-    for a Jacobian, their ``u``-derivatives (``None`` where not formed)."""
-
-    c1: Any
-    c2: Any
-    c3: Any
-    dc1: Any = None
-    dc2: Any = None
-    dc3: Any = None
-
-
-def _weights(u, cs: ChainSpec, bp: BoundaryParams) -> _Weights:
-    """:func:`root_terms`' weights alone, in the same operations but without
-    the derivatives: all a residual needs."""
+def _weights(u, cs: ChainSpec, bp: BoundaryParams):
+    """:func:`root_terms`' ``(c1, c2, c3)`` alone, in the same operations but
+    without the derivatives: all a residual needs."""
     lam1, lam2, pm = _vacuum(u, cs, bp)
     tp = None if bp.diagonal_mode else kn.tilde_phi(u, bp.p)
-    return _Weights(*_dressing(u, lam1, lam2, pm, kn.phi(u), tp, bp)[3:])
-
-
-def _weight_derivatives(t: RootTerms, bp: BoundaryParams):
-    """``(dc1, dc2, dc3)`` from the root table ``t`` (``dc3`` is ``0j`` for
-    diagonal couplings)."""
-    dc1 = (t.dpm * t.ab + t.pm * t.dab) * t.lam1 + t.pm * t.ab * t.dlam1
-    dc2 = (t.dpu * t.db + t.pu * t.ddb) * t.lam2 + t.pu * t.db * t.dlam2
-    if bp.diagonal_mode:
-        return dc1, dc2, 0j
-    two = 2 * t.u + 1
-    dc3 = bp.rho * (
-        ((t.dtp * two - 2 * t.tp) / (two * two)) * t.lam1 * t.lam2
-        + (t.tp / two) * (t.dlam1 * t.lam2 + t.lam1 * t.dlam2)
-    )
-    return dc1, dc2, dc3
-
-
-def _weights_and_derivatives(u, cs: ChainSpec, bp: BoundaryParams) -> _Weights:
-    """:func:`root_terms`' weights with their derivatives, from one pass."""
-    t = root_terms(u, cs, bp)
-    return _Weights(t.c1, t.c2, t.c3, *_weight_derivatives(t, bp))
+    return _dressing(u, lam1, lam2, pm, kn.phi(u), tp, bp)[3:]
 
 
 def _dressing(u, lam1, lam2, pm, pu, tp, bp: BoundaryParams):
@@ -370,8 +344,8 @@ def _eigenvalue_at(u, roots, cs: ChainSpec, bp: BoundaryParams) -> _Expression:
 
 
 def lambda_gradient_rows(points, roots, cs: ChainSpec, bp: BoundaryParams):
-    """:func:`lambda_total_gradient` at each of ``points``, one row per
-    point, from one evaluation on scalars."""
+    """d/d roots[i] of the eigenvalue expression for every ``i``, one row per
+    point of ``points``, from one evaluation on scalars."""
     coeffs = [_objects(c) for c in zip(*(_coefficients(v, cs, bp) for v in points))]
     e = _Expression(_objects(points), _objects(roots), coeffs, not bp.diagonal_mode)
     return [list(row) for row in e.gradient()]
@@ -390,14 +364,9 @@ def lambda_total(u, roots, cs: ChainSpec, bp: BoundaryParams):
     return e.dressed + e.inhomogeneous
 
 
-def lambda_total_gradient(v, roots, cs: ChainSpec, bp: BoundaryParams):
-    """d/d roots[i] of the eigenvalue expression at ``v``, for every ``i``."""
-    return lambda_gradient_rows([v], roots, cs, bp)[0]
-
-
 def lambda_total_derivative(v, roots, i: int, cs: ChainSpec, bp: BoundaryParams):
     """d/d roots[i] of the eigenvalue expression evaluated at spectral point v."""
-    return lambda_total_gradient(v, roots, cs, bp)[i]
+    return lambda_gradient_rows([v], roots, cs, bp)[0][i]
 
 
 def lambda_table(points, stack, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
@@ -433,22 +402,20 @@ def _bethe_system(x, cs: ChainSpec, bp: BoundaryParams):
     # derivatives in the same pass.  A complex stack mostly needs none.
     exact = x.dtype == object
     if exact:
-        w = _per_root(_weights_and_derivatives, x, cs, bp)
+        t = _per_root(root_terms, x, cs, bp)
+        c1, c2, c3 = t.c1, t.c2, t.c3
     else:
-        w = _weights(x, cs, bp)
-    e = _Expression(x, x[..., _others(m)], (-w.c1, w.c2, w.c3), generic)
+        c1, c2, c3 = _weights(x, cs, bp)
+    e = _Expression(x, x[..., _others(m)], (-c1, c2, c3), generic)
     raw = e.dressed + e.inhomogeneous
     scales = np.abs(e.terms[0]) + np.abs(e.terms[1]) + np.abs(e.inhomogeneous)
     scales = np.maximum(np.asarray(scales, dtype=float), 1e-300)
     inhomogeneous = e.inhomogeneous if generic else np.full(x.shape, 0j, x.dtype)
 
     def jacobian():
-        if exact:
-            dc1, dc2, dc3 = w.dc1, w.dc2, w.dc3
-        else:
-            dc1, dc2, dc3 = _weight_derivatives(root_terms(x, cs, bp), bp)
+        r = t if exact else root_terms(x, cs, bp)
         jac = np.empty(x.shape + (m,), dtype=x.dtype)
-        diag_f, diag_h = dc1 * e.pf, dc2 * e.ph
+        diag_f, diag_h = r.dc1 * e.pf, r.dc2 * e.ph
         # With one root there are no pairs: no off-diagonal entries and no
         # pair derivatives on the diagonal.
         if m > 1:
@@ -459,11 +426,11 @@ def _bethe_system(x, cs: ChainSpec, bp: BoundaryParams):
             two_u1 = two_u + 1
             d_f = ((two_u - 1) * e.q - e.fn * two_u1) / e.qsq
             d_h = ((two_u + 3) * e.q - e.hn * two_u1) / e.qsq
-            diag_f = diag_f + w.c1 * _sum(d_f * loo[0])
-            diag_h = diag_h + w.c2 * _sum(d_h * loo[1])
+            diag_f = diag_f + c1 * _sum(d_f * loo[0])
+            diag_h = diag_h + c2 * _sum(d_h * loo[1])
         diag = -diag_f + diag_h
         if generic:
-            diag = diag + dc3 / e.pq
+            diag = diag + r.dc3 / e.pq
             if m > 1:
                 diag = diag - e.inhomogeneous * _sum(two_u1 / e.q)
         jac[..., np.arange(m), np.arange(m)] = diag
@@ -919,6 +886,7 @@ def _certify(branches, seeds, targets, points, cs, bp):
 def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
     """Certified root sets with ``m`` roots, for every branch of the family
     or, with ``branch``, for the first one from ``branch`` on that passes."""
+    rng = rng or np.random.default_rng()
     ref = draw_spectral_point(rng, cs=cs, bp=bp)
     check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
     nodes = draw_spectral_points(rng, m + 2, cs=cs, bp=bp)
@@ -973,7 +941,6 @@ def solve_bethe(
     """
     if bp.diagonal_mode:
         raise ParameterError("use solve_bethe_diagonal for diagonal couplings")
-    rng = rng or np.random.default_rng()
     return _solve_branches(cs, bp, cs.sites, rng, branch=branch)
 
 
@@ -995,7 +962,6 @@ def solve_bethe_diagonal(
         raise ParameterError("diagonal solver needs diagonal couplings")
     if not 0 <= magnons <= cs.sites:
         raise ParameterError("magnon number out of range")
-    rng = rng or np.random.default_rng()
     sector = [
         idx for idx in range(1 << cs.sites) if bin(idx).count("1") == magnons
     ]

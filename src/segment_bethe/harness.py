@@ -12,8 +12,8 @@ import cmath
 import csv
 import io
 import json
+import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,6 +333,16 @@ class VerificationReport:
         ).encode("utf-8")
 
 
+def _worst(residuals) -> float:
+    """The largest residual, ``0.0`` for none, and NaN once any is NaN: the
+    builtin ``max`` drops a NaN that does not come first."""
+    worst = 0.0
+    for residual in map(float, residuals):
+        if residual > worst or math.isnan(residual):
+            worst = residual
+    return worst
+
+
 class _Recorder:
     """One suite's records, made only by :meth:`fold` and timed only here."""
 
@@ -354,7 +364,7 @@ class _Recorder:
             tol = self.config.tolerance(tol_key or name)
             self._folds[name] = [anchor, residual, tol, lap]
         else:
-            entry[1] = max(entry[1], residual)
+            entry[1] = _worst((entry[1], residual))
             entry[3] += lap
 
     def detail(self, key, value):
@@ -450,7 +460,7 @@ def run_exchange(config: RunConfig) -> VerificationReport:
     rec.fold(
         "transfer-commutation",
         "commuting-transfer-family",
-        max(
+        _worst(
             _commutator_residual(t[k], t[len(points) + k])
             for k in range(len(points))
         ),
@@ -461,7 +471,7 @@ def run_exchange(config: RunConfig) -> VerificationReport:
     rec.fold(
         "hamiltonian-commutation",
         "hamiltonian-from-transfer",
-        max(
+        _worst(
             _commutator_residual(ham, t0)
             for t0 in transfer_matrices(points, cs0, bp)
         ),
@@ -500,12 +510,12 @@ def _spectrum_suite(config: RunConfig, command: str) -> VerificationReport:
     rec.fold(
         "spectrum-eigenvalue-agreement",
         "eigenvalue-expression-vs-diagonalization",
-        max((s.eigenvalue_residual for s in solutions), default=0.0),
+        _worst(s.eigenvalue_residual for s in solutions),
     )
     rec.fold(
         "bethe-onshell-residual",
         "bethe-system-residual",
-        max((max(s.residuals_scaled, default=0.0) for s in solutions), default=0.0),
+        _worst(r for s in solutions for r in s.residuals_scaled),
     )
     # Matching pairs of nonempty sets, each set normalised once.
     by_size = {}
@@ -617,7 +627,7 @@ def run_offshell(config: RunConfig) -> VerificationReport:
         rec.fold(
             "multiple-actions",
             "operator-commutation-sweep",
-            max(check_multiple_actions(u, roots, unwanted, cs, bp).values()),
+            _worst(check_multiple_actions(u, roots, unwanted, cs, bp).values()),
         )
         rec.fold("cb-sweep", "cb-kernel-sweep", check_cb_sweep(u, roots, cs, bp))
         rec.fold(
@@ -643,29 +653,21 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
     tol_key = "slavnov-n4" if sites >= 4 else "slavnov-onshell"
     _require_direct(config)
 
-    redraws = 0
     for d in range(config.draws):
         bp = config.boundary(rng)
         cs = config.chain(rng)
         on = _require_roots(solve_bethe(cs, bp, rng=rng, branch=d))[0].roots
-        for _ in range(8):
-            free = tuple(
-                draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp)
-            )
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                formula_bra = slavnov_modified(
-                    on, free, cs, bp, onshell="bra", precision=config.precision
-                )
-                direct_bra = scalar_product_direct(on, free, cs, bp)
-                formula_ket = slavnov_modified(
-                    free, on, cs, bp, onshell="ket", precision=config.precision
-                )
-                direct_ket = scalar_product_direct(free, on, cs, bp)
-            if caught:
-                redraws += 1
-                continue
-            break
+        # ``avoid`` keeps the free roots 1e-3 from the on-shell roots and
+        # their reflections, the distance below which the formula warns.
+        free = tuple(draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp))
+        formula_bra = slavnov_modified(
+            on, free, cs, bp, onshell="bra", precision=config.precision
+        )
+        direct_bra = scalar_product_direct(on, free, cs, bp)
+        formula_ket = slavnov_modified(
+            free, on, cs, bp, onshell="ket", precision=config.precision
+        )
+        direct_ket = scalar_product_direct(free, on, cs, bp)
         rec.fold(
             "slavnov-onshell-bra",
             "modified-slavnov-determinant",
@@ -686,7 +688,6 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
                 cauchy_det_factorized(free_w, on_w),
             )
         rec.fold("cauchy-factorization", "cauchy-determinant-factorization", cauchy)
-    rec.detail("conditioning_redraws", redraws)
 
     if sites <= 3:
         # The diagonal limit of the last draw's chain and couplings.
@@ -749,12 +750,9 @@ def run_norm(config: RunConfig) -> VerificationReport:
         rec.fold(
             "gaudin-diagonal-routes",
             "gaudin-diagonal-routes",
-            max(
-                (
-                    pair_residual(explicit[i][i], derivative[i][i])
-                    for i in range(len(on))
-                ),
-                default=0.0,
+            _worst(
+                pair_residual(explicit[i][i], derivative[i][i])
+                for i in range(len(on))
             ),
         )
         if d == 0:

@@ -44,7 +44,6 @@ __all__ = [
     "scalar_product_direct",
     "cauchy_matrix",
     "cauchy_det_factorized",
-    "slavnov_jacobian",
     "slavnov_jacobians",
     "slavnov_modified",
     "gaudin_matrix",
@@ -109,24 +108,13 @@ def cauchy_det_factorized(free, onshell):
     return out / den
 
 
-def slavnov_jacobian(
-    free,
-    onshell,
-    cs: ChainSpec,
-    bp: BoundaryParams,
-):
-    """Rows: derivative in onshell[i]; columns: eigenvalue at free[j].
-
-    Column ``j`` is :func:`~segment_bethe.bethe.lambda_total_gradient` at
-    ``free[j]``, all columns from one evaluation.
-    """
-    return slavnov_jacobians([free], onshell, cs, bp)[0]
-
-
 def slavnov_jacobians(free_sets, onshell, cs: ChainSpec, bp: BoundaryParams):
-    """:func:`slavnov_jacobian` for each free set against one on-shell set,
-    every column from one :func:`~segment_bethe.bethe.lambda_gradient_rows`
-    evaluation."""
+    """The Slavnov Jacobian of each free set against one on-shell set.
+
+    Row ``i`` differentiates in ``onshell[i]``, column ``j`` evaluates the
+    eigenvalue at ``free[j]``; every column of every set comes from one
+    :func:`~segment_bethe.bethe.lambda_gradient_rows` evaluation.
+    """
     onshell = tuple(onshell)
     points = [v for free in free_sets for v in free]
     columns = lambda_gradient_rows(points, onshell, cs, bp)
@@ -174,7 +162,7 @@ def slavnov_modified(
         on = lift_roots(bra_roots if onshell == "bra" else ket_roots, precision)
         free = lift_roots(ket_roots if onshell == "bra" else bra_roots, precision)
 
-        jac = slavnov_jacobian(free, on, cs_l, bp_l)
+        jac = slavnov_jacobians([free], on, cs_l, bp_l)[0]
         vmat = cauchy_matrix(free, on)
         w0 = w0_scalar(on, cs_l, bp_l)
         pref = _slavnov_prefactor(nn, bp_l)
@@ -361,7 +349,7 @@ def slavnov_diagonal(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams):
         pref = pref * lam2 * (2 * v + 1) / (v + bp.q)
         for vj in on[:i]:
             pref = pref * (v + vj + 2) / (v + vj)
-    jac = slavnov_jacobian(free, on, cs, bp)
+    jac = slavnov_jacobians([free], on, cs, bp)[0]
     vmat = cauchy_matrix(free, on)
     return pref * det_small(jac) / det_small(vmat)
 

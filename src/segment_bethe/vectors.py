@@ -338,6 +338,21 @@ def _h_pair(u, kidx, lidx, roots, cs, bp):
     )
 
 
+def _annihilation_terms(u, roots, state, cs, bp) -> list:
+    """The one-root and two-root terms of an annihilation entry at ``u``
+    acting on the string of ``roots``; ``state(ws)`` is that string's state
+    at the roots ``ws``."""
+    terms = [
+        _h_single(u, i, roots, cs, bp) * state(_without(roots, i))
+        for i in range(len(roots))
+    ]
+    for i, j in combinations(range(len(roots)), 2):
+        terms.append(
+            _h_pair(u, i, j, roots, cs, bp) * state((u,) + _without(roots, i, j))
+        )
+    return terms
+
+
 def check_cb_sweep(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Annihilation through a plain creation string, resolved on the vacuum.
 
@@ -351,15 +366,7 @@ def check_cb_sweep(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
         return _apply_string(KET, double_row, ws, cs, bp)
 
     lhs = double_row(u, cs, bp).c @ plain_b_string(roots)
-    terms = []
-    for i in range(len(roots)):
-        terms.append(_h_single(u, i, roots, cs, bp) * plain_b_string(_without(roots, i)))
-    for i, j in combinations(range(len(roots)), 2):
-        terms.append(
-            _h_pair(u, i, j, roots, cs, bp)
-            * plain_b_string((u,) + _without(roots, i, j))
-        )
-    return _residual(lhs, terms)
+    return _residual(lhs, _annihilation_terms(u, roots, plain_b_string, cs, bp))
 
 
 def check_c_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
@@ -392,12 +399,7 @@ def check_c_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
             + (1 + 2 * vi) * l2i * kn.k(vi, u) * kn.h_product(vi, rest)
         )
         terms.append(coef * psi((u,) + rest))
-    for i in range(len(roots)):
-        terms.append(_h_single(u, i, roots, cs, bp) * psi(_without(roots, i)))
-    for i, j in combinations(range(len(roots)), 2):
-        terms.append(
-            _h_pair(u, i, j, roots, cs, bp) * psi((u,) + _without(roots, i, j))
-        )
+    terms += _annihilation_terms(u, roots, psi, cs, bp)
     return _residual(lhs, terms)
 
 

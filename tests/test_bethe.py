@@ -22,10 +22,10 @@ from segment_bethe.bethe import (
     refine_roots,
     residual_jacobian,
     root_sets_match,
+    root_terms,
     solve_bethe,
     solve_bethe_diagonal,
     unwanted_terms,
-    vacuum_eigenvalue_derivatives,
     vacuum_eigenvalues,
 )
 from segment_bethe.double_row import double_row, transfer_matrix
@@ -61,7 +61,8 @@ def test_vacuum_eigenvalues_from_operators(cs2, bp, rng):
 
 def test_vacuum_eigenvalue_derivatives(cs2, bp, rng):
     u = draw_spectral_point(rng, cs=cs2, bp=bp)
-    lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(u, cs2, bp)
+    t = root_terms(u, cs2, bp)
+    lam1, dlam1, lam2, dlam2 = t.lam1, t.dlam1, t.lam2, t.dlam2
     v1p, v2p = vacuum_eigenvalues(u + STEP, cs2, bp)
     v1m, v2m = vacuum_eigenvalues(u - STEP, cs2, bp)
     assert abs(lam1 - vacuum_eigenvalues(u, cs2, bp)[0]) == 0

@@ -27,7 +27,6 @@ from segment_bethe.bethe import (
     residual_jacobian,
     root_terms,
     unwanted_terms,
-    vacuum_eigenvalue_derivatives,
     vacuum_eigenvalues,
 )
 from segment_bethe.errors import PoleError
@@ -47,7 +46,7 @@ from segment_bethe.precision import (
 from segment_bethe.scalar_products import (
     gaudin_korepin_norm,
     gaudin_matrix,
-    slavnov_jacobian,
+    slavnov_jacobians,
     slavnov_modified,
 )
 from segment_bethe.vectors import w0_scalar, w_coefficients
@@ -63,6 +62,11 @@ SIZES = (1, 2, 3, 4)
 
 def _others(roots, i):
     return tuple(roots[:i]) + tuple(roots[i + 1 :])
+
+
+def vacuum_eigenvalue_derivatives(u, cs, bp):
+    """(lam1, dlam1, lam2, dlam2) with derivatives in u."""
+    return bethe._vacuum_derivatives(u, cs, bp)[:4]
 
 
 def dressed_unwanted(i, roots, cs, bp):
@@ -309,11 +313,18 @@ def oracle_root_terms(u, cs, bp):
     lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(u, cs, bp)
     pm, pu = kn.phi(-u - 1), kn.phi(u)
     ab, db = kn.alpha_bar(u, bp), kn.delta_bar(u, bp)
+    dpm, dpu = 2 / ((2 * u + 1) * (2 * u + 1)), kn.d_phi(u)
+    dab, ddb = kn.d_alpha_bar(u, bp), kn.d_delta_bar(u, bp)
     tp = dtp = None
-    c3 = 0j
+    c3 = dc3 = 0j
     if not bp.diagonal_mode:
         tp, dtp = kn.tilde_phi(u, bp.p), kn.d_tilde_phi(u, bp.p)
-        c3 = bp.rho * (tp / (2 * u + 1)) * lam1 * lam2
+        two = 2 * u + 1
+        c3 = bp.rho * (tp / two) * lam1 * lam2
+        dc3 = bp.rho * (
+            ((dtp * two - 2 * tp) / (two * two)) * lam1 * lam2
+            + (tp / two) * (dlam1 * lam2 + lam1 * dlam2)
+        )
     return RootTerms(
         u=u,
         lam1=lam1,
@@ -321,18 +332,21 @@ def oracle_root_terms(u, cs, bp):
         lam2=lam2,
         dlam2=dlam2,
         pm=pm,
-        dpm=2 / ((2 * u + 1) * (2 * u + 1)),
+        dpm=dpm,
         pu=pu,
-        dpu=kn.d_phi(u),
+        dpu=dpu,
         ab=ab,
-        dab=kn.d_alpha_bar(u, bp),
+        dab=dab,
         db=db,
-        ddb=kn.d_delta_bar(u, bp),
+        ddb=ddb,
         tp=tp,
         dtp=dtp,
         c1=pm * ab * lam1,
         c2=pu * db * lam2,
         c3=c3,
+        dc1=(dpm * ab + pm * dab) * lam1 + pm * ab * dlam1,
+        dc2=(dpu * db + pu * ddb) * lam2 + pu * db * dlam2,
+        dc3=dc3,
     )
 
 
@@ -517,7 +531,7 @@ def _eigenvalue_routes(v, roots, cs, bp):
         zip(eigenvalue_parts(v, roots, cs, bp), (dressed, inhomogeneous))
     ) + [(bethe.lambda_total(v, roots, cs, bp), dressed + inhomogeneous)]
     pairs += zip(
-        bethe.lambda_total_gradient(v, roots, cs, bp),
+        bethe.lambda_gradient_rows([v], roots, cs, bp)[0],
         oracle_lambda_gradient(v, roots, cs, bp),
     )
     return pairs
@@ -557,7 +571,7 @@ def test_slavnov_jacobian_matches_per_entry(size, diagonal, backend):
     lift, tol = backend
     for seed in range(3):
         cs, bp, on, free = lift(*_problem(size, seed, diagonal))
-        got = slavnov_jacobian(free, on, cs, bp)
+        got = slavnov_jacobians([free], on, cs, bp)[0]
         ref = [
             [oracle_lambda_derivative(v, on, i, cs, bp) for v in free]
             for i in range(size)

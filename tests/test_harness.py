@@ -1,15 +1,19 @@
 """Run configuration, report records, and the check registry."""
 
 import json
+import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from segment_bethe import harness
-from segment_bethe.bethe import BetheRoots, root_sets_match
+from segment_bethe.bethe import BetheRoots, root_sets_match, solve_bethe
 from segment_bethe.double_row import double_row, modified_entries, transfer_matrix
 from segment_bethe.errors import ParameterError
+from segment_bethe.params import draw_spectral_points
+from segment_bethe.scalar_products import slavnov_modified
 from segment_bethe.harness import (
     COMMANDS,
     DEFAULT_TOLERANCES,
@@ -343,3 +347,95 @@ def test_cauchy_factorization_honours_extended_precision():
     record = next(c for c in report.checks if c.name == "cauchy-factorization")
     assert record.passed
     assert record.residual <= 1e-20
+
+
+def _nan_on_calls(func, calls):
+    """``func``, returning NaN instead of its value on the given calls."""
+    count = [0]
+
+    def patched(*args, **kwargs):
+        count[0] += 1
+        out = func(*args, **kwargs)
+        return math.nan if count[0] in calls else out
+
+    return patched
+
+
+def _failed(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def test_nan_residual_on_a_later_draw_fails_its_record(monkeypatch):
+    # The builtin max drops a NaN that does not come first: the second
+    # draw's NaN must still be the record's worst, and fail the run.
+    monkeypatch.setattr(
+        harness, "check_cb_sweep", _nan_on_calls(harness.check_cb_sweep, {2})
+    )
+    report = run("offshell", RunConfig(sites=2, seed=0, draws=2))
+    record = next(c for c in report.checks if c.name == "cb-sweep")
+    assert math.isnan(record.residual) and not record.passed
+    assert _failed(report) == {"cb-sweep"}
+    assert report.to_dict()["all_pass"] is False
+
+
+def test_nan_in_a_pre_reduced_residual_fails_its_record(monkeypatch):
+    real = harness.check_multiple_actions
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[list(out)[1]] = math.nan
+        return out
+
+    monkeypatch.setattr(harness, "check_multiple_actions", patched)
+    report = run("offshell", RunConfig(sites=2, seed=0, draws=2))
+    record = next(c for c in report.checks if c.name == "multiple-actions")
+    assert math.isnan(record.residual) and not record.passed
+    assert _failed(report) == {"multiple-actions"}
+    assert not report.all_passed
+
+
+def test_nan_commutator_fails_both_commutation_records(monkeypatch):
+    # Five points per record: the second of each reduction is NaN.
+    monkeypatch.setattr(
+        harness,
+        "_commutator_residual",
+        _nan_on_calls(harness._commutator_residual, {2, 7}),
+    )
+    report = run("exchange", RunConfig(sites=1, seed=0, draws=1))
+    assert _failed(report) == {"transfer-commutation", "hamiltonian-commutation"}
+
+
+def test_fold_keeps_nan_once_seen():
+    rec = harness._Recorder(RunConfig(), "check-algebra")
+    for residual in (1e-16, math.nan, 2e-16):
+        rec.fold("ybe", "yang-baxter", residual)
+    rec.fold("r-unitarity", "r-unitarity", 3e-16)
+    rec.fold("r-unitarity", "r-unitarity", 1e-16)
+    ybe, unitarity = rec.report.checks
+    assert math.isnan(ybe.residual) and not ybe.passed
+    assert unitarity.residual == 3e-16 and unitarity.passed
+
+
+def test_worst_reduction():
+    assert harness._worst([]) == 0.0
+    assert harness._worst(iter([2e-16, 5e-16, 1e-16])) == 5e-16
+    assert math.isnan(harness._worst([1e-16, math.nan, 2e-16]))
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_slavnov_free_draws_never_warn(sites):
+    # The slavnov suite draws each free set with ``avoid`` set to the
+    # on-shell roots, which rejects the very distances, at the same 1e-3,
+    # on which the formula warns: none of 50 such sets per chain length
+    # (200 in all) makes it warn.
+    for seed in range(5):
+        config = RunConfig(sites=sites, seed=seed)
+        rng = harness._stream(config, "slavnov")
+        bp, cs = config.boundary(rng), config.chain(rng)
+        on = solve_bethe(cs, bp, rng=rng, branch=seed)[0].roots
+        for _ in range(10):
+            free = tuple(draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                slavnov_modified(on, free, cs, bp, onshell="bra")
+                slavnov_modified(free, on, cs, bp, onshell="ket")
