@@ -40,12 +40,12 @@ from .params import (
     draw_spectral_points,
 )
 from .scalar_products import (
+    gaudin_diagonal_derivative,
     gaudin_korepin_norm,
     gaudin_matrix,
     n1_identities,
     norm_from_slavnov_limit,
     scalar_product_direct,
-    slavnov_diagonal,
     slavnov_modified,
 )
 from .vectors import (
@@ -83,6 +83,7 @@ __all__ = [
     "draw_chain_spec",
     "draw_spectral_point",
     "draw_spectral_points",
+    "gaudin_diagonal_derivative",
     "gaudin_korepin_norm",
     "gaudin_matrix",
     "hamiltonian",
@@ -97,7 +98,6 @@ __all__ = [
     "refine_roots",
     "run",
     "scalar_product_direct",
-    "slavnov_diagonal",
     "slavnov_modified",
     "solve_bethe",
     "solve_bethe_diagonal",

@@ -98,9 +98,6 @@ def q_similarity(bp: BoundaryParams) -> np.ndarray:
     if bp.diagonal_mode:
         raise ParameterError("diagonal couplings: similarity transform not defined")
     rho = bp.rho
-    detq = bp.xi_plus * bp.xi_minus + rho * rho
-    if abs(detq) < 1e-12:
-        raise ParameterError("similarity transform is singular for these couplings")
     return np.array([[bp.xi_plus, rho], [-rho, bp.xi_minus]], dtype=complex)
 
 

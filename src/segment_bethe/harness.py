@@ -57,12 +57,12 @@ from .precision import lift_roots, validate_precision, working_precision
 from .scalar_products import (
     cauchy_det_factorized,
     cauchy_matrix,
+    gaudin_diagonal_derivative,
     gaudin_korepin_norm,
     gaudin_matrix,
     n1_identities,
     norm_from_slavnov_limit,
     scalar_product_direct,
-    slavnov_diagonal,
     slavnov_modified,
 )
 from .vectors import (
@@ -652,6 +652,8 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
     sites = config.sites
     tol_key = "slavnov-n4" if sites >= 4 else "slavnov-onshell"
     _require_direct(config)
+    # Worst log10 of the 2-norm condition number of the double Cauchy matrix.
+    log10_cond = -math.inf
 
     for d in range(config.draws):
         bp = config.boundary(rng)
@@ -688,6 +690,9 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
                 cauchy_det_factorized(free_w, on_w),
             )
         rec.fold("cauchy-factorization", "cauchy-determinant-factorization", cauchy)
+        cond = np.linalg.cond(np.array(cauchy_matrix(free, on)))
+        log10_cond = max(log10_cond, math.log10(cond))
+    rec.detail("log10_cond_cauchy", log10_cond)
 
     if sites <= 3:
         # The diagonal limit of the last draw's chain and couplings.
@@ -704,7 +709,7 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
                 "slavnov-diagonal",
                 "diagonal-slavnov-determinant",
                 pair_residual(
-                    slavnov_diagonal(free, on, cs, bp_diag),
+                    slavnov_modified(free, on, cs, bp_diag, onshell="ket"),
                     scalar_product_direct(free, on, cs, bp_diag),
                 ),
             )
@@ -745,14 +750,14 @@ def run_norm(config: RunConfig) -> VerificationReport:
             "gaudin-korepin-norm",
             pair_residual(formula, scalar_product_direct(on, on, cs, bp)),
         )
-        explicit = gaudin_matrix(on, cs, bp, diag="explicit")
-        derivative = gaudin_matrix(on, cs, bp, diag="derivative")
+        explicit = gaudin_matrix(on, cs, bp)
+        derivative = gaudin_diagonal_derivative(on, cs, bp)
         rec.fold(
             "gaudin-diagonal-routes",
             "gaudin-diagonal-routes",
             _worst(
-                pair_residual(explicit[i][i], derivative[i][i])
-                for i in range(len(on))
+                pair_residual(explicit[i][i], value)
+                for i, value in enumerate(derivative)
             ),
         )
         if d == 0:

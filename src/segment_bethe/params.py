@@ -61,6 +61,9 @@ class BoundaryParams:
         if has_plus and abs(self.rho - 1) <= RHO_ONE_TOL:
             # xi_plus*xi_minus = -1 makes the similarity transform singular.
             raise ParameterError("couplings give rho too close to 1")
+        if has_plus and abs(self.xi_plus * self.xi_minus + self.rho**2) < 1e-12:
+            # det Q = 2 rho (rho - 1): tiny couplings round rho to 0.
+            raise ParameterError("similarity transform is singular for these couplings")
 
     @property
     def diagonal_mode(self) -> bool:

@@ -47,9 +47,9 @@ __all__ = [
     "slavnov_jacobians",
     "slavnov_modified",
     "gaudin_matrix",
+    "gaudin_diagonal_derivative",
     "gaudin_korepin_norm",
     "norm_from_slavnov_limit",
-    "slavnov_diagonal",
     "n1_identities",
     "PROXIMITY_THRESHOLD",
 ]
@@ -126,7 +126,21 @@ def slavnov_jacobians(free_sets, onshell, cs: ChainSpec, bp: BoundaryParams):
     return out
 
 
+def _slavnov_ratios(free_sets, onshell, cs: ChainSpec, bp: BoundaryParams):
+    """``det J / det V`` of each free set against one on-shell set.
+
+    ``J`` is the set's :func:`slavnov_jacobians` entry and ``V`` its
+    :func:`cauchy_matrix`; every determinant formula reads these ratios.
+    """
+    jacs = slavnov_jacobians(free_sets, onshell, cs, bp)
+    return [
+        det_small(jac) / det_small(cauchy_matrix(free, onshell))
+        for free, jac in zip(free_sets, jacs)
+    ]
+
+
 def _slavnov_prefactor(nn, bp):
+    """``((rho-2) / (2 (rho-1)^2))^nn``; ``(-1)^nn`` for diagonal couplings."""
     rho = bp.rho
     return ((rho - 2) / (2 * (rho - 1) * (rho - 1))) ** nn
 
@@ -143,11 +157,12 @@ def slavnov_modified(
 
     ``onshell`` names the set that solves the Bethe system; the formula
     differentiates the eigenvalue in the on-shell roots and evaluates at the
-    free ones.
+    free ones.  Diagonal couplings are its ``rho = 0`` case: the prefactor is
+    ``(-1)^m`` and ``w0`` the closed product
+    :func:`~segment_bethe.vectors.diagonal_w0_product`, which gives the
+    usual diagonal-boundary determinant.
     """
     validate_precision(precision)
-    if bp.diagonal_mode:
-        raise ParameterError("use slavnov_diagonal for diagonal couplings")
     if len(bra_roots) != len(ket_roots):
         raise ParameterError("scalar product needs equally sized root sets")
     if onshell not in ("bra", "ket"):
@@ -162,11 +177,8 @@ def slavnov_modified(
         on = lift_roots(bra_roots if onshell == "bra" else ket_roots, precision)
         free = lift_roots(ket_roots if onshell == "bra" else bra_roots, precision)
 
-        jac = slavnov_jacobians([free], on, cs_l, bp_l)[0]
-        vmat = cauchy_matrix(free, on)
-        w0 = w0_scalar(on, cs_l, bp_l)
-        pref = _slavnov_prefactor(nn, bp_l)
-        return pref * w0 * det_small(jac) / det_small(vmat)
+        (ratio,) = _slavnov_ratios([free], on, cs_l, bp_l)
+        return _slavnov_prefactor(nn, bp_l) * w0_scalar(on, cs_l, bp_l) * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -209,48 +221,36 @@ def _gaudin_diag_explicit(t, q_minus, q_plus, rho):
     return term1 + term2 + term3 + term4
 
 
-def gaudin_matrix(
-    roots, cs: ChainSpec, bp: BoundaryParams, diag: str = "explicit"
-):
+def gaudin_matrix(roots, cs: ChainSpec, bp: BoundaryParams):
     """Norm determinant matrix on an on-shell set.
 
-    ``diag`` picks the diagonal construction: ``explicit`` uses the closed
-    form, ``derivative`` uses Q-product times the Bethe-system Jacobian
-    diagonal.  Off-diagonal entries depend on (i, j) only through the excluded
-    pair.  Every entry reads one per-root table (:func:`root_terms`) and the
-    pair products ``Q(-u_j, u_k)``, ``Q(u_j+1, u_k)``, computed once.
+    The diagonal is the closed form; :func:`gaudin_diagonal_derivative`
+    gives it by a second route.  Off-diagonal entries depend on (i, j) only
+    through the excluded pair.  Every entry reads one per-root table
+    (:func:`root_terms`) and the pair products ``Q(-u_j, u_k)``,
+    ``Q(u_j+1, u_k)``, computed once.
     """
     roots = tuple(roots)
     mm = len(roots)
-    if diag not in ("explicit", "derivative"):
-        raise ParameterError("diag must be 'explicit' or 'derivative'")
     if bp.diagonal_mode:
         raise ParameterError("norm matrix applies to generic couplings")
     terms = [root_terms(u, cs, bp) for u in roots]
     q_minus = [[kn.Q(-uj, uk) for uk in roots] for uj in roots]
     q_plus = [[kn.Q(uj + 1, uk) for uk in roots] for uj in roots]
-    if diag == "derivative":
-        jac = residual_jacobian(roots, cs, bp)
     rows = []
     for i in range(mm):
         others = [k for k in range(mm) if k != i]
         row = []
         for j in range(mm):
             if i == j:
-                if diag == "explicit":
-                    row.append(
-                        _gaudin_diag_explicit(
-                            terms[i],
-                            [q_minus[i][k] for k in others],
-                            [q_plus[i][k] for k in others],
-                            bp.rho,
-                        )
+                row.append(
+                    _gaudin_diag_explicit(
+                        terms[i],
+                        [q_minus[i][k] for k in others],
+                        [q_plus[i][k] for k in others],
+                        bp.rho,
                     )
-                else:
-                    q_own = 1
-                    for k in others:
-                        q_own = q_own * kn.Q(roots[i], roots[k])
-                    row.append(q_own * jac[i][i])
+                )
             else:
                 t = terms[j]
                 qm = 1
@@ -262,6 +262,22 @@ def gaudin_matrix(
                 row.append((2 * t.u + 1) * (t.c1 * qm - t.c2 * qp))
         rows.append(row)
     return rows
+
+
+def gaudin_diagonal_derivative(roots, cs: ChainSpec, bp: BoundaryParams):
+    """The norm matrix's diagonal by the derivative route.
+
+    Entry ``i`` is ``prod_{k != i} Q(u_i, u_k)`` times the ``i``-th diagonal
+    entry of the Bethe-system Jacobian (:func:`residual_jacobian`).
+    """
+    roots = tuple(roots)
+    if bp.diagonal_mode:
+        raise ParameterError("norm matrix applies to generic couplings")
+    jac = residual_jacobian(roots, cs, bp)
+    return [
+        kn.Q_product(u, roots[:i] + roots[i + 1 :]) * jac[i][i]
+        for i, u in enumerate(roots)
+    ]
 
 
 def gaudin_korepin_norm(
@@ -313,45 +329,14 @@ def norm_from_slavnov_limit(roots, cs: ChainSpec, bp: BoundaryParams):
         # to the on-shell set and are computed once.
         scale = _slavnov_prefactor(len(on), bp_l) * w0_scalar(on, cs_l, bp_l)
         frees = [tuple(u + e for u in on) for e in steps]
-        values = []
-        for free, jac in zip(frees, slavnov_jacobians(frees, on, cs_l, bp_l)):
-            vmat = cauchy_matrix(free, on)
-            values.append(scale * det_small(jac) / det_small(vmat))
+        table = [scale * r for r in _slavnov_ratios(frees, on, cs_l, bp_l)]
         # Polynomial extrapolation to 0 in the step parameter (Neville).
-        table = values
         for level in range(1, len(steps)):
             for i in range(len(steps) - level):
                 table[i] = (
                     steps[i + level] * table[i] - steps[i] * table[i + 1]
                 ) / (steps[i + level] - steps[i])
         return complex(table[0])
-
-
-# ---------------------------------------------------------------------------
-# Diagonal limit.
-
-
-def slavnov_diagonal(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams):
-    """Determinant formula for diagonal couplings; the ket set is on shell."""
-    if not bp.diagonal_mode:
-        raise ParameterError("diagonal formula needs diagonal couplings")
-    if len(bra_roots) != len(ket_roots):
-        raise ParameterError("scalar product needs equally sized root sets")
-    _warn_if_close(bra_roots, ket_roots)
-    mm = len(ket_roots)
-    if mm == 0:
-        return 1.0 + 0j
-    on = tuple(ket_roots)
-    free = tuple(bra_roots)
-    pref = 1
-    for i, v in enumerate(on):
-        _, lam2 = vacuum_eigenvalues(v, cs, bp)
-        pref = pref * lam2 * (2 * v + 1) / (v + bp.q)
-        for vj in on[:i]:
-            pref = pref * (v + vj + 2) / (v + vj)
-    jac = slavnov_jacobians([free], on, cs, bp)[0]
-    vmat = cauchy_matrix(free, on)
-    return pref * det_small(jac) / det_small(vmat)
 
 
 # ---------------------------------------------------------------------------

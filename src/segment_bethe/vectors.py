@@ -228,10 +228,11 @@ def check_multiple_actions(
         ui = roots[i]
         rest = _without(roots, i)
         e_i = _family(ui, cs, bp)
-        ga = kn.g(u, ui) * kn.f_product(ui, rest)
-        wd = kn.w(u, ui) * kn.h_product(ui, rest)
-        kd = kn.k(u, ui) * kn.h_product(ui, rest)
-        na = kn.n(u, ui) * kn.f_product(ui, rest)
+        f_rest, h_rest = kn.f_product(ui, rest), kn.h_product(ui, rest)
+        ga = kn.g(u, ui) * f_rest
+        wd = kn.w(u, ui) * h_rest
+        kd = kn.k(u, ui) * h_rest
+        na = kn.n(u, ui) * f_rest
         sweeps.append((rest, e_i.a, e_i.d, ga, wd, kd, na))
     # The dressed eigenvalue at u and its products of f and h over the roots.
     e = _eigenvalue_at(u, roots, cs, bp)

@@ -100,10 +100,10 @@ def test_similarity_needs_generic_couplings(bp_diag):
 
 
 def test_similarity_rejects_near_singular():
-    # Tiny couplings push det Q = 2 rho (rho - 1) below the singularity guard.
-    bp = BoundaryParams(1.0, 2.0, 1e-7, 1e-7)
-    with pytest.raises(ParameterError):
-        q_similarity(bp)
+    # Tiny couplings push det Q = 2 rho (rho - 1) below the singularity
+    # guard, so the couplings are refused when they are built.
+    with pytest.raises(ParameterError, match="similarity transform is singular"):
+        BoundaryParams(1.0, 2.0, 1e-7, 1e-7)
 
 
 def test_similarity_determinant(bp):

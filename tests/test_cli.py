@@ -182,6 +182,20 @@ def test_exit_two_on_bad_pinned_couplings(tmp_path, capsys, payload, message):
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize("command", list(harness.COMMANDS))
+def test_exit_two_when_tiny_couplings_round_rho_to_zero(tmp_path, capsys, command):
+    # xi_plus * xi_minus is lost against 1 in 1 - sqrt(1 + xi_plus xi_minus),
+    # so rho is exactly 0 and the similarity transform is singular: refused
+    # as a config error before any suite runs.
+    path = _write_config(
+        tmp_path, {"p": 1.5, "q": 2, "xi_plus": 1e-9, "xi_minus": 1e-9}
+    )
+    code = main([command, "--sites", "2", "--draws", "1", "--config", path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "similarity transform is singular" in err
+
+
 def test_out_writes_report_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

@@ -349,6 +349,14 @@ def test_cauchy_factorization_honours_extended_precision():
     assert record.residual <= 1e-20
 
 
+def test_slavnov_reports_cauchy_conditioning():
+    # The on-shell roots of this draw sit far outside the free points' disc,
+    # so the double Cauchy matrix has a condition number near 2.6e10.
+    report = run("slavnov", RunConfig(sites=5, seed=7, draws=1))
+    assert report.details["log10_cond_cauchy"] == pytest.approx(10.41, abs=0.05)
+    assert b"log10_cond_cauchy" in report.canonical_payload()
+
+
 def _nan_on_calls(func, calls):
     """``func``, returning NaN instead of its value on the given calls."""
     count = [0]

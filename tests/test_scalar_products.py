@@ -7,6 +7,8 @@ from segment_bethe.bethe import (
     det_small,
     eigenvalue_parts,
     refine_roots,
+    solve_bethe_diagonal,
+    vacuum_eigenvalues,
 )
 from segment_bethe.errors import ConditioningWarning, ParameterError
 from segment_bethe.params import BoundaryParams, draw_spectral_point, draw_spectral_points
@@ -14,12 +16,13 @@ from segment_bethe.scalar_products import (
     PROXIMITY_THRESHOLD,
     cauchy_det_factorized,
     cauchy_matrix,
+    gaudin_diagonal_derivative,
     gaudin_korepin_norm,
     gaudin_matrix,
     n1_identities,
     norm_from_slavnov_limit,
     scalar_product_direct,
-    slavnov_diagonal,
+    slavnov_jacobians,
     slavnov_modified,
 )
 from test_formula_tables import oracle_lambda_derivative
@@ -75,15 +78,11 @@ def test_slavnov_guards(cs2, bp, bp_diag, rng):
     with pytest.raises(ParameterError):
         slavnov_modified(roots, other, cs2, bp, onshell="both")
     with pytest.raises(ParameterError):
-        slavnov_modified(roots, other, cs2, bp_diag)
-    with pytest.raises(ParameterError):
-        slavnov_diagonal(roots, other, cs2, bp)
-    with pytest.raises(ParameterError):
         gaudin_korepin_norm(roots, cs2, bp_diag)
     with pytest.raises(ParameterError):
-        gaudin_matrix(roots, cs2, bp, diag="auto")
-    with pytest.raises(ParameterError):
         gaudin_matrix(roots, cs2, bp_diag)
+    with pytest.raises(ParameterError):
+        gaudin_diagonal_derivative(roots, cs2, bp_diag)
 
 
 def test_cauchy_factorization(rng, cs2, bp):
@@ -115,9 +114,12 @@ def test_leading_jacobian_factorizes(cs2, bp, rng):
 
 def test_gaudin_diagonal_routes_agree(cs2, bp, solved2):
     for sol in solved2:
-        explicit = det_small(gaudin_matrix(sol.roots, cs2, bp, diag="explicit"))
-        derived = det_small(gaudin_matrix(sol.roots, cs2, bp, diag="derivative"))
-        assert abs(explicit - derived) <= 1e-10 * max(abs(explicit), abs(derived))
+        explicit = gaudin_matrix(sol.roots, cs2, bp)
+        derived = gaudin_diagonal_derivative(sol.roots, cs2, bp)
+        assert len(derived) == len(sol.roots)
+        for i, value in enumerate(derived):
+            ref = explicit[i][i]
+            assert abs(value - ref) <= 1e-10 * max(abs(value), abs(ref))
 
 
 def test_norm_vs_direct(cs1, cs2, bp, solved1, solved2):
@@ -136,13 +138,13 @@ def test_norm_limit_n1(cs1, bp, solved1):
 
 
 def test_slavnov_diagonal_vs_direct(cs2, bp_diag, solved2_diag, rng):
-    assert slavnov_diagonal((), (), cs2, bp_diag) == 1.0
+    assert slavnov_modified((), (), cs2, bp_diag, onshell="ket") == 1.0
     for magnons in (1, 2):
         for sol in solved2_diag[magnons]:
             free = tuple(
                 draw_spectral_points(rng, magnons, avoid=sol.roots, cs=cs2, bp=bp_diag)
             )
-            det_val = slavnov_diagonal(free, sol.roots, cs2, bp_diag)
+            det_val = slavnov_modified(free, sol.roots, cs2, bp_diag, onshell="ket")
             ref = scalar_product_direct(free, sol.roots, cs2, bp_diag)
             assert abs(det_val - ref) <= SLAVNOV_TOL * max(abs(det_val), abs(ref))
 
@@ -172,7 +174,7 @@ def test_modified_product_reaches_diagonal_limit(cs2, bp, bp_diag, solved2_diag,
     # formula must approach the diagonal one linearly in |rho|.
     v0 = solved2_diag[2][0].roots
     free = tuple(draw_spectral_points(rng, 2, avoid=v0, cs=cs2, bp=bp_diag))
-    ref = slavnov_diagonal(free, v0, cs2, bp_diag)
+    ref = slavnov_modified(free, v0, cs2, bp_diag, onshell="ket")
     errors = []
     for t in (1e-1, 1e-2, 1e-3):
         bp_t = BoundaryParams(bp.p, bp.q, t * bp.xi_plus, t * bp.xi_minus)
@@ -184,3 +186,42 @@ def test_modified_product_reaches_diagonal_limit(cs2, bp, bp_diag, solved2_diag,
     assert errors[1] <= errors[0] / 20
     assert errors[2] <= errors[1] / 20
     assert errors[2] <= 1e-3
+
+
+def oracle_slavnov_diagonal(bra_roots, ket_roots, cs, bp):
+    """The diagonal-boundary determinant with its explicit product prefactor.
+
+    The ket set is on shell.  ``slavnov_modified`` reaches the same value
+    through ``(-1)^m`` times the contracted coefficient ``w0``.
+    """
+    on, free = tuple(ket_roots), tuple(bra_roots)
+    pref = 1
+    for i, v in enumerate(on):
+        _, lam2 = vacuum_eigenvalues(v, cs, bp)
+        pref = pref * lam2 * (2 * v + 1) / (v + bp.q)
+        for vj in on[:i]:
+            pref = pref * (v + vj + 2) / (v + vj)
+    jac = slavnov_jacobians([free], on, cs, bp)[0]
+    return pref * det_small(jac) / det_small(cauchy_matrix(free, on))
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("magnons", [1, 2, 3])
+def test_modified_product_at_diagonal_couplings(cs3, bp_diag, rng, magnons, precision):
+    # Diagonal couplings are the rho = 0 case of the modified formula.
+    sols = solve_bethe_diagonal(cs3, bp_diag, magnons, rng=rng)
+    assert sols
+    for sol in sols[:3]:
+        free = tuple(
+            draw_spectral_points(rng, magnons, avoid=sol.roots, cs=cs3, bp=bp_diag)
+        )
+        val = complex(
+            slavnov_modified(
+                free, sol.roots, cs3, bp_diag, onshell="ket", precision=precision
+            )
+        )
+        for ref in (
+            oracle_slavnov_diagonal(free, sol.roots, cs3, bp_diag),
+            scalar_product_direct(free, sol.roots, cs3, bp_diag),
+        ):
+            assert abs(val - ref) <= 1e-11 * abs(ref)
