@@ -883,35 +883,38 @@ def _certify(branches, seeds, targets, points, cs, bp):
     ]
 
 
-def _solve_branches(cs, bp, m, rng, sector=None, branch=None):
-    """Certified root sets with ``m`` roots, for every branch of the family
-    or, with ``branch``, for the first one from ``branch`` on that passes."""
+def _solve_branches(cs, bp, sectors, rng, branch=None):
+    """Certified root sets of each ``(m, sector)`` pair, in order: every
+    branch on the sector or, with ``branch``, the first one from ``branch``
+    on that passes.  One draw and one :func:`transfer_matrices` stack serve
+    every sector: the reference, five check points and ``sites + 2`` nodes,
+    of which a sector with ``m`` roots reads and fits the first ``m + 2``."""
     rng = rng or np.random.default_rng()
     ref = draw_spectral_point(rng, cs=cs, bp=bp)
     check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
-    nodes = draw_spectral_points(rng, m + 2, cs=cs, bp=bp)
-    # One stacked build for the reference, the check points and the nodes;
-    # the empty sector has no Baxter polynomial to fit, so its nodes are
-    # drawn but not built.
-    t = transfer_matrices([ref] + check_points + (nodes if m else []), cs, bp)
-    basis = transfer_branch_basis(t, sector=sector)
-    eigs = basis.eigenvalues(t[1:])
-    targets, node_eigs = eigs[:5], eigs[5:]
-    size = basis.size
-    if m:
-        seeds = _tq_seeds(node_eigs, nodes, m, cs, bp)
-    else:
-        seeds = np.zeros((size, 0), dtype=complex)
+    nodes = draw_spectral_points(rng, cs.sites + 2, cs=cs, bp=bp)
+    t = transfer_matrices([ref] + check_points + nodes, cs, bp)
+    found = []
+    for m, sector in sectors:
+        basis = transfer_branch_basis(t, sector=sector)
+        eigs = basis.eigenvalues(t[1 : 8 + m])
+        targets, size = eigs[:5], basis.size
+        if m:
+            seeds = _tq_seeds(eigs[5:], nodes[: m + 2], m, cs, bp)
+        else:
+            seeds = np.zeros((size, 0), dtype=complex)
 
-    order = (np.arange(size) + (0 if branch is None else branch)) % size
-    if branch is None:
-        return _certify(order, seeds, targets, check_points, cs, bp)
-    # The chosen branch alone first; the others, in order, only if it fails.
-    for group in (order[:1], order[1:]):
-        found = _certify(group, seeds, targets, check_points, cs, bp)
-        if found:
-            return found[:1]
-    return []
+        order = (np.arange(size) + (0 if branch is None else branch)) % size
+        if branch is None:
+            found += _certify(order, seeds, targets, check_points, cs, bp)
+            continue
+        # The chosen branch alone first; the others, in order, only if it fails.
+        for group in (order[:1], order[1:]):
+            sets = _certify(group, seeds, targets, check_points, cs, bp)
+            if sets:
+                found.append(sets[0])
+                break
+    return found
 
 
 def solve_bethe(
@@ -941,28 +944,29 @@ def solve_bethe(
     """
     if bp.diagonal_mode:
         raise ParameterError("use solve_bethe_diagonal for diagonal couplings")
-    return _solve_branches(cs, bp, cs.sites, rng, branch=branch)
+    return _solve_branches(cs, bp, [(cs.sites, None)], rng, branch=branch)
 
 
 def solve_bethe_diagonal(
     cs: ChainSpec,
     bp: BoundaryParams,
-    magnons: int,
     rng=None,
     branch: int | None = None,
 ):
-    """Root sets of the dressed (diagonal) Bethe system in one magnon sector.
+    """Root sets of the dressed (diagonal) Bethe system in every magnon sector.
 
-    The same T-Q solve, certification and ``branch`` choice as
-    :func:`solve_bethe`, restricted to the transfer matrix on the
-    ``magnons`` sector, with the inhomogeneous term absent; the empty sector
-    returns the vacuum with no roots.
+    Diagonal couplings keep the magnon number, so ``t(u)`` is block diagonal
+    and one draw and one :func:`transfer_matrices` stack serve the sectors
+    ``m = 0..sites``.  Each sector gets the T-Q solve, certification and
+    ``branch`` choice of :func:`solve_bethe` on its block, with the
+    inhomogeneous term absent; the empty sector is the vacuum with no roots.
+    The sets come in sector order, so a set's magnon number is its root
+    count; with ``branch=k`` there is at most one set per sector.
     """
     if not bp.diagonal_mode:
         raise ParameterError("diagonal solver needs diagonal couplings")
-    if not 0 <= magnons <= cs.sites:
-        raise ParameterError("magnon number out of range")
-    sector = [
-        idx for idx in range(1 << cs.sites) if bin(idx).count("1") == magnons
+    sectors = [
+        (m, [idx for idx in range(1 << cs.sites) if bin(idx).count("1") == m])
+        for m in range(cs.sites + 1)
     ]
-    return _solve_branches(cs, bp, magnons, rng, sector=sector, branch=branch)
+    return _solve_branches(cs, bp, sectors, rng, branch=branch)

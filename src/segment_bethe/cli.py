@@ -1,7 +1,8 @@
 """Command line interface: config ingestion, dispatch, report emission.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-configuration, 3 a suite aborted (solver or construction failure).
+configuration (a command that needs off-diagonal couplings given diagonal
+ones included), 3 a suite aborted (solver or construction failure).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     ParameterError,
     PoleError,
 )
-from .harness import COMMANDS, RunConfig, run
+from .harness import COMMANDS, RunConfig, check_command, run
 from .precision import PRECISIONS
 
 ENV_PRECISION = "SEGMENT_BETHE_PRECISION"
@@ -176,6 +177,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = build_config(args)
+        check_command(args.command, config)
         if args.out:
             _check_out(args.out)
     except (ParameterError, ValueError, OSError) as exc:

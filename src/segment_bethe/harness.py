@@ -495,12 +495,8 @@ def _spectrum_suite(config: RunConfig, command: str) -> VerificationReport:
     bp = config.boundary(rng)
     cs = config.chain(rng)
 
-    if bp.diagonal_mode:
-        solutions = []
-        for magnons in range(cs.sites + 1):
-            solutions += solve_bethe_diagonal(cs, bp, magnons, rng=rng)
-    else:
-        solutions = solve_bethe(cs, bp, rng=rng)
+    solve = solve_bethe_diagonal if bp.diagonal_mode else solve_bethe
+    solutions = solve(cs, bp, rng=rng)
 
     rec.fold(
         "spectrum-completeness",
@@ -604,10 +600,6 @@ def run_offshell(config: RunConfig) -> VerificationReport:
     rec = _Recorder(config, "offshell")
     rng = _stream(config, "offshell")
     bp = config.boundary(rng)
-    if bp.diagonal_mode:
-        raise ParameterError(
-            "the offshell suite needs off-diagonal boundary couplings"
-        )
     cs = config.chain(rng)
 
     for _ in range(config.draws):
@@ -662,26 +654,15 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
         # ``avoid`` keeps the free roots 1e-3 from the on-shell roots and
         # their reflections, the distance below which the formula warns.
         free = tuple(draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp))
-        formula_bra = slavnov_modified(
-            on, free, cs, bp, onshell="bra", precision=config.precision
-        )
-        direct_bra = scalar_product_direct(on, free, cs, bp)
-        formula_ket = slavnov_modified(
-            free, on, cs, bp, onshell="ket", precision=config.precision
-        )
-        direct_ket = scalar_product_direct(free, on, cs, bp)
-        rec.fold(
-            "slavnov-onshell-bra",
-            "modified-slavnov-determinant",
-            pair_residual(formula_bra, direct_bra),
-            tol_key=tol_key,
-        )
-        rec.fold(
-            "slavnov-onshell-ket",
-            "modified-slavnov-determinant",
-            pair_residual(formula_ket, direct_ket),
-            tol_key=tol_key,
-        )
+        # One formula value against both placements of the on-shell set.
+        formula = slavnov_modified(on, free, cs, bp, precision=config.precision)
+        for side, bra, ket in (("bra", on, free), ("ket", free, on)):
+            rec.fold(
+                f"slavnov-onshell-{side}",
+                "modified-slavnov-determinant",
+                pair_residual(formula, scalar_product_direct(bra, ket, cs, bp)),
+                tol_key=tol_key,
+            )
         with working_precision(config.precision):
             free_w = lift_roots(free, config.precision)
             on_w = lift_roots(on, config.precision)
@@ -696,20 +677,21 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
 
     if sites <= 3:
         # The diagonal limit of the last draw's chain and couplings.
+        # One set per magnon sector, the empty one first.
         bp_diag = BoundaryParams(bp.p, bp.q)
-        for magnons in range(sites + 1):
-            sols = solve_bethe_diagonal(cs, bp_diag, magnons, rng=rng, branch=0)
-            on = _require_roots(sols)[0].roots
-            if magnons == 0:
-                continue
+        sols = solve_bethe_diagonal(cs, bp_diag, rng=rng, branch=0)
+        if len(sols) != sites + 1:
+            raise ConvergenceError("the diagonal solver missed a magnon sector")
+        for sol in sols[1:]:
+            on = sol.roots
             free = tuple(
-                draw_spectral_points(rng, magnons, avoid=on, cs=cs, bp=bp_diag)
+                draw_spectral_points(rng, len(on), avoid=on, cs=cs, bp=bp_diag)
             )
             rec.fold(
                 "slavnov-diagonal",
                 "diagonal-slavnov-determinant",
                 pair_residual(
-                    slavnov_modified(free, on, cs, bp_diag, onshell="ket"),
+                    slavnov_modified(on, free, cs, bp_diag),
                     scalar_product_direct(free, on, cs, bp_diag),
                 ),
             )
@@ -777,10 +759,6 @@ def run_n1(config: RunConfig) -> VerificationReport:
     rec = _Recorder(config, "n1")
     rng = _stream(config, "n1")
     bp = config.boundary(rng)
-    if bp.diagonal_mode:
-        raise ParameterError(
-            "the n1 suite needs off-diagonal boundary couplings"
-        )
     cs = config.chain(rng, sites=1)
 
     solutions = _require_roots(solve_bethe(cs, bp, rng=rng))
@@ -847,7 +825,21 @@ COMMANDS = {
 }
 
 
-def run(command: str, config: RunConfig) -> VerificationReport:
+# Commands whose suites need off-diagonal boundary couplings.
+OFF_DIAGONAL_COMMANDS = frozenset({"offshell", "slavnov", "norm", "n1", "all"})
+
+
+def check_command(command: str, config: RunConfig) -> None:
+    """Refuse a command that ``config`` cannot serve, before any suite runs."""
     if command not in COMMANDS:
         raise ParameterError(f"unknown subcommand {command!r}")
+    diagonal = config._pinned is not None and config._pinned.diagonal_mode
+    if diagonal and command in OFF_DIAGONAL_COMMANDS:
+        raise ParameterError(
+            f"the {command} command needs off-diagonal boundary couplings"
+        )
+
+
+def run(command: str, config: RunConfig) -> VerificationReport:
+    check_command(command, config)
     return COMMANDS[command](config)

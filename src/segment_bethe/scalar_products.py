@@ -146,36 +146,34 @@ def _slavnov_prefactor(nn, bp):
 
 
 def slavnov_modified(
-    bra_roots,
-    ket_roots,
+    onshell_roots,
+    free_roots,
     cs: ChainSpec,
     bp: BoundaryParams,
-    onshell: str = "bra",
     precision: str = "double",
 ):
-    """Determinant formula for the scalar product with one set on shell.
+    """Determinant formula for the scalar product of an on-shell and a free set.
 
-    ``onshell`` names the set that solves the Bethe system; the formula
-    differentiates the eigenvalue in the on-shell roots and evaluates at the
-    free ones.  Diagonal couplings are its ``rho = 0`` case: the prefactor is
-    ``(-1)^m`` and ``w0`` the closed product
+    ``onshell_roots`` solves the Bethe system; the formula differentiates the
+    eigenvalue in them and evaluates at the free roots.  One value serves
+    both placements: the on-shell set as the bra and as the ket.  Diagonal
+    couplings are its ``rho = 0`` case: the prefactor is ``(-1)^m`` and
+    ``w0`` the closed product
     :func:`~segment_bethe.vectors.diagonal_w0_product`, which gives the
     usual diagonal-boundary determinant.
     """
     validate_precision(precision)
-    if len(bra_roots) != len(ket_roots):
+    if len(onshell_roots) != len(free_roots):
         raise ParameterError("scalar product needs equally sized root sets")
-    if onshell not in ("bra", "ket"):
-        raise ParameterError("onshell must be 'bra' or 'ket'")
-    _warn_if_close(bra_roots, ket_roots)
-    nn = len(bra_roots)
+    _warn_if_close(onshell_roots, free_roots)
+    nn = len(onshell_roots)
     if nn == 0:
         return 1.0 + 0j
 
     with working_precision(precision):
         cs_l, bp_l = lift_problem(cs, bp, precision)
-        on = lift_roots(bra_roots if onshell == "bra" else ket_roots, precision)
-        free = lift_roots(ket_roots if onshell == "bra" else bra_roots, precision)
+        on = lift_roots(onshell_roots, precision)
+        free = lift_roots(free_roots, precision)
 
         (ratio,) = _slavnov_ratios([free], on, cs_l, bp_l)
         return _slavnov_prefactor(nn, bp_l) * w0_scalar(on, cs_l, bp_l) * ratio
@@ -374,36 +372,29 @@ def n1_identities(
         raise ParameterError("single-root identities need generic couplings")
     u1, v1 = complex(u1), complex(v1)
     rho = bp.rho
+    pref = (rho - 2) / (2 * (rho - 1) ** 2)
 
-    def w0(u):
-        return w0_scalar((u,), cs, bp)
-
-    def s_mixed(a, b):
-        """Mixed closed form with the plain-basis product and both tails."""
+    def s_mixed(a, b, w0a, w0b):
+        """Mixed closed form, its plain-basis product and its two tails."""
         sd = _s_diag_formula(a, b, cs, bp)
-        return ((rho - 2) / (2 * (rho - 1) ** 2)) * (
-            (rho - 1) * sd
-            + eigenvalue_parts(a, (b,), cs, bp)[1] * w0(b) / (2 * (a + 1))
-            + eigenvalue_parts(b, (a,), cs, bp)[1] * w0(a) / (2 * (b + 1))
-        )
+        tail_a = eigenvalue_parts(a, (b,), cs, bp)[1] * w0b / (2 * (a + 1))
+        tail_b = eigenvalue_parts(b, (a,), cs, bp)[1] * w0a / (2 * (b + 1))
+        return pref * ((rho - 1) * sd + tail_a + tail_b), sd, tail_a + tail_b
 
     direct = scalar_product_direct((u1,), (v1,), cs, bp)
-    good = s_mixed(u1, v1)
-    s1 = ((rho - 2) / (2 * (rho - 1))) ** 2 * _s_diag_formula(
-        u1, v1, cs, bp
-    ) + (rho * (rho - 2) / (2 * (rho - 1)) ** 2) * w0(u1) * w0(v1)
+    w0u, w0v = w0_scalar((u1,), cs, bp), w0_scalar((v1,), cs, bp)
+    good, sd, tails = s_mixed(u1, v1, w0u, w0v)
+    s1 = ((rho - 2) / (2 * (rho - 1))) ** 2 * sd + (
+        rho * (rho - 2) / (2 * (rho - 1)) ** 2
+    ) * w0u * w0v
 
     l1u, l2u = vacuum_eigenvalues(u1, cs, bp)
     l1v, l2v = vacuum_eigenvalues(v1, cs, bp)
     pmu = kn.phi(-u1 - 1)
     pmv = kn.phi(-v1 - 1)
     s2 = (
-        _s_diag_formula(u1, v1, cs, bp)
-        - (rho / (2 * (rho - 1) ** 2))
-        * (
-            eigenvalue_parts(u1, (v1,), cs, bp)[1] * w0(v1) / (2 * (u1 + 1))
-            + eigenvalue_parts(v1, (u1,), cs, bp)[1] * w0(u1) / (2 * (v1 + 1))
-        )
+        sd
+        - (rho / (2 * (rho - 1) ** 2)) * tails
         + (rho / (2 * (rho - 1)))
         * (
             pmv
@@ -435,25 +426,19 @@ def n1_identities(
         @ double_row(v1, cs, bp).b
         @ vac
     )
-    sd_formula = _s_diag_formula(u1, v1, cs, bp)
-    out["plain_product"] = pair_residual(sd_matrix, sd_formula)
+    out["plain_product"] = pair_residual(sd_matrix, sd)
 
     if onshell_root is not None:
         wv = complex(onshell_root)
+        w0w = w0_scalar((wv,), cs, bp)
         dlam = lambda_total_derivative(u1, (wv,), 0, cs, bp)
-        det_form = (
-            ((rho - 2) / (2 * (rho - 1) ** 2))
-            * w0(wv)
-            * dlam
-            / _v_kernel(u1, wv)
-        )
-        mixed_on = s_mixed(u1, wv)
+        det_form = pref * w0w * dlam / _v_kernel(u1, wv)
+        mixed_on = s_mixed(u1, wv, w0u, w0w)[0]
         direct_on = scalar_product_direct((u1,), (wv,), cs, bp)
-        slav = slavnov_modified((u1,), (wv,), cs, bp, onshell="ket")
+        slav = slavnov_modified((wv,), (u1,), cs, bp)
         scale = max(abs(det_form), abs(mixed_on), abs(direct_on), abs(slav))
-        out["prescription"] = abs(det_form - mixed_on) / max(scale, 1e-300)
-        out["determinant_direct"] = abs(det_form - direct_on) / max(
-            scale, 1e-300
-        )
-        out["determinant_general"] = abs(det_form - slav) / max(scale, 1e-300)
+        scale = max(scale, 1e-300)
+        out["prescription"] = abs(det_form - mixed_on) / scale
+        out["determinant_direct"] = abs(det_form - direct_on) / scale
+        out["determinant_general"] = abs(det_form - slav) / scale
     return out

@@ -63,9 +63,6 @@ def solved2(cs2, bp):
 
 @pytest.fixture(scope="session")
 def solved2_diag(cs2, bp_diag):
-    out = {}
-    for magnons in range(3):
-        out[magnons] = solve_bethe_diagonal(
-            cs2, bp_diag, magnons, rng=np.random.default_rng(SEED + 12)
-        )
-    return out
+    # The sets of one diagonal solve, keyed by their magnon number.
+    sols = solve_bethe_diagonal(cs2, bp_diag, rng=np.random.default_rng(SEED + 12))
+    return {m: [s for s in sols if len(s.roots) == m] for m in range(3)}

@@ -1,6 +1,7 @@
 """Eigenvalue expressions, Bethe system, Jacobians, and the T-Q root solver."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -417,17 +418,15 @@ def _problems(sites):
         rng = np.random.default_rng([sites, seed])
         bp_ = draw_boundary_params(rng)
         cs = draw_chain_spec(rng, sites)
-        out.append((cs, bp_, None, rng))
+        out.append((cs, bp_, rng))
         diag = BoundaryParams(bp_.p, bp_.q)
-        for magnons in range(1, sites + 1):
-            out.append((cs, diag, magnons, np.random.default_rng([sites, seed, 1])))
+        out.append((cs, diag, np.random.default_rng([sites, seed, 1])))
     return out
 
 
-def _solve(cs, bp_, magnons, rng, **kwargs):
-    if magnons is None:
-        return solve_bethe(cs, bp_, rng=rng, **kwargs)
-    return solve_bethe_diagonal(cs, bp_, magnons, rng=rng, **kwargs)
+def _solve(cs, bp_, rng, **kwargs):
+    solve = solve_bethe_diagonal if bp_.diagonal_mode else solve_bethe
+    return solve(cs, bp_, rng=rng, **kwargs)
 
 
 @pytest.mark.parametrize("sites", [1, 2, 3, 4])
@@ -485,7 +484,7 @@ def test_branch_choice_draws_what_a_full_solve_draws(cs2, bp, bp_diag):
     def next_draws(**kwargs):
         rng, rng_diag = np.random.default_rng(91), np.random.default_rng(91)
         solve_bethe(cs2, bp, rng=rng, **kwargs)
-        solve_bethe_diagonal(cs2, bp_diag, 1, rng=rng_diag, **kwargs)
+        solve_bethe_diagonal(cs2, bp_diag, rng=rng_diag, **kwargs)
         return rng.random(), rng_diag.random()
 
     assert next_draws(branch=2) == next_draws()
@@ -577,9 +576,7 @@ def test_solver_mode_guards(cs1, bp, bp_diag):
     with pytest.raises(ParameterError):
         solve_bethe(cs1, bp_diag)
     with pytest.raises(ParameterError):
-        solve_bethe_diagonal(cs1, bp, magnons=1)
-    with pytest.raises(ParameterError):
-        solve_bethe_diagonal(cs1, bp_diag, magnons=5)
+        solve_bethe_diagonal(cs1, bp)
 
 
 def test_diagonal_sector_counts(solved2_diag):
@@ -589,6 +586,39 @@ def test_diagonal_sector_counts(solved2_diag):
     for sols in solved2_diag.values():
         for s in sols:
             assert s.on_shell and s.eigenvalue_residual <= 1e-8
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+def test_diagonal_solve_builds_one_stack_for_every_sector(monkeypatch, sites):
+    # Every magnon sector reads one stacked build of t(u): the reference,
+    # 5 check points and sites + 2 nodes.  The sets come in sector order.
+    rng = np.random.default_rng([sites, 7])
+    bp_ = draw_boundary_params(rng)
+    cs = draw_chain_spec(rng, sites)
+    stacks = []
+    real = bethe.transfer_matrices
+
+    def recorded(points, cs_, bp__):
+        stacks.append(len(points))
+        return real(points, cs_, bp__)
+
+    monkeypatch.setattr(bethe, "transfer_matrices", recorded)
+    sols = solve_bethe_diagonal(cs, BoundaryParams(bp_.p, bp_.q), rng=rng)
+    assert stacks == [8 + sites]
+    assert [len(s.roots) for s in sols] == [
+        m for m in range(sites + 1) for _ in range(math.comb(sites, m))
+    ]
+
+
+def test_diagonal_branch_choice_gives_one_set_per_sector(cs2, bp_diag):
+    # With branch=k each sector returns its branch k modulo the sector size.
+    full = solve_bethe_diagonal(cs2, bp_diag, rng=np.random.default_rng(91))
+    assert [(len(s.roots), s.branch) for s in full] == [(0, 0), (1, 0), (1, 1), (2, 0)]
+    for k in range(3):
+        picked = solve_bethe_diagonal(
+            cs2, bp_diag, rng=np.random.default_rng(91), branch=k
+        )
+        assert picked == [full[0], full[1 + k % 2], full[3]]
 
 
 def test_diagonal_empty_sector_is_vacuum(cs2, bp_diag, solved2_diag, rng):

@@ -138,13 +138,32 @@ def test_argparse_rejects_unknown_subcommand():
     assert info.value.code == 2
 
 
-def test_exit_three_on_aborted_run(tmp_path, capsys):
+@pytest.mark.parametrize("command", sorted(harness.OFF_DIAGONAL_COMMANDS))
+def test_exit_two_when_command_needs_off_diagonal_couplings(
+    monkeypatch, tmp_path, capsys, command
+):
     # A pinned diagonal boundary cannot feed the suites that need general
-    # couplings; the run aborts before any check executes.
-    path = _write_config(tmp_path, {"p": [2.0, 0.1], "q": [1.5, -0.2]})
-    code = main(["offshell", "--sites", "1", "--config", path])
-    assert code == 3
-    assert "run failed" in capsys.readouterr().err
+    # couplings: a config error, refused before any suite runs.
+    ran = []
+    for name, suite in harness.COMMANDS.items():
+        monkeypatch.setitem(
+            harness.COMMANDS, name, lambda c, s=suite, n=name: ran.append(n) or s(c)
+        )
+    path = _write_config(tmp_path, {"p": 1.5, "q": 2})
+    assert main([command, "--sites", "2", "--draws", "1", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: the {command} command needs off-diagonal" in err
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "solve-bethe", "exchange", "check-algebra"]
+)
+def test_pinned_diagonal_couplings_serve_the_other_commands(
+    tmp_path, capsys, command
+):
+    path = _write_config(tmp_path, {"p": 1.5, "q": 2})
+    assert main([command, "--sites", "2", "--draws", "1", "--config", path]) == 0
 
 
 @pytest.mark.parametrize(

@@ -153,8 +153,8 @@ def test_stack_matches_per_point(sites, diagonal):
 def test_diagonal_sector_solve_reads_per_point_spectrum(
     monkeypatch, cs2, bp_diag
 ):
-    # The one-magnon solve takes its eigenvalues from stacked builds; every
-    # stack it read must be the per-point transfer matrices.
+    # The diagonal solve takes every sector's eigenvalues from stacked
+    # builds; every stack it read must be the per-point transfer matrices.
     stacks = []
     real = bethe.transfer_matrices
 
@@ -164,10 +164,8 @@ def test_diagonal_sector_solve_reads_per_point_spectrum(
         return out
 
     monkeypatch.setattr(bethe, "transfer_matrices", recorded)
-    sols = bethe.solve_bethe_diagonal(
-        cs2, bp_diag, 1, rng=np.random.default_rng(77)
-    )
-    assert len(sols) == 2
+    sols = bethe.solve_bethe_diagonal(cs2, bp_diag, rng=np.random.default_rng(77))
+    assert len(sols) == 4
     assert stacks
     for points, stack in stacks:
         for u, t in zip(points, stack):

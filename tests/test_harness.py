@@ -24,8 +24,6 @@ from segment_bethe.harness import (
     run,
     run_all,
     run_check_algebra,
-    run_n1,
-    run_offshell,
     run_spectrum,
 )
 
@@ -262,10 +260,38 @@ def test_run_all_namespaces_details():
 
 def test_diagonal_pin_rejected_where_generic_needed():
     cfg = RunConfig(sites=1, p=2.0 + 0.1j, q=1.5 - 0.2j)
-    with pytest.raises(ParameterError):
-        run_offshell(cfg)
-    with pytest.raises(ParameterError):
-        run_n1(cfg)
+    for command in sorted(harness.OFF_DIAGONAL_COMMANDS):
+        with pytest.raises(ParameterError, match=f"the {command} command"):
+            run(command, cfg)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+def test_pinned_diagonal_spectrum_is_complete(sites):
+    # One diagonal solve finds the 2^N branches of all magnon sectors.
+    for seed in range(6):
+        cfg = RunConfig(sites=sites, seed=seed, p=1.5 + 0.2j, q=2 - 0.1j)
+        report = run("spectrum", cfg)
+        by = {c.name: c for c in report.checks}
+        assert by["spectrum-completeness"].residual == 0
+        assert report.all_passed
+        sizes = [row["magnons"] for row in report.details["branches"]]
+        assert sizes == sorted(sizes)
+
+
+def test_slavnov_evaluates_the_formula_once_per_draw(monkeypatch):
+    # One value per draw serves both placements; the diagonal limit adds one
+    # per nonempty magnon sector.
+    calls = []
+    real = harness.slavnov_modified
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "slavnov_modified", counted)
+    report = run("slavnov", RunConfig(sites=2, seed=3, draws=3))
+    assert report.all_passed
+    assert calls == [2, 2, 2, 1, 2]
 
 
 def test_run_dispatch():
@@ -445,5 +471,4 @@ def test_slavnov_free_draws_never_warn(sites):
             free = tuple(draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                slavnov_modified(on, free, cs, bp, onshell="bra")
-                slavnov_modified(free, on, cs, bp, onshell="ket")
+                slavnov_modified(on, free, cs, bp)

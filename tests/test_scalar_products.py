@@ -43,31 +43,34 @@ def test_direct_permutation_invariant(cs2, bp, rng):
     assert scalar_product_direct(bra, ket[::-1], cs2, bp) == pytest.approx(base)
 
 
+def _check_placement(cs, bp, sols, rng, placement):
+    # The formula takes the on-shell set first; the scalar product is
+    # symmetric, so it must match the direct contraction with the on-shell
+    # set placed as the bra or as the ket.
+    for sol in sols:
+        on = sol.roots
+        free = tuple(draw_spectral_points(rng, len(on), avoid=on, cs=cs, bp=bp))
+        bra, ket = (on, free) if placement == "bra" else (free, on)
+        det_val = slavnov_modified(on, free, cs, bp)
+        ref = scalar_product_direct(bra, ket, cs, bp)
+        assert abs(det_val - ref) <= SLAVNOV_TOL * max(abs(det_val), abs(ref))
+
+
 @pytest.mark.parametrize("placement", ["bra", "ket"])
 def test_slavnov_vs_direct_n1(cs1, bp, solved1, rng, placement):
-    for sol in solved1:
-        free = tuple(draw_spectral_points(rng, 1, avoid=sol.roots, cs=cs1, bp=bp))
-        bra, ket = (sol.roots, free) if placement == "bra" else (free, sol.roots)
-        det_val = slavnov_modified(bra, ket, cs1, bp, onshell=placement)
-        ref = scalar_product_direct(bra, ket, cs1, bp)
-        assert abs(det_val - ref) <= SLAVNOV_TOL * max(abs(det_val), abs(ref))
+    _check_placement(cs1, bp, solved1, rng, placement)
 
 
 @pytest.mark.parametrize("placement", ["bra", "ket"])
 def test_slavnov_vs_direct_n2(cs2, bp, solved2, rng, placement):
-    for sol in solved2:
-        free = tuple(draw_spectral_points(rng, 2, avoid=sol.roots, cs=cs2, bp=bp))
-        bra, ket = (sol.roots, free) if placement == "bra" else (free, sol.roots)
-        det_val = slavnov_modified(bra, ket, cs2, bp, onshell=placement)
-        ref = scalar_product_direct(bra, ket, cs2, bp)
-        assert abs(det_val - ref) <= SLAVNOV_TOL * max(abs(det_val), abs(ref))
+    _check_placement(cs2, bp, solved2, rng, placement)
 
 
 def test_conditioning_warning(cs2, bp, solved2):
     on = solved2[0].roots
     close = (on[0] + 0.5 * PROXIMITY_THRESHOLD, on[1] + 0.8)
     with pytest.warns(ConditioningWarning):
-        slavnov_modified(close, on, cs2, bp, onshell="ket")
+        slavnov_modified(on, close, cs2, bp)
 
 
 def test_slavnov_guards(cs2, bp, bp_diag, rng):
@@ -75,8 +78,6 @@ def test_slavnov_guards(cs2, bp, bp_diag, rng):
     other = tuple(draw_spectral_points(rng, 2, avoid=roots, cs=cs2, bp=bp))
     with pytest.raises(ParameterError):
         slavnov_modified(roots, other[:1], cs2, bp)
-    with pytest.raises(ParameterError):
-        slavnov_modified(roots, other, cs2, bp, onshell="both")
     with pytest.raises(ParameterError):
         gaudin_korepin_norm(roots, cs2, bp_diag)
     with pytest.raises(ParameterError):
@@ -138,13 +139,13 @@ def test_norm_limit_n1(cs1, bp, solved1):
 
 
 def test_slavnov_diagonal_vs_direct(cs2, bp_diag, solved2_diag, rng):
-    assert slavnov_modified((), (), cs2, bp_diag, onshell="ket") == 1.0
+    assert slavnov_modified((), (), cs2, bp_diag) == 1.0
     for magnons in (1, 2):
         for sol in solved2_diag[magnons]:
             free = tuple(
                 draw_spectral_points(rng, magnons, avoid=sol.roots, cs=cs2, bp=bp_diag)
             )
-            det_val = slavnov_modified(free, sol.roots, cs2, bp_diag, onshell="ket")
+            det_val = slavnov_modified(sol.roots, free, cs2, bp_diag)
             ref = scalar_product_direct(free, sol.roots, cs2, bp_diag)
             assert abs(det_val - ref) <= SLAVNOV_TOL * max(abs(det_val), abs(ref))
 
@@ -174,12 +175,12 @@ def test_modified_product_reaches_diagonal_limit(cs2, bp, bp_diag, solved2_diag,
     # formula must approach the diagonal one linearly in |rho|.
     v0 = solved2_diag[2][0].roots
     free = tuple(draw_spectral_points(rng, 2, avoid=v0, cs=cs2, bp=bp_diag))
-    ref = slavnov_modified(free, v0, cs2, bp_diag, onshell="ket")
+    ref = slavnov_modified(v0, free, cs2, bp_diag)
     errors = []
     for t in (1e-1, 1e-2, 1e-3):
         bp_t = BoundaryParams(bp.p, bp.q, t * bp.xi_plus, t * bp.xi_minus)
         vt = refine_roots(v0, cs2, bp_t, tol=1e-13)
-        val = slavnov_modified(free, vt, cs2, bp_t, onshell="ket")
+        val = slavnov_modified(vt, free, cs2, bp_t)
         err = abs(val / ref - 1)
         assert err <= 50 * abs(bp_t.rho)
         errors.append(err)
@@ -209,16 +210,15 @@ def oracle_slavnov_diagonal(bra_roots, ket_roots, cs, bp):
 @pytest.mark.parametrize("magnons", [1, 2, 3])
 def test_modified_product_at_diagonal_couplings(cs3, bp_diag, rng, magnons, precision):
     # Diagonal couplings are the rho = 0 case of the modified formula.
-    sols = solve_bethe_diagonal(cs3, bp_diag, magnons, rng=rng)
+    sols = solve_bethe_diagonal(cs3, bp_diag, rng=rng)
+    sols = [s for s in sols if len(s.roots) == magnons]
     assert sols
     for sol in sols[:3]:
         free = tuple(
             draw_spectral_points(rng, magnons, avoid=sol.roots, cs=cs3, bp=bp_diag)
         )
         val = complex(
-            slavnov_modified(
-                free, sol.roots, cs3, bp_diag, onshell="ket", precision=precision
-            )
+            slavnov_modified(sol.roots, free, cs3, bp_diag, precision=precision)
         )
         for ref in (
             oracle_slavnov_diagonal(free, sol.roots, cs3, bp_diag),
