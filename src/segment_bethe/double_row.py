@@ -34,13 +34,12 @@ import numpy as np
 from . import kernels as kn
 from . import linalg
 from .boundary import k_minus, k_plus, q_similarity
-from .errors import ConstructionError, DimensionError, ParameterError, PoleError
+from .errors import ConstructionError, ParameterError, PoleError
 from .linalg import (
     embed_site,
     embed_two_site,
     identity,
     kron,
-    relative_residual,
     relative_residuals,
 )
 from .boundary import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -53,7 +52,6 @@ __all__ = [
     "transfer_matrix",
     "transfer_matrices",
     "transfer_forms_residual",
-    "crossing_residual",
     "hamiltonian",
     "check_exchange_relations",
 ]
@@ -93,16 +91,6 @@ class Entries(NamedTuple):
 def _freeze(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
-
-
-def _dimension(cs: ChainSpec) -> int:
-    """``2^(N+1)``, refused before anything of that size is allocated."""
-    dim = 1 << (cs.sites + 1)
-    if dim > linalg.MAX_DIM:
-        raise DimensionError(
-            f"double-row dimension {dim} exceeds MAX_DIM = {linalg.MAX_DIM}"
-        )
-    return dim
 
 
 def _points(points) -> list:
@@ -157,7 +145,13 @@ def _hat_string(us: list, cs: ChainSpec) -> tuple:
 
 def _raw_blocks(us: list, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Raw blocks ``T(u) K^-(u) T_hat(u)``, shape ``(B, 2, 2^N, 2, 2^N)``."""
-    dim = _dimension(cs)
+    dim = 1 << (cs.sites + 1)
+    # A build, through its gates, peaks at about 6.3 times its raw blocks
+    # (7.5 for the pair of check_exchange_relations; tracemalloc at N = 5-8),
+    # so it is charged 8 raw blocks.
+    linalg.check_bytes(
+        8 * len(us) * dim * dim * 16, f"double-row build of {len(us)} point(s)"
+    )
     for u in us:
         if abs(2 * u + 1) < kn.POLE_TOL:
             raise PoleError("double_row", u, abs(2 * u + 1))
@@ -341,7 +335,7 @@ def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):
     covers, its points, their raw blocks and, for generic couplings, their
     modified blocks (``None`` for diagonal ones).
     """
-    dim = _dimension(cs)
+    dim = 1 << (cs.sites + 1)
     step = max(1, STACK_BYTES // (dim * dim * np.dtype(complex).itemsize))
     for lo in range(0, len(us), step):
         chunk = us[lo : lo + step]
@@ -357,21 +351,17 @@ def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     generic couplings, against the modified two-term form (see
     :func:`_transfer_blocks`), judged per point; an error names the point it
     trips at.  The points are built in stacked chunks whose raw block stays
-    within ``STACK_BYTES``.  Nothing is cached.
+    within ``STACK_BYTES``.  Nothing is cached.  A stack or a chunk's build
+    over ``linalg.MAX_BYTES`` raises ``DimensionError`` before it is
+    allocated.
     """
-    dim = _dimension(cs)
+    half = 1 << cs.sites
     us = _points(points)
-    out = np.empty((len(us), dim // 2, dim // 2), dtype=complex)
+    linalg.check_bytes(len(us) * half * half * 16, "transfer-matrix stack")
+    out = np.empty((len(us), half, half), dtype=complex)
     for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
         out[where] = _transfer_blocks(raw, chunk, bp, closed)
     return _freeze(out)
-
-
-def crossing_residual(u, cs: ChainSpec, bp: BoundaryParams) -> float:
-    """Measured (not enforced) residual of t(-u-1) against t(u)."""
-    t1 = transfer_matrix(u, cs, bp)
-    t2 = transfer_matrix(-u - 1, cs, bp)
-    return relative_residual(t1 - t2, t1, t2)
 
 
 def hamiltonian(cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:

@@ -149,7 +149,7 @@ class RunConfig:
     built into one ``BoundaryParams`` here, so a degenerate set is refused
     with the config.  ``thetas`` is the string ``"random"`` or an explicit
     generic tuple of length ``sites``.  Pinned couplings and thetas must be
-    finite.
+    finite, and ``sites``, ``seed``, ``draws`` and ``direct_cap`` integers.
     """
 
     sites: int = 2
@@ -165,9 +165,16 @@ class RunConfig:
     direct_cap: int = 5
 
     def __post_init__(self):
+        # Counts are Python or numpy integers; a bool or a float, even an
+        # integral one, is refused rather than read as a count.
+        for name in ("sites", "seed", "draws", "direct_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.sites < 1:
             raise ParameterError("sites must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ParameterError("seed must fit in 64 bits")
         if self.draws < 1:
             raise ParameterError("draws must be at least 1")

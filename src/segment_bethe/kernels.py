@@ -172,7 +172,7 @@ def fhq(u, v):
     return fn / qq, hn / qq, qq
 
 
-# Derivatives used by Jacobians and the norm matrix.
+# Kernels with their derivatives, for the per-root tables of ``bethe``.
 
 
 def phi_and_derivative(u):
@@ -180,10 +180,6 @@ def phi_and_derivative(u):
     two = 2 * u + 1
     _guard("phi", u, two)
     return 2 * (u + 1) / two, -2 / (two * two)
-
-
-def d_phi(u):
-    return phi_and_derivative(u)[1]
 
 
 def tilde_phi_and_derivative(u, p):
@@ -196,36 +192,6 @@ def tilde_phi_and_derivative(u, p):
     den = plus * minus
     d_num = 4 * u + 3
     return num / den, (d_num * den - num * -two) / (den * den)
-
-
-def d_tilde_phi(u, p):
-    return tilde_phi_and_derivative(u, p)[1]
-
-
-def d_f_du(u, v):
-    _guard("f", (u, v), u - v, u + v + 1)
-    qq = Q(u, v)
-    num = (2 * u - 1) * qq - (u - v - 1) * (u + v) * (2 * u + 1)
-    return num / (qq * qq)
-
-
-def d_f_dv(u, v):
-    _guard("f", (u, v), u - v, u + v + 1)
-    qq = Q(u, v)
-    return -2 * u * (2 * v + 1) / (qq * qq)
-
-
-def d_h_du(u, v):
-    _guard("h", (u, v), u - v, u + v + 1)
-    qq = Q(u, v)
-    num = (2 * u + 3) * qq - (u - v + 1) * (u + v + 2) * (2 * u + 1)
-    return num / (qq * qq)
-
-
-def d_h_dv(u, v):
-    _guard("h", (u, v), u - v, u + v + 1)
-    qq = Q(u, v)
-    return 2 * (u + 1) * (2 * v + 1) / (qq * qq)
 
 
 # Trace coefficients of the transfer matrix in the plain and modified bases.
@@ -254,14 +220,6 @@ def alpha_bar(u, bp):
 
 def delta_bar(u, bp):
     return bp.q - (1 + u) * (1 - bp.rho)
-
-
-def d_alpha_bar(u, bp):
-    return d_phi(u) * (bp.q + u * (1 - bp.rho)) + phi(u) * (1 - bp.rho)
-
-
-def d_delta_bar(u, bp):
-    return -(1 - bp.rho)
 
 
 # Products over root sets.

@@ -1,4 +1,4 @@
-"""Dense complex tensor algebra: products, embeddings, partial trace, residuals.
+"""Dense complex tensor algebra: products, embeddings, residuals, byte limit.
 
 Everything here is plain numpy on complex128 arrays.  Chains of interest stay
 below ten sites, so dense is both simplest and fastest.
@@ -6,14 +6,16 @@ below ten sites, so dense is both simplest and fastest.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
 
 __all__ = [
-    "MAX_DIM",
+    "MAX_BYTES",
+    "check_bytes",
     "kron",
-    "trace_aux",
     "identity",
     "embed_site",
     "embed_two_site",
@@ -24,8 +26,13 @@ __all__ = [
     "pair_residual",
 ]
 
-# Hard cap on tensor-product dimension: 2^14 covers an aux space plus 13 sites.
-MAX_DIM = 1 << 14
+# Largest array, in bytes, that one call may ask for: 1 GiB.  It is checked
+# before the array is allocated, so an over-long chain is a configuration
+# error (exit 2), not numpy's MemoryError.  At N = 10 the largest requests of
+# a spectrum run are one point's double-row build, 512 MiB (8 raw blocks of
+# 64 MiB, see ``double_row``), and its 18-point t(u) stack, 288 MiB; N = 11
+# needs a 2 GiB build, and N = 12 an 8 GiB build and a 5 GiB stack.
+MAX_BYTES = 1 << 30
 
 
 def as_matrix(m) -> np.ndarray:
@@ -35,6 +42,14 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Refuse a request of ``nbytes`` over ``MAX_BYTES`` before it is made."""
+    if nbytes > MAX_BYTES:
+        raise DimensionError(
+            f"{what} needs {nbytes} bytes, over MAX_BYTES = {MAX_BYTES}"
+        )
 
 
 def identity(dim: int) -> np.ndarray:
@@ -50,22 +65,13 @@ def kron(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
-    if ra * rb > MAX_DIM:
-        raise DimensionError(
-            f"tensor product of dims {ra} x {rb} exceeds MAX_DIM = {MAX_DIM}"
-        )
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    check_bytes(
+        math.prod(lead) * ra * rb * ca * cb * 16,
+        f"tensor product of dims {ra} x {rb}",
+    )
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
-
-
-def trace_aux(m) -> np.ndarray:
-    """Partial trace over the first (auxiliary) two-dimensional factor."""
-    m = as_matrix(m)
-    dim = m.shape[0]
-    if dim % 2 or m.shape[1] != dim:
-        raise DimensionError("trace_aux needs a square matrix of even dimension")
-    half = dim // 2
-    return m[:half, :half] + m[half:, half:]
 
 
 def embed_site(op2, nfactors: int, site: int) -> np.ndarray:
@@ -87,8 +93,7 @@ def embed_two_site(op4, nfactors: int, first: int, second: int) -> np.ndarray:
         raise DimensionError("two-site embedding needs distinct positions")
     op4 = as_matrix(op4)
     dim = 1 << nfactors
-    if dim > MAX_DIM:
-        raise DimensionError(f"total dimension {dim} exceeds MAX_DIM = {MAX_DIM}")
+    check_bytes(dim * dim * 16, f"two-site embedding on {nfactors} factors")
     # Axes after reshape: (row_first, row_second, col_first, col_second);
     # every tensordot with the identity appends a (row, col) pair.
     full = op4.reshape(2, 2, 2, 2)

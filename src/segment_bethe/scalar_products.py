@@ -306,7 +306,9 @@ def gaudin_korepin_norm(
                 den = (
                     den * kn.Q(roots_l[j], roots_l[i]) * kn.Q(roots_l[i], roots_l[j])
                 )
-        return pref * w0 * det_small(gm) / den
+        # w0 / den first: at N = 7, w0 * det(gm) alone can overflow a double
+        # although the norm fits in one.
+        return pref * (w0 / den) * det_small(gm)
 
 
 def norm_from_slavnov_limit(roots, cs: ChainSpec, bp: BoundaryParams):

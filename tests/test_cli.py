@@ -294,8 +294,8 @@ def test_exit_two_beyond_direct_cap(tmp_path, capsys, command):
 
 
 def test_exit_two_on_dimension_error(monkeypatch, capsys):
-    # An operator beyond the dimension cap is a configuration fault.
-    monkeypatch.setattr(linalg, "MAX_DIM", 4)
+    # An operator beyond the byte limit is a configuration fault.
+    monkeypatch.setattr(linalg, "MAX_BYTES", 4)
     code = main(["spectrum", "--sites", "2", "--seed", "8128"])
     assert code == 2
     assert "config error" in capsys.readouterr().err

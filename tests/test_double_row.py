@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import trace_aux
+
 from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe.boundary import (
@@ -21,7 +23,6 @@ from segment_bethe.boundary import (
 )
 from segment_bethe.double_row import (
     check_exchange_relations,
-    crossing_residual,
     double_row,
     hamiltonian,
     modified_entries,
@@ -40,7 +41,6 @@ from segment_bethe.linalg import (
     identity,
     kron,
     relative_residual,
-    trace_aux,
 )
 from segment_bethe.params import (
     BoundaryParams,
@@ -53,6 +53,7 @@ from segment_bethe.params import (
 
 # The module, not the function of the same name the package re-exports.
 dr = importlib.import_module("segment_bethe.double_row")
+linalg = importlib.import_module("segment_bethe.linalg")
 
 
 def _dense_double_row(u, cs, bp):
@@ -125,6 +126,49 @@ def test_dimension_guard_allocates_nothing(bp):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_byte_limit_refuses_a_build_or_a_stack(monkeypatch, cs2, bp, rng):
+    # At N = 2 a point's raw block is 8 x 8 complex, 1 KiB, and its build is
+    # charged 8 KiB; its t(u) is 4 x 4 complex, 256 bytes.
+    points = draw_spectral_points(rng, 33, cs=cs2, bp=bp)
+    monkeypatch.setattr(linalg, "MAX_BYTES", 8 << 10)
+    assert transfer_matrices(points[:1], cs2, bp).shape == (1, 4, 4)
+    with pytest.raises(DimensionError, match="double-row build of 2 point"):
+        transfer_matrices(points[:2], cs2, bp)
+    # One point a chunk: each build fits, and 32 points fill the limit.
+    monkeypatch.setattr(dr, "STACK_BYTES", 1 << 10)
+    assert transfer_matrices(points[:32], cs2, bp).shape == (32, 4, 4)
+    with pytest.raises(DimensionError, match="transfer-matrix stack"):
+        transfer_matrices(points, cs2, bp)
+
+
+class _Allocation(Exception):
+    pass
+
+
+def _allocation(*args, **kwargs):
+    raise _Allocation
+
+
+def test_byte_limit_admits_ten_sites_and_refuses_twelve(monkeypatch, bp):
+    # A spectrum run at N sites stacks t(u) at N + 8 points.  The stack's and
+    # the build's first allocations raise here, so nothing large is allocated
+    # whatever the limit says: at N = 10 the 18-point stack (288 MiB) and one
+    # point's build (512 MiB) pass the check and reach them; at N = 12 both
+    # are refused before.
+    monkeypatch.setattr(np, "empty", _allocation)
+    monkeypatch.setattr(dr, "identity", _allocation)
+    cs10, cs12 = ChainSpec.homogeneous(10), ChainSpec.homogeneous(12)
+    points = [0.3 + 0.2j + 0.1 * k for k in range(20)]
+    with pytest.raises(_Allocation):
+        transfer_matrices(points[:18], cs10, bp)
+    with pytest.raises(_Allocation):
+        double_row(points[0], cs10, bp)
+    with pytest.raises(DimensionError, match="transfer-matrix stack"):
+        transfer_matrices(points, cs12, bp)
+    with pytest.raises(DimensionError, match="double-row build"):
+        double_row(points[0], cs12, bp)
 
 
 def _relative_gap(a, b):
@@ -379,7 +423,9 @@ def test_transfer_family_commutes(cs2, bp, rng):
 
 def test_crossing_symmetry(cs2, bp, rng):
     u = draw_spectral_point(rng, cs=cs2, bp=bp)
-    assert crossing_residual(u, cs2, bp) <= 1e-11
+    t1 = transfer_matrix(u, cs2, bp)
+    t2 = transfer_matrix(-u - 1, cs2, bp)
+    assert relative_residual(t1 - t2, t1, t2) <= 1e-11
 
 
 def test_hamiltonian_explicit_oracle(bp):

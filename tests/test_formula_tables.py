@@ -15,6 +15,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from oracles import d_alpha_bar, d_delta_bar, d_f_du, d_f_dv, d_h_du, d_h_dv
+
 from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe import scalar_products as sp
@@ -135,9 +137,9 @@ def oracle_residual_jacobian(roots, cs, bp):
         pm = kn.phi(-ui - 1)
         dpm = 2 / ((2 * ui + 1) * (2 * ui + 1))
         pu = kn.phi(ui)
-        dpu = kn.d_phi(ui)
-        ab, dab = kn.alpha_bar(ui, bp), kn.d_alpha_bar(ui, bp)
-        db, ddb = kn.delta_bar(ui, bp), kn.d_delta_bar(ui, bp)
+        dpu = kn.phi_and_derivative(ui)[1]
+        ab, dab = kn.alpha_bar(ui, bp), d_alpha_bar(ui, bp)
+        db, ddb = kn.delta_bar(ui, bp), d_delta_bar(ui, bp)
         c1 = pm * ab * lam1
         dc1 = dpm * ab * lam1 + pm * dab * lam1 + pm * ab * dlam1
         c2 = pu * db * lam2
@@ -148,7 +150,7 @@ def oracle_residual_jacobian(roots, cs, bp):
         ph = kn.h_product(ui, rest)
         row = [0j] * m
         if not bp.diagonal_mode:
-            tp, dtp = kn.tilde_phi(ui, bp.p), kn.d_tilde_phi(ui, bp.p)
+            tp, dtp = kn.tilde_phi(ui, bp.p), kn.tilde_phi_and_derivative(ui, bp.p)[1]
             two = 2 * ui + 1
             c3 = bp.rho * (tp / two) * lam1 * lam2
             dc3 = bp.rho * (
@@ -158,8 +160,8 @@ def oracle_residual_jacobian(roots, cs, bp):
             pq_inv = 1
             for uk in rest:
                 pq_inv = pq_inv / kn.Q(ui, uk)
-        df_du = [kn.d_f_du(ui, uk) for uk in rest]
-        dh_du = [kn.d_h_du(ui, uk) for uk in rest]
+        df_du = [d_f_du(ui, uk) for uk in rest]
+        dh_du = [d_h_du(ui, uk) for uk in rest]
         diag = -(dc1 * pf + c1 * _sum_replaced(f_vals, df_du)) + (
             dc2 * ph + c2 * _sum_replaced(h_vals, dh_du)
         )
@@ -176,7 +178,7 @@ def oracle_residual_jacobian(roots, cs, bp):
                 if mm != jpos:
                     pf_wo = pf_wo * f_vals[mm]
                     ph_wo = ph_wo * h_vals[mm]
-            val = -c1 * kn.d_f_dv(ui, uj) * pf_wo + c2 * kn.d_h_dv(ui, uj) * ph_wo
+            val = -c1 * d_f_dv(ui, uj) * pf_wo + c2 * d_h_dv(ui, uj) * ph_wo
             if not bp.diagonal_mode:
                 val = val + c3 * pq_inv * (2 * uj + 1) / kn.Q(ui, uj)
             row[j] = val
@@ -190,10 +192,10 @@ def oracle_lambda_derivative(v, roots, i, cs, bp, dressed=True, inhomogeneous=Tr
     lam1, lam2 = vacuum_eigenvalues(v, cs, bp)
     out = 0j
     if dressed:
-        out = out + kn.alpha_bar(v, bp) * lam1 * kn.d_f_dv(v, ui) * kn.f_product(
+        out = out + kn.alpha_bar(v, bp) * lam1 * d_f_dv(v, ui) * kn.f_product(
             v, rest
         )
-        out = out + kn.delta_bar(v, bp) * lam2 * kn.d_h_dv(v, ui) * kn.h_product(
+        out = out + kn.delta_bar(v, bp) * lam2 * d_h_dv(v, ui) * kn.h_product(
             v, rest
         )
     if inhomogeneous and not bp.diagonal_mode:
@@ -208,7 +210,7 @@ def _oracle_gaudin_diag(i, roots, cs, bp):
     pm, pu = kn.phi(-ui - 1), kn.phi(ui)
     ab, db = kn.alpha_bar(ui, bp), kn.delta_bar(ui, bp)
     tp = kn.tilde_phi(ui, bp.p)
-    dtp_rel = kn.d_tilde_phi(ui, bp.p) / tp
+    dtp_rel = kn.tilde_phi_and_derivative(ui, bp.p)[1] / tp
     q_m = kn.Q_product(-ui, rest)
     q_p = kn.Q_product(ui + 1, rest)
     sum_m = sum_p = 0
@@ -216,10 +218,10 @@ def _oracle_gaudin_diag(i, roots, cs, bp):
         sum_m = sum_m + 1 / kn.Q(-ui, uk)
         sum_p = sum_p + 1 / kn.Q(ui + 1, uk)
     term1 = -pm * ab * lam1 * q_m * (
-        (2 * ui - 1) * sum_m + (1 / ui - dtp_rel + kn.d_alpha_bar(ui, bp) / ab)
+        (2 * ui - 1) * sum_m + (1 / ui - dtp_rel + d_alpha_bar(ui, bp) / ab)
     )
     term2 = pu * db * lam2 * q_p * (
-        (2 * ui + 3) * sum_p + (1 / (ui + 1) - dtp_rel + kn.d_delta_bar(ui, bp) / db)
+        (2 * ui + 3) * sum_p + (1 / (ui + 1) - dtp_rel + d_delta_bar(ui, bp) / db)
     )
     term3 = -dlam1 * (pm * ab * q_m - bp.rho * tp * lam2 / (2 * ui + 1))
     term4 = dlam2 * (pu * db * q_p + bp.rho * tp * lam1 / (2 * ui + 1))
@@ -314,12 +316,12 @@ def oracle_root_terms(u, cs, bp):
     lam1, dlam1, lam2, dlam2 = vacuum_eigenvalue_derivatives(u, cs, bp)
     pm, pu = kn.phi(-u - 1), kn.phi(u)
     ab, db = kn.alpha_bar(u, bp), kn.delta_bar(u, bp)
-    dpm, dpu = 2 / ((2 * u + 1) * (2 * u + 1)), kn.d_phi(u)
-    dab, ddb = kn.d_alpha_bar(u, bp), kn.d_delta_bar(u, bp)
+    dpm, dpu = 2 / ((2 * u + 1) * (2 * u + 1)), kn.phi_and_derivative(u)[1]
+    dab, ddb = d_alpha_bar(u, bp), d_delta_bar(u, bp)
     tp = dtp = None
     c3 = dc3 = 0j
     if not bp.diagonal_mode:
-        tp, dtp = kn.tilde_phi(u, bp.p), kn.d_tilde_phi(u, bp.p)
+        tp, dtp = kn.tilde_phi(u, bp.p), kn.tilde_phi_and_derivative(u, bp.p)[1]
         two = 2 * u + 1
         c3 = bp.rho * (tp / two) * lam1 * lam2
         dc3 = bp.rho * (
@@ -500,10 +502,10 @@ def oracle_lambda_gradient(v, roots, cs, bp):
     for i, ui in enumerate(roots):
         rest = _others(roots, i)
         entry = 0j
-        entry = entry + kn.alpha_bar(v, bp) * lam1 * kn.d_f_dv(v, ui) * kn.f_product(
+        entry = entry + kn.alpha_bar(v, bp) * lam1 * d_f_dv(v, ui) * kn.f_product(
             v, rest
         )
-        entry = entry + kn.delta_bar(v, bp) * lam2 * kn.d_h_dv(v, ui) * kn.h_product(
+        entry = entry + kn.delta_bar(v, bp) * lam2 * d_h_dv(v, ui) * kn.h_product(
             v, rest
         )
         if not bp.diagonal_mode:

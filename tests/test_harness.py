@@ -55,11 +55,24 @@ def test_config_defaults():
         {"tolerances": {"ybe": 0.0}},
         {"tolerances": {"ybe": -1e-3}},
         {"direct_cap": 0},
+        {"seed": 1.5},
+        {"sites": 2.0},
+        {"draws": 2.5},
+        {"direct_cap": 5.0},
+        {"seed": True},
+        {"draws": np.True_},
+        {"sites": "2"},
     ],
 )
 def test_config_rejects(kwargs):
     with pytest.raises(ParameterError):
         RunConfig(**kwargs)
+
+
+def test_config_reads_numpy_integer_counts_as_int():
+    cfg = RunConfig(sites=np.int64(2), seed=np.uint64(7), draws=np.int32(3))
+    assert (cfg.sites, cfg.seed, cfg.draws) == (2, 7, 3)
+    assert all(type(v) is int for v in (cfg.sites, cfg.seed, cfg.draws))
 
 
 def test_config_accepts_pinned_boundary():
@@ -235,6 +248,42 @@ def test_wall_times_sum_to_at_most_the_run(command):
     times = [c.wall_time for c in report.checks]
     assert times and min(times) >= 0
     assert sum(times) <= elapsed
+
+
+SUITES_IN_ALL = (
+    "check-algebra",
+    "exchange",
+    "spectrum",
+    "offshell",
+    "slavnov",
+    "norm",
+    "n1",
+)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("sites", [1, 2])
+def test_suites_give_the_same_records_alone_and_inside_all(sites, precision):
+    # Each suite draws from its own stream, so it reports the same records
+    # and details on its own as inside `all`.
+    cfg = RunConfig(sites=sites, seed=0, draws=2, precision=precision)
+    merged = run("all", cfg)
+    alone = [run(name, cfg) for name in SUITES_IN_ALL]
+    assert [c.to_dict(include_timing=False) for r in alone for c in r.checks] == [
+        c.to_dict(include_timing=False) for c in merged.checks
+    ]
+    for name, report in zip(SUITES_IN_ALL, alone):
+        assert report.details == merged.details.get(name, {})
+
+
+def test_norm_is_finite_at_seven_sites():
+    # At N = 7, seed 0, w0 * det(G) overflows a double although the norm
+    # (about 3e205) fits in one; the formula divides before it multiplies.
+    report = run("norm", RunConfig(sites=7, seed=0, draws=1, direct_cap=7))
+    records = {c.name: c for c in report.checks}
+    for name in ("norm-vs-direct", "norm-limit-consistency"):
+        assert math.isfinite(records[name].residual)
+        assert records[name].passed
 
 
 def test_run_all_namespaces_details():

@@ -1,7 +1,9 @@
 """Exchange kernels: spot values, rational identities, pole guards, derivatives.
 
-Derivatives are cross-checked against central finite differences; the kernels
-are rational, so a 1e-6 step leaves plenty of headroom at 1e-7 tolerance.
+Derivatives are cross-checked against central finite differences: those the
+per-root tables use, and the pair and trace-coefficient derivatives of the
+test-side ``oracles`` that certify the tables.  The kernels are rational, so
+a 1e-6 step leaves plenty of headroom at 1e-7 tolerance.
 """
 
 from decimal import Context, Decimal
@@ -10,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from oracles import d_alpha_bar, d_delta_bar, d_f_du, d_f_dv, d_h_du, d_h_dv
 
 from segment_bethe import kernels as kn
 from segment_bethe.errors import PoleError
@@ -84,9 +88,9 @@ def test_pole_error_names_kernel():
 def test_scalar_derivatives(rng):
     for _ in range(10):
         u = complex(rng.uniform(0.3, 1.5), rng.uniform(-0.5, 0.5))
-        assert abs(kn.d_phi(u) - central(kn.phi, u)) < DTOL
+        assert abs(kn.phi_and_derivative(u)[1] - central(kn.phi, u)) < DTOL
         p = complex(rng.uniform(1.5, 3.0), rng.uniform(-0.3, 0.3))
-        got = kn.d_tilde_phi(u, p)
+        got = kn.tilde_phi_and_derivative(u, p)[1]
         ref = central(lambda z: kn.tilde_phi(z, p), u)
         assert abs(got - ref) < DTOL * max(1.0, abs(got))
 
@@ -96,10 +100,10 @@ def test_pair_derivatives(rng):
         u = complex(rng.uniform(0.8, 1.6), rng.uniform(0.1, 0.5))
         v = complex(rng.uniform(-0.6, -0.1), rng.uniform(-0.5, -0.1))
         cases = [
-            (kn.d_f_du(u, v), lambda z: kn.f(z, v), u),
-            (kn.d_f_dv(u, v), lambda z: kn.f(u, z), v),
-            (kn.d_h_du(u, v), lambda z: kn.h(z, v), u),
-            (kn.d_h_dv(u, v), lambda z: kn.h(u, z), v),
+            (d_f_du(u, v), lambda z: kn.f(z, v), u),
+            (d_f_dv(u, v), lambda z: kn.f(u, z), v),
+            (d_h_du(u, v), lambda z: kn.h(z, v), u),
+            (d_h_dv(u, v), lambda z: kn.h(u, z), v),
         ]
         for got, fn, at in cases:
             assert abs(got - central(fn, at)) < DTOL * max(1.0, abs(got))
@@ -109,10 +113,10 @@ def test_trace_coefficient_derivatives(rng):
     bp = BoundaryParams(1.3 + 0.2j, 2.1 - 0.3j, 0.7 + 0.4j, -0.5 + 0.6j)
     for _ in range(5):
         u = complex(rng.uniform(0.3, 1.2), rng.uniform(-0.4, 0.4))
-        got = kn.d_alpha_bar(u, bp)
+        got = d_alpha_bar(u, bp)
         ref = central(lambda z: kn.alpha_bar(z, bp), u)
         assert abs(got - ref) < DTOL * max(1.0, abs(got))
-        got = kn.d_delta_bar(u, bp)
+        got = d_delta_bar(u, bp)
         ref = central(lambda z: kn.delta_bar(z, bp), u)
         assert abs(got - ref) < DTOL * max(1.0, abs(got))
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from segment_bethe.errors import DimensionError
+from segment_bethe import linalg
 from segment_bethe.linalg import (
-    MAX_DIM,
     embed_site,
     embed_two_site,
     frobenius,
@@ -13,7 +13,6 @@ from segment_bethe.linalg import (
     kron,
     relative_residual,
     relative_residuals,
-    trace_aux,
     vacuum_state,
 )
 
@@ -36,24 +35,6 @@ def test_kron_dimension_cap():
     big = identity(1 << 8)
     with pytest.raises(DimensionError):
         kron(big, identity(1 << 7))
-
-
-def test_trace_aux_on_product(rng):
-    # kron(A, B) traced over the first factor must give trace(A) * B.
-    a = random_matrix(rng, 2)
-    b = random_matrix(rng, 8)
-    assert np.allclose(trace_aux(kron(a, b)), np.trace(a) * b)
-
-
-def test_trace_aux_einsum_oracle(rng):
-    m = random_matrix(rng, 8)
-    oracle = np.einsum("aiaj->ij", m.reshape(2, 4, 2, 4))
-    assert np.allclose(trace_aux(m), oracle)
-
-
-def test_trace_aux_rejects_odd_dimension(rng):
-    with pytest.raises(DimensionError):
-        trace_aux(random_matrix(rng, 3))
 
 
 def test_embed_site_product_state_action(rng):
@@ -146,7 +127,22 @@ def test_frobenius_nonnegative(rng):
     assert frobenius(np.zeros((2, 2))) == 0.0
 
 
+def test_byte_limit_on_kron_and_embed(monkeypatch):
+    # A 4 x 4 complex product is 256 bytes, and a stack of two is 512; a
+    # two-site embedding on three factors is 8 x 8 complex, 1 KiB.
+    monkeypatch.setattr(linalg, "MAX_BYTES", 256)
+    assert kron(identity(2), identity(2)).shape == (4, 4)
+    with pytest.raises(DimensionError, match="tensor product"):
+        kron(identity(2), identity(4))
+    with pytest.raises(DimensionError, match="tensor product"):
+        kron(np.stack([identity(2)] * 2), identity(2))
+    monkeypatch.setattr(linalg, "MAX_BYTES", 1 << 10)
+    assert embed_two_site(identity(4), 3, 0, 2).shape == (8, 8)
+    with pytest.raises(DimensionError, match="two-site embedding"):
+        embed_two_site(identity(4), 4, 0, 1)
+
+
 def test_max_dim_guard_in_embed():
     with pytest.raises(DimensionError):
         embed_two_site(np.eye(4, dtype=complex), 15, 0, 1)
-    assert MAX_DIM == 1 << 14
+    assert linalg.MAX_BYTES == 1 << 30

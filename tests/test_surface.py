@@ -1,0 +1,60 @@
+"""The package's public functions are the ones something outside the tests uses.
+
+A top-level function of ``src/segment_bethe`` whose name has no leading
+underscore must be referenced in the package outside its own definition,
+exported by the package ``__init__``, or named inside backticks in README.
+One that only the tests call belongs with the tests (``oracles``).  The
+sources are parsed, not imported.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _identifiers(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _exported(init: ast.Module) -> set:
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def orphans(root=ROOT) -> list:
+    """``module.function`` for each public function nothing outside it uses."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((root / "src" / "segment_bethe").glob("*.py"))
+    }
+    spans = re.findall(r"(`+)(.+?)\1", (root / "README.md").read_text("utf-8"), re.S)
+    allowed = _exported(trees["__init__"]) | {
+        name for _, span in spans for name in re.findall(r"\w+", span)
+    }
+    statements = [(stem, node) for stem, tree in trees.items() for node in tree.body]
+    out = []
+    for stem, node in statements:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        used = any(
+            node.name in _identifiers(other)
+            for other_stem, other in statements
+            if other is not node
+        )
+        if not (used or node.name in allowed):
+            out.append(f"{stem}.{node.name}")
+    return out
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    assert orphans() == []
