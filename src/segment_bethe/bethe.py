@@ -58,6 +58,9 @@ REFLECT_TOL = 1e-12
 ROOT_MATCH_TOL = 1e-6
 # Smallest distance a certified set keeps from its degenerate loci.
 GENERIC_ROOT_TOL = 1e-6
+# Newton steps per set, and step halvings per Newton step.
+NEWTON_MAX_ITER = 100
+NEWTON_MAX_HALVINGS = 30
 
 _EPS = np.finfo(float).eps
 
@@ -547,7 +550,7 @@ def _errors(res, scales) -> np.ndarray:
     return err
 
 
-def _newton(system, x0, tol, max_iter=100, max_halvings=30):
+def _newton(system, x0, tol):
     """Damped Newton iteration on a stack of independent problems.
 
     ``system(x)`` takes a ``(B, m)`` stack and returns ``(residuals,
@@ -555,11 +558,11 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
     at ``x``; it is called only at points Newton steps from, never at a
     returned iterate.  Each set's error is max_i |residual_i| / scale_i.
     Each set steps on its own: it stops once its error is at most ``tol``,
-    when no halved step lowers it, or after ``max_iter`` steps, and keeps its
-    best iterate with that error and the residuals and scales it was judged
-    on; the caller decides whether the error is good enough.  Returns
-    ``(x, err, residuals, scales, failed)``, ``failed`` marking the sets
-    that started at a non-finite error or met a singular Newton system.
+    when no halved step lowers it, or after ``NEWTON_MAX_ITER`` steps, and
+    keeps its best iterate with that error and the residuals and scales it
+    was judged on; the caller decides whether the error is good enough.
+    Returns ``(x, err, residuals, scales, failed)``, ``failed`` marking the
+    sets that started at a non-finite error or met a singular Newton system.
 
     Wild trial steps may overflow the rational expressions; those entries
     come out inf/nan, fail the descent test, and get halved away, so numpy's
@@ -577,7 +580,7 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
         active = ~failed & (err > tol)
         if active.any():
             jac = jacobian()
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             idx = np.flatnonzero(active)
             if not idx.size:
                 break
@@ -587,7 +590,7 @@ def _newton(system, x0, tol, max_iter=100, max_halvings=30):
                 active[idx[singular]] = False
                 idx, step = idx[~singular], step[~singular]
             t = 1.0
-            for _ in range(max_halvings):
+            for _ in range(NEWTON_MAX_HALVINGS):
                 if not idx.size:
                     break
                 cand = x[idx] + t * step

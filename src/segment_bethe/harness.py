@@ -76,45 +76,63 @@ from .vectors import (
     w0_scalar,
 )
 
-# Tolerances are looked up by longest matching name prefix so that, e.g.,
-# "exchange" covers every exchange-plain-*/exchange-modified-* record while a
-# config override may still pin one exact record.
-DEFAULT_TOLERANCES = {
-    "ybe": 1e-12,
-    "r-unitarity": 1e-12,
-    "reflection": 1e-12,
-    "dual-reflection": 1e-12,
-    "gl2-invariance": 1e-12,
-    "kplus-diagonalization": 1e-12,
-    "exchange": 1e-11,
-    "transfer-trace-vs-modified": 1e-11,
-    "transfer-commutation": 1e-10,
-    "hamiltonian-commutation": 1e-10,
-    "spectrum-completeness": 0.5,
-    "spectrum-eigenvalue-agreement": 1e-8,
-    "bethe-onshell-residual": 1e-10,
-    "root-sets-distinct": 0.5,
-    "offshell-action": 1e-9,
-    "central-relation": 1e-9,
-    "c-action": 1e-9,
-    "multiple-actions": 1e-10,
-    "cb-sweep": 1e-9,
-    "expansion": 1e-10,
-    "w0-routes": 1e-10,
-    "slavnov-onshell": 1e-8,
-    "slavnov-n4": 1e-6,
-    "cauchy-factorization": 1e-10,
-    "slavnov-diagonal": 1e-8,
-    "w0-diagonal-product": 1e-10,
-    "norm-vs-direct": 1e-8,
-    "gaudin-diagonal-routes": 1e-10,
-    "norm-limit-consistency": 1e-6,
-    "n1-four-way": 1e-11,
-    "n1-plain-product": 1e-11,
-    "n1-prescription": 1e-11,
-    "n1-determinant-direct": 1e-10,
-    "n1-determinant-general": 1e-11,
-    "n1-norm-limit": 1e-6,
+# Every record a suite folds: its name -> (paper anchor, default tolerance).
+# ``RunConfig.tolerance`` lowers ``slavnov-onshell-*`` to 1e-6 from four
+# sites on, and a config override replaces the default.
+RECORDS = {
+    "ybe": ("yang-baxter", 1e-12),
+    "r-unitarity": ("r-unitarity", 1e-12),
+    "reflection": ("boundary-reflection", 1e-12),
+    "dual-reflection": ("dual-boundary-reflection", 1e-12),
+    "gl2-invariance": ("gl2-invariance", 1e-12),
+    "kplus-diagonalization": ("twist-diagonalization", 1e-12),
+    "exchange-plain-bb": ("fundamental-exchange-bb", 1e-11),
+    "exchange-plain-cc": ("fundamental-exchange-cc", 1e-11),
+    "exchange-plain-ab": ("fundamental-exchange-ab", 1e-11),
+    "exchange-plain-ca": ("fundamental-exchange-ca", 1e-11),
+    "exchange-plain-db": ("fundamental-exchange-db", 1e-11),
+    "exchange-plain-cd": ("fundamental-exchange-cd", 1e-11),
+    "exchange-plain-cb": ("fundamental-exchange-cb", 1e-11),
+    "exchange-modified-bb": ("fundamental-exchange-bb", 1e-11),
+    "exchange-modified-cc": ("fundamental-exchange-cc", 1e-11),
+    "exchange-modified-ab": ("fundamental-exchange-ab", 1e-11),
+    "exchange-modified-ca": ("fundamental-exchange-ca", 1e-11),
+    "exchange-modified-db": ("fundamental-exchange-db", 1e-11),
+    "exchange-modified-cd": ("fundamental-exchange-cd", 1e-11),
+    "exchange-modified-cb": ("fundamental-exchange-cb", 1e-11),
+    "transfer-trace-vs-modified": ("transfer-trace-decomposition", 1e-11),
+    "transfer-commutation": ("commuting-transfer-family", 1e-10),
+    "hamiltonian-commutation": ("hamiltonian-from-transfer", 1e-10),
+    "spectrum-completeness": ("spectrum-completeness", 0.5),
+    "spectrum-eigenvalue-agreement": (
+        "eigenvalue-expression-vs-diagonalization", 1e-8
+    ),
+    "bethe-onshell-residual": ("bethe-system-residual", 1e-10),
+    "root-sets-distinct": ("root-set-dedup", 0.5),
+    "offshell-action-right": ("offshell-transfer-action", 1e-9),
+    "offshell-action-left": ("offshell-transfer-action", 1e-9),
+    "central-relation-right": ("inhomogeneous-central-relation", 1e-9),
+    "central-relation-left": ("inhomogeneous-central-relation", 1e-9),
+    "multiple-actions": ("operator-commutation-sweep", 1e-10),
+    "cb-sweep": ("cb-kernel-sweep", 1e-9),
+    "c-action": ("annihilation-action-expansion", 1e-9),
+    "expansion-right": ("modified-state-expansion", 1e-10),
+    "expansion-left": ("modified-state-expansion", 1e-10),
+    "w0-routes": ("w0-coefficient-routes", 1e-10),
+    "slavnov-onshell-bra": ("modified-slavnov-determinant", 1e-8),
+    "slavnov-onshell-ket": ("modified-slavnov-determinant", 1e-8),
+    "cauchy-factorization": ("cauchy-determinant-factorization", 1e-10),
+    "slavnov-diagonal": ("diagonal-slavnov-determinant", 1e-8),
+    "w0-diagonal-product": ("w0-diagonal-product", 1e-10),
+    "norm-vs-direct": ("gaudin-korepin-norm", 1e-8),
+    "gaudin-diagonal-routes": ("gaudin-diagonal-routes", 1e-10),
+    "norm-limit-consistency": ("slavnov-coincident-limit", 1e-6),
+    "n1-four-way": ("single-root-identities", 1e-11),
+    "n1-plain-product": ("single-root-identities", 1e-11),
+    "n1-prescription": ("determinant-prescription", 1e-11),
+    "n1-determinant-direct": ("determinant-prescription", 1e-10),
+    "n1-determinant-general": ("determinant-prescription", 1e-11),
+    "n1-norm-limit": ("slavnov-coincident-limit", 1e-6),
 }
 
 _STREAMS = {
@@ -133,10 +151,10 @@ def _stream(config: "RunConfig", name: str) -> np.random.Generator:
     return np.random.default_rng([config.seed, _STREAMS[name]])
 
 
-def _lookup(table: dict, name: str):
-    """The value under the longest key that prefixes ``name``, or None."""
-    keys = [key for key in table if name.startswith(key)]
-    return table[max(keys, key=len)] if keys else None
+def _covers(key: str, name: str) -> bool:
+    """Whether override ``key`` is the record ``name`` or prefixes it at a
+    ``-`` boundary."""
+    return name == key or name.startswith(key + "-")
 
 
 @dataclass(frozen=True)
@@ -150,6 +168,8 @@ class RunConfig:
     with the config.  ``thetas`` is the string ``"random"`` or an explicit
     generic tuple of length ``sites``.  Pinned couplings and thetas must be
     finite, and ``sites``, ``seed``, ``draws`` and ``direct_cap`` integers.
+    A ``tolerances`` key must name a record of ``RECORDS`` or prefix one at
+    a ``-`` boundary.
     """
 
     sites: int = 2
@@ -207,7 +227,7 @@ class RunConfig:
                 raise ParameterError("explicit thetas must be generic")
             object.__setattr__(self, "thetas", thetas)
         for name, tol in self.tolerances.items():
-            if _lookup(DEFAULT_TOLERANCES, name) is None:
+            if not any(_covers(name, record) for record in RECORDS):
                 raise ParameterError(f"unknown tolerance override {name!r}")
             if not float(tol) > 0:
                 raise ParameterError(f"tolerance {name!r} must be positive")
@@ -224,13 +244,14 @@ class RunConfig:
         return ChainSpec(n, self.thetas)
 
     def tolerance(self, name: str) -> float:
-        hit = _lookup(self.tolerances, name)
-        if hit is not None:
-            return float(hit)
-        hit = _lookup(DEFAULT_TOLERANCES, name)
-        if hit is None:
-            raise ParameterError(f"no tolerance registered for {name!r}")
-        return hit
+        """The longest override that covers the record ``name``, else its
+        default in ``RECORDS``."""
+        keys = [key for key in self.tolerances if _covers(key, name)]
+        if keys:
+            return float(self.tolerances[max(keys, key=len)])
+        if name.startswith("slavnov-onshell-") and self.sites >= 4:
+            return 1e-6
+        return RECORDS[name][1]
 
     def echo(self) -> dict:
         boundary: dict | str = "random"
@@ -356,23 +377,22 @@ class _Recorder:
     def __init__(self, config: RunConfig, command: str):
         self.config = config
         self._report = VerificationReport(command=command, config=config.echo())
-        # name -> [anchor, worst residual, tolerance, wall time]
+        # name -> [worst residual, tolerance, wall time]
         self._folds: dict[str, list] = {}
         self._lap = time.perf_counter()
 
-    def fold(self, name, anchor, residual, tol_key=None):
-        """Keep the worst ``residual`` seen under ``name`` and charge the
-        record the suite time since the previous fold."""
+    def fold(self, name, residual):
+        """Keep the worst ``residual`` seen under the record ``name`` and
+        charge the record the suite time since the previous fold."""
         now = time.perf_counter()
         lap, self._lap = now - self._lap, now
         residual = float(residual)
         entry = self._folds.get(name)
         if entry is None:
-            tol = self.config.tolerance(tol_key or name)
-            self._folds[name] = [anchor, residual, tol, lap]
+            self._folds[name] = [residual, self.config.tolerance(name), lap]
         else:
-            entry[1] = _worst((entry[1], residual))
-            entry[3] += lap
+            entry[0] = _worst((entry[0], residual))
+            entry[2] += lap
 
     def detail(self, key, value):
         self._report.details[key] = _jsonable(value)
@@ -381,8 +401,8 @@ class _Recorder:
     def report(self) -> VerificationReport:
         """The report, its records in first-fold order."""
         self._report.checks = [
-            CheckRecord(name, anchor, worst, tol, worst <= tol, wall)
-            for name, (anchor, worst, tol, wall) in self._folds.items()
+            CheckRecord(name, RECORDS[name][0], worst, tol, worst <= tol, wall)
+            for name, (worst, tol, wall) in self._folds.items()
         ]
         return self._report
 
@@ -411,25 +431,13 @@ def run_check_algebra(config: RunConfig) -> VerificationReport:
         if abs(np.linalg.det(m)) > 0.2:
             ms.append(m)
 
-    rec.fold("ybe", "yang-baxter", check_ybe(us, vs).max())
-    rec.fold("r-unitarity", "r-unitarity", check_unitarity(us).max())
-    rec.fold(
-        "reflection", "boundary-reflection", check_reflection(us, vs, bp).max()
-    )
-    rec.fold(
-        "dual-reflection",
-        "dual-boundary-reflection",
-        check_dual_reflection(us, vs, bp).max(),
-    )
-    rec.fold(
-        "gl2-invariance", "gl2-invariance", check_gl2_invariance(us, ms).max()
-    )
+    rec.fold("ybe", check_ybe(us, vs).max())
+    rec.fold("r-unitarity", check_unitarity(us).max())
+    rec.fold("reflection", check_reflection(us, vs, bp).max())
+    rec.fold("dual-reflection", check_dual_reflection(us, vs, bp).max())
+    rec.fold("gl2-invariance", check_gl2_invariance(us, ms).max())
     if not bp.diagonal_mode:
-        rec.fold(
-            "kplus-diagonalization",
-            "twist-diagonalization",
-            check_kplus_diagonalization(us, bp).max(),
-        )
+        rec.fold("kplus-diagonalization", check_kplus_diagonalization(us, bp).max())
     return rec.report
 
 
@@ -447,26 +455,18 @@ def run_exchange(config: RunConfig) -> VerificationReport:
         u = draw_spectral_point(rng, cs=cs, bp=bp)
         v = draw_spectral_point(rng, (u,), cs=cs, bp=bp)
         for key, res in check_exchange_relations(u, v, cs, bp).items():
-            family, relation = key.split(":")
-            rec.fold(
-                f"exchange-{family}-{relation}",
-                f"fundamental-exchange-{relation}",
-                res,
-                tol_key="exchange",
-            )
+            rec.fold("exchange-" + key.replace(":", "-"), res)
 
     points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
     partners = draw_spectral_points(rng, 5, avoid=points, cs=cs, bp=bp)
     if not bp.diagonal_mode:
         rec.fold(
             "transfer-trace-vs-modified",
-            "transfer-trace-decomposition",
             transfer_forms_residual(points, cs, bp).max(),
         )
     t = transfer_matrices(points + partners, cs, bp)
     rec.fold(
         "transfer-commutation",
-        "commuting-transfer-family",
         _worst(
             _commutator_residual(t[k], t[len(points) + k])
             for k in range(len(points))
@@ -477,7 +477,6 @@ def run_exchange(config: RunConfig) -> VerificationReport:
     ham = hamiltonian(cs0, bp)
     rec.fold(
         "hamiltonian-commutation",
-        "hamiltonian-from-transfer",
         _worst(
             _commutator_residual(ham, t0)
             for t0 in transfer_matrices(points, cs0, bp)
@@ -505,19 +504,13 @@ def _spectrum_suite(config: RunConfig, command: str) -> VerificationReport:
     solve = solve_bethe_diagonal if bp.diagonal_mode else solve_bethe
     solutions = solve(cs, bp, rng=rng)
 
-    rec.fold(
-        "spectrum-completeness",
-        "spectrum-completeness",
-        2**cs.sites - len(solutions),
-    )
+    rec.fold("spectrum-completeness", 2**cs.sites - len(solutions))
     rec.fold(
         "spectrum-eigenvalue-agreement",
-        "eigenvalue-expression-vs-diagonalization",
         _worst(s.eigenvalue_residual for s in solutions),
     )
     rec.fold(
         "bethe-onshell-residual",
-        "bethe-system-residual",
         _worst(r for s in solutions for r in s.residuals_scaled),
     )
     # Matching pairs of nonempty sets, each set normalised once.
@@ -532,7 +525,7 @@ def _spectrum_suite(config: RunConfig, command: str) -> VerificationReport:
         for i in range(len(sets) - 1):
             close = np.abs(sets[i + 1:] - sets[i]) <= ROOT_MATCH_TOL
             duplicates += int(close.all(axis=1).sum())
-    rec.fold("root-sets-distinct", "root-set-dedup", duplicates)
+    rec.fold("root-sets-distinct", duplicates)
 
     probe = draw_spectral_point(rng, cs=cs, bp=bp)
     # Every branch's eigenvalue at the probe, one evaluation per root count.
@@ -615,29 +608,20 @@ def run_offshell(config: RunConfig) -> VerificationReport:
         unwanted = unwanted_terms(roots, cs, bp)
         off = check_offshell_action(u, roots, unwanted, cs, bp)
         for side in ("right", "left"):
-            rec.fold(f"offshell-action-{side}", "offshell-transfer-action", off[side])
+            rec.fold(f"offshell-action-{side}", off[side])
         central = check_central_relation(u, roots, unwanted, cs, bp)
         for side in ("right", "left"):
-            rec.fold(
-                f"central-relation-{side}",
-                "inhomogeneous-central-relation",
-                central[side],
-            )
+            rec.fold(f"central-relation-{side}", central[side])
         rec.fold(
             "multiple-actions",
-            "operator-commutation-sweep",
             _worst(check_multiple_actions(u, roots, unwanted, cs, bp).values()),
         )
-        rec.fold("cb-sweep", "cb-kernel-sweep", check_cb_sweep(u, roots, cs, bp))
-        rec.fold(
-            "c-action",
-            "annihilation-action-expansion",
-            check_c_action(u, roots, cs, bp),
-        )
+        rec.fold("cb-sweep", check_cb_sweep(u, roots, cs, bp))
+        rec.fold("c-action", check_c_action(u, roots, cs, bp))
         expansion = check_expansion(roots, cs, bp)
         for side in ("right", "left"):
-            rec.fold(f"expansion-{side}", "modified-state-expansion", expansion[side])
-        rec.fold("w0-routes", "w0-coefficient-routes", expansion["w0_routes"])
+            rec.fold(f"expansion-{side}", expansion[side])
+        rec.fold("w0-routes", expansion["w0_routes"])
     return rec.report
 
 
@@ -649,7 +633,6 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
     rec = _Recorder(config, "slavnov")
     rng = _stream(config, "slavnov")
     sites = config.sites
-    tol_key = "slavnov-n4" if sites >= 4 else "slavnov-onshell"
     _require_direct(config)
     # Worst log10 of the 2-norm condition number of the double Cauchy matrix.
     log10_cond = -math.inf
@@ -666,9 +649,7 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
         for side, bra, ket in (("bra", on, free), ("ket", free, on)):
             rec.fold(
                 f"slavnov-onshell-{side}",
-                "modified-slavnov-determinant",
                 pair_residual(formula, scalar_product_direct(bra, ket, cs, bp)),
-                tol_key=tol_key,
             )
         with working_precision(config.precision):
             free_w = lift_roots(free, config.precision)
@@ -677,7 +658,7 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
                 det_small(cauchy_matrix(free_w, on_w)),
                 cauchy_det_factorized(free_w, on_w),
             )
-        rec.fold("cauchy-factorization", "cauchy-determinant-factorization", cauchy)
+        rec.fold("cauchy-factorization", cauchy)
         cond = np.linalg.cond(np.array(cauchy_matrix(free, on)))
         log10_cond = max(log10_cond, math.log10(cond))
     rec.detail("log10_cond_cauchy", log10_cond)
@@ -696,14 +677,12 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
             )
             rec.fold(
                 "slavnov-diagonal",
-                "diagonal-slavnov-determinant",
                 pair_residual(
                     slavnov_modified(on, free, cs, bp_diag),
                     scalar_product_direct(free, on, cs, bp_diag),
                 ),
             )
         rec.fold(
-            "w0-diagonal-product",
             "w0-diagonal-product",
             pair_residual(
                 diagonal_w0_product(on, cs, bp_diag),
@@ -736,13 +715,11 @@ def run_norm(config: RunConfig) -> VerificationReport:
         formula = gaudin_korepin_norm(on, cs, bp, precision=config.precision)
         rec.fold(
             "norm-vs-direct",
-            "gaudin-korepin-norm",
             pair_residual(formula, scalar_product_direct(on, on, cs, bp)),
         )
         explicit = gaudin_matrix(on, cs, bp)
         derivative = gaudin_diagonal_derivative(on, cs, bp)
         rec.fold(
-            "gaudin-diagonal-routes",
             "gaudin-diagonal-routes",
             _worst(
                 pair_residual(explicit[i][i], value)
@@ -752,7 +729,6 @@ def run_norm(config: RunConfig) -> VerificationReport:
         if d == 0:
             rec.fold(
                 "norm-limit-consistency",
-                "slavnov-coincident-limit",
                 pair_residual(norm_from_slavnov_limit(on, cs, bp), formula),
             )
     return rec.report
@@ -782,19 +758,18 @@ def run_n1(config: RunConfig) -> VerificationReport:
         v1 = draw_spectral_point(rng, (u1,), cs=cs, bp=bp)
         root = polished[d % len(solutions)][0]
         out = n1_identities(u1, v1, cs, bp, onshell_root=root)
-        for key, anchor in (
-            ("four_way", "single-root-identities"),
-            ("plain_product", "single-root-identities"),
-            ("prescription", "determinant-prescription"),
-            ("determinant_direct", "determinant-prescription"),
-            ("determinant_general", "determinant-prescription"),
+        for key in (
+            "four_way",
+            "plain_product",
+            "prescription",
+            "determinant_direct",
+            "determinant_general",
         ):
-            rec.fold("n1-" + key.replace("_", "-"), anchor, out[key])
+            rec.fold("n1-" + key.replace("_", "-"), out[key])
 
     on = polished[0]
     rec.fold(
         "n1-norm-limit",
-        "slavnov-coincident-limit",
         pair_residual(
             norm_from_slavnov_limit(on, cs, bp),
             gaudin_korepin_norm(on, cs, bp),

@@ -109,6 +109,22 @@ def test_exit_one_on_failed_check(tmp_path, capsys):
     assert [c["name"] for c in failed] == ["ybe"]
 
 
+def test_exact_record_override_fails_that_record(tmp_path, capsys):
+    # An override keyed by one record's name reaches that record.
+    path = _write_config(tmp_path, {"tolerance.exchange-modified-cb": 1e-300})
+    code = main(["exchange", "--sites", "2", "--draws", "1", "--config", path])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["exchange-modified-cb"]
+
+
+def test_exit_two_on_override_that_names_no_record(tmp_path, capsys):
+    path = _write_config(tmp_path, {"tolerance.ybe-typo": 1e-11})
+    assert main(["check-algebra", "--draws", "1", "--config", path]) == 2
+    assert "unknown tolerance override 'ybe-typo'" in capsys.readouterr().err
+
+
 def test_exit_two_on_bad_config(tmp_path, capsys):
     path = _write_config(tmp_path, {"volume": 3})
     assert main(["check-algebra", "--config", path]) == 2

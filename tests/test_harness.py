@@ -16,7 +16,7 @@ from segment_bethe.params import draw_spectral_points
 from segment_bethe.scalar_products import slavnov_modified
 from segment_bethe.harness import (
     COMMANDS,
-    DEFAULT_TOLERANCES,
+    RECORDS,
     CheckRecord,
     RunConfig,
     VerificationReport,
@@ -52,6 +52,12 @@ def test_config_defaults():
         {"thetas": (0.5, 0.1)},
         {"thetas": (0.1, 0.1)},
         {"tolerances": {"made-up-check": 1e-6}},
+        # An override key must name a record or prefix one at a "-".
+        {"tolerances": {"exchange-bogus": 1e-6}},
+        {"tolerances": {"slavnov-n4": 1e-6}},
+        {"tolerances": {"ybe-typo": 1e-6}},
+        {"tolerances": {"exchange-mod": 1e-6}},
+        {"tolerances": {"n1-": 1e-6}},
         {"tolerances": {"ybe": 0.0}},
         {"tolerances": {"ybe": -1e-3}},
         {"direct_cap": 0},
@@ -97,23 +103,63 @@ def test_explicit_thetas_used_by_chain():
 def test_tolerance_lookup():
     cfg = RunConfig()
     assert cfg.tolerance("ybe") == 1e-12
-    # Specific names fall back to their longest registered prefix.
-    assert cfg.tolerance("exchange-modified-cb") == DEFAULT_TOLERANCES["exchange"]
-    assert (
-        cfg.tolerance("slavnov-onshell-bra")
-        == DEFAULT_TOLERANCES["slavnov-onshell"]
-    )
-    with pytest.raises(ParameterError):
+    # Every record has its own default; nothing falls back to a family key.
+    assert cfg.tolerance("exchange-modified-cb") == 1e-11
+    assert cfg.tolerance("slavnov-onshell-bra") == 1e-8
+    assert RunConfig(sites=4).tolerance("slavnov-onshell-ket") == 1e-6
+    assert all(cfg.tolerance(name) == tol for name, (_, tol) in RECORDS.items())
+    with pytest.raises(KeyError):
         cfg.tolerance("unregistered")
 
 
 def test_tolerance_override_precedence():
     cfg = RunConfig(
-        tolerances={"exchange": 1e-9, "exchange-modified-cb": 1e-7}
+        tolerances={
+            "exchange": 1e-9,
+            "exchange-modified": 1e-8,
+            "exchange-modified-cb": 1e-7,
+        }
     )
     assert cfg.tolerance("exchange-modified-cb") == 1e-7
+    assert cfg.tolerance("exchange-modified-bb") == 1e-8
     assert cfg.tolerance("exchange-plain-bb") == 1e-9
     assert cfg.tolerance("ybe") == 1e-12
+
+
+def test_exact_override_reaches_every_record_of_all():
+    pinned = {name: 0.5 ** (k + 1) for k, name in enumerate(ALL_RECORD_NAMES)}
+    report = run("all", RunConfig(sites=2, seed=0, draws=1, tolerances=pinned))
+    assert {c.name: c.tolerance for c in report.checks} == pinned
+
+
+def test_slavnov_onshell_overrides_reach_four_sites():
+    # From four sites on the on-shell records default to 1e-6; a family key
+    # and an exact name both override that default.
+    def tolerances(**kwargs):
+        report = run("slavnov", RunConfig(sites=4, seed=0, draws=1, **kwargs))
+        return {c.name: c.tolerance for c in report.checks}
+
+    default = tolerances()
+    assert default["slavnov-onshell-bra"] == default["slavnov-onshell-ket"] == 1e-6
+    pinned = tolerances(
+        tolerances={"slavnov-onshell": 1e-3, "slavnov-onshell-bra": 1e-4}
+    )
+    assert pinned["slavnov-onshell-bra"] == 1e-4
+    assert pinned["slavnov-onshell-ket"] == 1e-3
+    assert pinned["cauchy-factorization"] == default["cauchy-factorization"]
+
+
+def test_record_table_lists_exactly_the_folded_names():
+    # Generic couplings at one to three sites, and the suites that take a
+    # diagonal pin, fold every name in the table and no other.
+    folded = set()
+    for sites in (1, 2, 3):
+        reports = [run("all", RunConfig(sites=sites, seed=0, draws=1))]
+        diagonal = RunConfig(sites=sites, seed=0, draws=1, p=1.5 + 0.2j, q=2 - 0.1j)
+        for command in ("spectrum", "exchange", "check-algebra"):
+            reports.append(run(command, diagonal))
+        folded |= {c.name for report in reports for c in report.checks}
+    assert folded == set(RECORDS)
 
 
 def test_echo_round_trips_through_json():
@@ -491,9 +537,9 @@ def test_nan_commutator_fails_both_commutation_records(monkeypatch):
 def test_fold_keeps_nan_once_seen():
     rec = harness._Recorder(RunConfig(), "check-algebra")
     for residual in (1e-16, math.nan, 2e-16):
-        rec.fold("ybe", "yang-baxter", residual)
-    rec.fold("r-unitarity", "r-unitarity", 3e-16)
-    rec.fold("r-unitarity", "r-unitarity", 1e-16)
+        rec.fold("ybe", residual)
+    rec.fold("r-unitarity", 3e-16)
+    rec.fold("r-unitarity", 1e-16)
     ybe, unitarity = rec.report.checks
     assert math.isnan(ybe.residual) and not ybe.passed
     assert unitarity.residual == 3e-16 and unitarity.passed
