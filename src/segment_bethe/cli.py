@@ -24,7 +24,7 @@ from .precision import PRECISIONS
 
 ENV_PRECISION = "SEGMENT_BETHE_PRECISION"
 
-_INT_KEYS = ("sites", "seed", "draws", "direct_cap")
+_INT_KEYS = ("sites", "seed", "draws")
 _COMPLEX_KEYS = ("p", "q", "xi_plus", "xi_minus")
 
 
@@ -53,7 +53,7 @@ def _as_int(value, key: str) -> int:
 def load_config_file(path: str) -> dict:
     """Flat key-value JSON; complex values are [re, im] pairs.
 
-    Recognized keys: sites, seed, draws, direct_cap (integers); precision
+    Recognized keys: sites, seed, draws (integers); precision
     ("double"/"extended"); p, q, xi_plus, xi_minus (complex); thetas
     ("random" or a list of complex); tolerance.<check-name> (float).
     """

@@ -54,11 +54,14 @@ __all__ = [
     "transfer_forms_residual",
     "hamiltonian",
     "check_exchange_relations",
+    "check_cache_budget",
 ]
 
 # Entries per operator cache.  The suites revisit a spectral point only within
 # one check or draw: a cap of 16 already loses no hit in `all` at N = 2, 3 or
-# in `offshell` at N = 5.  At 32 the three caches hold at most 20 MiB at N = 6.
+# in `offshell` at N = 5.  One point holds 5 * 4^N complex numbers in
+# `double_row` (raw block and shifted d), 4 * 4^N in `modified_entries` and
+# 4^N in `transfer_matrix`: 160 * 4^N bytes, as `check_cache_budget` charges.
 CACHE_SIZE = 32
 
 # Byte budget of one stacked raw block ``(B, 2^(N+1), 2^(N+1))`` in
@@ -296,6 +299,12 @@ def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     raw = double_row(u, cs, bp).raw
     closed = _freeze(_modified_blocks(raw[None], _points(u), bp)[0])
     return Entries(*closed)
+
+
+def check_cache_budget(sites: int) -> None:
+    """Refuse a chain whose three full caches, ``CACHE_SIZE * 160 * 4^N``
+    bytes, exceed ``linalg.MAX_BYTES``: at 1 GiB, N <= 8 (320 MiB) runs."""
+    linalg.check_bytes(CACHE_SIZE * 160 * 4**sites, f"operator caches at N = {sites}")
 
 
 def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):

@@ -38,12 +38,13 @@ from .boundary import (
     check_ybe,
 )
 from .double_row import (
+    check_cache_budget,
     check_exchange_relations,
     hamiltonian,
     transfer_forms_residual,
     transfer_matrices,
 )
-from .errors import ConvergenceError, DimensionError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .linalg import pair_residual, relative_residual
 from .params import (
     BoundaryParams,
@@ -167,7 +168,7 @@ class RunConfig:
     built into one ``BoundaryParams`` here, so a degenerate set is refused
     with the config.  ``thetas`` is the string ``"random"`` or an explicit
     generic tuple of length ``sites``.  Pinned couplings and thetas must be
-    finite, and ``sites``, ``seed``, ``draws`` and ``direct_cap`` integers.
+    finite, and ``sites``, ``seed`` and ``draws`` integers.
     A ``tolerances`` key must name a record of ``RECORDS`` or prefix one at
     a ``-`` boundary.
     """
@@ -182,12 +183,11 @@ class RunConfig:
     xi_minus: complex | None = None
     thetas: tuple | str = "random"
     tolerances: dict = field(default_factory=dict)
-    direct_cap: int = 5
 
     def __post_init__(self):
         # Counts are Python or numpy integers; a bool or a float, even an
         # integral one, is refused rather than read as a count.
-        for name in ("sites", "seed", "draws", "direct_cap"):
+        for name in ("sites", "seed", "draws"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
@@ -198,8 +198,6 @@ class RunConfig:
             raise ParameterError("seed must fit in 64 bits")
         if self.draws < 1:
             raise ParameterError("draws must be at least 1")
-        if self.direct_cap < 1:
-            raise ParameterError("direct_cap must be at least 1")
         validate_precision(self.precision)
         if (self.p is None) != (self.q is None):
             raise ParameterError("p and q must be given together")
@@ -272,7 +270,6 @@ class RunConfig:
             "tolerances": {
                 k: float(v) for k, v in sorted(self.tolerances.items())
             },
-            "direct_cap": self.direct_cap,
         }
 
 
@@ -405,14 +402,6 @@ class _Recorder:
             for name, (worst, tol, wall) in self._folds.items()
         ]
         return self._report
-
-
-def _require_direct(config: RunConfig):
-    """A chain beyond ``direct_cap`` is a configuration fault (exit 2)."""
-    if config.sites > config.direct_cap:
-        raise DimensionError(
-            f"direct scalar products capped at {config.direct_cap} sites"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +586,7 @@ def run_solve_bethe(config: RunConfig) -> VerificationReport:
 
 
 def run_offshell(config: RunConfig) -> VerificationReport:
+    check_cache_budget(config.sites)
     rec = _Recorder(config, "offshell")
     rng = _stream(config, "offshell")
     bp = config.boundary(rng)
@@ -630,10 +620,10 @@ def run_offshell(config: RunConfig) -> VerificationReport:
 
 
 def run_slavnov(config: RunConfig) -> VerificationReport:
+    check_cache_budget(config.sites)
     rec = _Recorder(config, "slavnov")
     rng = _stream(config, "slavnov")
     sites = config.sites
-    _require_direct(config)
     # Worst log10 of the 2-norm condition number of the double Cauchy matrix.
     log10_cond = -math.inf
 
@@ -704,9 +694,9 @@ def _require_roots(solutions):
 
 
 def run_norm(config: RunConfig) -> VerificationReport:
+    check_cache_budget(config.sites)
     rec = _Recorder(config, "norm")
     rng = _stream(config, "norm")
-    _require_direct(config)
 
     for d in range(config.draws):
         bp = config.boundary(rng)
@@ -783,7 +773,7 @@ def run_n1(config: RunConfig) -> VerificationReport:
 
 
 def run_all(config: RunConfig) -> VerificationReport:
-    _require_direct(config)
+    check_cache_budget(config.sites)
     merged = VerificationReport(command="all", config=config.echo())
     for name in ("check-algebra", "exchange", "spectrum", "offshell",
                  "slavnov", "norm", "n1"):

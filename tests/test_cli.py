@@ -134,7 +134,7 @@ def test_exit_two_on_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", [2.7, True])
-@pytest.mark.parametrize("key", ["sites", "seed", "draws", "direct_cap"])
+@pytest.mark.parametrize("key", ["sites", "seed", "draws"])
 def test_exit_two_on_non_integer_count(tmp_path, capsys, key, value):
     # Neither rounded (2.7 -> 2) nor read as 1.
     path = _write_config(tmp_path, {key: value})
@@ -298,15 +298,22 @@ def test_exit_three_when_solver_finds_nothing(monkeypatch, capsys, command):
     assert "run failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["slavnov", "norm", "all"])
-def test_exit_two_beyond_direct_cap(tmp_path, capsys, command):
-    # A chain longer than the direct-contraction cap is a configuration
-    # fault, refused before any suite runs.
-    path = _write_config(tmp_path, {"direct_cap": 2})
-    assert main([command, "--sites", "3", "--draws", "1", "--config", path]) == 2
-    assert "config error: direct scalar products capped at 2 sites" in (
-        capsys.readouterr().err
-    )
+@pytest.mark.parametrize("command", ["offshell", "slavnov", "norm", "all"])
+def test_exit_two_beyond_the_cache_budget(monkeypatch, capsys, command):
+    # A chain whose full operator caches, 5120 * 4^N bytes, exceed the byte
+    # limit is a configuration fault, refused before any suite runs.
+    monkeypatch.setattr(linalg, "MAX_BYTES", 5120 * 4**3 - 1)
+    assert main([command, "--sites", "3", "--draws", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "config error: operator caches at N = 3" in err
+    assert out == ""
+    assert main([command, "--sites", "2", "--draws", "1"]) != 2
+
+
+def test_exit_two_on_the_removed_direct_cap_key(tmp_path, capsys):
+    path = _write_config(tmp_path, {"direct_cap": 5})
+    assert main(["norm", "--config", path]) == 2
+    assert "unknown config key 'direct_cap'" in capsys.readouterr().err
 
 
 def test_exit_two_on_dimension_error(monkeypatch, capsys):

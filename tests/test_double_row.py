@@ -22,6 +22,8 @@ from segment_bethe.boundary import (
     r_matrix,
 )
 from segment_bethe.double_row import (
+    CACHE_SIZE,
+    check_cache_budget,
     check_exchange_relations,
     double_row,
     hamiltonian,
@@ -312,6 +314,34 @@ def test_transfer_matrix_reuses_cached_entries(monkeypatch, cs2, bp, bp_diag, rn
             info, old = cached.cache_info(), before[cached]
             assert (info.hits - old.hits, info.misses - old.misses) == (1, 0)
         assert t.tobytes() == transfer_matrices([u], cs2, couplings)[0].tobytes()
+
+
+def test_cache_budget_charges_what_the_caches_hold(monkeypatch, cs3, bp, rng):
+    # One point's entries, modified entries and t(u) own 160 * 4^N bytes of
+    # array data, and the budget charges CACHE_SIZE points of that.
+    builders = (double_row, modified_entries, transfer_matrix)
+    for cached in builders:
+        cached.cache_clear()
+    u = draw_spectral_point(rng, cs=cs3, bp=bp)
+    transfer_matrix(u, cs3, bp)
+    assert [cached.cache_info().currsize for cached in builders] == [1, 1, 1]
+    held = [
+        *double_row(u, cs3, bp),
+        *modified_entries(u, cs3, bp)[:4],
+        transfer_matrix(u, cs3, bp),
+    ]
+    bases = {}
+    for array in held:
+        while array.base is not None:  # a view counts as the array it views
+            array = array.base
+        bases[id(array)] = array
+    point = sum(array.nbytes for array in bases.values())
+    assert point == 160 * 4**3
+    monkeypatch.setattr(linalg, "MAX_BYTES", CACHE_SIZE * point)
+    check_cache_budget(3)
+    monkeypatch.setattr(linalg, "MAX_BYTES", CACHE_SIZE * point - 1)
+    with pytest.raises(DimensionError, match="operator caches at N = 3"):
+        check_cache_budget(3)
 
 
 def test_gates_reject_nan(cs2):

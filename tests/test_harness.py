@@ -8,10 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from segment_bethe import harness
+from segment_bethe import harness, linalg
 from segment_bethe.bethe import BetheRoots, root_sets_match, solve_bethe
 from segment_bethe.double_row import double_row, modified_entries, transfer_matrix
-from segment_bethe.errors import ParameterError
+from segment_bethe.errors import DimensionError, ParameterError
 from segment_bethe.params import draw_spectral_points
 from segment_bethe.scalar_products import slavnov_modified
 from segment_bethe.harness import (
@@ -60,11 +60,9 @@ def test_config_defaults():
         {"tolerances": {"n1-": 1e-6}},
         {"tolerances": {"ybe": 0.0}},
         {"tolerances": {"ybe": -1e-3}},
-        {"direct_cap": 0},
         {"seed": 1.5},
         {"sites": 2.0},
         {"draws": 2.5},
-        {"direct_cap": 5.0},
         {"seed": True},
         {"draws": np.True_},
         {"sites": "2"},
@@ -325,15 +323,42 @@ def test_suites_give_the_same_records_alone_and_inside_all(sites, precision):
 def test_norm_is_finite_at_seven_sites():
     # At N = 7, seed 0, w0 * det(G) overflows a double although the norm
     # (about 3e205) fits in one; the formula divides before it multiplies.
-    report = run("norm", RunConfig(sites=7, seed=0, draws=1, direct_cap=7))
+    report = run("norm", RunConfig(sites=7, seed=0, draws=1))
     records = {c.name: c for c in report.checks}
     for name in ("norm-vs-direct", "norm-limit-consistency"):
         assert math.isfinite(records[name].residual)
         assert records[name].passed
 
 
+def test_norm_runs_at_six_sites_at_default_settings():
+    # The operator caches' budget admits N = 6 (at most 20 MiB).
+    report = run("norm", RunConfig(sites=6, seed=0, draws=1))
+    assert [c.name for c in report.checks] == [
+        "norm-vs-direct",
+        "gaudin-diagonal-routes",
+        "norm-limit-consistency",
+    ]
+    assert report.all_passed
+
+
+def test_offshell_beyond_the_cache_budget_is_refused_before_any_build(
+    monkeypatch,
+):
+    # At 1 GiB the caches' worst case, 5120 * 4^N bytes, admits N = 8 and
+    # refuses N = 9; a limit one byte short of it refuses N = 3.  Either
+    # refusal comes before any per-point operator is built.
+    builders = (double_row, modified_entries, transfer_matrix)
+    before = [cached.cache_info().misses for cached in builders]
+    with pytest.raises(DimensionError, match="operator caches at N = 9"):
+        run("offshell", RunConfig(sites=9, seed=0, draws=1))
+    monkeypatch.setattr(linalg, "MAX_BYTES", 5120 * 4**3 - 1)
+    with pytest.raises(DimensionError, match="operator caches at N = 3"):
+        run("offshell", RunConfig(sites=3, seed=0, draws=1))
+    assert [cached.cache_info().misses for cached in builders] == before
+
+
 def test_run_all_namespaces_details():
-    cfg = RunConfig(sites=1, seed=3, draws=2, direct_cap=2)
+    cfg = RunConfig(sites=1, seed=3, draws=2)
     report = run_all(cfg)
     assert report.command == "all"
     assert report.all_passed

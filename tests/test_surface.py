@@ -41,14 +41,19 @@ def orphans(root=ROOT) -> list:
     allowed = _exported(trees["__init__"]) | {
         name for _, span in spans for name in re.findall(r"\w+", span)
     }
-    statements = [(stem, node) for stem, tree in trees.items() for node in tree.body]
+    # Each top-level statement's identifiers, collected once.
+    statements = [
+        (stem, node, set(_identifiers(node)))
+        for stem, tree in trees.items()
+        for node in tree.body
+    ]
     out = []
-    for stem, node in statements:
+    for stem, node, _ in statements:
         if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
             continue
         used = any(
-            node.name in _identifiers(other)
-            for other_stem, other in statements
+            node.name in names
+            for _, other, names in statements
             if other is not node
         )
         if not (used or node.name in allowed):
