@@ -16,9 +16,9 @@ from .bethe import (
 from .boundary import k_minus, k_plus, q_similarity, r_matrix
 from .double_row import (
     check_exchange_relations,
-    double_row,
     hamiltonian,
     modified_entries,
+    operators,
     transfer_matrices,
     transfer_matrix,
 )
@@ -78,7 +78,6 @@ __all__ = [
     "check_exchange_relations",
     "check_expansion",
     "check_offshell_action",
-    "double_row",
     "draw_boundary_params",
     "draw_chain_spec",
     "draw_spectral_point",
@@ -93,6 +92,7 @@ __all__ = [
     "modified_entries",
     "n1_identities",
     "norm_from_slavnov_limit",
+    "operators",
     "q_similarity",
     "r_matrix",
     "refine_roots",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -272,14 +272,10 @@ def _sum(values):
     return out
 
 
-@lru_cache(maxsize=None)
 def _others(n: int) -> np.ndarray:
     """Row ``k``: the positions ``0..n-1`` other than ``k``, in order."""
-    out = np.array(
-        [[j for j in range(n) if j != k] for k in range(n)], dtype=np.intp
-    ).reshape(n, max(n - 1, 0))
-    out.flags.writeable = False
-    return out
+    j = np.arange(n - 1)
+    return j + (j >= np.arange(n)[:, None])
 
 
 def _last(x):

@@ -9,24 +9,20 @@ No R-matrix is ever embedded in the full space.  ``R(v) = v + P``, and
 right-multiplying by the permutation ``P_{0i}`` swaps the auxiliary and
 site-i column axes, so each monodromy factor costs one scaled add of the
 running product and its axis-swapped view; the diagonal ``K^-`` is a column
-scaling.  The raw block ``T(u) K^-(u) T_hat(u)`` is built once per
-``(u, cs, bp)``, and the entries, the modified entries and the transfer
+scaling.  The raw block ``T(u) K^-(u) T_hat(u)`` is built once per point
+of a build, and the entries, the modified entries and the transfer
 matrix are 2x2 block contractions of it.
 
 Every step runs on a stack of points with a leading point axis, each gate
 judged per point.  :func:`transfer_matrices` builds ``t(u)``, and
 :func:`transfer_forms_residual` compares its two forms, for a whole list of
 points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
-builds its pair as one stack.  None of the three caches anything.  The
-per-point builders run the same steps with one point and are memoised on
-``(u, cs, bp)`` in caches of ``CACHE_SIZE`` entries each; cached arrays are
-frozen read-only.  :func:`transfer_matrix` assembles one point's ``t(u)``
-from the cached entries at that point.
+builds its pair as one stack, and :func:`operators` one draw's table of
+entries in the same chunks.  Nothing is cached.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +43,8 @@ from .params import BoundaryParams, ChainSpec
 
 __all__ = [
     "Entries",
+    "Operators",
+    "operators",
     "double_row",
     "modified_entries",
     "transfer_matrix",
@@ -54,15 +52,7 @@ __all__ = [
     "transfer_forms_residual",
     "hamiltonian",
     "check_exchange_relations",
-    "check_cache_budget",
 ]
-
-# Entries per operator cache.  The suites revisit a spectral point only within
-# one check or draw: a cap of 16 already loses no hit in `all` at N = 2, 3 or
-# in `offshell` at N = 5.  One point holds 5 * 4^N complex numbers in
-# `double_row` (raw block and shifted d), 4 * 4^N in `modified_entries` and
-# 4^N in `transfer_matrix`: 160 * 4^N bytes, as `check_cache_budget` charges.
-CACHE_SIZE = 32
 
 # Byte budget of one stacked raw block ``(B, 2^(N+1), 2^(N+1))`` in
 # :func:`transfer_matrices`; the build's temporaries are a few times that.
@@ -142,8 +132,7 @@ def _hat_string(us: list, cs: ChainSpec) -> tuple:
 # ---------------------------------------------------------------------------
 # Stacked construction steps.  Each takes a list ``us`` of B points and works
 # on ``(B, ...)`` stacks; every gate is judged point by point, fails on NaN,
-# and names the point it trips at.  The per-point builders below run the same
-# steps with B = 1.
+# and names the point it trips at.
 
 
 def _raw_blocks(us: list, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
@@ -273,38 +262,58 @@ def _transfer_blocks(raw, us: list, bp, closed=None):
 
 
 # ---------------------------------------------------------------------------
-# Per-point builders (memoised) and the stacked transfer-matrix builder, the
-# one path every t(u) is built on.
+# One draw's operator table, the one-point reads and the stacked
+# transfer-matrix builder, the one path every t(u) is built on.
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+class Operators(NamedTuple):
+    """One draw's operators, built once by :func:`operators`: ``plain[u]``
+    and, for generic couplings, ``modified[u]`` are the frozen
+    :class:`Entries` at each point ``u``, shared by the draw's checks."""
+
+    plain: dict
+    modified: dict
+
+    def transfer(self, u, bp: BoundaryParams) -> np.ndarray:
+        """``t(u)`` from the raw block at ``u``, through the gates of
+        :func:`transfer_matrices`."""
+        closed = None if bp.diagonal_mode else np.stack(self.modified[u][:4])[None]
+        return _transfer_blocks(self.plain[u].raw[None], [complex(u)], bp, closed)[0]
+
+
+def operators(points, cs: ChainSpec, bp: BoundaryParams) -> Operators:
+    """The table of entries at the distinct ``points``, built in the chunks of
+    :func:`transfer_matrices` with every gate, after charging what it holds to
+    ``linalg.MAX_BYTES``: per point 144 * 4^N bytes (raw block and shifted d,
+    80 * 4^N; modified entries, 64 * 4^N)."""
+    us = list(dict.fromkeys(_points(points)))
+    what = f"operator table of {len(us)} point(s)"
+    linalg.check_bytes(len(us) * 144 * 4**cs.sites, what)
+    table = Operators({}, {})
+    for _, chunk, raw, closed in _chunked_builds(us, cs, bp):
+        a, b, c, d = _entries(_freeze(raw), chunk)
+        _freeze(d)
+        for k, u in enumerate(chunk):
+            table.plain[u] = Entries(a[k], b[k], c[k], d[k], raw=raw[k])
+            if closed is not None:
+                table.modified[u] = Entries(*_freeze(closed)[k])
+    return table
+
+
 def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     """Entries of the double-row monodromy with the dressed d-shift applied."""
     us = _points(u)
-    raw = _freeze(_raw_blocks(us, cs, bp)[0])
-    a, b, c, d = _entries(raw[None], us)
-    return Entries(a=a[0], b=b[0], c=c[0], d=_freeze(d[0]), raw=raw)
+    raw = _freeze(_raw_blocks(us, cs, bp))
+    a, b, c, d = _entries(raw, us)
+    return Entries(a[0], b[0], c[0], _freeze(d)[0], raw=raw[0])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
-    """Entries after conjugating the auxiliary space by the similarity matrix.
-
-    Two construction routes, cross-checked to 1e-12 (see
-    :func:`_modified_blocks`).
-    """
-    u = complex(u)
+    """Entries conjugated by the similarity matrix, read from a one-point
+    table (two routes, cross-checked: see :func:`_modified_blocks`)."""
     if bp.diagonal_mode:
         raise ParameterError("modified entries are undefined for diagonal couplings")
-    raw = double_row(u, cs, bp).raw
-    closed = _freeze(_modified_blocks(raw[None], _points(u), bp)[0])
-    return Entries(*closed)
-
-
-def check_cache_budget(sites: int) -> None:
-    """Refuse a chain whose three full caches, ``CACHE_SIZE * 160 * 4^N``
-    bytes, exceed ``linalg.MAX_BYTES``: at 1 GiB, N <= 8 (320 MiB) runs."""
-    linalg.check_bytes(CACHE_SIZE * 160 * 4**sites, f"operator caches at N = {sites}")
+    return operators([u], cs, bp).modified[complex(u)]
 
 
 def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
@@ -325,16 +334,9 @@ def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
     return float(out[0]) if np.ndim(points) == 0 else out
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
-    """Double-row transfer matrix t(u), equal to :func:`transfer_matrices` at
-    one point and assembled from the cached :func:`double_row` and
-    :func:`modified_entries` at ``u``, so both gates reuse their blocks."""
-    raw = double_row(u, cs, bp).raw[None]
-    closed = None
-    if not bp.diagonal_mode:
-        closed = np.stack(modified_entries(u, cs, bp)[:4])[None]
-    return _freeze(_transfer_blocks(raw, _points(u), bp, closed)[0])
+    """Double-row transfer matrix t(u): a one-point :func:`transfer_matrices` stack."""
+    return transfer_matrices([u], cs, bp)[0]
 
 
 def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):

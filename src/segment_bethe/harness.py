@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -38,9 +39,9 @@ from .boundary import (
     check_ybe,
 )
 from .double_row import (
-    check_cache_budget,
     check_exchange_relations,
     hamiltonian,
+    operators,
     transfer_forms_residual,
     transfer_matrices,
 )
@@ -170,7 +171,7 @@ class RunConfig:
     generic tuple of length ``sites``.  Pinned couplings and thetas must be
     finite, and ``sites``, ``seed`` and ``draws`` integers.
     A ``tolerances`` key must name a record of ``RECORDS`` or prefix one at
-    a ``-`` boundary.
+    a ``-`` boundary, and its value be a finite positive real number.
     """
 
     sites: int = 2
@@ -227,8 +228,9 @@ class RunConfig:
         for name, tol in self.tolerances.items():
             if not any(_covers(name, record) for record in RECORDS):
                 raise ParameterError(f"unknown tolerance override {name!r}")
-            if not float(tol) > 0:
-                raise ParameterError(f"tolerance {name!r} must be positive")
+            real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            if not (real and math.isfinite(tol) and tol > 0):
+                raise ParameterError(f"tolerance {name!r} must be finite and positive")
 
     def boundary(self, rng) -> BoundaryParams:
         if self._pinned is not None:
@@ -586,7 +588,6 @@ def run_solve_bethe(config: RunConfig) -> VerificationReport:
 
 
 def run_offshell(config: RunConfig) -> VerificationReport:
-    check_cache_budget(config.sites)
     rec = _Recorder(config, "offshell")
     rng = _stream(config, "offshell")
     bp = config.boundary(rng)
@@ -595,20 +596,21 @@ def run_offshell(config: RunConfig) -> VerificationReport:
     for _ in range(config.draws):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
+        ops = operators(roots + (u,), cs, bp)
         unwanted = unwanted_terms(roots, cs, bp)
-        off = check_offshell_action(u, roots, unwanted, cs, bp)
+        off = check_offshell_action(u, roots, unwanted, ops, cs, bp)
         for side in ("right", "left"):
             rec.fold(f"offshell-action-{side}", off[side])
-        central = check_central_relation(u, roots, unwanted, cs, bp)
+        central = check_central_relation(u, roots, unwanted, ops, cs, bp)
         for side in ("right", "left"):
             rec.fold(f"central-relation-{side}", central[side])
         rec.fold(
             "multiple-actions",
-            _worst(check_multiple_actions(u, roots, unwanted, cs, bp).values()),
+            _worst(check_multiple_actions(u, roots, unwanted, ops, cs, bp).values()),
         )
-        rec.fold("cb-sweep", check_cb_sweep(u, roots, cs, bp))
-        rec.fold("c-action", check_c_action(u, roots, cs, bp))
-        expansion = check_expansion(roots, cs, bp)
+        rec.fold("cb-sweep", check_cb_sweep(u, roots, ops, cs, bp))
+        rec.fold("c-action", check_c_action(u, roots, ops, cs, bp))
+        expansion = check_expansion(roots, ops, cs, bp)
         for side in ("right", "left"):
             rec.fold(f"expansion-{side}", expansion[side])
         rec.fold("w0-routes", expansion["w0_routes"])
@@ -620,7 +622,6 @@ def run_offshell(config: RunConfig) -> VerificationReport:
 
 
 def run_slavnov(config: RunConfig) -> VerificationReport:
-    check_cache_budget(config.sites)
     rec = _Recorder(config, "slavnov")
     rng = _stream(config, "slavnov")
     sites = config.sites
@@ -636,10 +637,11 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
         free = tuple(draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp))
         # One formula value against both placements of the on-shell set.
         formula = slavnov_modified(on, free, cs, bp, precision=config.precision)
+        ops = operators(on + free, cs, bp)
         for side, bra, ket in (("bra", on, free), ("ket", free, on)):
             rec.fold(
                 f"slavnov-onshell-{side}",
-                pair_residual(formula, scalar_product_direct(bra, ket, cs, bp)),
+                pair_residual(formula, scalar_product_direct(bra, ket, ops, cs, bp)),
             )
         with working_precision(config.precision):
             free_w = lift_roots(free, config.precision)
@@ -665,11 +667,12 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
             free = tuple(
                 draw_spectral_points(rng, len(on), avoid=on, cs=cs, bp=bp_diag)
             )
+            ops = operators(on + free, cs, bp_diag)
             rec.fold(
                 "slavnov-diagonal",
                 pair_residual(
                     slavnov_modified(on, free, cs, bp_diag),
-                    scalar_product_direct(free, on, cs, bp_diag),
+                    scalar_product_direct(free, on, ops, cs, bp_diag),
                 ),
             )
         rec.fold(
@@ -694,7 +697,6 @@ def _require_roots(solutions):
 
 
 def run_norm(config: RunConfig) -> VerificationReport:
-    check_cache_budget(config.sites)
     rec = _Recorder(config, "norm")
     rng = _stream(config, "norm")
 
@@ -703,9 +705,10 @@ def run_norm(config: RunConfig) -> VerificationReport:
         cs = config.chain(rng)
         on = _require_roots(solve_bethe(cs, bp, rng=rng, branch=d))[0].roots
         formula = gaudin_korepin_norm(on, cs, bp, precision=config.precision)
+        ops = operators(on, cs, bp)
         rec.fold(
             "norm-vs-direct",
-            pair_residual(formula, scalar_product_direct(on, on, cs, bp)),
+            pair_residual(formula, scalar_product_direct(on, on, ops, cs, bp)),
         )
         explicit = gaudin_matrix(on, cs, bp)
         derivative = gaudin_diagonal_derivative(on, cs, bp)
@@ -773,7 +776,6 @@ def run_n1(config: RunConfig) -> VerificationReport:
 
 
 def run_all(config: RunConfig) -> VerificationReport:
-    check_cache_budget(config.sites)
     merged = VerificationReport(command="all", config=config.echo())
     for name in ("check-algebra", "exchange", "spectrum", "offshell",
                  "slavnov", "norm", "n1"):

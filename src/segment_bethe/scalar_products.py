@@ -26,7 +26,7 @@ from .bethe import (
     root_terms,
     vacuum_eigenvalues,
 )
-from .double_row import double_row
+from .double_row import operators
 from .errors import ConditioningWarning, ParameterError
 from .linalg import pair_residual, vacuum_state
 from .params import BoundaryParams, ChainSpec
@@ -60,10 +60,11 @@ PROXIMITY_THRESHOLD = 1e-3
 LIMIT_EPS = 1e-8
 
 
-def scalar_product_direct(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams):
-    """Brute-force scalar product of two Bethe states (bilinear pairing)."""
-    bra = build_dual_psi(bra_roots, cs, bp)
-    ket = build_psi(ket_roots, cs, bp)
+def scalar_product_direct(bra_roots, ket_roots, ops, cs: ChainSpec, bp: BoundaryParams):
+    """Brute-force scalar product of two Bethe states (bilinear pairing), read
+    from the operator table ``ops`` at both sets' roots."""
+    bra = build_dual_psi(bra_roots, ops, cs, bp)
+    ket = build_psi(ket_roots, ops, cs, bp)
     return complex(bra @ ket)
 
 
@@ -373,6 +374,8 @@ def n1_identities(
     if bp.diagonal_mode:
         raise ParameterError("single-root identities need generic couplings")
     u1, v1 = complex(u1), complex(v1)
+    onshell = [] if onshell_root is None else [complex(onshell_root)]
+    ops = operators([u1, v1] + onshell, cs, bp)
     rho = bp.rho
     pref = (rho - 2) / (2 * (rho - 1) ** 2)
 
@@ -383,7 +386,7 @@ def n1_identities(
         tail_b = eigenvalue_parts(b, (a,), cs, bp)[1] * w0a / (2 * (b + 1))
         return pref * ((rho - 1) * sd + tail_a + tail_b), sd, tail_a + tail_b
 
-    direct = scalar_product_direct((u1,), (v1,), cs, bp)
+    direct = scalar_product_direct((u1,), (v1,), ops, cs, bp)
     w0u, w0v = w0_scalar((u1,), cs, bp), w0_scalar((v1,), cs, bp)
     good, sd, tails = s_mixed(u1, v1, w0u, w0v)
     s1 = ((rho - 2) / (2 * (rho - 1))) ** 2 * sd + (
@@ -424,8 +427,8 @@ def n1_identities(
     vac = vacuum_state(1)
     sd_matrix = complex(
         vac
-        @ double_row(u1, cs, bp).c
-        @ double_row(v1, cs, bp).b
+        @ ops.plain[u1].c
+        @ ops.plain[v1].b
         @ vac
     )
     out["plain_product"] = pair_residual(sd_matrix, sd)
@@ -436,7 +439,7 @@ def n1_identities(
         dlam = lambda_total_derivative(u1, (wv,), 0, cs, bp)
         det_form = pref * w0w * dlam / _v_kernel(u1, wv)
         mixed_on = s_mixed(u1, wv, w0u, w0w)[0]
-        direct_on = scalar_product_direct((u1,), (wv,), cs, bp)
+        direct_on = scalar_product_direct((u1,), (wv,), ops, cs, bp)
         slav = slavnov_modified((wv,), (u1,), cs, bp)
         scale = max(abs(det_form), abs(mixed_on), abs(direct_on), abs(slav))
         scale = max(scale, 1e-300)

@@ -1,11 +1,13 @@
 """Bethe vectors, transfer-matrix action checks, and basis expansions.
 
 States are built by repeated application of the modified creation operator to
-the reference state (plain operators in the diagonal limit).  Every identity
-holds for the ket and, mirrored, for the bra; each is written once over a
-:class:`_Side`.  All checks return scale-free residuals: defect norm over the
-largest term norm entering the identity, so a tolerance means the same thing
-at every chain size.
+the reference state (plain operators in the diagonal limit), reading every
+entry from the caller's :func:`~segment_bethe.double_row.operators` table
+``ops`` at the draw's points.  Every identity holds for the ket and,
+mirrored, for the bra; each is written once over a :class:`_Side`.  All
+checks return scale-free residuals: defect norm over the largest term norm
+entering the identity, so a tolerance means the same thing at every chain
+size.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .bethe import (
     lambda_total,
     vacuum_eigenvalues,
 )
-from .double_row import Entries, double_row, modified_entries, transfer_matrix
+from .double_row import Entries
 from .errors import ParameterError
 from .linalg import pair_residual, relative_residual, vacuum_state
 from .params import BoundaryParams, ChainSpec
@@ -45,11 +47,10 @@ __all__ = [
 ]
 
 
-def _family(u, cs, bp) -> Entries:
-    """Entries the states are built from: plain for diagonal couplings, else modified."""
-    if bp.diagonal_mode:
-        return double_row(u, cs, bp)
-    return modified_entries(u, cs, bp)
+def _family(ops, bp) -> dict:
+    """The table's entries states are built from: modified, or plain for
+    diagonal couplings."""
+    return ops.plain if bp.diagonal_mode else ops.modified
 
 
 class _Side(NamedTuple):
@@ -64,11 +65,11 @@ class _Side(NamedTuple):
     dual: bool
     through: str
 
-    def state(self, roots, cs, bp) -> np.ndarray:
+    def state(self, roots, ops, cs, bp) -> np.ndarray:
         # Called by name, so that a wrapper bound to either name sees the call.
         if self.dual:
-            return build_dual_psi(roots, cs, bp)
-        return build_psi(roots, cs, bp)
+            return build_dual_psi(roots, ops, cs, bp)
+        return build_psi(roots, ops, cs, bp)
 
     def string(self, entries: Entries) -> np.ndarray:
         return entries.c if self.dual else entries.b
@@ -89,31 +90,31 @@ BRA = _Side("left", True, "c_through_{}")
 SIDES = (KET, BRA)
 
 
-def _apply_string(side: _Side, entries, roots, cs, bp) -> np.ndarray:
+def _apply_string(side: _Side, entries: dict, roots, cs) -> np.ndarray:
     """The side's string of ``entries`` at ``roots`` applied to the reference state."""
     vec = vacuum_state(cs.sites)
     for u in roots:
-        vec = side.act(side.string(entries(u, cs, bp)), vec)
+        vec = side.act(side.string(entries[u]), vec)
     return vec
 
 
-def build_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+def build_psi(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Creation-operator product applied to the reference state."""
-    return _apply_string(KET, _family, roots, cs, bp)
+    return _apply_string(KET, _family(ops, bp), roots, cs)
 
 
-def build_dual_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+def build_dual_psi(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Dual state: annihilation-operator product applied to the left vacuum."""
-    return _apply_string(BRA, _family, roots, cs, bp)
+    return _apply_string(BRA, _family(ops, bp), roots, cs)
 
 
-def _state_cache(side: _Side, cs, bp):
+def _state_cache(side: _Side, ops, cs, bp):
     memo = {}
 
     def get(roots):
         key = tuple(roots)
         if key not in memo:
-            memo[key] = side.state(key, cs, bp)
+            memo[key] = side.state(key, ops, cs, bp)
         return memo[key]
 
     return get
@@ -148,18 +149,19 @@ def _action_terms(value, coeffs, u, roots, state) -> list:
 
 
 def check_offshell_action(
-    u, roots, unwanted, cs: ChainSpec, bp: BoundaryParams
+    u, roots, unwanted, ops, cs: ChainSpec, bp: BoundaryParams
 ) -> dict:
     """Residuals of the full off-shell transfer action on ket and bra states.
 
     ``unwanted`` is :func:`~segment_bethe.bethe.unwanted_terms` at
-    ``roots``, evaluated once for every check at these roots.
+    ``roots``, evaluated once for every check at these roots, and ``ops``
+    the draw's operator table at ``roots`` and ``u``.
     """
     u = complex(u)
     roots = tuple(roots)
     if len(roots) != cs.sites:
         raise ParameterError("off-shell action requires one root per site")
-    t = transfer_matrix(u, cs, bp)
+    t = ops.transfer(u, bp)
     lam = lambda_total(u, roots, cs, bp)
     dressed, inhomogeneous = unwanted
     coeffs = [
@@ -167,17 +169,17 @@ def check_offshell_action(
     ]
     out = {}
     for side in SIDES:
-        state = _state_cache(side, cs, bp)
+        state = _state_cache(side, ops, cs, bp)
         terms = _action_terms(lam, coeffs, u, roots, state)
         out[side.key] = _residual(side.act(t, state(roots)), terms)
     return out
 
 
 def check_central_relation(
-    u, roots, unwanted, cs: ChainSpec, bp: BoundaryParams
+    u, roots, unwanted, ops, cs: ChainSpec, bp: BoundaryParams
 ) -> dict:
     """Residuals of the inhomogeneous-term identity (requires generic
-    couplings); ``unwanted`` as in :func:`check_offshell_action`."""
+    couplings); ``unwanted`` and ``ops`` as in :func:`check_offshell_action`."""
     u = complex(u)
     roots = tuple(roots)
     if bp.diagonal_mode:
@@ -190,36 +192,37 @@ def check_central_relation(
     coeffs = [kn.F(u, r) * g for r, g in zip(roots, inhomogeneous)]
     out = {}
     for side in SIDES:
-        state = _state_cache(side, cs, bp)
+        state = _state_cache(side, ops, cs, bp)
         lhs = _remainder_coeff(u, bp, side) * side.act(
-            side.string(_family(u, cs, bp)), state(roots)
+            side.string(ops.modified[u]), state(roots)
         )
         out[side.key] = _residual(lhs, _action_terms(lam_g, coeffs, u, roots, state))
     return out
 
 
-def _string_product(side: _Side, ws, cs, bp) -> np.ndarray:
-    """The side's string of entries at ``ws`` as one operator, in root order."""
+def _string_product(side: _Side, entries: dict, ws, cs) -> np.ndarray:
+    """The side's string of ``entries`` at ``ws`` as one operator, in root order."""
     prod = np.eye(1 << cs.sites, dtype=complex)
     for w in ws:
-        prod = prod @ side.string(_family(w, cs, bp))
+        prod = prod @ side.string(entries[w])
     return prod
 
 
 def check_multiple_actions(
-    u, roots, unwanted, cs: ChainSpec, bp: BoundaryParams
+    u, roots, unwanted, ops, cs: ChainSpec, bp: BoundaryParams
 ) -> dict:
     """Residuals of the sweep of diagonal entries through a creation string.
 
     The four operator identities are checked as full matrix equalities; the
     partial transfer action (valid for any number of roots) is checked on the
-    reference state and its dual.  ``unwanted`` is as in
+    reference state and its dual.  ``unwanted`` and ``ops`` are as in
     :func:`check_offshell_action`.
     """
     u = complex(u)
     roots = tuple(roots)
     m = len(roots)
-    e_u = _family(u, cs, bp)
+    family = _family(ops, bp)
+    e_u = family[u]
 
     # Per root: the string's other roots, the diagonal entries at the root
     # and the exchange weights of a and d sweeping past it.
@@ -227,7 +230,7 @@ def check_multiple_actions(
     for i in range(m):
         ui = roots[i]
         rest = _without(roots, i)
-        e_i = _family(ui, cs, bp)
+        e_i = family[ui]
         f_rest, h_rest = kn.f_product(ui, rest), kn.h_product(ui, rest)
         ga = kn.g(u, ui) * f_rest
         wd = kn.w(u, ui) * h_rest
@@ -237,18 +240,18 @@ def check_multiple_actions(
     # The dressed eigenvalue at u and its products of f and h over the roots.
     e = _eigenvalue_at(u, roots, cs, bp)
     f_all, h_all, lam_d = e.pf, e.ph, e.dressed
-    t = transfer_matrix(u, cs, bp)
+    t = ops.transfer(u, bp)
     coeffs = [kn.F(u, r) * d for r, d in zip(roots, unwanted[0])]
 
     out = {}
     for side in SIDES:
         # Diagonal operator through the string: a and d, each acting from
         # this side, move to the far side of it.
-        full = _string_product(side, roots, cs, bp)
+        full = _string_product(side, family, roots, cs)
         terms_a = [f_all * side.act(full, e_u.a)]
         terms_d = [h_all * side.act(full, e_u.d)]
         for rest, a_i, d_i, ga, wd, kd, na in sweeps:
-            swapped = _string_product(side, (u,) + rest, cs, bp)
+            swapped = _string_product(side, family, (u,) + rest, cs)
             terms_a.append(
                 ga * side.act(swapped, a_i) + wd * side.act(swapped, d_i)
             )
@@ -259,7 +262,7 @@ def check_multiple_actions(
         out[side.through.format("d")] = _residual(side.act(e_u.d, full), terms_d)
 
         # Partial off-shell action on this side's reference state.
-        state = _state_cache(side, cs, bp)
+        state = _state_cache(side, ops, cs, bp)
         terms = _action_terms(lam_d, coeffs, u, roots, state)
         if not bp.diagonal_mode:
             terms.append(
@@ -354,7 +357,7 @@ def _annihilation_terms(u, roots, state, cs, bp) -> list:
     return terms
 
 
-def check_cb_sweep(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
+def check_cb_sweep(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Annihilation through a plain creation string, resolved on the vacuum.
 
     Uses plain operators regardless of couplings, which isolates the
@@ -364,23 +367,23 @@ def check_cb_sweep(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
     roots = tuple(roots)
 
     def plain_b_string(ws):
-        return _apply_string(KET, double_row, ws, cs, bp)
+        return _apply_string(KET, ops.plain, ws, cs)
 
-    lhs = double_row(u, cs, bp).c @ plain_b_string(roots)
+    lhs = ops.plain[u].c @ plain_b_string(roots)
     return _residual(lhs, _annihilation_terms(u, roots, plain_b_string, cs, bp))
 
 
-def check_c_action(u, roots, cs: ChainSpec, bp: BoundaryParams) -> float:
+def check_c_action(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Residual of the five-group modified annihilation action on a state."""
     u = complex(u)
     roots = tuple(roots)
     if bp.diagonal_mode:
         raise ParameterError("modified annihilation action needs generic couplings")
-    psi = _state_cache(KET, cs, bp)
+    psi = _state_cache(KET, ops, cs, bp)
     rxm = bp.rho / bp.xi_minus
     l1u, l2u = vacuum_eigenvalues(u, cs, bp)
 
-    e_u = _family(u, cs, bp)
+    e_u = ops.modified[u]
     lhs = e_u.c @ psi(roots)
     terms = [-(rxm * rxm) * (e_u.b @ psi(roots))]
     terms.append(
@@ -414,14 +417,12 @@ class ExpansionCoefficients:
 
     ``levels[i]`` maps the index tuple of the retained plain roots to the
     coefficient in front of the corresponding plain string.  ``w0`` is the
-    fully-contracted coefficient; ``w0_matrix`` the same number obtained from
-    the vacuum matrix element of the modified string.
+    fully-contracted coefficient.
     """
 
     roots: tuple
     levels: dict
     w0: complex
-    w0_matrix: complex | None
 
 
 def _w_subset_sums(roots, cs, bp):
@@ -482,18 +483,12 @@ def w_coefficients(roots, cs: ChainSpec, bp: BoundaryParams) -> ExpansionCoeffic
             out = full ^ sum(1 << j for j in keep)
             level[keep] = table[out] / math.factorial(nn - i)
         levels[i] = level
-    w0 = levels[0][()]
-    w0_matrix = None
-    if not bp.diagonal_mode:
-        vec = build_psi(roots, cs, bp)
-        w0_matrix = complex(
-            (2 * (bp.rho - 1) / bp.xi_minus) ** nn * vec[0]
-        )
-    return ExpansionCoefficients(roots, levels, complex(w0), w0_matrix)
+    return ExpansionCoefficients(roots, levels, complex(levels[0][()]))
 
 
-def check_expansion(roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
-    """Residuals of the modified-string expansion over plain strings."""
+def check_expansion(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
+    """Residuals of the modified-string expansion over plain strings, and of
+    ``w0`` against its matrix route, ``(2(rho-1)/xi_minus)^N psi[0]``."""
     roots = tuple(roots)
     if bp.diagonal_mode:
         raise ParameterError("expansion is defined for generic couplings")
@@ -512,11 +507,12 @@ def check_expansion(roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
                     pref
                     * (rho / x1) ** (nn - i)
                     * wval
-                    * _apply_string(side, double_row, keep_roots, cs, bp)
+                    * _apply_string(side, ops.plain, keep_roots, cs)
                 )
-        out[side.key] = _residual(side.state(roots, cs, bp), terms)
+        out[side.key] = _residual(side.state(roots, ops, cs, bp), terms)
 
-    out["w0_routes"] = pair_residual(coeff.w0, coeff.w0_matrix)
+    w0_matrix = (2 * (rho - 1) / bp.xi_minus) ** nn * build_psi(roots, ops, cs, bp)[0]
+    out["w0_routes"] = pair_residual(coeff.w0, w0_matrix)
     return out
 
 

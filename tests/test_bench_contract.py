@@ -1,12 +1,13 @@
 """The benchmark's by-name contract with the package.
 
 ``bench/layers.py`` traces the package by rebinding functions it names as
-``(module, function)`` pairs and reads the operator caches' statistics.  A
-refactor that renames or unwraps one of them breaks ``bench/run.py --trace 1``
-without failing any package test; these tests catch that here.
+``(module, function)`` pairs.  A refactor that renames or unwraps one of
+them breaks ``bench/run.py --trace 1`` without failing any package test;
+these tests catch that here, and run one traced op as ``--trace 1`` does.
 """
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import layers  # noqa: E402
 import workloads  # noqa: E402
 
 PACKAGE = "segment_bethe"
-CACHED_BUILDERS = ("double_row", "modified_entries", "transfer_matrix")
 
 
 def _traced_names():
@@ -35,10 +35,23 @@ def test_traced_names_resolve(module, func):
     assert callable(target), f"{module}.{func}"
 
 
-@pytest.mark.parametrize("func", CACHED_BUILDERS)
-def test_cached_builders_expose_cache_info(func):
-    builder = getattr(importlib.import_module(f"{PACKAGE}.double_row"), func)
-    assert hasattr(builder, "cache_info") and hasattr(builder, "cache_clear")
+def test_traced_certify_op_fills_every_layer_metric():
+    # One certify-n2 op under the tracer, as ``bench/run.py --trace 1`` runs
+    # it: every layer metric must come out a finite number.
+    wl = workloads.WORKLOADS["certify-n2"]
+    problem = wl.make(1, 0)
+    tracer = layers.Tracer(2)
+    tracer.install()
+    try:
+        report = wl.op(problem)
+    finally:
+        tracer.restore()
+    assert wl.check(problem, report) == ("ok", "")
+    figures = tracer.metrics(1)
+    names = [name for name, _ in layers.LAYER_METRICS if not name.startswith("trace.")]
+    assert sorted(figures) == sorted(names)
+    assert all(math.isfinite(figures[name]) for name in names)
+    assert figures["harness.run_offshell.self_s"] > 0
 
 
 def _bindings():

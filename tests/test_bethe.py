@@ -1,6 +1,5 @@
 """Eigenvalue expressions, Bethe system, Jacobians, and the T-Q root solver."""
 
-import importlib
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import segment_bethe.double_row as dr_module
 from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe import precision
@@ -39,9 +39,6 @@ from segment_bethe.params import (
     draw_spectral_point,
     draw_spectral_points,
 )
-
-# The module, not the function of the same name the package re-exports.
-dr_module = importlib.import_module("segment_bethe.double_row")
 
 STEP = 1e-6
 DTOL = 1e-6
@@ -354,7 +351,7 @@ def test_certified_sets_cost_one_system_evaluation(monkeypatch):
 
 
 def _count_raw_blocks(monkeypatch):
-    """Sizes of the ``_raw_blocks`` stacks built from here on, caches cold."""
+    """Sizes of the ``_raw_blocks`` stacks built from here on."""
     sizes = []
     real = dr_module._raw_blocks
 
@@ -363,8 +360,6 @@ def _count_raw_blocks(monkeypatch):
         return real(us, cs, bp)
 
     monkeypatch.setattr(dr_module, "_raw_blocks", counted)
-    for cached in (transfer_matrix, double_row, dr_module.modified_entries):
-        cached.cache_clear()
     return sizes
 
 
@@ -376,7 +371,6 @@ def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
     sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
     assert len(sols) == 4
     assert sizes == [1 + 5 + cs2.sites + 2]
-    assert transfer_matrix.cache_info().misses == 0
 
 
 def test_ill_conditioned_reference_falls_back_to_stack(monkeypatch, cs2, bp):
@@ -399,7 +393,6 @@ def test_ill_conditioned_reference_falls_back_to_stack(monkeypatch, cs2, bp):
     sols = solve_bethe(cs2, bp, rng=rng)
     assert len(conds) == 2
     assert sizes == [1 + 5 + cs2.sites + 2]
-    assert transfer_matrix.cache_info().misses == 0
     assert rng.random() == after_full
     assert sorted(s.branch for s in sols) == [0, 1, 2, 3]
     for a in full:

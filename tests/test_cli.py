@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -298,16 +299,32 @@ def test_exit_three_when_solver_finds_nothing(monkeypatch, capsys, command):
     assert "run failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["offshell", "slavnov", "norm", "all"])
+# Chain length and first table's point count per command: the lengths at
+# which every build before that table (the solves, and the exchange and
+# spectrum suites of `all`) is charged less than the table.
+FIRST_TABLE = {"offshell": (3, 4), "slavnov": (6, 12), "norm": (6, 6), "all": (7, 8)}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_TABLE))
 def test_exit_two_beyond_the_cache_budget(monkeypatch, capsys, command):
-    # A chain whose full operator caches, 5120 * 4^N bytes, exceed the byte
-    # limit is a configuration fault, refused before any suite runs.
-    monkeypatch.setattr(linalg, "MAX_BYTES", 5120 * 4**3 - 1)
-    assert main([command, "--sites", "3", "--draws", "1"]) == 2
+    # A draw's operator table, 144 * 4^N bytes per point, over the byte limit
+    # is a configuration fault; the limit sits one byte below the first table.
+    sites, points = FIRST_TABLE[command]
+    monkeypatch.setattr(linalg, "MAX_BYTES", points * 144 * 4**sites - 1)
+    assert main([command, "--sites", str(sites), "--draws", "1"]) == 2
     out, err = capsys.readouterr()
-    assert "config error: operator caches at N = 3" in err
+    assert f"config error: operator table of {points} point(s)" in err
     assert out == ""
-    assert main([command, "--sites", "2", "--draws", "1"]) != 2
+
+
+def test_exit_two_on_a_non_finite_tolerance(tmp_path, capsys):
+    # JSON's Infinity reads as a float; a record could never fail under it.
+    path = _write_config(tmp_path, {"tolerance.ybe": math.inf})
+    assert "Infinity" in open(path).read()
+    assert main(["check-algebra", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert "config error: tolerance 'ybe' must be finite and positive" in err
+    assert out == ""
 
 
 def test_exit_two_on_the_removed_direct_cap_key(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Double-row monodromy construction, transfer matrix, exchange relations."""
 
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -21,13 +20,14 @@ from segment_bethe.boundary import (
     q_similarity,
     r_matrix,
 )
+import segment_bethe.double_row as dr
+from segment_bethe import linalg
 from segment_bethe.double_row import (
-    CACHE_SIZE,
-    check_cache_budget,
     check_exchange_relations,
     double_row,
     hamiltonian,
     modified_entries,
+    operators,
     transfer_forms_residual,
     transfer_matrices,
     transfer_matrix,
@@ -53,9 +53,6 @@ from segment_bethe.params import (
     draw_spectral_points,
 )
 
-# The module, not the function of the same name the package re-exports.
-dr = importlib.import_module("segment_bethe.double_row")
-linalg = importlib.import_module("segment_bethe.linalg")
 
 
 def _dense_double_row(u, cs, bp):
@@ -273,75 +270,73 @@ def test_stack_chunks_stay_within_budget(monkeypatch, sites, sizes, bp):
 
 def test_transfer_matrix_is_a_one_point_stack(cs2, bp, bp_diag, rng):
     # The per-point transfer matrix equals the stacked build at one point,
-    # frozen and memoised.
+    # frozen.
     for couplings in (bp, bp_diag):
         u = draw_spectral_point(rng, cs=cs2, bp=couplings)
-        transfer_matrix.cache_clear()
         t = transfer_matrix(u, cs2, couplings)
         assert np.array_equal(t, transfer_matrices([u], cs2, couplings)[0])
         with pytest.raises(ValueError):
             t[0, 0] = 0
-        assert transfer_matrix(u, cs2, couplings) is t
-        info = transfer_matrix.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
 
 
-def test_transfer_matrix_reuses_cached_entries(monkeypatch, cs2, bp, bp_diag, rng):
-    # t(u) is assembled from the entries at u: one raw build, and a later
-    # read of the plain or modified entries at u is a cache hit.
-    seen = []
+def _count_raw_blocks(monkeypatch):
+    """Sizes of the ``_raw_blocks`` stacks built from here on."""
+    sizes = []
     real = dr._raw_blocks
 
     def counted(us, cs, bp):
-        seen.append(len(us))
+        sizes.append(len(us))
         return real(us, cs, bp)
 
     monkeypatch.setattr(dr, "_raw_blocks", counted)
+    return sizes
+
+
+def test_operator_table_matches_one_point_reads(monkeypatch, cs3, bp, bp_diag, rng):
+    # One stack for the distinct points; each entry, and t(u) assembled from
+    # the table, equals the one-point reads bit for bit.
     for couplings in (bp, bp_diag):
-        u = draw_spectral_point(rng, cs=cs2, bp=couplings)
-        builders = [double_row, transfer_matrix]
-        if not couplings.diagonal_mode:
-            builders.append(modified_entries)
-        for cached in builders:
-            cached.cache_clear()
-        seen.clear()
-        t = transfer_matrix(u, cs2, couplings)
-        before = {cached: cached.cache_info() for cached in builders}
-        for cached in builders:
-            cached(u, cs2, couplings)
-        assert seen == [1]
-        for cached in builders:
-            info, old = cached.cache_info(), before[cached]
-            assert (info.hits - old.hits, info.misses - old.misses) == (1, 0)
-        assert t.tobytes() == transfer_matrices([u], cs2, couplings)[0].tobytes()
+        points = draw_spectral_points(rng, 3, cs=cs3, bp=couplings)
+        sizes = _count_raw_blocks(monkeypatch)
+        table = operators(points + points[:1], cs3, couplings)
+        assert sizes == [3]
+        assert list(table.plain) == points
+        assert list(table.modified) == ([] if couplings.diagonal_mode else points)
+        for u in points:
+            pairs = list(zip(table.plain[u], double_row(u, cs3, couplings)))
+            if not couplings.diagonal_mode:
+                pairs += zip(
+                    table.modified[u][:4], modified_entries(u, cs3, couplings)[:4]
+                )
+            pairs.append(
+                (table.transfer(u, couplings), transfer_matrix(u, cs3, couplings))
+            )
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes()
 
 
-def test_cache_budget_charges_what_the_caches_hold(monkeypatch, cs3, bp, rng):
-    # One point's entries, modified entries and t(u) own 160 * 4^N bytes of
-    # array data, and the budget charges CACHE_SIZE points of that.
-    builders = (double_row, modified_entries, transfer_matrix)
-    for cached in builders:
-        cached.cache_clear()
-    u = draw_spectral_point(rng, cs=cs3, bp=bp)
-    transfer_matrix(u, cs3, bp)
-    assert [cached.cache_info().currsize for cached in builders] == [1, 1, 1]
-    held = [
-        *double_row(u, cs3, bp),
-        *modified_entries(u, cs3, bp)[:4],
-        transfer_matrix(u, cs3, bp),
-    ]
+def test_operator_table_charges_what_it_holds(monkeypatch, cs3, bp, rng):
+    # One point's plain entries, raw block and modified entries own
+    # 144 * 4^N bytes of array data; the table charges that per distinct
+    # point before it builds anything.  A limit that admits the table leaves
+    # the refusal to the chunk's build, which is charged more.
+    u, v = draw_spectral_points(rng, 2, cs=cs3, bp=bp)
+    table = operators([u], cs3, bp)
     bases = {}
-    for array in held:
+    for array in (*table.plain[u], *table.modified[u][:4]):
         while array.base is not None:  # a view counts as the array it views
             array = array.base
         bases[id(array)] = array
     point = sum(array.nbytes for array in bases.values())
-    assert point == 160 * 4**3
-    monkeypatch.setattr(linalg, "MAX_BYTES", CACHE_SIZE * point)
-    check_cache_budget(3)
-    monkeypatch.setattr(linalg, "MAX_BYTES", CACHE_SIZE * point - 1)
-    with pytest.raises(DimensionError, match="operator caches at N = 3"):
-        check_cache_budget(3)
+    assert point == 144 * 4**3
+    sizes = _count_raw_blocks(monkeypatch)
+    monkeypatch.setattr(linalg, "MAX_BYTES", 2 * point - 1)
+    with pytest.raises(DimensionError, match="operator table of 2 point"):
+        operators([u, v, u], cs3, bp)
+    assert sizes == []
+    monkeypatch.setattr(linalg, "MAX_BYTES", 2 * point)
+    with pytest.raises(DimensionError, match="double-row build of 2 point"):
+        operators([u, v, u], cs3, bp)
 
 
 def test_gates_reject_nan(cs2):
@@ -360,10 +355,14 @@ def test_double_row_pole_guard(cs1, bp):
 
 
 def test_cached_matrices_are_frozen(cs1, bp):
+    # The checks of one draw share the table's arrays, and the one-point
+    # reads return the same frozen types.
     u = 0.21 + 0.43j
+    table = operators([u, 0.5 - 0.3j], cs1, bp)
     e = double_row(u, cs1, bp)
     m = modified_entries(u, cs1, bp)
-    frozen = [e.a, e.b, e.c, e.d, e.raw, m.a, m.b, m.c, m.d]
+    frozen = [*table.plain[u], *table.modified[u][:4]]
+    frozen += [e.a, e.b, e.c, e.d, e.raw, m.a, m.b, m.c, m.d]
     frozen.append(transfer_matrix(u, cs1, bp))
     for op in frozen:
         with pytest.raises(ValueError):
@@ -392,7 +391,7 @@ def test_transfer_two_term_form(cs2, bp, rng):
 
 
 def _transfer_forms_oracle(u, cs, bp):
-    """Both transfer-matrix forms from the memoised per-point entries."""
+    """Both transfer-matrix forms from the one-point entries."""
     e = double_row(u, cs, bp)
     m = modified_entries(u, cs, bp)
     t1 = (

@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import segment_bethe.double_row as dr
 from segment_bethe import harness, linalg
 from segment_bethe.bethe import BetheRoots, root_sets_match, solve_bethe
-from segment_bethe.double_row import double_row, modified_entries, transfer_matrix
 from segment_bethe.errors import DimensionError, ParameterError
 from segment_bethe.params import draw_spectral_points
 from segment_bethe.scalar_products import slavnov_modified
@@ -66,6 +66,12 @@ def test_config_defaults():
         {"seed": True},
         {"draws": np.True_},
         {"sites": "2"},
+        # A tolerance is a finite positive real number, not a bool or a string.
+        {"tolerances": {"ybe": True}},
+        {"tolerances": {"ybe": "1e-3"}},
+        {"tolerances": {"ybe": float("inf")}},
+        {"tolerances": {"ybe": "abc"}},
+        {"tolerances": {"ybe": None}},
     ],
 )
 def test_config_rejects(kwargs):
@@ -331,7 +337,7 @@ def test_norm_is_finite_at_seven_sites():
 
 
 def test_norm_runs_at_six_sites_at_default_settings():
-    # The operator caches' budget admits N = 6 (at most 20 MiB).
+    # Its draw's operator table, 6 points of 144 * 4^6 bytes, is 3.4 MiB.
     report = run("norm", RunConfig(sites=6, seed=0, draws=1))
     assert [c.name for c in report.checks] == [
         "norm-vs-direct",
@@ -341,20 +347,63 @@ def test_norm_runs_at_six_sites_at_default_settings():
     assert report.all_passed
 
 
-def test_offshell_beyond_the_cache_budget_is_refused_before_any_build(
+def _stacks_of(monkeypatch, command, **kwargs):
+    """Sizes of the ``_raw_blocks`` stacks that one run builds, in order."""
+    sizes = []
+    real = dr._raw_blocks
+
+    def counted(us, cs, bp):
+        sizes.append(len(us))
+        return real(us, cs, bp)
+
+    monkeypatch.setattr(dr, "_raw_blocks", counted)
+    try:
+        run(command, RunConfig(**kwargs))
+    finally:
+        monkeypatch.setattr(dr, "_raw_blocks", real)
+    return sizes
+
+
+def test_offshell_beyond_the_byte_limit_is_refused_before_any_build(
     monkeypatch,
 ):
-    # At 1 GiB the caches' worst case, 5120 * 4^N bytes, admits N = 8 and
-    # refuses N = 9; a limit one byte short of it refuses N = 3.  Either
-    # refusal comes before any per-point operator is built.
-    builders = (double_row, modified_entries, transfer_matrix)
-    before = [cached.cache_info().misses for cached in builders]
-    with pytest.raises(DimensionError, match="operator caches at N = 9"):
-        run("offshell", RunConfig(sites=9, seed=0, draws=1))
-    monkeypatch.setattr(linalg, "MAX_BYTES", 5120 * 4**3 - 1)
-    with pytest.raises(DimensionError, match="operator caches at N = 3"):
+    # A draw's table holds 144 * 4^N bytes per point: at 1 GiB the N + 1
+    # points of N = 10 (11 x 151 MB) are refused, and a limit one byte short
+    # of the N = 3 table (4 x 144 * 4^3 bytes) refuses N = 3.  Either
+    # refusal comes before any block is built.
+    sizes = []
+    monkeypatch.setattr(dr, "_raw_blocks", lambda us, cs, bp: sizes.append(us))
+    with pytest.raises(DimensionError, match="operator table of 11 point"):
+        run("offshell", RunConfig(sites=10, seed=0, draws=1))
+    monkeypatch.setattr(linalg, "MAX_BYTES", 4 * 144 * 4**3 - 1)
+    with pytest.raises(DimensionError, match="operator table of 4 point"):
         run("offshell", RunConfig(sites=3, seed=0, draws=1))
-    assert [cached.cache_info().misses for cached in builders] == before
+    assert sizes == []
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_offshell_builds_one_table_per_draw(monkeypatch, sites):
+    # The draw's roots and its point u, one stack of N + 1 points per draw.
+    sizes = _stacks_of(monkeypatch, "offshell", sites=sites, seed=0, draws=2)
+    assert sizes == [sites + 1, sites + 1]
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_slavnov_builds_one_table_per_draw_and_sector(monkeypatch, sites):
+    # Each solve's stack of N + 8 points, then the draw's on-shell and free
+    # roots in one stack; after the diagonal solve, one stack per magnon
+    # sector m = 1..N of its 2m roots.
+    sizes = _stacks_of(monkeypatch, "slavnov", sites=sites, seed=0, draws=2)
+    solve = sites + 8
+    sectors = [2 * m for m in range(1, sites + 1)]
+    assert sizes == [solve, 2 * sites, solve, 2 * sites, solve] + sectors
+
+
+def test_norm_and_n1_build_one_table_per_draw(monkeypatch):
+    # norm: each draw's solve, then its N roots; n1: one solve at N = 1, then
+    # per draw one stack of u1, v1 and the on-shell root.
+    assert _stacks_of(monkeypatch, "norm", sites=2, seed=0, draws=2) == [10, 2, 10, 2]
+    assert _stacks_of(monkeypatch, "n1", seed=0, draws=2) == [9, 3, 3]
 
 
 def test_run_all_namespaces_details():
@@ -460,28 +509,23 @@ def test_root_sets_distinct_counts_matching_pairs(monkeypatch):
     assert record.residual == loop == 5
 
 
-def _misses_of(command):
-    builders = (double_row, modified_entries, transfer_matrix)
-    for cached in builders:
-        cached.cache_clear()
-    run(command, RunConfig(sites=2, seed=0, draws=1))
-    return tuple(cached.cache_info().misses for cached in builders)
+EXCHANGE_STACKS = [2, 5, 10, 5]
 
 
-def test_exchange_builds_nothing_per_point():
-    # The exchange relations, the two transfer forms and t(u) are all built
-    # in stacks.
-    assert _misses_of("exchange") == (0, 0, 0)
+def test_exchange_builds_nothing_per_point(monkeypatch):
+    # The exchange pair, the five points of the two transfer forms, the ten
+    # of the commutators and the five of the Hamiltonian check, each one
+    # stack.
+    sizes = _stacks_of(monkeypatch, "exchange", sites=2, seed=0, draws=1)
+    assert sizes == EXCHANGE_STACKS
 
 
-def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange():
-    # Solves and the exchange suite build in stacks; the one per-point t(u)
-    # left in `all` at N = 2 is the off-shell suite's, and the per-point
-    # entries are those the off-shell suite and the states read.
-    rows, modified, transfers = _misses_of("all")
-    assert transfers <= 1
-    assert rows <= 18
-    assert modified <= 12
+def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange(monkeypatch):
+    # Every build of `all` at N = 2 is a stack: the exchange suite's, one
+    # per solve (N + 8 points; 9 for n1's one site) and one table per draw
+    # or diagonal sector.
+    sizes = _stacks_of(monkeypatch, "all", sites=2, seed=0, draws=1)
+    assert sizes == EXCHANGE_STACKS + [10, 3, 10, 4, 10, 2, 4, 10, 2, 9, 3]
 
 
 def test_cauchy_factorization_honours_extended_precision():

@@ -10,6 +10,7 @@ from segment_bethe.bethe import (
     solve_bethe_diagonal,
     vacuum_eigenvalues,
 )
+from segment_bethe.double_row import operators
 from segment_bethe.errors import ConditioningWarning, ParameterError
 from segment_bethe.params import BoundaryParams, draw_spectral_point, draw_spectral_points
 from segment_bethe.scalar_products import (
@@ -31,16 +32,17 @@ SLAVNOV_TOL = 1e-8
 
 
 def test_direct_empty_sets(cs2, bp):
-    assert scalar_product_direct((), (), cs2, bp) == 1.0
+    assert scalar_product_direct((), (), operators([], cs2, bp), cs2, bp) == 1.0
     assert slavnov_modified((), (), cs2, bp) == 1.0
 
 
 def test_direct_permutation_invariant(cs2, bp, rng):
     bra = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp))
     ket = tuple(draw_spectral_points(rng, 2, avoid=bra, cs=cs2, bp=bp))
-    base = scalar_product_direct(bra, ket, cs2, bp)
-    assert scalar_product_direct(bra[::-1], ket, cs2, bp) == pytest.approx(base)
-    assert scalar_product_direct(bra, ket[::-1], cs2, bp) == pytest.approx(base)
+    ops = operators(bra + ket, cs2, bp)
+    base = scalar_product_direct(bra, ket, ops, cs2, bp)
+    assert scalar_product_direct(bra[::-1], ket, ops, cs2, bp) == pytest.approx(base)
+    assert scalar_product_direct(bra, ket[::-1], ops, cs2, bp) == pytest.approx(base)
 
 
 def _check_placement(cs, bp, sols, rng, placement):
@@ -52,7 +54,7 @@ def _check_placement(cs, bp, sols, rng, placement):
         free = tuple(draw_spectral_points(rng, len(on), avoid=on, cs=cs, bp=bp))
         bra, ket = (on, free) if placement == "bra" else (free, on)
         det_val = slavnov_modified(on, free, cs, bp)
-        ref = scalar_product_direct(bra, ket, cs, bp)
+        ref = scalar_product_direct(bra, ket, operators(on + free, cs, bp), cs, bp)
         assert abs(det_val - ref) <= SLAVNOV_TOL * max(abs(det_val), abs(ref))
 
 
@@ -126,7 +128,8 @@ def test_gaudin_diagonal_routes_agree(cs2, bp, solved2):
 def test_norm_vs_direct(cs1, cs2, bp, solved1, solved2):
     for cs, sols in ((cs1, solved1), (cs2, solved2)):
         for sol in sols:
-            ref = scalar_product_direct(sol.roots, sol.roots, cs, bp)
+            ops = operators(sol.roots, cs, bp)
+            ref = scalar_product_direct(sol.roots, sol.roots, ops, cs, bp)
             val = gaudin_korepin_norm(sol.roots, cs, bp)
             assert abs(val - ref) <= SLAVNOV_TOL * max(abs(val), abs(ref))
 
@@ -146,7 +149,8 @@ def test_slavnov_diagonal_vs_direct(cs2, bp_diag, solved2_diag, rng):
                 draw_spectral_points(rng, magnons, avoid=sol.roots, cs=cs2, bp=bp_diag)
             )
             det_val = slavnov_modified(sol.roots, free, cs2, bp_diag)
-            ref = scalar_product_direct(free, sol.roots, cs2, bp_diag)
+            ops = operators(sol.roots + free, cs2, bp_diag)
+            ref = scalar_product_direct(free, sol.roots, ops, cs2, bp_diag)
             assert abs(det_val - ref) <= SLAVNOV_TOL * max(abs(det_val), abs(ref))
 
 
@@ -222,6 +226,8 @@ def test_modified_product_at_diagonal_couplings(cs3, bp_diag, rng, magnons, prec
         )
         for ref in (
             oracle_slavnov_diagonal(free, sol.roots, cs3, bp_diag),
-            scalar_product_direct(free, sol.roots, cs3, bp_diag),
+            scalar_product_direct(
+                free, sol.roots, operators(sol.roots + free, cs3, bp_diag), cs3, bp_diag
+            ),
         ):
             assert abs(val - ref) <= 1e-11 * abs(ref)

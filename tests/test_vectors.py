@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import segment_bethe.double_row as dr
 from segment_bethe import kernels as kn
 from segment_bethe.bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
+from segment_bethe.double_row import operators
 from segment_bethe.errors import ParameterError
 from segment_bethe.params import BoundaryParams, draw_spectral_point, draw_spectral_points
 from segment_bethe.vectors import (
@@ -27,22 +29,23 @@ EXPANSION_TOL = 1e-10
 
 def test_build_psi_permutation_invariant(cs2, bp, rng):
     roots = tuple(draw_spectral_points(rng, 3, cs=cs2, bp=bp))
-    base = build_psi(roots, cs2, bp)
-    dual = build_dual_psi(roots, cs2, bp)
+    ops = operators(roots, cs2, bp)
+    base = build_psi(roots, ops, cs2, bp)
+    dual = build_dual_psi(roots, ops, cs2, bp)
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         shuffled = tuple(roots[i] for i in perm)
         assert np.linalg.norm(
-            build_psi(shuffled, cs2, bp) - base
+            build_psi(shuffled, ops, cs2, bp) - base
         ) <= 1e-11 * np.linalg.norm(base)
         assert np.linalg.norm(
-            build_dual_psi(shuffled, cs2, bp) - dual
+            build_dual_psi(shuffled, ops, cs2, bp) - dual
         ) <= 1e-11 * np.linalg.norm(dual)
 
 
 def test_build_psi_not_null(cs1, cs2, bp, rng):
     for cs in (cs1, cs2):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=bp))
-        vec = build_psi(roots, cs, bp)
+        vec = build_psi(roots, operators(roots, cs, bp), cs, bp)
         assert vec.shape == (2**cs.sites,)
         assert np.linalg.norm(vec) > 1e-8
 
@@ -53,7 +56,10 @@ def test_offshell_action(sites, cs1, cs2, bp, rng):
     for _ in range(3):
         roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        res = check_offshell_action(u, roots, unwanted_terms(roots, cs, bp), cs, bp)
+        ops = operators(roots + (u,), cs, bp)
+        res = check_offshell_action(
+            u, roots, unwanted_terms(roots, cs, bp), ops, cs, bp
+        )
         assert res["right"] <= ACTION_TOL
         assert res["left"] <= ACTION_TOL
 
@@ -64,33 +70,43 @@ def test_central_relation(sites, cs1, cs2, bp, rng):
     for _ in range(3):
         roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        res = check_central_relation(u, roots, unwanted_terms(roots, cs, bp), cs, bp)
+        ops = operators(roots + (u,), cs, bp)
+        res = check_central_relation(
+            u, roots, unwanted_terms(roots, cs, bp), ops, cs, bp
+        )
         assert res["right"] <= ACTION_TOL
         assert res["left"] <= ACTION_TOL
 
 
 def test_root_count_guards(cs2, bp, bp_diag, rng):
     roots = (draw_spectral_point(rng, cs=cs2, bp=bp),)
+    ops = operators(roots + (0.4 + 0.1j,), cs2, bp)
+    ops_diag = operators(roots + (0.4 + 0.1j,), cs2, bp_diag)
     with pytest.raises(ParameterError):
         check_offshell_action(
-            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), cs2, bp
+            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), ops, cs2, bp
         )
     with pytest.raises(ParameterError):
         check_central_relation(
-            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), cs2, bp
+            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), ops, cs2, bp
         )
     with pytest.raises(ParameterError):
-        check_central_relation(0.4 + 0.1j, roots * 2, ((), ()), cs2, bp_diag)
+        check_central_relation(
+            0.4 + 0.1j, roots * 2, ((), ()), ops_diag, cs2, bp_diag
+        )
     with pytest.raises(ParameterError):
-        check_c_action(0.4 + 0.1j, roots, cs2, bp_diag)
+        check_c_action(0.4 + 0.1j, roots, ops_diag, cs2, bp_diag)
     with pytest.raises(ParameterError):
-        check_expansion(roots, cs2, bp_diag)
+        check_expansion(roots, ops_diag, cs2, bp_diag)
 
 
 def test_multiple_actions(cs2, bp, rng):
     roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp))
     u = draw_spectral_point(rng, roots, cs=cs2, bp=bp)
-    res = check_multiple_actions(u, roots, unwanted_terms(roots, cs2, bp), cs2, bp)
+    ops = operators(roots + (u,), cs2, bp)
+    res = check_multiple_actions(
+        u, roots, unwanted_terms(roots, cs2, bp), ops, cs2, bp
+    )
     assert set(res) == {
         "a_through_b",
         "d_through_b",
@@ -106,7 +122,8 @@ def test_multiple_actions_diagonal(cs2, bp_diag, rng):
     roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp_diag))
     u = draw_spectral_point(rng, roots, cs=cs2, bp=bp_diag)
     unwanted = unwanted_terms(roots, cs2, bp_diag)
-    res = check_multiple_actions(u, roots, unwanted, cs2, bp_diag)
+    ops = operators(roots + (u,), cs2, bp_diag)
+    res = check_multiple_actions(u, roots, unwanted, ops, cs2, bp_diag)
     assert all(v <= EXPANSION_TOL for v in res.values())
 
 
@@ -114,14 +131,15 @@ def test_cb_sweep_and_c_action(cs2, bp, rng):
     for count in (1, 2, 3):
         roots = tuple(draw_spectral_points(rng, count, cs=cs2, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs2, bp=bp)
-        assert check_cb_sweep(u, roots, cs2, bp) <= ACTION_TOL
-        assert check_c_action(u, roots, cs2, bp) <= ACTION_TOL
+        ops = operators(roots + (u,), cs2, bp)
+        assert check_cb_sweep(u, roots, ops, cs2, bp) <= ACTION_TOL
+        assert check_c_action(u, roots, ops, cs2, bp) <= ACTION_TOL
 
 
 def test_expansion(cs1, cs2, bp, rng):
     for cs, count in ((cs1, 1), (cs2, 2), (cs2, 3)):
         roots = tuple(draw_spectral_points(rng, count, cs=cs, bp=bp))
-        res = check_expansion(roots, cs, bp)
+        res = check_expansion(roots, operators(roots, cs, bp), cs, bp)
         assert res["right"] <= EXPANSION_TOL
         assert res["left"] <= EXPANSION_TOL
         assert res["w0_routes"] <= EXPANSION_TOL
@@ -135,7 +153,10 @@ def test_w_coefficients_single_root(cs2, bp, rng):
     assert coeff.levels[0][()] == pytest.approx(expected)
     assert coeff.levels[1][(0,)] == 1.0
     assert coeff.w0 == pytest.approx(expected)
-    assert coeff.w0_matrix == pytest.approx(expected)
+    # The matrix route: (2 (rho - 1) / xi_minus) times the vacuum entry of
+    # the one-root modified state.
+    psi = build_psi((u,), operators([u], cs2, bp), cs2, bp)
+    assert 2 * (bp.rho - 1) / bp.xi_minus * psi[0] == pytest.approx(expected)
 
 
 def test_w0_scalar_symmetric(cs2, bp, rng):
@@ -145,9 +166,14 @@ def test_w0_scalar_symmetric(cs2, bp, rng):
     assert w0_scalar((roots[1], roots[2], roots[0]), cs2, bp) == pytest.approx(base)
 
 
-def test_w0_matrix_absent_in_diagonal_mode(cs2, bp_diag, rng):
-    roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp_diag))
-    assert w_coefficients(roots, cs2, bp_diag).w0_matrix is None
+def test_w_coefficients_build_no_state(monkeypatch, cs2, bp, bp_diag, rng):
+    # The coefficients are scalars of the roots alone: the matrix route to
+    # w0 belongs to check_expansion, which reads its state from the table.
+    monkeypatch.setattr(dr, "_raw_blocks", None)
+    for couplings in (bp, bp_diag):
+        roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=couplings))
+        coeff = w_coefficients(roots, cs2, couplings)
+        assert coeff.w0 == coeff.levels[0][()]
 
 
 def test_diagonal_w0_product(cs2, bp_diag, solved2_diag):
@@ -162,12 +188,13 @@ def test_diagonal_w0_product(cs2, bp_diag, solved2_diag):
 
 def _central_rhs_size(u, roots, cs, bp):
     """Norm of the inhomogeneous-term combination relative to the state norm."""
-    psi = build_psi(roots, cs, bp)
+    ops = operators(roots + (u,), cs, bp)
+    psi = build_psi(roots, ops, cs, bp)
     rhs = eigenvalue_parts(u, roots, cs, bp)[1] * psi
     inhomogeneous = unwanted_terms(roots, cs, bp)[1]
     for i, ui in enumerate(roots):
         swapped = tuple(u if j == i else r for j, r in enumerate(roots))
-        rhs = rhs + kn.F(u, ui) * inhomogeneous[i] * build_psi(swapped, cs, bp)
+        rhs = rhs + kn.F(u, ui) * inhomogeneous[i] * build_psi(swapped, ops, cs, bp)
     return np.linalg.norm(rhs) / np.linalg.norm(psi)
 
 
@@ -183,7 +210,8 @@ def test_central_relation_scales_with_rho(cs2, bp, rng):
     for t in (1.0, 0.3, 0.1, 0.05):
         bp_t = BoundaryParams(bp.p, bp.q, t * bp.xi_plus, t * bp.xi_minus)
         unwanted = unwanted_terms(roots, cs2, bp_t)
-        defect = check_central_relation(u, roots, unwanted, cs2, bp_t)
+        ops = operators(roots + (u,), cs2, bp_t)
+        defect = check_central_relation(u, roots, unwanted, ops, cs2, bp_t)
         assert max(defect.values()) <= ACTION_TOL
         size = _central_rhs_size(u, roots, cs2, bp_t)
         sizes.append(size)
