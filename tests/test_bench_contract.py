@@ -1,7 +1,8 @@
 """The benchmark's by-name contract with the package.
 
 ``bench/layers.py`` traces the package by rebinding functions it names as
-``(module, function)`` pairs.  A refactor that renames or unwraps one of
+``(module, function)`` pairs and reads the statistics of the builders it
+names in ``CACHED`` that expose ``cache_info``.  A refactor that renames or unwraps one of
 them breaks ``bench/run.py --trace 1`` without failing any package test;
 these tests catch that here, and run one traced op as ``--trace 1`` does.
 """
@@ -20,6 +21,7 @@ import layers  # noqa: E402
 import workloads  # noqa: E402
 
 PACKAGE = "segment_bethe"
+CACHED_BUILDERS = ("double_row", "modified_entries", "transfer_matrix")
 
 
 def _traced_names():
@@ -33,6 +35,33 @@ def _traced_names():
 def test_traced_names_resolve(module, func):
     target = getattr(importlib.import_module(f"{PACKAGE}.{module}"), func, None)
     assert callable(target), f"{module}.{func}"
+
+
+@pytest.mark.parametrize("func", CACHED_BUILDERS)
+def test_cached_builders_expose_cache_info(func, cs2, bp, rng):
+    # The tracer reads ``cache_info`` of exactly the builders that expose it
+    # (the one-point reads are uncached, so it reads none) and still times each
+    # as a span: one traced call gives a positive self time and finite
+    # hit/miss figures.
+    from segment_bethe.params import draw_spectral_point
+
+    assert func in layers.CACHED and func in layers.TIMED["double_row"]
+    builder = getattr(importlib.import_module(f"{PACKAGE}.double_row"), func)
+    tracer = layers.Tracer(2)
+    assert (func in tracer._caches) == hasattr(builder, "cache_info")
+    u = draw_spectral_point(rng, cs=cs2, bp=bp)
+    tracer.install()
+    try:
+        traced = getattr(importlib.import_module(f"{PACKAGE}.double_row"), func)
+        assert traced is not builder
+        traced(u, cs2, bp)
+    finally:
+        tracer.restore()
+    assert getattr(importlib.import_module(f"{PACKAGE}.double_row"), func) is builder
+    figures = tracer.metrics(1)
+    assert figures[f"double_row.{func}.self_s"] > 0
+    for kind in ("hits", "misses"):
+        assert math.isfinite(figures[f"double_row.{func}.{kind}"])
 
 
 def test_traced_certify_op_fills_every_layer_metric():
