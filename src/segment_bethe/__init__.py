@@ -52,7 +52,6 @@ from .vectors import (
     build_dual_psi,
     build_psi,
     check_c_action,
-    check_central_relation,
     check_expansion,
     check_offshell_action,
     w_coefficients,
@@ -74,7 +73,6 @@ __all__ = [
     "build_dual_psi",
     "build_psi",
     "check_c_action",
-    "check_central_relation",
     "check_exchange_relations",
     "check_expansion",
     "check_offshell_action",

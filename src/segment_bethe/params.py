@@ -1,7 +1,6 @@
 """Boundary couplings, chain data and the random draws used by the checks.
 
-Parameters are deliberately immutable (hashable) so operator builders can
-memoise on them.
+Parameters are immutable.
 """
 
 from __future__ import annotations

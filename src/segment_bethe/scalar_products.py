@@ -356,26 +356,19 @@ def _s_diag_formula(u1, v1, cs, bp):
     )
 
 
-def n1_identities(
-    u1,
-    v1,
-    cs: ChainSpec,
-    bp: BoundaryParams,
-    onshell_root=None,
-) -> dict:
+def n1_identities(u1, v1, cs: ChainSpec, bp: BoundaryParams, onshell_root) -> dict:
     """Closed-form single-root scalar products and their cross-checks.
 
-    Returns named residuals; when an on-shell root is supplied the reduction
-    of the mixed form to the one-root determinant formula is checked with the
-    ket root on shell.
+    Returns named residuals, among them the reduction of the mixed form to
+    the one-root determinant formula with the ket root ``onshell_root`` on
+    shell.
     """
     if cs.sites != 1:
         raise ParameterError("single-root identities need a one-site chain")
     if bp.diagonal_mode:
         raise ParameterError("single-root identities need generic couplings")
-    u1, v1 = complex(u1), complex(v1)
-    onshell = [] if onshell_root is None else [complex(onshell_root)]
-    ops = operators([u1, v1] + onshell, cs, bp)
+    u1, v1, wv = complex(u1), complex(v1), complex(onshell_root)
+    ops = operators([u1, v1, wv], cs, bp)
     rho = bp.rho
     pref = (rho - 2) / (2 * (rho - 1) ** 2)
 
@@ -433,17 +426,15 @@ def n1_identities(
     )
     out["plain_product"] = pair_residual(sd_matrix, sd)
 
-    if onshell_root is not None:
-        wv = complex(onshell_root)
-        w0w = w0_scalar((wv,), cs, bp)
-        dlam = lambda_total_derivative(u1, (wv,), 0, cs, bp)
-        det_form = pref * w0w * dlam / _v_kernel(u1, wv)
-        mixed_on = s_mixed(u1, wv, w0u, w0w)[0]
-        direct_on = scalar_product_direct((u1,), (wv,), ops, cs, bp)
-        slav = slavnov_modified((wv,), (u1,), cs, bp)
-        scale = max(abs(det_form), abs(mixed_on), abs(direct_on), abs(slav))
-        scale = max(scale, 1e-300)
-        out["prescription"] = abs(det_form - mixed_on) / scale
-        out["determinant_direct"] = abs(det_form - direct_on) / scale
-        out["determinant_general"] = abs(det_form - slav) / scale
+    w0w = w0_scalar((wv,), cs, bp)
+    dlam = lambda_total_derivative(u1, (wv,), 0, cs, bp)
+    det_form = pref * w0w * dlam / _v_kernel(u1, wv)
+    mixed_on = s_mixed(u1, wv, w0u, w0w)[0]
+    direct_on = scalar_product_direct((u1,), (wv,), ops, cs, bp)
+    slav = slavnov_modified((wv,), (u1,), cs, bp)
+    scale = max(abs(det_form), abs(mixed_on), abs(direct_on), abs(slav))
+    scale = max(scale, 1e-300)
+    out["prescription"] = abs(det_form - mixed_on) / scale
+    out["determinant_direct"] = abs(det_form - direct_on) / scale
+    out["determinant_general"] = abs(det_form - slav) / scale
     return out

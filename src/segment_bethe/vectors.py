@@ -20,12 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels as kn
-from .bethe import (
-    _eigenvalue_at,
-    eigenvalue_parts,
-    lambda_total,
-    vacuum_eigenvalues,
-)
+from .bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
 from .double_row import Entries
 from .errors import ParameterError
 from .linalg import pair_residual, relative_residual, vacuum_state
@@ -36,7 +31,6 @@ __all__ = [
     "build_psi",
     "build_dual_psi",
     "check_offshell_action",
-    "check_central_relation",
     "check_multiple_actions",
     "check_c_action",
     "check_cb_sweep",
@@ -148,55 +142,46 @@ def _action_terms(value, coeffs, u, roots, state) -> list:
     return terms
 
 
-def check_offshell_action(
-    u, roots, unwanted, ops, cs: ChainSpec, bp: BoundaryParams
-) -> dict:
-    """Residuals of the full off-shell transfer action on ket and bra states.
+def check_offshell_action(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
+    """Residuals of the off-shell transfer action on ket and bra states.
 
-    ``unwanted`` is :func:`~segment_bethe.bethe.unwanted_terms` at
-    ``roots``, evaluated once for every check at these roots, and ``ops``
-    the draw's operator table at ``roots`` and ``u``.
+    ``t(u) psi = Lambda(u) psi + sum_i F(u, u_i) E_i psi(u_i -> u)``, with
+    ``Lambda`` and each ``E_i`` split into a dressed and an inhomogeneous
+    part, is checked whole (``right``, ``left``); its dressed part, where the
+    remainder of the creation entry at ``u`` stands for the inhomogeneous one
+    (``partial_*``); and, for generic couplings, the central relation
+    between that remainder and the inhomogeneous part (``central_*``).  All
+    three read one ``t(u)``, one evaluation of ``Lambda(u)``, one table of
+    :func:`~segment_bethe.bethe.unwanted_terms` and one state memo per side,
+    with ``ops`` the draw's operator table at ``roots`` and ``u``.
     """
     u = complex(u)
     roots = tuple(roots)
     if len(roots) != cs.sites:
         raise ParameterError("off-shell action requires one root per site")
     t = ops.transfer(u, bp)
-    lam = lambda_total(u, roots, cs, bp)
-    dressed, inhomogeneous = unwanted
-    coeffs = [
-        kn.F(u, r) * (d + g) for r, d, g in zip(roots, dressed, inhomogeneous)
-    ]
+    lam_d, lam_g = eigenvalue_parts(u, roots, cs, bp)
+    lam = lam_d + lam_g
+    dressed, inhomogeneous = unwanted_terms(roots, cs, bp)
+    weights = [kn.F(u, r) for r in roots]
+    whole = [w * (d + g) for w, d, g in zip(weights, dressed, inhomogeneous)]
+    partial = [w * d for w, d in zip(weights, dressed)]
+    central = [w * g for w, g in zip(weights, inhomogeneous)]
     out = {}
     for side in SIDES:
         state = _state_cache(side, ops, cs, bp)
-        terms = _action_terms(lam, coeffs, u, roots, state)
-        out[side.key] = _residual(side.act(t, state(roots)), terms)
-    return out
-
-
-def check_central_relation(
-    u, roots, unwanted, ops, cs: ChainSpec, bp: BoundaryParams
-) -> dict:
-    """Residuals of the inhomogeneous-term identity (requires generic
-    couplings); ``unwanted`` and ``ops`` as in :func:`check_offshell_action`."""
-    u = complex(u)
-    roots = tuple(roots)
-    if bp.diagonal_mode:
-        raise ParameterError("central relation needs generic couplings")
-    if len(roots) != cs.sites:
-        raise ParameterError("central relation requires one root per site")
-
-    lam_g = eigenvalue_parts(u, roots, cs, bp)[1]
-    inhomogeneous = unwanted[1]
-    coeffs = [kn.F(u, r) * g for r, g in zip(roots, inhomogeneous)]
-    out = {}
-    for side in SIDES:
-        state = _state_cache(side, ops, cs, bp)
-        lhs = _remainder_coeff(u, bp, side) * side.act(
-            side.string(ops.modified[u]), state(roots)
-        )
-        out[side.key] = _residual(lhs, _action_terms(lam_g, coeffs, u, roots, state))
+        lhs = side.act(t, state(roots))
+        out[side.key] = _residual(lhs, _action_terms(lam, whole, u, roots, state))
+        dressed_terms = _action_terms(lam_d, partial, u, roots, state)
+        if not bp.diagonal_mode:
+            remainder = _remainder_coeff(u, bp, side) * side.act(
+                side.string(ops.modified[u]), state(roots)
+            )
+            dressed_terms.append(remainder)
+            out[f"central_{side.key}"] = _residual(
+                remainder, _action_terms(lam_g, central, u, roots, state)
+            )
+        out[f"partial_{side.key}"] = _residual(lhs, dressed_terms)
     return out
 
 
@@ -208,15 +193,12 @@ def _string_product(side: _Side, entries: dict, ws, cs) -> np.ndarray:
     return prod
 
 
-def check_multiple_actions(
-    u, roots, unwanted, ops, cs: ChainSpec, bp: BoundaryParams
-) -> dict:
+def check_multiple_actions(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """Residuals of the sweep of diagonal entries through a creation string.
 
-    The four operator identities are checked as full matrix equalities; the
-    partial transfer action (valid for any number of roots) is checked on the
-    reference state and its dual.  ``unwanted`` and ``ops`` are as in
-    :func:`check_offshell_action`.
+    The four operator identities are checked as full matrix equalities, for
+    any number of roots; ``ops`` is as in :func:`check_offshell_action`,
+    which checks the partial transfer action these sweeps lead to.
     """
     u = complex(u)
     roots = tuple(roots)
@@ -237,11 +219,7 @@ def check_multiple_actions(
         kd = kn.k(u, ui) * h_rest
         na = kn.n(u, ui) * f_rest
         sweeps.append((rest, e_i.a, e_i.d, ga, wd, kd, na))
-    # The dressed eigenvalue at u and its products of f and h over the roots.
-    e = _eigenvalue_at(u, roots, cs, bp)
-    f_all, h_all, lam_d = e.pf, e.ph, e.dressed
-    t = ops.transfer(u, bp)
-    coeffs = [kn.F(u, r) * d for r, d in zip(roots, unwanted[0])]
+    f_all, h_all = kn.f_product(u, roots), kn.h_product(u, roots)
 
     out = {}
     for side in SIDES:
@@ -260,16 +238,6 @@ def check_multiple_actions(
             )
         out[side.through.format("a")] = _residual(side.act(e_u.a, full), terms_a)
         out[side.through.format("d")] = _residual(side.act(e_u.d, full), terms_d)
-
-        # Partial off-shell action on this side's reference state.
-        state = _state_cache(side, ops, cs, bp)
-        terms = _action_terms(lam_d, coeffs, u, roots, state)
-        if not bp.diagonal_mode:
-            terms.append(
-                _remainder_coeff(u, bp, side)
-                * side.act(side.string(e_u), state(roots))
-            )
-        out[f"partial_{side.key}"] = _residual(side.act(t, state(roots)), terms)
     return out
 
 
@@ -495,7 +463,7 @@ def check_expansion(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
     nn = len(roots)
     coeff = w_coefficients(roots, cs, bp)
     rho = bp.rho
-    out = {}
+    out, states = {}, {}
     for side in SIDES:
         x1, x2 = side.couplings(bp)
         pref = ((rho - 2) * x1 / (2 * (rho - 1) * x2)) ** nn
@@ -509,9 +477,10 @@ def check_expansion(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
                     * wval
                     * _apply_string(side, ops.plain, keep_roots, cs)
                 )
-        out[side.key] = _residual(side.state(roots, ops, cs, bp), terms)
+        states[side] = side.state(roots, ops, cs, bp)
+        out[side.key] = _residual(states[side], terms)
 
-    w0_matrix = (2 * (rho - 1) / bp.xi_minus) ** nn * build_psi(roots, ops, cs, bp)[0]
+    w0_matrix = (2 * (rho - 1) / bp.xi_minus) ** nn * states[KET][0]
     out["w0_routes"] = pair_residual(coeff.w0, w0_matrix)
     return out
 

@@ -7,6 +7,7 @@ session-scoped and shared; tests must not mutate them.
 import numpy as np
 import pytest
 
+import segment_bethe.double_row as dr
 from segment_bethe.bethe import solve_bethe, solve_bethe_diagonal
 from segment_bethe.params import (
     BoundaryParams,
@@ -66,3 +67,23 @@ def solved2_diag(cs2, bp_diag):
     # The sets of one diagonal solve, keyed by their magnon number.
     sols = solve_bethe_diagonal(cs2, bp_diag, rng=np.random.default_rng(SEED + 12))
     return {m: [s for s in sols if len(s.roots) == m] for m in range(3)}
+
+
+@pytest.fixture
+def count_raw_blocks(monkeypatch):
+    """``count_raw_blocks()`` returns a new list of the sizes of the
+    ``double_row._raw_blocks`` stacks built from then on (until the next
+    call or the end of the test)."""
+    real = dr._raw_blocks
+
+    def start():
+        sizes = []
+
+        def counted(us, cs, bp):
+            sizes.append(len(us))
+            return real(us, cs, bp)
+
+        monkeypatch.setattr(dr, "_raw_blocks", counted)
+        return sizes
+
+    return start

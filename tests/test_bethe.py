@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import segment_bethe.double_row as dr_module
 from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe import precision
@@ -350,37 +349,26 @@ def test_certified_sets_cost_one_system_evaluation(monkeypatch):
     assert len(sets) <= 20 + found // 10
 
 
-def _count_raw_blocks(monkeypatch):
-    """Sizes of the ``_raw_blocks`` stacks built from here on."""
-    sizes = []
-    real = dr_module._raw_blocks
-
-    def counted(us, cs, bp):
-        sizes.append(len(us))
-        return real(us, cs, bp)
-
-    monkeypatch.setattr(dr_module, "_raw_blocks", counted)
-    return sizes
-
-
-def test_solve_builds_reference_then_one_stack(monkeypatch, cs2, bp):
+def test_solve_builds_reference_then_one_stack(count_raw_blocks, cs2, bp):
     # t(u) is built as one stack at the eigenbasis reference point, the 5
     # check points and the m + 2 nodes; no per-point transfer matrix is
     # built.
-    sizes = _count_raw_blocks(monkeypatch)
+    sizes = count_raw_blocks()
     sols = solve_bethe(cs2, bp, rng=np.random.default_rng(91))
     assert len(sols) == 4
     assert sizes == [1 + 5 + cs2.sites + 2]
 
 
-def test_ill_conditioned_reference_falls_back_to_stack(monkeypatch, cs2, bp):
+def test_ill_conditioned_reference_falls_back_to_stack(
+    monkeypatch, count_raw_blocks, cs2, bp
+):
     # The drawn reference is rejected once: the basis is built at the first
     # check point, already in the one stack, so nothing more is drawn or
     # built per point, and the solve is still complete.
     rng = np.random.default_rng(91)
     full = solve_bethe(cs2, bp, rng=rng)
     after_full = rng.random()
-    sizes = _count_raw_blocks(monkeypatch)
+    sizes = count_raw_blocks()
     real = np.linalg.cond
     conds = []
 

@@ -333,6 +333,12 @@ def test_exit_two_on_the_removed_direct_cap_key(tmp_path, capsys):
     assert "unknown config key 'direct_cap'" in capsys.readouterr().err
 
 
+def test_exit_two_on_a_huge_chain(capsys):
+    # Refused by its byte count before any theta is drawn, not left to run.
+    assert main(["spectrum", "--sites", "100000", "--draws", "1"]) == 2
+    assert "config error: 100000-site chain" in capsys.readouterr().err
+
+
 def test_exit_two_on_dimension_error(monkeypatch, capsys):
     # An operator beyond the byte limit is a configuration fault.
     monkeypatch.setattr(linalg, "MAX_BYTES", 4)

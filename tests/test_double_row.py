@@ -251,16 +251,9 @@ def test_stack_trace_gate_names_the_point(monkeypatch, cs2, bp, rng):
 
 
 @pytest.mark.parametrize("sites, sizes", [(4, [11]), (6, [1, 1, 1])])
-def test_stack_chunks_stay_within_budget(monkeypatch, sites, sizes, bp):
+def test_stack_chunks_stay_within_budget(count_raw_blocks, sites, sizes, bp):
     # One solve at N <= 4 is one chunk; from N = 6 on each point is its own.
-    seen = []
-    real = dr._raw_blocks
-
-    def counted(us, cs, bp):
-        seen.append(len(us))
-        return real(us, cs, bp)
-
-    monkeypatch.setattr(dr, "_raw_blocks", counted)
+    seen = count_raw_blocks()
     rng = np.random.default_rng(400 + sites)
     cs = draw_chain_spec(rng, sites)
     points = draw_spectral_points(rng, sum(sizes), cs=cs, bp=bp)
@@ -279,25 +272,14 @@ def test_transfer_matrix_is_a_one_point_stack(cs2, bp, bp_diag, rng):
             t[0, 0] = 0
 
 
-def _count_raw_blocks(monkeypatch):
-    """Sizes of the ``_raw_blocks`` stacks built from here on."""
-    sizes = []
-    real = dr._raw_blocks
-
-    def counted(us, cs, bp):
-        sizes.append(len(us))
-        return real(us, cs, bp)
-
-    monkeypatch.setattr(dr, "_raw_blocks", counted)
-    return sizes
-
-
-def test_operator_table_matches_one_point_reads(monkeypatch, cs3, bp, bp_diag, rng):
+def test_operator_table_matches_one_point_reads(
+    count_raw_blocks, cs3, bp, bp_diag, rng
+):
     # One stack for the distinct points; each entry, and t(u) assembled from
     # the table, equals the one-point reads bit for bit.
     for couplings in (bp, bp_diag):
         points = draw_spectral_points(rng, 3, cs=cs3, bp=couplings)
-        sizes = _count_raw_blocks(monkeypatch)
+        sizes = count_raw_blocks()
         table = operators(points + points[:1], cs3, couplings)
         assert sizes == [3]
         assert list(table.plain) == points
@@ -315,7 +297,9 @@ def test_operator_table_matches_one_point_reads(monkeypatch, cs3, bp, bp_diag, r
                 assert got.tobytes() == want.tobytes()
 
 
-def test_operator_table_charges_what_it_holds(monkeypatch, cs3, bp, rng):
+def test_operator_table_charges_what_it_holds(
+    monkeypatch, count_raw_blocks, cs3, bp, rng
+):
     # One point's plain entries, raw block and modified entries own
     # 144 * 4^N bytes of array data; the table charges that per distinct
     # point before it builds anything.  A limit that admits the table leaves
@@ -329,7 +313,7 @@ def test_operator_table_charges_what_it_holds(monkeypatch, cs3, bp, rng):
         bases[id(array)] = array
     point = sum(array.nbytes for array in bases.values())
     assert point == 144 * 4**3
-    sizes = _count_raw_blocks(monkeypatch)
+    sizes = count_raw_blocks()
     monkeypatch.setattr(linalg, "MAX_BYTES", 2 * point - 1)
     with pytest.raises(DimensionError, match="operator table of 2 point"):
         operators([u, v, u], cs3, bp)

@@ -347,20 +347,10 @@ def test_norm_runs_at_six_sites_at_default_settings():
     assert report.all_passed
 
 
-def _stacks_of(monkeypatch, command, **kwargs):
+def _stacks_of(count_raw_blocks, command, **kwargs):
     """Sizes of the ``_raw_blocks`` stacks that one run builds, in order."""
-    sizes = []
-    real = dr._raw_blocks
-
-    def counted(us, cs, bp):
-        sizes.append(len(us))
-        return real(us, cs, bp)
-
-    monkeypatch.setattr(dr, "_raw_blocks", counted)
-    try:
-        run(command, RunConfig(**kwargs))
-    finally:
-        monkeypatch.setattr(dr, "_raw_blocks", real)
+    sizes = count_raw_blocks()
+    run(command, RunConfig(**kwargs))
     return sizes
 
 
@@ -382,28 +372,57 @@ def test_offshell_beyond_the_byte_limit_is_refused_before_any_build(
 
 
 @pytest.mark.parametrize("sites", [2, 3])
-def test_offshell_builds_one_table_per_draw(monkeypatch, sites):
+def test_offshell_builds_one_table_per_draw(count_raw_blocks, sites):
     # The draw's roots and its point u, one stack of N + 1 points per draw.
-    sizes = _stacks_of(monkeypatch, "offshell", sites=sites, seed=0, draws=2)
+    sizes = _stacks_of(count_raw_blocks, "offshell", sites=sites, seed=0, draws=2)
     assert sizes == [sites + 1, sites + 1]
 
 
+def test_offshell_assembles_t_once_per_draw(monkeypatch):
+    # The whole action, its dressed part and the central relation read one
+    # t(u) per draw.
+    calls = []
+    real = dr._transfer_blocks
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(dr, "_transfer_blocks", counted)
+    run("offshell", RunConfig(sites=2, seed=0, draws=2))
+    assert len(calls) == 2
+
+
+def test_huge_chain_is_refused_before_its_thetas_are_drawn(monkeypatch):
+    # Drawing generic thetas is quadratic in N, so an absurd chain must be
+    # refused by its byte count first, without forming 4**N.
+    def no_draw(*args):
+        raise AssertionError("draw_chain_spec called")
+
+    monkeypatch.setattr(harness, "draw_chain_spec", no_draw)
+    with pytest.raises(DimensionError, match="100000-site chain"):
+        run("exchange", RunConfig(sites=10**5))
+    with pytest.raises(DimensionError, match=f"{10**18}-site chain"):
+        run("exchange", RunConfig(sites=10**18))
+
+
 @pytest.mark.parametrize("sites", [2, 3])
-def test_slavnov_builds_one_table_per_draw_and_sector(monkeypatch, sites):
+def test_slavnov_builds_one_table_per_draw_and_sector(count_raw_blocks, sites):
     # Each solve's stack of N + 8 points, then the draw's on-shell and free
     # roots in one stack; after the diagonal solve, one stack per magnon
     # sector m = 1..N of its 2m roots.
-    sizes = _stacks_of(monkeypatch, "slavnov", sites=sites, seed=0, draws=2)
+    sizes = _stacks_of(count_raw_blocks, "slavnov", sites=sites, seed=0, draws=2)
     solve = sites + 8
     sectors = [2 * m for m in range(1, sites + 1)]
     assert sizes == [solve, 2 * sites, solve, 2 * sites, solve] + sectors
 
 
-def test_norm_and_n1_build_one_table_per_draw(monkeypatch):
+def test_norm_and_n1_build_one_table_per_draw(count_raw_blocks):
     # norm: each draw's solve, then its N roots; n1: one solve at N = 1, then
     # per draw one stack of u1, v1 and the on-shell root.
-    assert _stacks_of(monkeypatch, "norm", sites=2, seed=0, draws=2) == [10, 2, 10, 2]
-    assert _stacks_of(monkeypatch, "n1", seed=0, draws=2) == [9, 3, 3]
+    norm = _stacks_of(count_raw_blocks, "norm", sites=2, seed=0, draws=2)
+    assert norm == [10, 2, 10, 2]
+    assert _stacks_of(count_raw_blocks, "n1", seed=0, draws=2) == [9, 3, 3]
 
 
 def test_run_all_namespaces_details():
@@ -512,19 +531,19 @@ def test_root_sets_distinct_counts_matching_pairs(monkeypatch):
 EXCHANGE_STACKS = [2, 5, 10, 5]
 
 
-def test_exchange_builds_nothing_per_point(monkeypatch):
+def test_exchange_builds_nothing_per_point(count_raw_blocks):
     # The exchange pair, the five points of the two transfer forms, the ten
     # of the commutators and the five of the Hamiltonian check, each one
     # stack.
-    sizes = _stacks_of(monkeypatch, "exchange", sites=2, seed=0, draws=1)
+    sizes = _stacks_of(count_raw_blocks, "exchange", sites=2, seed=0, draws=1)
     assert sizes == EXCHANGE_STACKS
 
 
-def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange(monkeypatch):
+def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange(count_raw_blocks):
     # Every build of `all` at N = 2 is a stack: the exchange suite's, one
     # per solve (N + 8 points; 9 for n1's one site) and one table per draw
     # or diagonal sector.
-    sizes = _stacks_of(monkeypatch, "all", sites=2, seed=0, draws=1)
+    sizes = _stacks_of(count_raw_blocks, "all", sites=2, seed=0, draws=1)
     assert sizes == EXCHANGE_STACKS + [10, 3, 10, 4, 10, 2, 4, 10, 2, 9, 3]
 
 

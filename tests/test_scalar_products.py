@@ -168,9 +168,9 @@ def test_n1_identities(cs1, bp, solved1, rng):
 
 def test_n1_guards(cs1, cs2, bp, bp_diag):
     with pytest.raises(ParameterError):
-        n1_identities(0.3 + 0.1j, 0.7 - 0.2j, cs2, bp)
+        n1_identities(0.3 + 0.1j, 0.7 - 0.2j, cs2, bp, 0.1 - 0.4j)
     with pytest.raises(ParameterError):
-        n1_identities(0.3 + 0.1j, 0.7 - 0.2j, cs1, bp_diag)
+        n1_identities(0.3 + 0.1j, 0.7 - 0.2j, cs1, bp_diag, 0.1 - 0.4j)
 
 
 def test_modified_product_reaches_diagonal_limit(cs2, bp, bp_diag, solved2_diag, rng):

@@ -3,8 +3,9 @@
 A top-level function of ``src/segment_bethe`` whose name has no leading
 underscore must be referenced in the package outside its own definition,
 exported by the package ``__init__``, or named inside backticks in README.
-One that only the tests call belongs with the tests (``oracles``).  The
-sources are parsed, not imported.
+One that only the tests call belongs with the tests (``oracles``).  And no
+module imports another module's private (underscore, not dunder) name: what
+two modules share is public.  The sources are parsed, not imported.
 """
 
 import ast
@@ -63,3 +64,24 @@ def orphans(root=ROOT) -> list:
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     assert orphans() == []
+
+
+def private_imports(root=ROOT) -> list:
+    """``module <- source.name`` for each private name a module imports from
+    another module of the package."""
+    out = []
+    for path in sorted((root / "src" / "segment_bethe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level or (node.module or "").startswith("segment_bethe")):
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not name.endswith("__"):
+                    out.append(f"{path.stem} <- {node.module}.{name}")
+    return out
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports() == []

@@ -8,13 +8,13 @@ from segment_bethe import kernels as kn
 from segment_bethe.bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
 from segment_bethe.double_row import operators
 from segment_bethe.errors import ParameterError
+from segment_bethe.harness import RECORDS
 from segment_bethe.params import BoundaryParams, draw_spectral_point, draw_spectral_points
 from segment_bethe.vectors import (
     build_dual_psi,
     build_psi,
     check_c_action,
     check_cb_sweep,
-    check_central_relation,
     check_expansion,
     check_multiple_actions,
     check_offshell_action,
@@ -25,6 +25,15 @@ from segment_bethe.vectors import (
 
 ACTION_TOL = 1e-9
 EXPANSION_TOL = 1e-10
+# Each key of check_offshell_action and the record that folds it.
+OFFSHELL_RECORDS = {
+    "right": "offshell-action-right",
+    "left": "offshell-action-left",
+    "partial_right": "multiple-actions",
+    "partial_left": "multiple-actions",
+    "central_right": "central-relation-right",
+    "central_left": "central-relation-left",
+}
 
 
 def test_build_psi_permutation_invariant(cs2, bp, rng):
@@ -50,32 +59,37 @@ def test_build_psi_not_null(cs1, cs2, bp, rng):
         assert np.linalg.norm(vec) > 1e-8
 
 
+def _offshell_draws(cs, couplings, rng, draws=3):
+    """``check_offshell_action`` on ``draws`` fresh draws of N roots and u."""
+    for _ in range(draws):
+        roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=couplings))
+        u = draw_spectral_point(rng, roots, cs=cs, bp=couplings)
+        ops = operators(roots + (u,), cs, couplings)
+        yield check_offshell_action(u, roots, ops, cs, couplings)
+
+
 @pytest.mark.parametrize("sites", [1, 2])
-def test_offshell_action(sites, cs1, cs2, bp, rng):
+def test_offshell_action(sites, cs1, cs2, bp, bp_diag, rng):
+    # The whole action and its dressed part on both sides; the central
+    # relation only for generic couplings.  Each within its record's
+    # tolerance.
     cs = cs1 if sites == 1 else cs2
-    for _ in range(3):
-        roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=bp))
-        u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        ops = operators(roots + (u,), cs, bp)
-        res = check_offshell_action(
-            u, roots, unwanted_terms(roots, cs, bp), ops, cs, bp
-        )
-        assert res["right"] <= ACTION_TOL
-        assert res["left"] <= ACTION_TOL
+    for couplings in (bp, bp_diag):
+        for res in _offshell_draws(cs, couplings, rng):
+            keys = set(OFFSHELL_RECORDS)
+            if couplings.diagonal_mode:
+                keys -= {"central_right", "central_left"}
+            assert set(res) == keys
+            for key, value in res.items():
+                assert value <= RECORDS[OFFSHELL_RECORDS[key]][1]
 
 
 @pytest.mark.parametrize("sites", [1, 2])
 def test_central_relation(sites, cs1, cs2, bp, rng):
     cs = cs1 if sites == 1 else cs2
-    for _ in range(3):
-        roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=bp))
-        u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        ops = operators(roots + (u,), cs, bp)
-        res = check_central_relation(
-            u, roots, unwanted_terms(roots, cs, bp), ops, cs, bp
-        )
-        assert res["right"] <= ACTION_TOL
-        assert res["left"] <= ACTION_TOL
+    for res in _offshell_draws(cs, bp, rng):
+        assert res["central_right"] <= ACTION_TOL
+        assert res["central_left"] <= ACTION_TOL
 
 
 def test_root_count_guards(cs2, bp, bp_diag, rng):
@@ -83,17 +97,9 @@ def test_root_count_guards(cs2, bp, bp_diag, rng):
     ops = operators(roots + (0.4 + 0.1j,), cs2, bp)
     ops_diag = operators(roots + (0.4 + 0.1j,), cs2, bp_diag)
     with pytest.raises(ParameterError):
-        check_offshell_action(
-            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), ops, cs2, bp
-        )
+        check_offshell_action(0.4 + 0.1j, roots, ops, cs2, bp)
     with pytest.raises(ParameterError):
-        check_central_relation(
-            0.4 + 0.1j, roots, unwanted_terms(roots, cs2, bp), ops, cs2, bp
-        )
-    with pytest.raises(ParameterError):
-        check_central_relation(
-            0.4 + 0.1j, roots * 2, ((), ()), ops_diag, cs2, bp_diag
-        )
+        check_offshell_action(0.4 + 0.1j, roots * 3, ops_diag, cs2, bp_diag)
     with pytest.raises(ParameterError):
         check_c_action(0.4 + 0.1j, roots, ops_diag, cs2, bp_diag)
     with pytest.raises(ParameterError):
@@ -104,26 +110,16 @@ def test_multiple_actions(cs2, bp, rng):
     roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp))
     u = draw_spectral_point(rng, roots, cs=cs2, bp=bp)
     ops = operators(roots + (u,), cs2, bp)
-    res = check_multiple_actions(
-        u, roots, unwanted_terms(roots, cs2, bp), ops, cs2, bp
-    )
-    assert set(res) == {
-        "a_through_b",
-        "d_through_b",
-        "c_through_a",
-        "c_through_d",
-        "partial_right",
-        "partial_left",
-    }
+    res = check_multiple_actions(u, roots, ops, cs2, bp)
+    assert set(res) == {"a_through_b", "d_through_b", "c_through_a", "c_through_d"}
     assert all(v <= EXPANSION_TOL for v in res.values())
 
 
 def test_multiple_actions_diagonal(cs2, bp_diag, rng):
     roots = tuple(draw_spectral_points(rng, 2, cs=cs2, bp=bp_diag))
     u = draw_spectral_point(rng, roots, cs=cs2, bp=bp_diag)
-    unwanted = unwanted_terms(roots, cs2, bp_diag)
     ops = operators(roots + (u,), cs2, bp_diag)
-    res = check_multiple_actions(u, roots, unwanted, ops, cs2, bp_diag)
+    res = check_multiple_actions(u, roots, ops, cs2, bp_diag)
     assert all(v <= EXPANSION_TOL for v in res.values())
 
 
@@ -209,10 +205,9 @@ def test_central_relation_scales_with_rho(cs2, bp, rng):
     sizes = []
     for t in (1.0, 0.3, 0.1, 0.05):
         bp_t = BoundaryParams(bp.p, bp.q, t * bp.xi_plus, t * bp.xi_minus)
-        unwanted = unwanted_terms(roots, cs2, bp_t)
         ops = operators(roots + (u,), cs2, bp_t)
-        defect = check_central_relation(u, roots, unwanted, ops, cs2, bp_t)
-        assert max(defect.values()) <= ACTION_TOL
+        defect = check_offshell_action(u, roots, ops, cs2, bp_t)
+        assert max(defect["central_right"], defect["central_left"]) <= ACTION_TOL
         size = _central_rhs_size(u, roots, cs2, bp_t)
         sizes.append(size)
         ratios.append(size / abs(bp_t.rho))
