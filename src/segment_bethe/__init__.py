@@ -18,7 +18,6 @@ from .double_row import (
     check_exchange_relations,
     hamiltonian,
     modified_entries,
-    operators,
     transfer_matrices,
     transfer_matrix,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "modified_entries",
     "n1_identities",
     "norm_from_slavnov_limit",
-    "operators",
     "q_similarity",
     "r_matrix",
     "refine_roots",

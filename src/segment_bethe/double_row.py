@@ -17,8 +17,9 @@ Every step runs on a stack of points with a leading point axis, each gate
 judged per point.  :func:`transfer_matrices` builds ``t(u)``, and
 :func:`transfer_forms_residual` compares its two forms, for a whole list of
 points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
-builds its pair as one stack, and :func:`operators` one draw's table of
-entries in the same chunks.  Nothing is cached.
+builds its pair as one stack.  :func:`act` runs the same R-steps on a stack
+of states instead of the identity, so a Bethe state never needs a
+``2^N``-square entry.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import kernels as kn
 from . import linalg
+from .boundary import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .boundary import k_minus, k_plus, q_similarity
 from .errors import ConstructionError, ParameterError, PoleError
 from .linalg import (
@@ -38,13 +40,11 @@ from .linalg import (
     kron,
     relative_residuals,
 )
-from .boundary import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .params import BoundaryParams, ChainSpec
 
 __all__ = [
     "Entries",
-    "Operators",
-    "operators",
+    "act",
     "double_row",
     "modified_entries",
     "transfer_matrix",
@@ -65,20 +65,14 @@ STACK_BYTES = 1 << 18
 
 
 class Entries(NamedTuple):
-    """Operator entries ``a, b, c, d`` of one family, frozen ``2^N x 2^N`` arrays.
-
-    Both families share this type: the plain entries of :func:`double_row`
-    and the modified entries of :func:`modified_entries`; ``d`` carries the
-    d-shift in both.  For the plain family ``raw`` is the double-row matrix
-    as a ``(2, 2^N, 2, 2^N)`` block tensor, without the d-shift, and ``a``,
-    ``b`` and ``c`` are views into it; the modified family has no raw block.
-    """
+    """Entries ``a, b, c, d`` of one family, the d-shift in ``d``: frozen
+    ``2^N``-square matrices (:func:`double_row`, :func:`modified_entries`)
+    or the entries applied to a stack of states (:func:`act`)."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    raw: np.ndarray | None = None
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -103,30 +97,37 @@ def _columns(rows) -> np.ndarray:
 def _times_r_string(m: np.ndarray, values, sites) -> np.ndarray:
     """``m[b] @ R_{0,sites[0]}(values[0][b]) @ R_{0,sites[1]}(...) @ ...``.
 
-    ``m`` is a ``(B, dim, dim)`` stack, or one ``(1, dim, dim)`` matrix that
-    the first factor broadcasts over the stack; ``values[k]`` holds factor
-    k's parameter at each of the B points.  ``m @ R_{0i}(v) = v m + m P_{0i}``,
-    and ``m P_{0i}`` is ``m`` with its auxiliary and site-i column axes
-    swapped.
+    ``m`` is a ``(B, rows, dim)`` stack, or one ``(1, rows, dim)`` block
+    that the first factor broadcasts over the stack; ``values[k]`` holds
+    factor k's parameter at each of the B points.  ``m @ R_{0i}(v) = v m +
+    m P_{0i}``, and ``m P_{0i}`` is ``m`` with its auxiliary and site-i
+    column axes swapped.
     """
-    dim = m.shape[1]
+    rows, dim = m.shape[1:]
     t = m.reshape(m.shape[:2] + (2,) * (dim.bit_length() - 1))
     values = np.array(values, dtype=complex)
     values = values.reshape(values.shape + (1,) * (t.ndim - 1))
     for v, i in zip(values, sites):
         t = v * t + t.swapaxes(2, 3 + i)
-    return t.reshape(-1, dim, dim)
+    return t.reshape(-1, rows, dim)
 
 
-def _bulk_string(us: list, cs: ChainSpec) -> tuple:
-    """Parameters and sites of the bulk factors ``R_{0i}(u - theta_i)``."""
-    return [[u - theta for u in us] for theta in cs.thetas], range(cs.sites)
-
-
-def _hat_string(us: list, cs: ChainSpec) -> tuple:
-    """Parameters and sites of the return-trip factors ``R_{0i}(u + theta_i)``."""
-    sites = range(cs.sites - 1, -1, -1)
-    return [[u + cs.thetas[i] for u in us] for i in sites], sites
+def _times_double_row(m: np.ndarray, us: list, thetas, bp) -> np.ndarray:
+    """``m[b] @ T(u_b) K^-(u_b) T_hat(u_b)`` for a ``(1 or B, rows, dim)`` stack;
+    ``T`` is the string of ``R_{0i}(u - theta_i)`` over the sites in order,
+    ``T_hat`` that of ``R_{0i}(u + theta_i)`` in reverse order."""
+    for u in us:
+        if abs(2 * u + 1) < kn.POLE_TOL:
+            raise PoleError("double_row", u, abs(2 * u + 1))
+    sites = range(len(thetas))
+    bulk = _times_r_string(m, [[u - th for u in us] for th in thetas], sites)
+    # T K^-: K^- is diagonal on the auxiliary space, so it scales the
+    # columns of each auxiliary half.
+    count, rows, dim = bulk.shape
+    k_diag = k_minus(us, bp).diagonal(axis1=1, axis2=2)
+    t_k = bulk.reshape(count, rows, 2, dim // 2) * k_diag[:, None, :, None]
+    hat = [[u + thetas[i] for u in us] for i in reversed(sites)]
+    return _times_r_string(t_k.reshape(count, rows, dim), hat, reversed(sites))
 
 
 # ---------------------------------------------------------------------------
@@ -136,55 +137,36 @@ def _hat_string(us: list, cs: ChainSpec) -> tuple:
 
 
 def _raw_blocks(us: list, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
-    """Raw blocks ``T(u) K^-(u) T_hat(u)``, shape ``(B, 2, 2^N, 2, 2^N)``."""
+    """Blocks ``A, B, C, D`` of ``T(u) K^-(u) T_hat(u)``, ``(B, 4, 2^N, 2^N)``."""
     dim = 1 << (cs.sites + 1)
-    # A build, through its gates, peaks at about 6.3 times its raw blocks
-    # (7.5 for the pair of check_exchange_relations; tracemalloc at N = 5-8),
-    # so it is charged 8 raw blocks.
+    # A build, through its gates, peaks at 5.0 to 5.8 times its raw blocks
+    # from N = 6 on (7.5 for the pair of check_exchange_relations;
+    # tracemalloc at N = 6-8), so it is charged 8 raw blocks.
     linalg.check_bytes(
         8 * len(us) * dim * dim * 16, f"double-row build of {len(us)} point(s)"
     )
-    for u in us:
-        if abs(2 * u + 1) < kn.POLE_TOL:
-            raise PoleError("double_row", u, abs(2 * u + 1))
-    count, half = len(us), dim // 2
-    bulk = _times_r_string(identity(dim)[None], *_bulk_string(us, cs))
-    # T K^-: K^- is diagonal on the auxiliary space, so it scales the
-    # columns of each auxiliary half.
-    k_diag = k_minus(us, bp).diagonal(axis1=1, axis2=2)
-    t_k = bulk.reshape(count, dim, 2, half) * k_diag[:, None, :, None]
-    return _times_r_string(
-        t_k.reshape(count, dim, dim), *_hat_string(us, cs)
-    ).reshape(count, 2, half, 2, half)
+    raw = _times_double_row(identity(dim)[None], us, cs.thetas, bp)
+    h = dim // 2
+    return raw.reshape(-1, 2, h, 2, h).swapaxes(2, 3).reshape(-1, 4, h, h)
 
 
-def _shifts(us: list) -> np.ndarray:
-    """``2u + 1`` per point, shaped to divide a ``(B, n, n)`` stack."""
-    return np.array([2 * u + 1 for u in us])[:, None, None]
-
-
-def _entries(raw: np.ndarray, us: list) -> tuple:
+def _entries(blocks: np.ndarray, us: list) -> tuple:
     """Blocks ``a, b, c`` (views) and the shifted ``d = D - a/(2u+1)``."""
-    a = raw[:, 0, :, 0, :]
-    d = raw[:, 1, :, 1, :] - a / _shifts(us)
-    return a, raw[:, 0, :, 1, :], raw[:, 1, :, 0, :], d
+    a, b, c, d = blocks.swapaxes(0, 1)
+    return a, b, c, d - a / _shifts(us, a.ndim)
 
 
-def _modified_blocks(raw: np.ndarray, us: list, bp: BoundaryParams):
-    """Modified entries ``a_bar, b_bar, c_bar, d_bar``, shape ``(B, 4, 2^N, 2^N)``.
+def _shifts(us: list, ndim: int) -> np.ndarray:
+    """``2u + 1`` per point, shaped to divide a stack of ``ndim`` axes."""
+    return np.array([2 * u + 1 for u in us]).reshape((-1,) + (1,) * (ndim - 1))
 
-    Built twice from the raw blocks: once from the closed-form linear
-    combinations, once by actually conjugating with ``q_similarity``.  Both
-    routes apply the d-shift ``d_bar = D_bar - a_bar / (2u+1)`` last, so no
-    term of size ``1/(2u+1)`` is formed and cancelled inside a combination.
-    The two routes must agree to 1e-12 at every point; disagreement means a
-    construction bug, not a numerical accident, so it raises.
-    """
-    count, _, half = raw.shape[:3]
-    rho = bp.rho
-    xp, xm = bp.xi_plus, bp.xi_minus
-    # Rows: a_bar, b_bar, c_bar and the unshifted D_bar; columns: the raw
-    # blocks A, B, C, D.
+
+def _route_maps(bp: BoundaryParams) -> np.ndarray:
+    """The two routes from the raw blocks ``A, B, C, D`` (columns) to ``a_bar``,
+    ``b_bar``, ``c_bar`` and the unshifted ``D_bar``, ``(8, 4)``: rows 0-3 the
+    closed form, rows 4-7 conjugation by ``Q``.  Block (j, l) of ``Q^-1 M Q``
+    is ``sum_{k,m} Q^-1[j,k] M[k,m] Q[m,l]``: row 4 + 2j + l, column 2k + m."""
+    rho, xp, xm = bp.rho, bp.xi_plus, bp.xi_minus
     closed_form = np.array(
         [
             [rho - 2, -xm, -xp, rho],
@@ -193,30 +175,48 @@ def _modified_blocks(raw: np.ndarray, us: list, bp: BoundaryParams):
             [rho, xm, xp, rho - 2],
         ]
     ) / (2 * (rho - 1))
-    blocks = raw.transpose(0, 1, 3, 2, 4).reshape(count, 4, half * half)
-    closed = (closed_form @ blocks).reshape(count, 4, half, half)
+    (q00, q01), (q10, q11) = q = q_similarity(bp).tolist()
+    det = q00 * q11 - q01 * q10
+    q_inv = [[q11 / det, -q01 / det], [-q10 / det, q00 / det]]
+    pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    conjugation = [[q_inv[j][k] * q[m][l] for k, m in pairs] for j, l in pairs]
+    return np.vstack([closed_form, conjugation])
 
-    # Independent route: conjugate the raw block matrix and re-split.  Block
-    # (j, l) of Q^-1 M Q is sum_{k,m} Q^-1[j,k] M[k,m] Q[m,l], the Kronecker
-    # product Q^-1 x Q^T acting on the flattened block index (k, m).
-    qm = q_similarity(bp)
-    (q00, q01), (q10, q11) = qm.tolist()
-    q_inv = np.array([[q11, -q01], [-q10, q00]]) / (q00 * q11 - q01 * q10)
-    conjugation = (q_inv[:, None, :, None] * qm.T[None, :, None, :]).reshape(4, 4)
-    conjugated = (conjugation @ blocks).reshape(count, 4, half, half)
-    shifts = _shifts(us)
+
+def _modified_blocks(blocks: np.ndarray, us: list, bp: BoundaryParams, on_states):
+    """Modified entries ``a_bar, b_bar, c_bar, d_bar`` of ``(B, 4, ...)`` raw blocks.
+
+    ``blocks[k]`` holds ``A, B, C, D`` at ``us[k]``, whole or applied to
+    states.  The two :func:`_route_maps` results, d-shifted last, must agree
+    to 1e-12 per entry and point, relative to the larger, or it raises (a
+    construction bug).  On states both can cancel far below their terms
+    (near an entry's kernel), so there the largest term (coefficient times
+    block, ``a_bar/(2u+1)``) joins the scale.
+    """
+    maps = _route_maps(bp)
+    flat = blocks.reshape(len(us), 4, -1)
+    closed, conjugated = maps[:4] @ flat, maps[4:] @ flat
+    shifts = _shifts(us, 2)
     for route in (closed, conjugated):
         route[:, 3] -= route[:, 0] / shifts
-
-    res = relative_residuals(closed, conjugated)
-    bad = ~(res <= 1e-12)
-    if bad.any():
-        k, name = np.argwhere(bad)[0]
+    scale = np.maximum((abs(closed) ** 2).sum(-1), (abs(conjugated) ** 2).sum(-1))
+    conjugated -= closed
+    defect = (abs(conjugated) ** 2).sum(-1)
+    ok = defect <= 1e-24 * scale
+    if on_states and not ok.all():
+        # The terms only enlarge the scale, so only a failing result needs them.
+        coeffs = abs(maps).reshape(2, 4, 4).max(axis=0) ** 2
+        terms = (coeffs * (abs(flat) ** 2).sum(-1)[:, None]).max(axis=-1)
+        terms[:, 3] = np.maximum(terms[:, 3], scale[:, 0] / abs(shifts[:, 0]) ** 2)
+        scale = np.maximum(scale, terms)
+        ok = defect <= 1e-24 * scale
+    if not ok.all():
+        k, name = np.argwhere(~ok)[0]
         raise ConstructionError(
             f"modified entry {'abcd'[name]!r} at u = {us[k]}: construction "
-            f"routes disagree ({res[k, name]:.3e})"
+            f"routes disagree ({np.sqrt(defect[k, name] / scale[k, name]):.3e})"
         )
-    return closed
+    return closed.reshape(blocks.shape)
 
 
 def _trace_form(entries, us: list, bp) -> np.ndarray:
@@ -246,7 +246,8 @@ def _transfer_blocks(raw, us: list, bp, closed=None):
     """
     t1 = _trace_form(_entries(raw, us), us, bp)
     # tr_0 (K^+ x 1) raw, contracted block by block.
-    others = [np.einsum("bjk,bkxjy->bxy", k_plus(us, bp), raw)]
+    halves = raw.reshape(len(us), 2, 2, *raw.shape[2:])
+    others = [np.einsum("bjk,bkjxy->bxy", k_plus(us, bp), halves)]
     gates = [("transfer trace decomposition broke", 1e-12)]
     if closed is not None:
         others.append(_modified_form(closed[:, 0], closed[:, 3], us, bp))
@@ -262,58 +263,51 @@ def _transfer_blocks(raw, us: list, bp, closed=None):
 
 
 # ---------------------------------------------------------------------------
-# One draw's operator table, the one-point reads and the stacked
-# transfer-matrix builder, the one path every t(u) is built on.
+# The matrix-free action, the one-point reads and the stacked transfer-matrix
+# builder, the one path every t(u) is built on.
 
 
-class Operators(NamedTuple):
-    """One draw's operators, built once by :func:`operators`: ``plain[u]``
-    and, for generic couplings, ``modified[u]`` are the frozen
-    :class:`Entries` at each point ``u``, shared by the draw's checks."""
+def act(u, states, cs: ChainSpec, bp: BoundaryParams, dual: bool = False):
+    """The double-row entries at ``u`` applied to a ``(K, 2^N)`` stack of states.
 
-    plain: dict
-    modified: dict
-
-    def transfer(self, u, bp: BoundaryParams) -> np.ndarray:
-        """``t(u)`` from the raw block at ``u``, through the gates of
-        :func:`transfer_matrices`."""
-        closed = None if bp.diagonal_mode else np.stack(self.modified[u][:4])[None]
-        return _transfer_blocks(self.plain[u].raw[None], [complex(u)], bp, closed)[0]
-
-
-def operators(points, cs: ChainSpec, bp: BoundaryParams) -> Operators:
-    """The table of entries at the distinct ``points``, built in the chunks of
-    :func:`transfer_matrices` with every gate, after charging what it holds to
-    ``linalg.MAX_BYTES``: per point 144 * 4^N bytes (raw block and shifted d,
-    80 * 4^N; modified entries, 64 * 4^N)."""
-    us = list(dict.fromkeys(_points(points)))
-    what = f"operator table of {len(us)} point(s)"
-    linalg.check_bytes(len(us) * 144 * 4**cs.sites, what)
-    table = Operators({}, {})
-    for _, chunk, raw, closed in _chunked_builds(us, cs, bp):
-        a, b, c, d = _entries(_freeze(raw), chunk)
-        _freeze(d)
-        for k, u in enumerate(chunk):
-            table.plain[u] = Entries(a[k], b[k], c[k], d[k], raw=raw[k])
-            if closed is not None:
-                table.modified[u] = Entries(*_freeze(closed)[k])
-    return table
+    Returns ``(plain, modified)`` :class:`Entries` of ``(K, 2^N)`` arrays:
+    ``plain.b[k]`` is ``b(u) @ states[k]``, or ``states[k] @ b(u)`` if
+    ``dual``; ``modified`` is ``None`` for diagonal couplings.  The rows
+    ``<0| x state`` and ``<1| x state`` run through the R-steps of
+    :func:`_raw_blocks`, times ``M(u; theta)`` for a bra and times its
+    transpose ``M(u; -theta)`` for a ket (``R`` symmetric, ``K^-`` diagonal).
+    """
+    u = complex(u)
+    count, half = np.shape(states)
+    # 8 times its 2K rows of 2^(N+1) numbers; 5.75 at peak from K = 64 on.
+    linalg.check_bytes(512 * count * half, f"double-row action on {count} state(s)")
+    rows = np.zeros((2, count, 2, half), dtype=complex)
+    rows[0, :, 0] = rows[1, :, 1] = states
+    thetas = cs.thetas if dual else [-th for th in cs.thetas]
+    out = _times_double_row(rows.reshape(1, 2 * count, 2 * half), [u], thetas, bp)
+    # out[x, k, y]: state k times block (x, y) (bra) or block (y, x) times it (ket).
+    order = (0, 2, 1, 3) if dual else (2, 0, 1, 3)
+    blocks = out.reshape(2, count, 2, half).transpose(order).reshape(1, 4, count, half)
+    plain = Entries(*(e[0] for e in _entries(blocks, [u])))
+    if bp.diagonal_mode:
+        return plain, None
+    return plain, Entries(*_modified_blocks(blocks, [u], bp, True)[0])
 
 
 def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     """Entries of the double-row monodromy with the dressed d-shift applied."""
     us = _points(u)
-    raw = _freeze(_raw_blocks(us, cs, bp))
-    a, b, c, d = _entries(raw, us)
-    return Entries(a[0], b[0], c[0], _freeze(d)[0], raw=raw[0])
+    return Entries(*(_freeze(e)[0] for e in _entries(_raw_blocks(us, cs, bp), us)))
 
 
 def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
-    """Entries conjugated by the similarity matrix, read from a one-point
-    table (two routes, cross-checked: see :func:`_modified_blocks`)."""
+    """Entries conjugated by the similarity matrix (two routes, cross-checked:
+    see :func:`_modified_blocks`)."""
     if bp.diagonal_mode:
         raise ParameterError("modified entries are undefined for diagonal couplings")
-    return operators([u], cs, bp).modified[complex(u)]
+    us = _points(u)
+    blocks = _modified_blocks(_raw_blocks(us, cs, bp), us, bp, False)
+    return Entries(*_freeze(blocks)[0])
 
 
 def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
@@ -351,7 +345,7 @@ def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):
     for lo in range(0, len(us), step):
         chunk = us[lo : lo + step]
         raw = _raw_blocks(chunk, cs, bp)
-        closed = None if bp.diagonal_mode else _modified_blocks(raw, chunk, bp)
+        closed = None if bp.diagonal_mode else _modified_blocks(raw, chunk, bp, False)
         yield slice(lo, lo + len(chunk)), chunk, raw, closed
 
 
@@ -439,8 +433,8 @@ def check_exchange_relations(u, v, cs: ChainSpec, bp: BoundaryParams) -> dict:
     raw = _raw_blocks(us, cs, bp)
     families = [("plain", _entries(raw, us))]
     if not bp.diagonal_mode:
-        closed = _modified_blocks(raw, us, bp)
-        families.append(("modified", closed.transpose(1, 0, 2, 3)))
+        closed = _modified_blocks(raw, us, bp, False)
+        families.append(("modified", closed.swapaxes(0, 1)))
     res = {}
     for family, entries in families:
         at_u, at_v = zip(*entries)

@@ -40,7 +40,6 @@ from .boundary import (
 from .double_row import (
     check_exchange_relations,
     hamiltonian,
-    operators,
     transfer_forms_residual,
     transfer_matrices,
 )
@@ -67,6 +66,7 @@ from .scalar_products import (
     slavnov_modified,
 )
 from .vectors import (
+    States,
     check_c_action,
     check_cb_sweep,
     check_expansion,
@@ -600,18 +600,18 @@ def run_offshell(config: RunConfig) -> VerificationReport:
     for _ in range(config.draws):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        ops = operators(roots + (u,), cs, bp)
-        off = check_offshell_action(u, roots, ops, cs, bp)
+        states = States(cs, bp)
+        off = check_offshell_action(u, roots, states, cs, bp)
         for side in ("right", "left"):
             rec.fold(f"offshell-action-{side}", off[side])
         for side in ("right", "left"):
             rec.fold(f"central-relation-{side}", off[f"central_{side}"])
-        sweeps = check_multiple_actions(u, roots, ops, cs, bp)
+        sweeps = check_multiple_actions(u, roots, cs, bp)
         partial = (off["partial_right"], off["partial_left"])
         rec.fold("multiple-actions", _worst([*sweeps.values(), *partial]))
-        rec.fold("cb-sweep", check_cb_sweep(u, roots, ops, cs, bp))
-        rec.fold("c-action", check_c_action(u, roots, ops, cs, bp))
-        expansion = check_expansion(roots, ops, cs, bp)
+        rec.fold("cb-sweep", check_cb_sweep(u, roots, states, cs, bp))
+        rec.fold("c-action", check_c_action(u, roots, states, cs, bp))
+        expansion = check_expansion(roots, states, cs, bp)
         for side in ("right", "left"):
             rec.fold(f"expansion-{side}", expansion[side])
         rec.fold("w0-routes", expansion["w0_routes"])
@@ -638,11 +638,10 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
         free = tuple(draw_spectral_points(rng, sites, avoid=on, cs=cs, bp=bp))
         # One formula value against both placements of the on-shell set.
         formula = slavnov_modified(on, free, cs, bp, precision=config.precision)
-        ops = operators(on + free, cs, bp)
         for side, bra, ket in (("bra", on, free), ("ket", free, on)):
             rec.fold(
                 f"slavnov-onshell-{side}",
-                pair_residual(formula, scalar_product_direct(bra, ket, ops, cs, bp)),
+                pair_residual(formula, scalar_product_direct(bra, ket, cs, bp)),
             )
         with working_precision(config.precision):
             free_w = lift_roots(free, config.precision)
@@ -668,12 +667,11 @@ def run_slavnov(config: RunConfig) -> VerificationReport:
             free = tuple(
                 draw_spectral_points(rng, len(on), avoid=on, cs=cs, bp=bp_diag)
             )
-            ops = operators(on + free, cs, bp_diag)
             rec.fold(
                 "slavnov-diagonal",
                 pair_residual(
                     slavnov_modified(on, free, cs, bp_diag),
-                    scalar_product_direct(free, on, ops, cs, bp_diag),
+                    scalar_product_direct(free, on, cs, bp_diag),
                 ),
             )
         rec.fold(
@@ -706,10 +704,9 @@ def run_norm(config: RunConfig) -> VerificationReport:
         cs = config.chain(rng)
         on = _require_roots(solve_bethe(cs, bp, rng=rng, branch=d))[0].roots
         formula = gaudin_korepin_norm(on, cs, bp, precision=config.precision)
-        ops = operators(on, cs, bp)
         rec.fold(
             "norm-vs-direct",
-            pair_residual(formula, scalar_product_direct(on, on, ops, cs, bp)),
+            pair_residual(formula, scalar_product_direct(on, on, cs, bp)),
         )
         explicit = gaudin_matrix(on, cs, bp)
         derivative = gaudin_diagonal_derivative(on, cs, bp)

@@ -204,11 +204,13 @@ def _divide(a, b, c, d):
 
 
 def lift(z, precision: str = "extended"):
-    """Lift one scalar into the requested backend (exact for doubles)."""
-    z = complex(z)
+    """Lift one scalar into the requested backend (exact for doubles; a
+    :class:`DecimalComplex` keeps its digits, rounded to the context)."""
     if precision == "double":
-        return z
-    return DecimalComplex(Decimal(z.real), Decimal(z.imag))
+        return complex(z)
+    if type(z) is DecimalComplex:
+        return DecimalComplex(+z.real, +z.imag)
+    return DecimalComplex(Decimal(complex(z).real), Decimal(complex(z).imag))
 
 
 def lift_roots(roots, precision: str = "extended"):

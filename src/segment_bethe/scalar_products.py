@@ -26,9 +26,8 @@ from .bethe import (
     root_terms,
     vacuum_eigenvalues,
 )
-from .double_row import operators
 from .errors import ConditioningWarning, ParameterError
-from .linalg import pair_residual, vacuum_state
+from .linalg import pair_residual
 from .params import BoundaryParams, ChainSpec
 from .precision import (
     lift,
@@ -38,7 +37,7 @@ from .precision import (
     workdps,
     working_precision,
 )
-from .vectors import build_dual_psi, build_psi, w0_scalar
+from .vectors import BRA, KET, PLAIN, States, build_dual_psi, build_psi, w0_scalar
 
 __all__ = [
     "scalar_product_direct",
@@ -60,11 +59,10 @@ PROXIMITY_THRESHOLD = 1e-3
 LIMIT_EPS = 1e-8
 
 
-def scalar_product_direct(bra_roots, ket_roots, ops, cs: ChainSpec, bp: BoundaryParams):
-    """Brute-force scalar product of two Bethe states (bilinear pairing), read
-    from the operator table ``ops`` at both sets' roots."""
-    bra = build_dual_psi(bra_roots, ops, cs, bp)
-    ket = build_psi(ket_roots, ops, cs, bp)
+def scalar_product_direct(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams):
+    """Brute-force scalar product of two Bethe states (bilinear pairing)."""
+    bra = build_dual_psi(bra_roots, cs, bp)
+    ket = build_psi(ket_roots, cs, bp)
     return complex(bra @ ket)
 
 
@@ -368,7 +366,6 @@ def n1_identities(u1, v1, cs: ChainSpec, bp: BoundaryParams, onshell_root) -> di
     if bp.diagonal_mode:
         raise ParameterError("single-root identities need generic couplings")
     u1, v1, wv = complex(u1), complex(v1), complex(onshell_root)
-    ops = operators([u1, v1, wv], cs, bp)
     rho = bp.rho
     pref = (rho - 2) / (2 * (rho - 1) ** 2)
 
@@ -379,7 +376,7 @@ def n1_identities(u1, v1, cs: ChainSpec, bp: BoundaryParams, onshell_root) -> di
         tail_b = eigenvalue_parts(b, (a,), cs, bp)[1] * w0a / (2 * (b + 1))
         return pref * ((rho - 1) * sd + tail_a + tail_b), sd, tail_a + tail_b
 
-    direct = scalar_product_direct((u1,), (v1,), ops, cs, bp)
+    direct = scalar_product_direct((u1,), (v1,), cs, bp)
     w0u, w0v = w0_scalar((u1,), cs, bp), w0_scalar((v1,), cs, bp)
     good, sd, tails = s_mixed(u1, v1, w0u, w0v)
     s1 = ((rho - 2) / (2 * (rho - 1))) ** 2 * sd + (
@@ -416,21 +413,16 @@ def n1_identities(u1, v1, cs: ChainSpec, bp: BoundaryParams, onshell_root) -> di
     ) / max(scale, 1e-300)
     out = {"four_way": four_way, "values": values}
 
-    # Brute-force check of the plain-basis two-operator product formula.
-    vac = vacuum_state(1)
-    sd_matrix = complex(
-        vac
-        @ ops.plain[u1].c
-        @ ops.plain[v1].b
-        @ vac
-    )
+    # Brute-force plain product <0| c(u1) b(v1) |0>: plain bra times plain ket.
+    st = States(cs, bp)
+    sd_matrix = complex(st.state(BRA, PLAIN, (u1,)) @ st.state(KET, PLAIN, (v1,)))
     out["plain_product"] = pair_residual(sd_matrix, sd)
 
     w0w = w0_scalar((wv,), cs, bp)
     dlam = lambda_total_derivative(u1, (wv,), 0, cs, bp)
     det_form = pref * w0w * dlam / _v_kernel(u1, wv)
     mixed_on = s_mixed(u1, wv, w0u, w0w)[0]
-    direct_on = scalar_product_direct((u1,), (wv,), ops, cs, bp)
+    direct_on = scalar_product_direct((u1,), (wv,), cs, bp)
     slav = slavnov_modified((wv,), (u1,), cs, bp)
     scale = max(abs(det_form), abs(mixed_on), abs(direct_on), abs(slav))
     scale = max(scale, 1e-300)

@@ -1,19 +1,20 @@
 """Bethe vectors, transfer-matrix action checks, and basis expansions.
 
 States are built by repeated application of the modified creation operator to
-the reference state (plain operators in the diagonal limit), reading every
-entry from the caller's :func:`~segment_bethe.double_row.operators` table
-``ops`` at the draw's points.  Every identity holds for the ket and,
-mirrored, for the bra; each is written once over a :class:`_Side`.  All
-checks return scale-free residuals: defect norm over the largest term norm
-entering the identity, so a tolerance means the same thing at every chain
-size.
+the reference state (plain operators in the diagonal limit), each entry
+applied by :func:`~segment_bethe.double_row.act` without forming it.  One
+:class:`States` memo per draw builds every string once.  Every identity
+holds for the ket and, mirrored, for the bra; each is written once over a
+:class:`_Side`.  All checks return scale-free residuals: defect norm over
+the largest term norm entering the identity, so a tolerance means the same
+thing at every chain size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -21,13 +22,14 @@ import numpy as np
 
 from . import kernels as kn
 from .bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
-from .double_row import Entries
+from .double_row import Entries, act, transfer_matrix
 from .errors import ParameterError
-from .linalg import pair_residual, relative_residual, vacuum_state
+from .linalg import identity, pair_residual, relative_residual, vacuum_state
 from .params import BoundaryParams, ChainSpec
 
 __all__ = [
     "ExpansionCoefficients",
+    "States",
     "build_psi",
     "build_dual_psi",
     "check_offshell_action",
@@ -40,11 +42,13 @@ __all__ = [
     "diagonal_w0_product",
 ]
 
+# The families a state is built from, indices into ``act``'s result.
+PLAIN, MODIFIED = 0, 1
 
-def _family(ops, bp) -> dict:
-    """The table's entries states are built from: modified, or plain for
-    diagonal couplings."""
-    return ops.plain if bp.diagonal_mode else ops.modified
+
+def _family(bp: BoundaryParams) -> int:
+    """Modified entries build states, plain ones for diagonal couplings."""
+    return PLAIN if bp.diagonal_mode else MODIFIED
 
 
 class _Side(NamedTuple):
@@ -59,16 +63,10 @@ class _Side(NamedTuple):
     dual: bool
     through: str
 
-    def state(self, roots, ops, cs, bp) -> np.ndarray:
-        # Called by name, so that a wrapper bound to either name sees the call.
-        if self.dual:
-            return build_dual_psi(roots, ops, cs, bp)
-        return build_psi(roots, ops, cs, bp)
-
     def string(self, entries: Entries) -> np.ndarray:
         return entries.c if self.dual else entries.b
 
-    def act(self, op, vec):
+    def apply(self, op, vec):
         """``op`` applied from this side: ``op @ vec`` (ket), ``vec @ op`` (bra)."""
         return vec @ op if self.dual else op @ vec
 
@@ -84,34 +82,55 @@ BRA = _Side("left", True, "c_through_{}")
 SIDES = (KET, BRA)
 
 
-def _apply_string(side: _Side, entries: dict, roots, cs) -> np.ndarray:
-    """The side's string of ``entries`` at ``roots`` applied to the reference state."""
-    vec = vacuum_state(cs.sites)
-    for u in roots:
-        vec = side.act(side.string(entries[u]), vec)
-    return vec
+class States:
+    """One draw's Bethe states, each string built once.
+
+    ``state(side, fam, roots)`` applies the creation entry at ``roots[-1]``
+    to the memoised string at ``roots[:-1]``; ``applied(side, fam, roots,
+    u)`` is every ``fam`` entry at ``u`` on that string; ``subsets`` builds
+    the strings at every subset of some roots, a prefix trie, with one
+    stacked :func:`~segment_bethe.double_row.act` call per root.
+    """
+
+    def __init__(self, cs: ChainSpec, bp: BoundaryParams):
+        self.cs, self.bp, self._memo = cs, bp, {}
+
+    def _act(self, side: _Side, fam: int, prefixes, u) -> list:
+        """Memo keys at ``u`` of ``prefixes``; one act call builds those missing."""
+        # Every string starts at the reference state; a call gives both families.
+        keys = [(side.dual, fam if p else None, p, complex(u)) for p in prefixes]
+        todo = [(key, p) for key, p in zip(keys, prefixes) if key not in self._memo]
+        if todo:
+            stack = np.array([self.state(side, fam, p) for _, p in todo])
+            out = act(u, stack, self.cs, self.bp, dual=side.dual)
+            self._memo.update((key, (out, k)) for k, (key, _) in enumerate(todo))
+        return keys
+
+    def applied(self, side: _Side, fam: int, roots, u) -> Entries:
+        out, k = self._memo[self._act(side, fam, [tuple(roots)], u)[0]]
+        return Entries(*(e[k] for e in out[fam]))
+
+    def state(self, side: _Side, fam: int, roots) -> np.ndarray:
+        if not roots:
+            return vacuum_state(self.cs.sites)
+        return side.string(self.applied(side, fam, roots[:-1], roots[-1]))
+
+    def subsets(self, side: _Side, fam: int, roots) -> None:
+        """Build the strings at every subset of ``roots``, in index order."""
+        level = [()]
+        for u in roots:
+            self._act(side, fam, level, u)
+            level += [p + (u,) for p in level]
 
 
-def build_psi(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+def build_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Creation-operator product applied to the reference state."""
-    return _apply_string(KET, _family(ops, bp), roots, cs)
+    return States(cs, bp).state(KET, _family(bp), roots)
 
 
-def build_dual_psi(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+def build_dual_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Dual state: annihilation-operator product applied to the left vacuum."""
-    return _apply_string(BRA, _family(ops, bp), roots, cs)
-
-
-def _state_cache(side: _Side, ops, cs, bp):
-    memo = {}
-
-    def get(roots):
-        key = tuple(roots)
-        if key not in memo:
-            memo[key] = side.state(key, ops, cs, bp)
-        return memo[key]
-
-    return get
+    return States(cs, bp).state(BRA, _family(bp), roots)
 
 
 def _residual(lhs, terms) -> float:
@@ -142,7 +161,7 @@ def _action_terms(value, coeffs, u, roots, state) -> list:
     return terms
 
 
-def check_offshell_action(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
+def check_offshell_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """Residuals of the off-shell transfer action on ket and bra states.
 
     ``t(u) psi = Lambda(u) psi + sum_i F(u, u_i) E_i psi(u_i -> u)``, with
@@ -152,31 +171,29 @@ def check_offshell_action(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> d
     (``partial_*``); and, for generic couplings, the central relation
     between that remainder and the inhomogeneous part (``central_*``).  All
     three read one ``t(u)``, one evaluation of ``Lambda(u)``, one table of
-    :func:`~segment_bethe.bethe.unwanted_terms` and one state memo per side,
-    with ``ops`` the draw's operator table at ``roots`` and ``u``.
+    :func:`~segment_bethe.bethe.unwanted_terms` and the draw's ``states``.
     """
     u = complex(u)
     roots = tuple(roots)
     if len(roots) != cs.sites:
         raise ParameterError("off-shell action requires one root per site")
-    t = ops.transfer(u, bp)
+    t = transfer_matrix(u, cs, bp)
     lam_d, lam_g = eigenvalue_parts(u, roots, cs, bp)
     lam = lam_d + lam_g
     dressed, inhomogeneous = unwanted_terms(roots, cs, bp)
     weights = [kn.F(u, r) for r in roots]
     whole = [w * (d + g) for w, d, g in zip(weights, dressed, inhomogeneous)]
-    partial = [w * d for w, d in zip(weights, dressed)]
+    part = [w * d for w, d in zip(weights, dressed)]
     central = [w * g for w, g in zip(weights, inhomogeneous)]
     out = {}
     for side in SIDES:
-        state = _state_cache(side, ops, cs, bp)
-        lhs = side.act(t, state(roots))
+        state = partial(states.state, side, _family(bp))
+        lhs = side.apply(t, state(roots))
         out[side.key] = _residual(lhs, _action_terms(lam, whole, u, roots, state))
-        dressed_terms = _action_terms(lam_d, partial, u, roots, state)
+        dressed_terms = _action_terms(lam_d, part, u, roots, state)
         if not bp.diagonal_mode:
-            remainder = _remainder_coeff(u, bp, side) * side.act(
-                side.string(ops.modified[u]), state(roots)
-            )
+            # The creation entry at u on the string at roots.
+            remainder = _remainder_coeff(u, bp, side) * state(roots + (u,))
             dressed_terms.append(remainder)
             out[f"central_{side.key}"] = _residual(
                 remainder, _action_terms(lam_g, central, u, roots, state)
@@ -193,24 +210,23 @@ def _string_product(side: _Side, entries: dict, ws, cs) -> np.ndarray:
     return prod
 
 
-def check_multiple_actions(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
+def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """Residuals of the sweep of diagonal entries through a creation string.
 
     The four operator identities are checked as full matrix equalities, for
-    any number of roots; ``ops`` is as in :func:`check_offshell_action`,
-    which checks the partial transfer action these sweeps lead to.
+    any number of roots, on each point's entries from ``act`` on the identity;
+    :func:`check_offshell_action` checks the partial action they lead to.
     """
     u = complex(u)
     roots = tuple(roots)
-    m = len(roots)
-    family = _family(ops, bp)
+    eye = identity(1 << cs.sites)
+    family = {w: act(w, eye, cs, bp, dual=True)[_family(bp)] for w in (u,) + roots}
     e_u = family[u]
 
     # Per root: the string's other roots, the diagonal entries at the root
     # and the exchange weights of a and d sweeping past it.
     sweeps = []
-    for i in range(m):
-        ui = roots[i]
+    for i, ui in enumerate(roots):
         rest = _without(roots, i)
         e_i = family[ui]
         f_rest, h_rest = kn.f_product(ui, rest), kn.h_product(ui, rest)
@@ -226,18 +242,18 @@ def check_multiple_actions(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> 
         # Diagonal operator through the string: a and d, each acting from
         # this side, move to the far side of it.
         full = _string_product(side, family, roots, cs)
-        terms_a = [f_all * side.act(full, e_u.a)]
-        terms_d = [h_all * side.act(full, e_u.d)]
+        terms_a = [f_all * side.apply(full, e_u.a)]
+        terms_d = [h_all * side.apply(full, e_u.d)]
         for rest, a_i, d_i, ga, wd, kd, na in sweeps:
             swapped = _string_product(side, family, (u,) + rest, cs)
             terms_a.append(
-                ga * side.act(swapped, a_i) + wd * side.act(swapped, d_i)
+                ga * side.apply(swapped, a_i) + wd * side.apply(swapped, d_i)
             )
             terms_d.append(
-                kd * side.act(swapped, d_i) + na * side.act(swapped, a_i)
+                kd * side.apply(swapped, d_i) + na * side.apply(swapped, a_i)
             )
-        out[side.through.format("a")] = _residual(side.act(e_u.a, full), terms_a)
-        out[side.through.format("d")] = _residual(side.act(e_u.d, full), terms_d)
+        out[side.through.format("a")] = _residual(side.apply(e_u.a, full), terms_a)
+        out[side.through.format("d")] = _residual(side.apply(e_u.d, full), terms_d)
     return out
 
 
@@ -325,7 +341,7 @@ def _annihilation_terms(u, roots, state, cs, bp) -> list:
     return terms
 
 
-def check_cb_sweep(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> float:
+def check_cb_sweep(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Annihilation through a plain creation string, resolved on the vacuum.
 
     Uses plain operators regardless of couplings, which isolates the
@@ -333,27 +349,23 @@ def check_cb_sweep(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> float:
     """
     u = complex(u)
     roots = tuple(roots)
-
-    def plain_b_string(ws):
-        return _apply_string(KET, ops.plain, ws, cs)
-
-    lhs = ops.plain[u].c @ plain_b_string(roots)
+    lhs = states.applied(KET, PLAIN, roots, u).c
+    plain_b_string = partial(states.state, KET, PLAIN)
     return _residual(lhs, _annihilation_terms(u, roots, plain_b_string, cs, bp))
 
 
-def check_c_action(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> float:
+def check_c_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Residual of the five-group modified annihilation action on a state."""
     u = complex(u)
     roots = tuple(roots)
     if bp.diagonal_mode:
         raise ParameterError("modified annihilation action needs generic couplings")
-    psi = _state_cache(KET, ops, cs, bp)
+    psi = partial(states.state, KET, MODIFIED)
     rxm = bp.rho / bp.xi_minus
     l1u, l2u = vacuum_eigenvalues(u, cs, bp)
 
-    e_u = ops.modified[u]
-    lhs = e_u.c @ psi(roots)
-    terms = [-(rxm * rxm) * (e_u.b @ psi(roots))]
+    e_u = states.applied(KET, MODIFIED, roots, u)
+    terms = [-(rxm * rxm) * e_u.b]
     terms.append(
         rxm
         * (
@@ -362,8 +374,7 @@ def check_c_action(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> float:
         )
         * psi(roots)
     )
-    for i in range(len(roots)):
-        vi = roots[i]
+    for i, vi in enumerate(roots):
         rest = _without(roots, i)
         l1i, l2i = vacuum_eigenvalues(vi, cs, bp)
         coef = -rxm * kn.w(u, vi) * (
@@ -372,7 +383,7 @@ def check_c_action(u, roots, ops, cs: ChainSpec, bp: BoundaryParams) -> float:
         )
         terms.append(coef * psi((u,) + rest))
     terms += _annihilation_terms(u, roots, psi, cs, bp)
-    return _residual(lhs, terms)
+    return _residual(e_u.c, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +465,21 @@ def w_coefficients(roots, cs: ChainSpec, bp: BoundaryParams) -> ExpansionCoeffic
     return ExpansionCoefficients(roots, levels, complex(levels[0][()]))
 
 
-def check_expansion(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
+def check_expansion(roots, states, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """Residuals of the modified-string expansion over plain strings, and of
-    ``w0`` against its matrix route, ``(2(rho-1)/xi_minus)^N psi[0]``."""
+    ``w0`` against its matrix route, ``(2(rho-1)/xi_minus)^N psi[0]``.
+
+    The plain strings at the subsets of ``roots``, taken in index order,
+    form a prefix trie, built by ``states.subsets``."""
     roots = tuple(roots)
     if bp.diagonal_mode:
         raise ParameterError("expansion is defined for generic couplings")
     nn = len(roots)
     coeff = w_coefficients(roots, cs, bp)
     rho = bp.rho
-    out, states = {}, {}
+    out, modified = {}, {}
     for side in SIDES:
+        states.subsets(side, PLAIN, roots)
         x1, x2 = side.couplings(bp)
         pref = ((rho - 2) * x1 / (2 * (rho - 1) * x2)) ** nn
         terms = []
@@ -475,12 +490,12 @@ def check_expansion(roots, ops, cs: ChainSpec, bp: BoundaryParams) -> dict:
                     pref
                     * (rho / x1) ** (nn - i)
                     * wval
-                    * _apply_string(side, ops.plain, keep_roots, cs)
+                    * states.state(side, PLAIN, keep_roots)
                 )
-        states[side] = side.state(roots, ops, cs, bp)
-        out[side.key] = _residual(states[side], terms)
+        modified[side] = states.state(side, MODIFIED, roots)
+        out[side.key] = _residual(modified[side], terms)
 
-    w0_matrix = (2 * (rho - 1) / bp.xi_minus) ** nn * states[KET][0]
+    w0_matrix = (2 * (rho - 1) / bp.xi_minus) ** nn * modified[KET][0]
     out["w0_routes"] = pair_residual(coeff.w0, w0_matrix)
     return out
 

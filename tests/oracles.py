@@ -1,17 +1,20 @@
 """Test-side references that the package's own tables are certified against.
 
 The derivatives of the exchange kernels and of the modified trace
-coefficients, each from its own closed form, and the literal partial trace
-over the auxiliary factor.  The package computes none of these directly:
+coefficients, each from its own closed form, the literal partial trace
+over the auxiliary factor, and Bethe states multiplied out from whole
+one-point entries.  The package computes none of these directly:
 its per-root tables (``bethe.root_terms``) and its stacked ``K^+`` trace are
 held to them by ``test_formula_tables`` and ``test_double_row``, and
 ``test_kernels`` and ``test_oracles`` hold them to finite differences and
-to ``einsum``.
+to ``einsum``; ``test_vectors`` holds the matrix-free states to the
+multiplied-out ones.
 """
 
+from segment_bethe.double_row import double_row, modified_entries
 from segment_bethe.errors import DimensionError
 from segment_bethe.kernels import Q, _guard, phi, phi_and_derivative
-from segment_bethe.linalg import as_matrix
+from segment_bethe.linalg import as_matrix, vacuum_state
 
 
 def d_f_du(u, v):
@@ -58,3 +61,18 @@ def trace_aux(m):
         raise DimensionError("trace_aux needs a square matrix of even dimension")
     half = dim // 2
     return m[:half, :half] + m[half:, half:]
+
+
+def table_state(roots, cs, bp, dual=False, plain=False):
+    """A Bethe state from whole one-point entries, as an operator table built it.
+
+    The ket ``b(u_m) ... b(u_1) |0>`` or the bra ``<0| c(u_1) ... c(u_m)``
+    of modified entries, or of plain ones when ``plain`` or for diagonal
+    couplings, each entry a ``2^N``-square matrix multiplied into the state.
+    """
+    entries = double_row if plain or bp.diagonal_mode else modified_entries
+    vec = vacuum_state(cs.sites)
+    for u in roots:
+        e = entries(u, cs, bp)
+        vec = vec @ e.c if dual else e.b @ vec
+    return vec

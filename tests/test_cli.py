@@ -299,21 +299,23 @@ def test_exit_three_when_solver_finds_nothing(monkeypatch, capsys, command):
     assert "run failed" in capsys.readouterr().err
 
 
-# Chain length and first table's point count per command: the lengths at
-# which every build before that table (the solves, and the exchange and
-# spectrum suites of `all`) is charged less than the table.
-FIRST_TABLE = {"offshell": (3, 4), "slavnov": (6, 12), "norm": (6, 6), "all": (7, 8)}
+# Chain length and point count of each command's first double-row build:
+# the off-shell draw's one-point t(u), the first solve's stack of N + 8
+# points, and the exchange pair that `all` builds after check-algebra.  Each
+# is charged 8 * 4^(N+1) * 16 bytes per point, the largest request a run
+# makes up to it.
+FIRST_BUILD = {"offshell": (3, 1), "slavnov": (3, 11), "norm": (3, 11), "all": (3, 2)}
 
 
-@pytest.mark.parametrize("command", sorted(FIRST_TABLE))
+@pytest.mark.parametrize("command", sorted(FIRST_BUILD))
 def test_exit_two_beyond_the_cache_budget(monkeypatch, capsys, command):
-    # A draw's operator table, 144 * 4^N bytes per point, over the byte limit
-    # is a configuration fault; the limit sits one byte below the first table.
-    sites, points = FIRST_TABLE[command]
-    monkeypatch.setattr(linalg, "MAX_BYTES", points * 144 * 4**sites - 1)
+    # A build over the byte limit is a configuration fault, refused before
+    # its blocks are allocated; the limit sits one byte below the first one.
+    sites, points = FIRST_BUILD[command]
+    monkeypatch.setattr(linalg, "MAX_BYTES", points * 8 * 4 ** (sites + 1) * 16 - 1)
     assert main([command, "--sites", str(sites), "--draws", "1"]) == 2
     out, err = capsys.readouterr()
-    assert f"config error: operator table of {points} point(s)" in err
+    assert f"config error: double-row build of {points} point(s)" in err
     assert out == ""
 
 

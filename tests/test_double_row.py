@@ -27,7 +27,6 @@ from segment_bethe.double_row import (
     double_row,
     hamiltonian,
     modified_entries,
-    operators,
     transfer_forms_residual,
     transfer_matrices,
     transfer_matrix,
@@ -272,55 +271,56 @@ def test_transfer_matrix_is_a_one_point_stack(cs2, bp, bp_diag, rng):
             t[0, 0] = 0
 
 
-def test_operator_table_matches_one_point_reads(
+def test_act_on_the_identity_matches_one_point_reads(
     count_raw_blocks, cs3, bp, bp_diag, rng
 ):
-    # One stack for the distinct points; each entry, and t(u) assembled from
-    # the table, equals the one-point reads bit for bit.
+    # The bra route on the identity stack runs the raw build's arithmetic,
+    # so its entries equal the one-point reads bit for bit, and it builds
+    # no raw block.
     for couplings in (bp, bp_diag):
-        points = draw_spectral_points(rng, 3, cs=cs3, bp=couplings)
-        sizes = count_raw_blocks()
-        table = operators(points + points[:1], cs3, couplings)
-        assert sizes == [3]
-        assert list(table.plain) == points
-        assert list(table.modified) == ([] if couplings.diagonal_mode else points)
-        for u in points:
-            pairs = list(zip(table.plain[u], double_row(u, cs3, couplings)))
-            if not couplings.diagonal_mode:
-                pairs += zip(
-                    table.modified[u][:4], modified_entries(u, cs3, couplings)[:4]
-                )
-            pairs.append(
-                (table.transfer(u, couplings), transfer_matrix(u, cs3, couplings))
-            )
+        for u in draw_spectral_points(rng, 3, cs=cs3, bp=couplings):
+            sizes = count_raw_blocks()
+            plain, modified = dr.act(u, identity(8), cs3, couplings, dual=True)
+            assert sizes == []
+            pairs = list(zip(plain, double_row(u, cs3, couplings)))
+            if couplings.diagonal_mode:
+                assert modified is None
+            else:
+                pairs += zip(modified, modified_entries(u, cs3, couplings))
             for got, want in pairs:
                 assert got.tobytes() == want.tobytes()
 
 
-def test_operator_table_charges_what_it_holds(
-    monkeypatch, count_raw_blocks, cs3, bp, rng
-):
-    # One point's plain entries, raw block and modified entries own
-    # 144 * 4^N bytes of array data; the table charges that per distinct
-    # point before it builds anything.  A limit that admits the table leaves
-    # the refusal to the chunk's build, which is charged more.
-    u, v = draw_spectral_points(rng, 2, cs=cs3, bp=bp)
-    table = operators([u], cs3, bp)
-    bases = {}
-    for array in (*table.plain[u], *table.modified[u][:4]):
-        while array.base is not None:  # a view counts as the array it views
-            array = array.base
-        bases[id(array)] = array
-    point = sum(array.nbytes for array in bases.values())
-    assert point == 144 * 4**3
-    sizes = count_raw_blocks()
-    monkeypatch.setattr(linalg, "MAX_BYTES", 2 * point - 1)
-    with pytest.raises(DimensionError, match="operator table of 2 point"):
-        operators([u, v, u], cs3, bp)
-    assert sizes == []
-    monkeypatch.setattr(linalg, "MAX_BYTES", 2 * point)
-    with pytest.raises(DimensionError, match="double-row build of 2 point"):
-        operators([u, v, u], cs3, bp)
+def test_act_charges_its_rows_before_allocating(monkeypatch, cs3, bp, rng):
+    # K states at N sites run as 2K rows of 2^(N+1) complex numbers, and a
+    # call is charged 8 times that: 8 * 64 * K * 2^N bytes.  A limit one byte
+    # short refuses the call before its rows are allocated.
+    u = draw_spectral_point(rng, cs=cs3, bp=bp)
+    states = np.ones((5, 8), dtype=complex)
+    monkeypatch.setattr(linalg, "MAX_BYTES", 8 * 64 * 5 * 8)
+    dr.act(u, states, cs3, bp)
+    monkeypatch.setattr(linalg, "MAX_BYTES", 8 * 64 * 5 * 8 - 1)
+    monkeypatch.setattr(np, "zeros", _allocation)
+    with pytest.raises(DimensionError, match="double-row action on 5 state"):
+        dr.act(u, states, cs3, bp)
+
+
+def test_act_keeps_the_pole_guard(cs2, bp):
+    with pytest.raises(PoleError):
+        dr.act(-0.5 + 1e-14j, np.ones((1, 4)), cs2, bp)
+
+
+def test_act_gate_flags_a_wrong_closed_form_row(monkeypatch, cs2, bp, rng):
+    # One sign flipped in the b_bar row of the closed form: the conjugation
+    # route disagrees on the states, so the vector gate raises.
+    real = dr._route_maps
+    flip = np.array([[1], [-1], [1], [1], [1], [1], [1], [1]])
+    monkeypatch.setattr(dr, "_route_maps", lambda b: real(b) * flip)
+    u = draw_spectral_point(rng, cs=cs2, bp=bp)
+    states = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    for dual in (False, True):
+        with pytest.raises(ConstructionError, match=r"modified entry 'b'"):
+            dr.act(u, states, cs2, bp, dual=dual)
 
 
 def test_gates_reject_nan(cs2):
@@ -339,14 +339,9 @@ def test_double_row_pole_guard(cs1, bp):
 
 
 def test_cached_matrices_are_frozen(cs1, bp):
-    # The checks of one draw share the table's arrays, and the one-point
-    # reads return the same frozen types.
+    # The one-point reads return frozen arrays; nothing is cached.
     u = 0.21 + 0.43j
-    table = operators([u, 0.5 - 0.3j], cs1, bp)
-    e = double_row(u, cs1, bp)
-    m = modified_entries(u, cs1, bp)
-    frozen = [*table.plain[u], *table.modified[u][:4]]
-    frozen += [e.a, e.b, e.c, e.d, e.raw, m.a, m.b, m.c, m.d]
+    frozen = [*double_row(u, cs1, bp), *modified_entries(u, cs1, bp)]
     frozen.append(transfer_matrix(u, cs1, bp))
     for op in frozen:
         with pytest.raises(ValueError):

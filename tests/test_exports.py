@@ -29,6 +29,6 @@ def test_double_row_names_its_module():
 
     assert isinstance(segment_bethe.double_row, types.ModuleType)
     assert dr is segment_bethe.double_row
-    assert callable(dr.transfer_matrices) and callable(dr.operators)
+    assert callable(dr.transfer_matrices) and callable(dr.act)
     assert double_row is dr.double_row and callable(double_row)
     assert "double_row" not in segment_bethe.__all__

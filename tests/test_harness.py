@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from test_double_row import _Allocation, _allocation
+
 import segment_bethe.double_row as dr
-from segment_bethe import harness, linalg
+from segment_bethe import harness, linalg, vectors
 from segment_bethe.bethe import BetheRoots, root_sets_match, solve_bethe
 from segment_bethe.errors import DimensionError, ParameterError
 from segment_bethe.params import draw_spectral_points
@@ -337,7 +339,10 @@ def test_norm_is_finite_at_seven_sites():
 
 
 def test_norm_runs_at_six_sites_at_default_settings():
-    # Its draw's operator table, 6 points of 144 * 4^6 bytes, is 3.4 MiB.
+    # The direct norm of this draw's state runs through the vector form of
+    # the construction gate: two ``act`` calls here leave c_bar psi and
+    # b_bar psi at about 1e-4 of their largest term, where a 2e-12 gap
+    # between the routes is rounding.
     report = run("norm", RunConfig(sites=6, seed=0, draws=1))
     assert [c.name for c in report.checks] == [
         "norm-vs-direct",
@@ -357,25 +362,53 @@ def _stacks_of(count_raw_blocks, command, **kwargs):
 def test_offshell_beyond_the_byte_limit_is_refused_before_any_build(
     monkeypatch,
 ):
-    # A draw's table holds 144 * 4^N bytes per point: at 1 GiB the N + 1
-    # points of N = 10 (11 x 151 MB) are refused, and a limit one byte short
-    # of the N = 3 table (4 x 144 * 4^3 bytes) refuses N = 3.  Either
-    # refusal comes before any block is built.
-    sizes = []
-    monkeypatch.setattr(dr, "_raw_blocks", lambda us, cs, bp: sizes.append(us))
-    with pytest.raises(DimensionError, match="operator table of 11 point"):
+    # The first large allocation of an off-shell draw is the raw block of
+    # its t(u), charged 8 * 4^(N+1) * 16 bytes: at 1 GiB, N = 10 (512 MiB)
+    # reaches it and N = 11 (2 GiB) is refused before it.  A limit one byte
+    # short of the N = 3 charge refuses N = 3 the same way.
+    monkeypatch.setattr(dr, "identity", _allocation)
+    with pytest.raises(_Allocation):
         run("offshell", RunConfig(sites=10, seed=0, draws=1))
-    monkeypatch.setattr(linalg, "MAX_BYTES", 4 * 144 * 4**3 - 1)
-    with pytest.raises(DimensionError, match="operator table of 4 point"):
+    with pytest.raises(DimensionError, match="double-row build of 1 point"):
+        run("offshell", RunConfig(sites=11, seed=0, draws=1))
+    monkeypatch.setattr(linalg, "MAX_BYTES", 8 * 4**4 * 16 - 1)
+    with pytest.raises(DimensionError, match="double-row build of 1 point"):
         run("offshell", RunConfig(sites=3, seed=0, draws=1))
-    assert sizes == []
 
 
 @pytest.mark.parametrize("sites", [2, 3])
 def test_offshell_builds_one_table_per_draw(count_raw_blocks, sites):
-    # The draw's roots and its point u, one stack of N + 1 points per draw.
+    # No operator table: each draw builds one raw block, its one-point t(u);
+    # the states and the dense entries of the sweeps come from ``act``.
     sizes = _stacks_of(count_raw_blocks, "offshell", sites=sites, seed=0, draws=2)
-    assert sizes == [sites + 1, sites + 1]
+    assert sizes == [1, 1]
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_offshell_builds_each_string_once_per_draw(monkeypatch, sites):
+    # Each (side, family, prefix, point) of the state memo is one state of
+    # one act call, never two: ket and bra each, the modified strings at the
+    # roots, at the roots with u for one root and at roots + (u,), and the
+    # plain strings of the cb sweep and of the expansion's subsets (one
+    # stacked call per root).  Besides them, each point of the sweeps is one
+    # call on the identity.
+    calls, applied = [], []
+    real = vectors.act
+
+    def counted(u, states, cs, bp, dual=False):
+        calls.append(len(states))
+        if not np.array_equal(states, np.eye(2**sites)):
+            applied.extend((dual, complex(u), state.tobytes()) for state in states)
+        return real(u, states, cs, bp, dual=dual)
+
+    monkeypatch.setattr(vectors, "act", counted)
+    run("offshell", RunConfig(sites=sites, seed=0, draws=2))
+    calls_per_draw, states_per_draw = {2: (20, 18), 3: (42, 42)}[sites]
+    assert calls.count(2**sites) == 2 * (sites + 1)
+    assert len(calls) == 2 * calls_per_draw
+    assert len(applied) == 2 * states_per_draw
+    for draw in (applied[:states_per_draw], applied[states_per_draw:]):
+        assert len(set(draw)) == len(draw)
 
 
 def test_offshell_assembles_t_once_per_draw(monkeypatch):
@@ -408,21 +441,19 @@ def test_huge_chain_is_refused_before_its_thetas_are_drawn(monkeypatch):
 
 @pytest.mark.parametrize("sites", [2, 3])
 def test_slavnov_builds_one_table_per_draw_and_sector(count_raw_blocks, sites):
-    # Each solve's stack of N + 8 points, then the draw's on-shell and free
-    # roots in one stack; after the diagonal solve, one stack per magnon
-    # sector m = 1..N of its 2m roots.
+    # No operator table: the only raw blocks are each solve's stack of N + 8
+    # points, one per draw and one for the diagonal limit; the direct
+    # products' states come from ``act``.
     sizes = _stacks_of(count_raw_blocks, "slavnov", sites=sites, seed=0, draws=2)
-    solve = sites + 8
-    sectors = [2 * m for m in range(1, sites + 1)]
-    assert sizes == [solve, 2 * sites, solve, 2 * sites, solve] + sectors
+    assert sizes == [sites + 8] * 3
 
 
 def test_norm_and_n1_build_one_table_per_draw(count_raw_blocks):
-    # norm: each draw's solve, then its N roots; n1: one solve at N = 1, then
-    # per draw one stack of u1, v1 and the on-shell root.
+    # No operator table: norm builds only inside each draw's solve, n1 only
+    # inside its one solve at N = 1.
     norm = _stacks_of(count_raw_blocks, "norm", sites=2, seed=0, draws=2)
-    assert norm == [10, 2, 10, 2]
-    assert _stacks_of(count_raw_blocks, "n1", seed=0, draws=2) == [9, 3, 3]
+    assert norm == [10, 10]
+    assert _stacks_of(count_raw_blocks, "n1", seed=0, draws=2) == [9]
 
 
 def test_run_all_namespaces_details():
@@ -540,11 +571,11 @@ def test_exchange_builds_nothing_per_point(count_raw_blocks):
 
 
 def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange(count_raw_blocks):
-    # Every build of `all` at N = 2 is a stack: the exchange suite's, one
-    # per solve (N + 8 points; 9 for n1's one site) and one table per draw
-    # or diagonal sector.
+    # Every build of `all` at N = 2 is a stack: the exchange suite's and one
+    # per solve (N + 8 points; 9 for n1's one site), besides the one-point
+    # t(u) of the off-shell draw.
     sizes = _stacks_of(count_raw_blocks, "all", sites=2, seed=0, draws=1)
-    assert sizes == EXCHANGE_STACKS + [10, 3, 10, 4, 10, 2, 4, 10, 2, 9, 3]
+    assert sizes == EXCHANGE_STACKS + [10, 1, 10, 10, 10, 9]
 
 
 def test_cauchy_factorization_honours_extended_precision():

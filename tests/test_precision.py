@@ -156,6 +156,36 @@ def test_lifting_is_exact(cs2, bp):
     )
 
 
+def test_lifting_keeps_sixty_digit_input():
+    # A DecimalComplex keeps its digits, rounded to the context; the double
+    # backend rounds it to complex.
+    with workdps():
+        z = DecimalComplex(Decimal(1) / Decimal(3), -Decimal(2) / Decimal(7))
+        lifted = lift(z)
+    assert lifted == z and lifted.real != Decimal(complex(z).real)
+    with workdps(20):
+        assert len(lift(z).real.as_tuple().digits) == 20 + GUARD_DIGITS
+    assert lift(z, "double") == complex(z)
+
+
+def test_extended_slavnov_reads_sixty_digit_roots(cs1, bp, solved1, rng):
+    # Roots moved by 1e-30 round back to the same doubles; the extended
+    # formula must see the move.
+    from segment_bethe.params import draw_spectral_points
+
+    on = solved1[1].roots
+    free = tuple(draw_spectral_points(rng, 1, avoid=on, cs=cs1, bp=bp))
+    with workdps():
+        moved = tuple(lift(u) + Decimal("1e-30") for u in on)
+    assert tuple(map(complex, moved)) == on
+    value = sp.slavnov_modified(moved, free, cs1, bp, precision="extended")
+    rounded = sp.slavnov_modified(on, free, cs1, bp, precision="extended")
+    assert type(value) is DecimalComplex
+    with workdps():
+        gap = abs(value - rounded)
+    assert 1e-35 * abs(rounded) < gap < 1e-25 * abs(rounded)
+
+
 @pytest.mark.parametrize(
     "divide",
     [
