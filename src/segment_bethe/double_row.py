@@ -18,8 +18,10 @@ judged per point.  :func:`transfer_matrices` builds ``t(u)``, and
 :func:`transfer_forms_residual` compares its two forms, for a whole list of
 points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
 builds its pair as one stack.  :func:`act` runs the same R-steps on a stack
-of states instead of the identity, so a Bethe state never needs a
-``2^N``-square entry.  Nothing is cached.
+of states instead of the identity, each state at its own point and from its
+own side, so a Bethe state never needs a ``2^N``-square entry;
+:func:`act_chunk` is how many states one call of a stacked build takes.
+Nothing is cached.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .params import BoundaryParams, ChainSpec
 __all__ = [
     "Entries",
     "act",
+    "act_chunk",
     "double_row",
     "modified_entries",
     "transfer_matrix",
@@ -60,7 +63,9 @@ __all__ = [
 # at N = 5, 12 points took 8.5 ms one by one, 7.4 ms in chunks of 4 (256 KiB)
 # and 9.8 ms in one stack (768 KiB); at N = 6, 13 points took 25.5 ms in
 # chunks of 1 or 2 (256 or 512 KiB) and 33 ms in chunks of 4.  So a chunk is
-# 16 points at N = 4 (a whole solve), 4 at N = 5 and 1 from N = 6 on.
+# 16 points at N = 4 (a whole solve), 4 at N = 5 and 1 from N = 6 on.  The
+# rows of one act call in a stacked build, (2K, 2^(N+1)), keep to the same
+# budget (act_chunk): 64 states at N = 6, 16 at N = 8.
 STACK_BYTES = 1 << 18
 
 
@@ -115,18 +120,21 @@ def _times_r_string(m: np.ndarray, values, sites) -> np.ndarray:
 def _times_double_row(m: np.ndarray, us: list, thetas, bp) -> np.ndarray:
     """``m[b] @ T(u_b) K^-(u_b) T_hat(u_b)`` for a ``(1 or B, rows, dim)`` stack;
     ``T`` is the string of ``R_{0i}(u - theta_i)`` over the sites in order,
-    ``T_hat`` that of ``R_{0i}(u + theta_i)`` in reverse order."""
+    ``T_hat`` that of ``R_{0i}(u + theta_i)`` in reverse order.  ``thetas``
+    is one row of N inhomogeneities for every point or a ``(B, N)`` array
+    with a row per point."""
     for u in us:
         if abs(2 * u + 1) < kn.POLE_TOL:
             raise PoleError("double_row", u, abs(2 * u + 1))
-    sites = range(len(thetas))
-    bulk = _times_r_string(m, [[u - th for u in us] for th in thetas], sites)
+    column = np.array(us, dtype=complex)[:, None]
+    sites = range(np.shape(thetas)[-1])
+    bulk = _times_r_string(m, (column - thetas).T, sites)
     # T K^-: K^- is diagonal on the auxiliary space, so it scales the
     # columns of each auxiliary half.
     count, rows, dim = bulk.shape
     k_diag = k_minus(us, bp).diagonal(axis1=1, axis2=2)
     t_k = bulk.reshape(count, rows, 2, dim // 2) * k_diag[:, None, :, None]
-    hat = [[u + thetas[i] for u in us] for i in reversed(sites)]
+    hat = (column + thetas).T[::-1]
     return _times_r_string(t_k.reshape(count, rows, dim), hat, reversed(sites))
 
 
@@ -145,7 +153,7 @@ def _raw_blocks(us: list, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     linalg.check_bytes(
         8 * len(us) * dim * dim * 16, f"double-row build of {len(us)} point(s)"
     )
-    raw = _times_double_row(identity(dim)[None], us, cs.thetas, bp)
+    raw = _times_double_row(identity(dim)[None], us, np.array(cs.thetas), bp)
     h = dim // 2
     return raw.reshape(-1, 2, h, 2, h).swapaxes(2, 3).reshape(-1, 4, h, h)
 
@@ -167,20 +175,20 @@ def _route_maps(bp: BoundaryParams) -> np.ndarray:
     closed form, rows 4-7 conjugation by ``Q``.  Block (j, l) of ``Q^-1 M Q``
     is ``sum_{k,m} Q^-1[j,k] M[k,m] Q[m,l]``: row 4 + 2j + l, column 2k + m."""
     rho, xp, xm = bp.rho, bp.xi_plus, bp.xi_minus
-    closed_form = np.array(
-        [
-            [rho - 2, -xm, -xp, rho],
-            [xm, xm * xm / rho, -rho, -xm],
-            [xp, -rho, xp * xp / rho, -xp],
-            [rho, xm, xp, rho - 2],
-        ]
-    ) / (2 * (rho - 1))
+    closed_form = [
+        [rho - 2, -xm, -xp, rho],
+        [xm, xm * xm / rho, -rho, -xm],
+        [xp, -rho, xp * xp / rho, -xp],
+        [rho, xm, xp, rho - 2],
+    ]
     (q00, q01), (q10, q11) = q = q_similarity(bp).tolist()
     det = q00 * q11 - q01 * q10
     q_inv = [[q11 / det, -q01 / det], [-q10 / det, q00 / det]]
     pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     conjugation = [[q_inv[j][k] * q[m][l] for k, m in pairs] for j, l in pairs]
-    return np.vstack([closed_form, conjugation])
+    maps = np.array(closed_form + conjugation, dtype=complex)
+    maps[:4] /= 2 * (rho - 1)
+    return maps
 
 
 def _modified_blocks(blocks: np.ndarray, us: list, bp: BoundaryParams, on_states):
@@ -267,31 +275,55 @@ def _transfer_blocks(raw, us: list, bp, closed=None):
 # builder, the one path every t(u) is built on.
 
 
-def act(u, states, cs: ChainSpec, bp: BoundaryParams, dual: bool = False):
-    """The double-row entries at ``u`` applied to a ``(K, 2^N)`` stack of states.
+def _per_state(value, count: int, dtype) -> np.ndarray:
+    """``value``, one for all ``count`` states or one per state, as an array."""
+    value = np.asarray(value, dtype=dtype)
+    return np.full(count, value) if value.ndim == 0 else value
 
+
+def act(u, states, cs: ChainSpec, bp: BoundaryParams, dual=False):
+    """The double-row entries applied to a ``(K, 2^N)`` stack of states, each
+    at its own point and from its own side.
+
+    ``u`` is one point or K of them and ``dual`` one side or K of them.
     Returns ``(plain, modified)`` :class:`Entries` of ``(K, 2^N)`` arrays:
-    ``plain.b[k]`` is ``b(u) @ states[k]``, or ``states[k] @ b(u)`` if
-    ``dual``; ``modified`` is ``None`` for diagonal couplings.  The rows
+    ``plain.b[k]`` is ``b(u[k]) @ states[k]``, or ``states[k] @ b(u[k])`` if
+    ``dual[k]``; ``modified`` is ``None`` for diagonal couplings.  The rows
     ``<0| x state`` and ``<1| x state`` run through the R-steps of
     :func:`_raw_blocks`, times ``M(u; theta)`` for a bra and times its
-    transpose ``M(u; -theta)`` for a ket (``R`` symmetric, ``K^-`` diagonal).
+    transpose ``M(u; -theta)`` for a ket (``R`` symmetric, ``K^-``
+    diagonal).  The pole guard and the route gate are judged per state and
+    name its point.
     """
-    u = complex(u)
     count, half = np.shape(states)
-    # 8 times its 2K rows of 2^(N+1) numbers; 5.75 at peak from K = 64 on.
+    us, duals = _per_state(u, count, complex).tolist(), _per_state(dual, count, bool)
+    # 8 times its 2K rows of 2^(N+1) numbers: tracemalloc at N = 6-8 peaks
+    # at 5.2-5.6 times them from K = 64 on and 7.2 at K = 16.
     linalg.check_bytes(512 * count * half, f"double-row action on {count} state(s)")
-    rows = np.zeros((2, count, 2, half), dtype=complex)
-    rows[0, :, 0] = rows[1, :, 1] = states
-    thetas = cs.thetas if dual else [-th for th in cs.thetas]
-    out = _times_double_row(rows.reshape(1, 2 * count, 2 * half), [u], thetas, bp)
-    # out[x, k, y]: state k times block (x, y) (bra) or block (y, x) times it (ket).
-    order = (0, 2, 1, 3) if dual else (2, 0, 1, 3)
-    blocks = out.reshape(2, count, 2, half).transpose(order).reshape(1, 4, count, half)
-    plain = Entries(*(e[0] for e in _entries(blocks, [u])))
+    rows = np.zeros((count, 2, 2, half), dtype=complex)
+    rows[:, 0, 0] = rows[:, 1, 1] = states
+    thetas = np.where(duals, 1, -1)[:, None] * np.array(cs.thetas)
+    # Rebinding ``rows`` frees each stage once the next is built.
+    rows = _times_double_row(rows.reshape(count, 2, 2 * half), us, thetas, bp)
+    # rows[k, x, y]: state k times block (x, y) (bra) or block (y, x) times it (ket).
+    rows = rows.reshape(count, 2, 2, half)
+    rows = np.where(duals[:, None, None, None], rows, rows.swapaxes(1, 2))
+    blocks = rows.reshape(count, 4, half)
+    plain = Entries(*_entries(blocks, us))
     if bp.diagonal_mode:
         return plain, None
-    return plain, Entries(*_modified_blocks(blocks, [u], bp, True)[0])
+    return plain, Entries(*_modified_blocks(blocks, us, bp, True).swapaxes(0, 1))
+
+
+def act_chunk(sites: int) -> int:
+    """States per :func:`act` call of a stacked build at ``sites`` sites.
+
+    A call's rows, 2 x 2^(N+1) complex numbers a state, stay within
+    ``STACK_BYTES`` and its charge within ``linalg.MAX_BYTES`` (read at call
+    time); a chunk holds at least one state.
+    """
+    rows = 64 << sites
+    return max(1, min(STACK_BYTES // rows, linalg.MAX_BYTES // (8 * rows)))
 
 
 def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:

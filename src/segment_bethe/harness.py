@@ -42,6 +42,7 @@ from .double_row import (
     hamiltonian,
     transfer_forms_residual,
     transfer_matrices,
+    transfer_matrix,
 )
 from .errors import ConvergenceError, ParameterError
 from .linalg import check_bytes, pair_residual, relative_residual
@@ -73,6 +74,7 @@ from .vectors import (
     check_multiple_actions,
     check_offshell_action,
     diagonal_w0_product,
+    offshell_strings,
     w0_scalar,
 )
 
@@ -600,13 +602,18 @@ def run_offshell(config: RunConfig) -> VerificationReport:
     for _ in range(config.draws):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
+        # Dense work first: t(u), so that the byte limit refuses it before
+        # any state is built, and the sweeps, so that their entries are
+        # freed before the draw's strings are built, all in one build.
+        t = transfer_matrix(u, cs, bp)
+        sweeps = check_multiple_actions(u, roots, cs, bp)
         states = States(cs, bp)
-        off = check_offshell_action(u, roots, states, cs, bp)
+        states.build(offshell_strings(u, roots, bp))
+        off = check_offshell_action(u, roots, t, states, cs, bp)
         for side in ("right", "left"):
             rec.fold(f"offshell-action-{side}", off[side])
         for side in ("right", "left"):
             rec.fold(f"central-relation-{side}", off[f"central_{side}"])
-        sweeps = check_multiple_actions(u, roots, cs, bp)
         partial = (off["partial_right"], off["partial_left"])
         rec.fold("multiple-actions", _worst([*sweeps.values(), *partial]))
         rec.fold("cb-sweep", check_cb_sweep(u, roots, states, cs, bp))

@@ -37,7 +37,7 @@ from .precision import (
     workdps,
     working_precision,
 )
-from .vectors import BRA, KET, PLAIN, States, build_dual_psi, build_psi, w0_scalar
+from .vectors import BRA, KET, MODIFIED, PLAIN, States, state_family, w0_scalar
 
 __all__ = [
     "scalar_product_direct",
@@ -60,10 +60,13 @@ LIMIT_EPS = 1e-8
 
 
 def scalar_product_direct(bra_roots, ket_roots, cs: ChainSpec, bp: BoundaryParams):
-    """Brute-force scalar product of two Bethe states (bilinear pairing)."""
-    bra = build_dual_psi(bra_roots, cs, bp)
-    ket = build_psi(ket_roots, cs, bp)
-    return complex(bra @ ket)
+    """Brute-force scalar product of two Bethe states (bilinear pairing), the
+    bra and the ket built in one :class:`~segment_bethe.vectors.States`."""
+    fam = state_family(bp)
+    bra, ket = tuple(bra_roots), tuple(ket_roots)
+    states = States(cs, bp)
+    states.build([(BRA, fam, bra), (KET, fam, ket)])
+    return complex(states.state(BRA, fam, bra) @ states.state(KET, fam, ket))
 
 
 def _warn_if_close(first, second):
@@ -376,7 +379,20 @@ def n1_identities(u1, v1, cs: ChainSpec, bp: BoundaryParams, onshell_root) -> di
         tail_b = eigenvalue_parts(b, (a,), cs, bp)[1] * w0a / (2 * (b + 1))
         return pref * ((rho - 1) * sd + tail_a + tail_b), sd, tail_a + tail_b
 
-    direct = scalar_product_direct((u1,), (v1,), cs, bp)
+    # Every state here is one creation entry on the reference state, and one
+    # act call gives both families: the bra at u1 and the kets at v1 and wv.
+    states = States(cs, bp)
+    states.build(
+        [(BRA, MODIFIED, (u1,)), (KET, MODIFIED, (v1,)), (KET, MODIFIED, (wv,))]
+    )
+
+    def product(fam, ket_root):
+        """``<0| c(u1) b(ket_root) |0>`` in the entries of ``fam``."""
+        return complex(
+            states.state(BRA, fam, (u1,)) @ states.state(KET, fam, (ket_root,))
+        )
+
+    direct = product(MODIFIED, v1)
     w0u, w0v = w0_scalar((u1,), cs, bp), w0_scalar((v1,), cs, bp)
     good, sd, tails = s_mixed(u1, v1, w0u, w0v)
     s1 = ((rho - 2) / (2 * (rho - 1))) ** 2 * sd + (
@@ -414,15 +430,13 @@ def n1_identities(u1, v1, cs: ChainSpec, bp: BoundaryParams, onshell_root) -> di
     out = {"four_way": four_way, "values": values}
 
     # Brute-force plain product <0| c(u1) b(v1) |0>: plain bra times plain ket.
-    st = States(cs, bp)
-    sd_matrix = complex(st.state(BRA, PLAIN, (u1,)) @ st.state(KET, PLAIN, (v1,)))
-    out["plain_product"] = pair_residual(sd_matrix, sd)
+    out["plain_product"] = pair_residual(product(PLAIN, v1), sd)
 
     w0w = w0_scalar((wv,), cs, bp)
     dlam = lambda_total_derivative(u1, (wv,), 0, cs, bp)
     det_form = pref * w0w * dlam / _v_kernel(u1, wv)
     mixed_on = s_mixed(u1, wv, w0u, w0w)[0]
-    direct_on = scalar_product_direct((u1,), (wv,), cs, bp)
+    direct_on = product(MODIFIED, wv)
     slav = slavnov_modified((wv,), (u1,), cs, bp)
     scale = max(abs(det_form), abs(mixed_on), abs(direct_on), abs(slav))
     scale = max(scale, 1e-300)

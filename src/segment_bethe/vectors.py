@@ -3,11 +3,14 @@
 States are built by repeated application of the modified creation operator to
 the reference state (plain operators in the diagonal limit), each entry
 applied by :func:`~segment_bethe.double_row.act` without forming it.  One
-:class:`States` memo per draw builds every string once.  Every identity
-holds for the ket and, mirrored, for the bra; each is written once over a
-:class:`_Side`.  All checks return scale-free residuals: defect norm over
-the largest term norm entering the identity, so a tolerance means the same
-thing at every chain size.
+:class:`States` memo per draw builds every string once: the strings a draw
+reads form a prefix trie, built one level at a time, each level's nodes
+(bra and ket, both families, every point) in as few ``act`` calls as the
+chunk budget :func:`~segment_bethe.double_row.act_chunk` allows.  Every
+identity holds for the ket and, mirrored, for the bra; each is written once
+over a :class:`_Side`.  All checks return scale-free residuals: defect norm
+over the largest term norm entering the identity, so a tolerance means the
+same thing at every chain size.
 """
 
 from __future__ import annotations
@@ -22,14 +25,22 @@ import numpy as np
 
 from . import kernels as kn
 from .bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
-from .double_row import Entries, act, transfer_matrix
+from .double_row import Entries, act, act_chunk
 from .errors import ParameterError
-from .linalg import identity, pair_residual, relative_residual, vacuum_state
+from .linalg import (
+    check_bytes,
+    identity,
+    pair_residual,
+    relative_residual,
+    vacuum_state,
+)
 from .params import BoundaryParams, ChainSpec
 
 __all__ = [
     "ExpansionCoefficients",
     "States",
+    "state_family",
+    "offshell_strings",
     "build_psi",
     "build_dual_psi",
     "check_offshell_action",
@@ -46,7 +57,7 @@ __all__ = [
 PLAIN, MODIFIED = 0, 1
 
 
-def _family(bp: BoundaryParams) -> int:
+def state_family(bp: BoundaryParams) -> int:
     """Modified entries build states, plain ones for diagonal couplings."""
     return PLAIN if bp.diagonal_mode else MODIFIED
 
@@ -83,54 +94,76 @@ SIDES = (KET, BRA)
 
 
 class States:
-    """One draw's Bethe states, each string built once.
+    """One draw's Bethe states, each ``(side, family, prefix, point)`` built once.
 
-    ``state(side, fam, roots)`` applies the creation entry at ``roots[-1]``
-    to the memoised string at ``roots[:-1]``; ``applied(side, fam, roots,
-    u)`` is every ``fam`` entry at ``u`` on that string; ``subsets`` builds
-    the strings at every subset of some roots, a prefix trie, with one
-    stacked :func:`~segment_bethe.double_row.act` call per root.
+    A string is the creation entry at ``roots[-1]`` applied to the string at
+    ``roots[:-1]``, so the strings a draw reads form a prefix trie.
+    :meth:`build` takes the strings a check reads and builds the trie's
+    missing nodes level by level, a level being one prefix length: its
+    nodes, bra and ket, every family and point, go through
+    :func:`~segment_bethe.double_row.act` in chunks of
+    :func:`~segment_bethe.double_row.act_chunk` states, one call each.
+    ``state(side, fam, roots)`` reads a built string and ``applied(side,
+    fam, roots, u)`` every ``fam`` entry at ``u`` on it, which is the node
+    of the string ``roots + (u,)``.
     """
 
     def __init__(self, cs: ChainSpec, bp: BoundaryParams):
         self.cs, self.bp, self._memo = cs, bp, {}
 
-    def _act(self, side: _Side, fam: int, prefixes, u) -> list:
-        """Memo keys at ``u`` of ``prefixes``; one act call builds those missing."""
-        # Every string starts at the reference state; a call gives both families.
-        keys = [(side.dual, fam if p else None, p, complex(u)) for p in prefixes]
-        todo = [(key, p) for key, p in zip(keys, prefixes) if key not in self._memo]
-        if todo:
-            stack = np.array([self.state(side, fam, p) for _, p in todo])
-            out = act(u, stack, self.cs, self.bp, dual=side.dual)
-            self._memo.update((key, (out, k)) for k, (key, _) in enumerate(todo))
-        return keys
+    @staticmethod
+    def _key(side: _Side, fam: int, roots) -> tuple:
+        """Memo key of the nonempty string at ``roots``.  Every string
+        starts at the reference state, so a one-root key has no family: one
+        act call gives both."""
+        fam = fam if len(roots) > 1 else None
+        return side.dual, fam, tuple(roots[:-1]), complex(roots[-1])
+
+    def build(self, wanted) -> None:
+        """Build the strings ``(side, fam, roots)`` of ``wanted`` and their
+        prefixes, each node not built yet in one act call per level chunk."""
+        levels: dict[int, dict] = {}
+        for side, fam, roots in wanted:
+            for k in range(len(roots)):
+                key = self._key(side, fam, roots[: k + 1])
+                if key not in self._memo:
+                    levels.setdefault(k, {})[key] = (side, fam, roots[:k])
+        step = act_chunk(self.cs.sites)
+        for k in sorted(levels):
+            nodes = list(levels[k].items())
+            for lo in range(0, len(nodes), step):
+                chunk = nodes[lo : lo + step]
+                stack = np.array([self.state(*prefix) for _, prefix in chunk])
+                us = [key[3] for key, _ in chunk]
+                duals = [key[0] for key, _ in chunk]
+                out = act(us, stack, self.cs, self.bp, dual=duals)
+                self._memo.update((key, (out, j)) for j, (key, _) in enumerate(chunk))
 
     def applied(self, side: _Side, fam: int, roots, u) -> Entries:
-        out, k = self._memo[self._act(side, fam, [tuple(roots)], u)[0]]
-        return Entries(*(e[k] for e in out[fam]))
+        out, j = self._memo[self._key(side, fam, tuple(roots) + (u,))]
+        return Entries(*(e[j] for e in out[fam]))
 
     def state(self, side: _Side, fam: int, roots) -> np.ndarray:
         if not roots:
             return vacuum_state(self.cs.sites)
         return side.string(self.applied(side, fam, roots[:-1], roots[-1]))
 
-    def subsets(self, side: _Side, fam: int, roots) -> None:
-        """Build the strings at every subset of ``roots``, in index order."""
-        level = [()]
-        for u in roots:
-            self._act(side, fam, level, u)
-            level += [p + (u,) for p in level]
+
+def _one_string(side: _Side, roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+    fam = state_family(bp)
+    states = States(cs, bp)
+    states.build([(side, fam, tuple(roots))])
+    return states.state(side, fam, tuple(roots))
 
 
 def build_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Creation-operator product applied to the reference state."""
-    return States(cs, bp).state(KET, _family(bp), roots)
+    return _one_string(KET, roots, cs, bp)
 
 
 def build_dual_psi(roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Dual state: annihilation-operator product applied to the left vacuum."""
-    return States(cs, bp).state(BRA, _family(bp), roots)
+    return _one_string(BRA, roots, cs, bp)
 
 
 def _residual(lhs, terms) -> float:
@@ -161,7 +194,17 @@ def _action_terms(value, coeffs, u, roots, state) -> list:
     return terms
 
 
-def check_offshell_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> dict:
+def _offshell_reads(u, roots, bp) -> list:
+    """The strings :func:`check_offshell_action` reads."""
+    strings = [roots] + [_swap(roots, i, u) for i in range(len(roots))]
+    if not bp.diagonal_mode:
+        strings.append(roots + (u,))
+    return [(side, state_family(bp), s) for side in SIDES for s in strings]
+
+
+def check_offshell_action(
+    u, roots, t, states, cs: ChainSpec, bp: BoundaryParams
+) -> dict:
     """Residuals of the off-shell transfer action on ket and bra states.
 
     ``t(u) psi = Lambda(u) psi + sum_i F(u, u_i) E_i psi(u_i -> u)``, with
@@ -170,14 +213,15 @@ def check_offshell_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -
     remainder of the creation entry at ``u`` stands for the inhomogeneous one
     (``partial_*``); and, for generic couplings, the central relation
     between that remainder and the inhomogeneous part (``central_*``).  All
-    three read one ``t(u)``, one evaluation of ``Lambda(u)``, one table of
+    three read the caller's ``t = transfer_matrix(u, cs, bp)``, one
+    evaluation of ``Lambda(u)``, one table of
     :func:`~segment_bethe.bethe.unwanted_terms` and the draw's ``states``.
     """
     u = complex(u)
     roots = tuple(roots)
     if len(roots) != cs.sites:
         raise ParameterError("off-shell action requires one root per site")
-    t = transfer_matrix(u, cs, bp)
+    states.build(_offshell_reads(u, roots, bp))
     lam_d, lam_g = eigenvalue_parts(u, roots, cs, bp)
     lam = lam_d + lam_g
     dressed, inhomogeneous = unwanted_terms(roots, cs, bp)
@@ -187,7 +231,7 @@ def check_offshell_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -
     central = [w * g for w, g in zip(weights, inhomogeneous)]
     out = {}
     for side in SIDES:
-        state = partial(states.state, side, _family(bp))
+        state = partial(states.state, side, state_family(bp))
         lhs = side.apply(t, state(roots))
         out[side.key] = _residual(lhs, _action_terms(lam, whole, u, roots, state))
         dressed_terms = _action_terms(lam_d, part, u, roots, state)
@@ -219,8 +263,24 @@ def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """
     u = complex(u)
     roots = tuple(roots)
-    eye = identity(1 << cs.sites)
-    family = {w: act(w, eye, cs, bp, dual=True)[_family(bp)] for w in (u,) + roots}
+    points = (u,) + roots
+    # Row k of an entry at w is e_k @ entry(w): the identity's rows as bras,
+    # every point's in one stack, cut into act_chunk calls.
+    half = 1 << cs.sites
+    check_bytes(
+        64 * len(points) * half * half, f"sweep entries at {len(points)} point(s)"
+    )
+    eye = identity(half)
+    dense = np.empty((4, len(points) * half, half), dtype=complex)
+    step = act_chunk(cs.sites)
+    for lo in range(0, len(points) * half, step):
+        rows = range(lo, min(lo + step, len(points) * half))
+        us = [points[r // half] for r in rows]
+        out = act(us, eye[[r % half for r in rows]], cs, bp, dual=True)
+        dense[:, lo : rows.stop] = out[state_family(bp)]
+    family = {
+        w: Entries(*dense[:, k * half : (k + 1) * half]) for k, w in enumerate(points)
+    }
     e_u = family[u]
 
     # Per root: the string's other roots, the diagonal entries at the root
@@ -326,6 +386,13 @@ def _h_pair(u, kidx, lidx, roots, cs, bp):
     )
 
 
+def _annihilation_reads(u, roots) -> list:
+    """The strings :func:`_annihilation_terms` reads."""
+    pairs = combinations(range(len(roots)), 2)
+    strings = [_without(roots, i) for i in range(len(roots))]
+    return strings + [(u,) + _without(roots, i, j) for i, j in pairs]
+
+
 def _annihilation_terms(u, roots, state, cs, bp) -> list:
     """The one-root and two-root terms of an annihilation entry at ``u``
     acting on the string of ``roots``; ``state(ws)`` is that string's state
@@ -341,6 +408,12 @@ def _annihilation_terms(u, roots, state, cs, bp) -> list:
     return terms
 
 
+def _cb_sweep_reads(u, roots) -> list:
+    """The strings :func:`check_cb_sweep` reads."""
+    strings = [roots + (u,)] + _annihilation_reads(u, roots)
+    return [(KET, PLAIN, s) for s in strings]
+
+
 def check_cb_sweep(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float:
     """Annihilation through a plain creation string, resolved on the vacuum.
 
@@ -349,9 +422,17 @@ def check_cb_sweep(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float
     """
     u = complex(u)
     roots = tuple(roots)
+    states.build(_cb_sweep_reads(u, roots))
     lhs = states.applied(KET, PLAIN, roots, u).c
     plain_b_string = partial(states.state, KET, PLAIN)
     return _residual(lhs, _annihilation_terms(u, roots, plain_b_string, cs, bp))
+
+
+def _c_action_reads(u, roots) -> list:
+    """The strings :func:`check_c_action` reads."""
+    swapped = [(u,) + _without(roots, i) for i in range(len(roots))]
+    strings = [roots + (u,), roots] + swapped + _annihilation_reads(u, roots)
+    return [(KET, MODIFIED, s) for s in strings]
 
 
 def check_c_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float:
@@ -360,6 +441,7 @@ def check_c_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float
     roots = tuple(roots)
     if bp.diagonal_mode:
         raise ParameterError("modified annihilation action needs generic couplings")
+    states.build(_c_action_reads(u, roots))
     psi = partial(states.state, KET, MODIFIED)
     rxm = bp.rho / bp.xi_minus
     l1u, l2u = vacuum_eigenvalues(u, cs, bp)
@@ -465,21 +547,30 @@ def w_coefficients(roots, cs: ChainSpec, bp: BoundaryParams) -> ExpansionCoeffic
     return ExpansionCoefficients(roots, levels, complex(levels[0][()]))
 
 
+def _expansion_reads(roots) -> list:
+    """The strings :func:`check_expansion` reads: the plain ones at every
+    subset of ``roots``, in index order, and the modified one at ``roots``."""
+    subsets = [
+        tuple(roots[j] for j in keep)
+        for i in range(len(roots) + 1)
+        for keep in combinations(range(len(roots)), i)
+    ]
+    plain = [(side, PLAIN, s) for side in SIDES for s in subsets]
+    return plain + [(side, MODIFIED, roots) for side in SIDES]
+
+
 def check_expansion(roots, states, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """Residuals of the modified-string expansion over plain strings, and of
-    ``w0`` against its matrix route, ``(2(rho-1)/xi_minus)^N psi[0]``.
-
-    The plain strings at the subsets of ``roots``, taken in index order,
-    form a prefix trie, built by ``states.subsets``."""
+    ``w0`` against its matrix route, ``(2(rho-1)/xi_minus)^N psi[0]``."""
     roots = tuple(roots)
     if bp.diagonal_mode:
         raise ParameterError("expansion is defined for generic couplings")
+    states.build(_expansion_reads(roots))
     nn = len(roots)
     coeff = w_coefficients(roots, cs, bp)
     rho = bp.rho
     out, modified = {}, {}
     for side in SIDES:
-        states.subsets(side, PLAIN, roots)
         x1, x2 = side.couplings(bp)
         pref = ((rho - 2) * x1 / (2 * (rho - 1) * x2)) ** nn
         terms = []
@@ -498,6 +589,20 @@ def check_expansion(roots, states, cs: ChainSpec, bp: BoundaryParams) -> dict:
     w0_matrix = (2 * (rho - 1) / bp.xi_minus) ** nn * modified[KET][0]
     out["w0_routes"] = pair_residual(coeff.w0, w0_matrix)
     return out
+
+
+def offshell_strings(u, roots, bp: BoundaryParams) -> list:
+    """Every string an off-shell draw at ``(u, roots)`` reads, for generic
+    couplings: those of :func:`check_offshell_action`,
+    :func:`check_cb_sweep`, :func:`check_c_action` and
+    :func:`check_expansion`, to build in one :meth:`States.build`."""
+    u, roots = complex(u), tuple(roots)
+    return (
+        _offshell_reads(u, roots, bp)
+        + _cb_sweep_reads(u, roots)
+        + _c_action_reads(u, roots)
+        + _expansion_reads(roots)
+    )
 
 
 def diagonal_w0_product(roots, cs: ChainSpec, bp: BoundaryParams) -> complex:

@@ -305,9 +305,40 @@ def test_act_charges_its_rows_before_allocating(monkeypatch, cs3, bp, rng):
         dr.act(u, states, cs3, bp)
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 5, 6])
+def test_act_on_a_mixed_stack_matches_one_state_calls(sites, diagonal):
+    # Each row of a stack with its own point and side gets exactly what a
+    # one-point, one-side call on that state alone gives.
+    rng = np.random.default_rng(700 + sites)
+    bp = draw_boundary_params(rng)
+    if diagonal:
+        bp = BoundaryParams(bp.p, bp.q)
+    cs = draw_chain_spec(rng, sites)
+    points = draw_spectral_points(rng, 3, cs=cs, bp=bp)
+    us = [points[k % 3] for k in range(7)]
+    duals = [k % 2 == 1 for k in range(7)]
+    states = rng.normal(size=(7, 2**sites)) + 1j * rng.normal(size=(7, 2**sites))
+    stacked = dr.act(us, states, cs, bp, dual=duals)
+    for k, (u, dual) in enumerate(zip(us, duals)):
+        alone = dr.act(u, states[k : k + 1], cs, bp, dual=dual)
+        for got, want in zip(stacked, alone):
+            if diagonal and got is None:
+                assert want is None
+                continue
+            for g, w in zip(got, want):
+                assert g[k].tobytes() == w[0].tobytes()
+
+
 def test_act_keeps_the_pole_guard(cs2, bp):
     with pytest.raises(PoleError):
         dr.act(-0.5 + 1e-14j, np.ones((1, 4)), cs2, bp)
+    # In a stack, the guard names the point of the state it trips at.
+    pole = -0.5 + 1e-14j
+    with pytest.raises(PoleError) as caught:
+        dr.act([0.3 + 0.2j, pole, -0.1 + 0.4j], np.ones((3, 4)), cs2, bp)
+    assert caught.value.point == pole
+    assert f"pole at {pole}" in str(caught.value)
 
 
 def test_act_gate_flags_a_wrong_closed_form_row(monkeypatch, cs2, bp, rng):
@@ -321,6 +352,15 @@ def test_act_gate_flags_a_wrong_closed_form_row(monkeypatch, cs2, bp, rng):
     for dual in (False, True):
         with pytest.raises(ConstructionError, match=r"modified entry 'b'"):
             dr.act(u, states, cs2, bp, dual=dual)
+    # In a 3-point stack only the middle state is nonzero, so only its
+    # routes disagree, and the gate names its point, on either side.
+    us = draw_spectral_points(rng, 3, cs=cs2, bp=bp)
+    stack = np.zeros((3, 4), dtype=complex)
+    stack[1] = states[0]
+    for dual in (False, True):
+        with pytest.raises(ConstructionError) as caught:
+            dr.act(us, stack, cs2, bp, dual=[not dual, dual, not dual])
+        assert f"modified entry 'b' at u = {us[1]}:" in str(caught.value)
 
 
 def test_gates_reject_nan(cs2):

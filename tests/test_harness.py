@@ -389,26 +389,48 @@ def test_offshell_builds_each_string_once_per_draw(monkeypatch, sites):
     # Each (side, family, prefix, point) of the state memo is one state of
     # one act call, never two: ket and bra each, the modified strings at the
     # roots, at the roots with u for one root and at roots + (u,), and the
-    # plain strings of the cb sweep and of the expansion's subsets (one
-    # stacked call per root).  Besides them, each point of the sweeps is one
-    # call on the identity.
+    # plain strings of the cb sweep and of the expansion's subsets.  A draw
+    # builds them one call per level, N + 1 levels, and takes the dense
+    # entries of the sweeps at its N + 1 points from one call on the
+    # identity's rows.
     calls, applied = [], []
     real = vectors.act
+    eye_rows = np.tile(np.eye(2**sites), (sites + 1, 1))
 
     def counted(u, states, cs, bp, dual=False):
         calls.append(len(states))
-        if not np.array_equal(states, np.eye(2**sites)):
-            applied.extend((dual, complex(u), state.tobytes()) for state in states)
+        if not np.array_equal(states, eye_rows):
+            applied.extend(
+                (d, complex(p), state.tobytes()) for d, p, state in zip(dual, u, states)
+            )
         return real(u, states, cs, bp, dual=dual)
 
     monkeypatch.setattr(vectors, "act", counted)
     run("offshell", RunConfig(sites=sites, seed=0, draws=2))
-    calls_per_draw, states_per_draw = {2: (20, 18), 3: (42, 42)}[sites]
-    assert calls.count(2**sites) == 2 * (sites + 1)
-    assert len(calls) == 2 * calls_per_draw
+    states_per_draw = {2: 18, 3: 42}[sites]
+    assert calls.count(len(eye_rows)) == 2
+    assert len(calls) == 2 * (sites + 2)
     assert len(applied) == 2 * states_per_draw
     for draw in (applied[:states_per_draw], applied[states_per_draw:]):
         assert len(set(draw)) == len(draw)
+
+
+def test_run_all_at_two_sites_makes_fourteen_act_calls(monkeypatch):
+    # One run("all") at N = 2, one draw: offshell 4 (its 3 levels and the
+    # sweeps' identity rows), slavnov 7 (two direct products of 2 levels,
+    # then the diagonal limit's products of 1 and 2), norm 2 and n1 1 (its
+    # bra and two kets of one root each).  Built one string at a time, the
+    # same run made 44 calls.
+    calls = []
+    real = vectors.act
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vectors, "act", counted)
+    run("all", RunConfig(sites=2, seed=0, draws=1))
+    assert len(calls) == 14
 
 
 def test_offshell_assembles_t_once_per_draw(monkeypatch):

@@ -22,7 +22,7 @@ def test_payload_line_is_the_canonical_payload():
     payloads = _load_script()
     assert len(payloads.GRID) == len(set(payloads.GRID)) == 60
     assert payloads.GRID[0] == (1, 0, "double")
-    line = payloads.payload_line(1, 0, "double")
+    line = payloads.payload_line("all", 1, 0, "double")
     assert "\n" not in line
     expected = run("all", RunConfig(sites=1, seed=0, draws=2)).canonical_payload()
     assert line.encode("utf-8") == expected

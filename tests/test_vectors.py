@@ -7,7 +7,9 @@ from oracles import table_state
 
 import segment_bethe.double_row as dr
 from segment_bethe import kernels as kn
+from segment_bethe import linalg
 from segment_bethe.bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
+from segment_bethe.double_row import transfer_matrix
 from segment_bethe.errors import ParameterError
 from segment_bethe.harness import RECORDS
 from segment_bethe.params import (
@@ -31,6 +33,7 @@ from segment_bethe.vectors import (
     check_multiple_actions,
     check_offshell_action,
     diagonal_w0_product,
+    offshell_strings,
     w0_scalar,
     w_coefficients,
 )
@@ -82,6 +85,7 @@ def test_states_match_the_multiplied_out_entries(sites, diagonal):
     cs = draw_chain_spec(rng, sites)
     roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=bp))
     states = States(cs, bp)
+    states.build([(side, PLAIN, roots) for side in (KET, BRA)])
     pairs = [
         (build_psi(roots, cs, bp), table_state(roots, cs, bp)),
         (build_dual_psi(roots, cs, bp), table_state(roots, cs, bp, dual=True)),
@@ -98,21 +102,87 @@ def test_states_match_the_multiplied_out_entries(sites, diagonal):
 
 
 def test_states_build_each_prefix_once(monkeypatch, cs3, bp, rng):
-    # Strings sharing a prefix share its build: the ket at (u1, u2, u3) and
-    # at (u1, u2, v) take four act calls, not six.
+    # Strings sharing a prefix share its build, and one act call builds a
+    # level: the kets at (u1, u2, u3) and at (u1, u2, v) take three calls,
+    # not six, and building one of them again takes none.
     calls = []
     real = dr.act
 
     def counted(u, states, cs, bp, dual=False):
-        calls.append((u, dual))
+        calls.append((list(u), list(dual)))
         return real(u, states, cs, bp, dual=dual)
 
     monkeypatch.setattr("segment_bethe.vectors.act", counted)
     u1, u2, u3, v = draw_spectral_points(rng, 4, cs=cs3, bp=bp)
     states = States(cs3, bp)
-    for roots in ((u1, u2, u3), (u1, u2, v), (u1, u2, u3)):
-        states.state(KET, MODIFIED, roots)
-    assert calls == [(u1, False), (u2, False), (u3, False), (v, False)]
+    states.build([(KET, MODIFIED, (u1, u2, u3)), (KET, MODIFIED, (u1, u2, v))])
+    states.build([(KET, MODIFIED, (u1, u2, u3))])
+    assert calls == [([u1], [False]), ([u2], [False]), ([u3, v], [False, False])]
+
+
+def test_states_build_both_sides_and_families_in_one_call_per_level(
+    monkeypatch, cs3, bp, rng
+):
+    # Bra and ket, plain and modified strings of one length share the call
+    # of their level; a one-root string is family-free.
+    calls = []
+    real = dr.act
+
+    def counted(u, states, cs, bp, dual=False):
+        calls.append(list(zip(dual, u)))
+        return real(u, states, cs, bp, dual=dual)
+
+    monkeypatch.setattr("segment_bethe.vectors.act", counted)
+    u1, u2, v = draw_spectral_points(rng, 3, cs=cs3, bp=bp)
+    states = States(cs3, bp)
+    states.build(
+        [
+            (KET, MODIFIED, (u1, u2)),
+            (BRA, MODIFIED, (v, u2)),
+            (KET, PLAIN, (u1, v)),
+            (BRA, PLAIN, (v,)),
+        ]
+    )
+    assert calls == [[(False, u1), (True, v)], [(False, u2), (True, u2), (False, v)]]
+
+
+@pytest.mark.parametrize("limit", ["STACK_BYTES", "MAX_BYTES"])
+def test_a_level_wider_than_its_chunk_takes_several_calls(
+    monkeypatch, cs3, bp, rng, limit
+):
+    # A call on K states at N = 3 is charged 512 * 8 * K bytes.  With the
+    # chunk cut to two states, by its rows (STACK_BYTES) or by its charge
+    # (MAX_BYTES), each level of an off-shell draw takes ceil(width / 2)
+    # calls, each charged within two states, and every string equals the
+    # one-call-per-level build's bit for bit.
+    roots = tuple(draw_spectral_points(rng, 3, cs=cs3, bp=bp))
+    u = draw_spectral_point(rng, roots, cs=cs3, bp=bp)
+    wanted = offshell_strings(u, roots, bp)
+    sizes = []
+    real = linalg.check_bytes
+
+    def charged(nbytes, what):
+        if what.startswith("double-row action"):
+            sizes.append(nbytes // (512 * 8))
+        real(nbytes, what)
+
+    monkeypatch.setattr(linalg, "check_bytes", charged)
+    whole = States(cs3, bp)
+    whole.build(wanted)
+    widths, sizes[:] = list(sizes), []
+    assert len(widths) == 4 and max(widths) > 2
+    if limit == "STACK_BYTES":
+        monkeypatch.setattr(dr, "STACK_BYTES", 2 * 64 * 8)
+    else:
+        monkeypatch.setattr(linalg, "MAX_BYTES", 2 * 512 * 8)
+    assert dr.act_chunk(3) == 2
+    chunked = States(cs3, bp)
+    chunked.build(wanted)
+    assert len(sizes) == sum(-(-width // 2) for width in widths)
+    assert max(sizes) == 2
+    for side, fam, roots in wanted:
+        got, want = chunked.state(side, fam, roots), whole.state(side, fam, roots)
+        assert got.tobytes() == want.tobytes()
 
 
 def _offshell_draws(cs, couplings, rng, draws=3):
@@ -120,7 +190,8 @@ def _offshell_draws(cs, couplings, rng, draws=3):
     for _ in range(draws):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=couplings))
         u = draw_spectral_point(rng, roots, cs=cs, bp=couplings)
-        yield check_offshell_action(u, roots, States(cs, couplings), cs, couplings)
+        t = transfer_matrix(u, cs, couplings)
+        yield check_offshell_action(u, roots, t, States(cs, couplings), cs, couplings)
 
 
 @pytest.mark.parametrize("sites", [1, 2])
@@ -150,10 +221,11 @@ def test_central_relation(sites, cs1, cs2, bp, rng):
 def test_root_count_guards(cs2, bp, bp_diag, rng):
     roots = (draw_spectral_point(rng, cs=cs2, bp=bp),)
     states, states_diag = States(cs2, bp), States(cs2, bp_diag)
+    t = transfer_matrix(0.4 + 0.1j, cs2, bp)
     with pytest.raises(ParameterError):
-        check_offshell_action(0.4 + 0.1j, roots, states, cs2, bp)
+        check_offshell_action(0.4 + 0.1j, roots, t, states, cs2, bp)
     with pytest.raises(ParameterError):
-        check_offshell_action(0.4 + 0.1j, roots * 3, states_diag, cs2, bp_diag)
+        check_offshell_action(0.4 + 0.1j, roots * 3, t, states_diag, cs2, bp_diag)
     with pytest.raises(ParameterError):
         check_c_action(0.4 + 0.1j, roots, states_diag, cs2, bp_diag)
     with pytest.raises(ParameterError):
@@ -257,7 +329,8 @@ def test_central_relation_scales_with_rho(cs2, bp, rng):
     sizes = []
     for t in (1.0, 0.3, 0.1, 0.05):
         bp_t = BoundaryParams(bp.p, bp.q, t * bp.xi_plus, t * bp.xi_minus)
-        defect = check_offshell_action(u, roots, States(cs2, bp_t), cs2, bp_t)
+        t_u = transfer_matrix(u, cs2, bp_t)
+        defect = check_offshell_action(u, roots, t_u, States(cs2, bp_t), cs2, bp_t)
         assert max(defect["central_right"], defect["central_left"]) <= ACTION_TOL
         size = _central_rhs_size(u, roots, cs2, bp_t)
         sizes.append(size)
