@@ -46,7 +46,6 @@ __all__ = [
     "solve_bethe_diagonal",
     "refine_roots",
     "normalize_root_set",
-    "root_sets_match",
     "transfer_branch_basis",
 ]
 
@@ -636,13 +635,6 @@ def normalize_root_set(roots):
         key=lambda c: (round(c.real, 9), round(c.imag, 9), c.real + math.pi * c.imag)
     )
     return tuple(reps)
-
-
-def root_sets_match(a, b) -> bool:
-    na, nb = normalize_root_set(a), normalize_root_set(b)
-    if len(na) != len(nb):
-        return False
-    return all(abs(x - z) <= ROOT_MATCH_TOL for x, z in zip(na, nb))
 
 
 def _set_is_generic(roots) -> bool:

@@ -19,9 +19,12 @@ judged per point.  :func:`transfer_matrices` builds ``t(u)``, and
 points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
 builds its pair as one stack.  :func:`act` runs the same R-steps on a stack
 of states instead of the identity, each state at its own point and from its
-own side, so a Bethe state never needs a ``2^N``-square entry;
-:func:`act_chunk` is how many states one call of a stacked build takes.
-Nothing is cached.
+own side (a list of points and a list of sides, one each per state), so a
+Bethe state never needs a ``2^N``-square entry; :func:`act_chunk` is how
+many states one call of a stacked build takes and :func:`act_bytes` what
+it returns per state.  The one-point reads
+:func:`double_row`, :func:`modified_entries` and :func:`transfer_matrix`
+take exactly one point, and a list raises.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "Entries",
     "act",
     "act_chunk",
+    "act_bytes",
     "double_row",
     "modified_entries",
     "transfer_matrix",
@@ -83,11 +87,6 @@ class Entries(NamedTuple):
 def _freeze(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
-
-
-def _points(points) -> list:
-    """Spectral points as a flat list of ``complex``, one stack entry each."""
-    return np.asarray(points, dtype=complex).reshape(-1).tolist()
 
 
 def _columns(rows) -> np.ndarray:
@@ -275,20 +274,14 @@ def _transfer_blocks(raw, us: list, bp, closed=None):
 # builder, the one path every t(u) is built on.
 
 
-def _per_state(value, count: int, dtype) -> np.ndarray:
-    """``value``, one for all ``count`` states or one per state, as an array."""
-    value = np.asarray(value, dtype=dtype)
-    return np.full(count, value) if value.ndim == 0 else value
-
-
-def act(u, states, cs: ChainSpec, bp: BoundaryParams, dual=False):
+def act(us, states, cs: ChainSpec, bp: BoundaryParams, duals):
     """The double-row entries applied to a ``(K, 2^N)`` stack of states, each
     at its own point and from its own side.
 
-    ``u`` is one point or K of them and ``dual`` one side or K of them.
+    ``us`` holds K points and ``duals`` K sides, one of each per state.
     Returns ``(plain, modified)`` :class:`Entries` of ``(K, 2^N)`` arrays:
-    ``plain.b[k]`` is ``b(u[k]) @ states[k]``, or ``states[k] @ b(u[k])`` if
-    ``dual[k]``; ``modified`` is ``None`` for diagonal couplings.  The rows
+    ``plain.b[k]`` is ``b(us[k]) @ states[k]``, or ``states[k] @ b(us[k])``
+    if ``duals[k]``; ``modified`` is ``None`` for diagonal couplings.  The rows
     ``<0| x state`` and ``<1| x state`` run through the R-steps of
     :func:`_raw_blocks`, times ``M(u; theta)`` for a bra and times its
     transpose ``M(u; -theta)`` for a ket (``R`` symmetric, ``K^-``
@@ -296,7 +289,10 @@ def act(u, states, cs: ChainSpec, bp: BoundaryParams, dual=False):
     name its point.
     """
     count, half = np.shape(states)
-    us, duals = _per_state(u, count, complex).tolist(), _per_state(dual, count, bool)
+    us, duals = np.asarray(us, dtype=complex), np.asarray(duals, dtype=bool)
+    if us.shape != (count,) or duals.shape != (count,):
+        raise ParameterError(f"act needs a point and a side for each of {count} states")
+    us = us.tolist()
     # 8 times its 2K rows of 2^(N+1) numbers: tracemalloc at N = 6-8 peaks
     # at 5.2-5.6 times them from K = 64 on and 7.2 at K = 16.
     linalg.check_bytes(512 * count * half, f"double-row action on {count} state(s)")
@@ -326,9 +322,16 @@ def act_chunk(sites: int) -> int:
     return max(1, min(STACK_BYTES // rows, linalg.MAX_BYTES // (8 * rows)))
 
 
+def act_bytes(sites: int, diagonal: bool) -> int:
+    """Bytes :func:`act` returns per state at ``sites`` sites: the raw
+    blocks ``A, B, C, D``, the shifted ``d`` and, unless ``diagonal``, the
+    four modified entries, ``2^N`` complex numbers each."""
+    return (5 if diagonal else 9) * 16 << sites
+
+
 def double_row(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     """Entries of the double-row monodromy with the dressed d-shift applied."""
-    us = _points(u)
+    us = [complex(u)]
     return Entries(*(_freeze(e)[0] for e in _entries(_raw_blocks(us, cs, bp), us)))
 
 
@@ -337,7 +340,7 @@ def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     see :func:`_modified_blocks`)."""
     if bp.diagonal_mode:
         raise ParameterError("modified entries are undefined for diagonal couplings")
-    us = _points(u)
+    us = [complex(u)]
     blocks = _modified_blocks(_raw_blocks(us, cs, bp), us, bp, False)
     return Entries(*_freeze(blocks)[0])
 
@@ -345,24 +348,23 @@ def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
 def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
     """Relative disagreement between the two transfer-matrix decompositions.
 
-    ``points`` is one spectral point, giving a ``float``, or a list of them,
-    giving one residual per point; the points are built in the stacked
-    chunks of :func:`transfer_matrices` and nothing is cached.
+    One residual per point of the list ``points``; the points are built in
+    the stacked chunks of :func:`transfer_matrices` and nothing is cached.
     """
     if bp.diagonal_mode:
         raise ParameterError("modified entries are undefined for diagonal couplings")
-    us = _points(points)
+    us = [complex(u) for u in points]
     out = np.empty(len(us))
     for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
         t1 = _trace_form(_entries(raw, chunk), chunk, bp)
         t2 = _modified_form(closed[:, 0], closed[:, 3], chunk, bp)
         out[where] = relative_residuals(t1, t2)
-    return float(out[0]) if np.ndim(points) == 0 else out
+    return out
 
 
 def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Double-row transfer matrix t(u): a one-point :func:`transfer_matrices` stack."""
-    return transfer_matrices([u], cs, bp)[0]
+    return transfer_matrices([complex(u)], cs, bp)[0]
 
 
 def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):
@@ -393,7 +395,7 @@ def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     allocated.
     """
     half = 1 << cs.sites
-    us = _points(points)
+    us = [complex(u) for u in points]
     linalg.check_bytes(len(us) * half * half * 16, "transfer-matrix stack")
     out = np.empty((len(us), half, half), dtype=complex)
     for where, chunk, raw, closed in _chunked_builds(us, cs, bp):

@@ -352,10 +352,8 @@ class VerificationReport:
             "details": self.details,
         }
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(
-            self.to_dict(include_timing), sort_keys=True, indent=2
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def canonical_payload(self) -> bytes:
         """Serialization used for determinism comparisons: no wall times."""

@@ -18,9 +18,11 @@ RHO_ONE_TOL = 1e-8
 GENERIC_TOL = 1e-9
 
 # Spectral points are drawn uniformly from the disc |u| <= SPECTRAL_RADIUS
-# and kept at least CLEARANCE away from every pole locus.
+# and kept at least CLEARANCE away from every pole locus; inhomogeneities
+# from |theta| <= THETA_RADIUS, so |theta_i +- theta_j| < 1 (is_generic).
 SPECTRAL_RADIUS = 2.0
 CLEARANCE = 1e-3
+THETA_RADIUS = 0.4
 
 
 def _sqrt(z):
@@ -99,15 +101,16 @@ class ChainSpec:
     def is_homogeneous(self) -> bool:
         return all(t == 0 for t in self.thetas)
 
-    def is_generic(self, tol: float = GENERIC_TOL) -> bool:
-        """Pairwise theta_i != +-theta_j and 2 theta_i != +-1."""
+    def is_generic(self) -> bool:
+        """No ``theta_i +- theta_j`` within ``GENERIC_TOL`` of -1, 0 or 1 for
+        i < j, nor ``2 theta_i`` of -1 or 1: the spectrum degenerates there."""
         ts = self.thetas
         for i, a in enumerate(ts):
-            if abs(2 * a - 1) < tol or abs(2 * a + 1) < tol:
-                return False
+            gaps = [2 * a - 1, 2 * a + 1]
             for b in ts[i + 1 :]:
-                if abs(a - b) < tol or abs(a + b) < tol:
-                    return False
+                gaps += [a + s * b + k for s in (1, -1) for k in (-1, 0, 1)]
+            if min(map(abs, gaps)) < GENERIC_TOL:
+                return False
         return True
 
 
@@ -139,23 +142,15 @@ def draw_boundary_params(rng: np.random.Generator) -> BoundaryParams:
         return bp
 
 
-def draw_chain_spec(
-    rng: np.random.Generator,
-    sites: int,
-    radius: float = 0.4,
-    min_sep: float = 1e-3,
-) -> ChainSpec:
-    """Generic inhomogeneities in a small disc, mutually well separated."""
+def draw_chain_spec(rng: np.random.Generator, sites: int) -> ChainSpec:
+    """Generic inhomogeneities in the disc ``|theta| <= THETA_RADIUS``,
+    ``CLEARANCE`` apart from 0 and from +-each other."""
     thetas: list[complex] = []
     while len(thetas) < sites:
-        cand = _uniform_disc(rng, radius)
-        if abs(cand) < min_sep:
-            continue
-        if any(
-            abs(cand - t) < min_sep or abs(cand + t) < min_sep for t in thetas
-        ):
-            continue
-        thetas.append(cand)
+        cand = _uniform_disc(rng, THETA_RADIUS)
+        gaps = [abs(cand + s * t) for t in thetas for s in (1, -1)]
+        if min([abs(cand)] + gaps) >= CLEARANCE:
+            thetas.append(cand)
     return ChainSpec(sites, tuple(thetas))
 
 

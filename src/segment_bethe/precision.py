@@ -6,8 +6,9 @@ plain arithmetic, so the same code runs on ``complex`` and on
 (the standard library's C ``libmpdec``).  Decimal arithmetic rounds to the
 digits of the current decimal context, 28 unless changed, so every extended
 entry point lifts its inputs (:func:`lift_problem`, :func:`lift_roots`) and
-evaluates inside :func:`working_precision`, which carries ``DEFAULT_DPS = 60``
-digits plus ``GUARD_DIGITS``.  Operator matrices always stay in double
+evaluates inside :func:`working_precision`, which carries the fixed
+``DEFAULT_DPS = 60`` digits plus ``GUARD_DIGITS`` (other digits need the
+caller's own ``decimal.localcontext``).  Operator matrices stay in double
 precision; only the scalar formulas suffer catastrophic cancellation near
 coinciding root sets, and only they get the extended path.
 """
@@ -228,15 +229,11 @@ def lift_problem(cs: ChainSpec, bp: BoundaryParams, precision: str = "extended")
     return cs2, bp2
 
 
-def workdps(dps: int | None = None):
-    """Decimal context carrying ``dps`` digits plus ``GUARD_DIGITS``.
-
-    ``dps`` defaults to ``DEFAULT_DPS``, read at the call.  The context is a
-    fresh one (default rounding and traps), and the caller's is restored on
-    exit.
-    """
-    digits = DEFAULT_DPS if dps is None else dps
-    return localcontext(Context(prec=digits + GUARD_DIGITS))
+def workdps():
+    """A fresh decimal context (default rounding and traps) of ``DEFAULT_DPS``,
+    read at the call, plus ``GUARD_DIGITS`` digits; the caller's is restored
+    on exit."""
+    return localcontext(Context(prec=DEFAULT_DPS + GUARD_DIGITS))
 
 
 def working_precision(precision: str):

@@ -6,11 +6,12 @@ applied by :func:`~segment_bethe.double_row.act` without forming it.  One
 :class:`States` memo per draw builds every string once: the strings a draw
 reads form a prefix trie, built one level at a time, each level's nodes
 (bra and ket, both families, every point) in as few ``act`` calls as the
-chunk budget :func:`~segment_bethe.double_row.act_chunk` allows.  Every
-identity holds for the ket and, mirrored, for the bra; each is written once
-over a :class:`_Side`.  All checks return scale-free residuals: defect norm
-over the largest term norm entering the identity, so a tolerance means the
-same thing at every chain size.
+chunk budget :func:`~segment_bethe.double_row.act_chunk` allows, the memo
+charged to ``linalg.MAX_BYTES`` before each call.  Every identity holds for
+the ket and, mirrored, for the bra; each is written once over a
+:class:`_Side`.  All checks return scale-free residuals: defect norm over the
+largest term norm entering the identity, so a tolerance means the same thing
+at every chain size.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import kernels as kn
 from .bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
-from .double_row import Entries, act, act_chunk
+from .double_row import Entries, act, act_bytes, act_chunk
 from .errors import ParameterError
 from .linalg import (
     check_bytes,
@@ -105,11 +106,16 @@ class States:
     :func:`~segment_bethe.double_row.act_chunk` states, one call each.
     ``state(side, fam, roots)`` reads a built string and ``applied(side,
     fam, roots, u)`` every ``fam`` entry at ``u`` on it, which is the node
-    of the string ``roots + (u,)``.
+    of the string ``roots + (u,)``.  The memo keeps each call's whole
+    output, ``node_bytes`` a node and ``nbytes`` in all, and each call is
+    first charged the memo plus what it adds (``DimensionError`` over
+    ``linalg.MAX_BYTES``).
     """
 
     def __init__(self, cs: ChainSpec, bp: BoundaryParams):
         self.cs, self.bp, self._memo = cs, bp, {}
+        self.node_bytes = act_bytes(cs.sites, bp.diagonal_mode)
+        self.nbytes = 0
 
     @staticmethod
     def _key(side: _Side, fam: int, roots) -> tuple:
@@ -133,10 +139,14 @@ class States:
             nodes = list(levels[k].items())
             for lo in range(0, len(nodes), step):
                 chunk = nodes[lo : lo + step]
+                nbytes = self.nbytes + len(chunk) * self.node_bytes
+                count = len(self._memo) + len(chunk)
+                check_bytes(nbytes, f"Bethe-state memo of {count} nodes")
                 stack = np.array([self.state(*prefix) for _, prefix in chunk])
                 us = [key[3] for key, _ in chunk]
                 duals = [key[0] for key, _ in chunk]
-                out = act(us, stack, self.cs, self.bp, dual=duals)
+                out = act(us, stack, self.cs, self.bp, duals)
+                self.nbytes = nbytes
                 self._memo.update((key, (out, j)) for j, (key, _) in enumerate(chunk))
 
     def applied(self, side: _Side, fam: int, roots, u) -> Entries:
@@ -276,7 +286,7 @@ def check_multiple_actions(u, roots, cs: ChainSpec, bp: BoundaryParams) -> dict:
     for lo in range(0, len(points) * half, step):
         rows = range(lo, min(lo + step, len(points) * half))
         us = [points[r // half] for r in rows]
-        out = act(us, eye[[r % half for r in rows]], cs, bp, dual=True)
+        out = act(us, eye[[r % half for r in rows]], cs, bp, [True] * len(us))
         dense[:, lo : rows.stop] = out[state_family(bp)]
     family = {
         w: Entries(*dense[:, k * half : (k + 1) * half]) for k, w in enumerate(points)

@@ -2,8 +2,9 @@
 
 The derivatives of the exchange kernels and of the modified trace
 coefficients, each from its own closed form, the literal partial trace
-over the auxiliary factor, and Bethe states multiplied out from whole
-one-point entries.  The package computes none of these directly:
+over the auxiliary factor, Bethe states multiplied out from whole
+one-point entries, and the comparison of two root sets up to order and
+reflection.  The package computes none of these directly:
 its per-root tables (``bethe.root_terms``) and its stacked ``K^+`` trace are
 held to them by ``test_formula_tables`` and ``test_double_row``, and
 ``test_kernels`` and ``test_oracles`` hold them to finite differences and
@@ -11,6 +12,7 @@ to ``einsum``; ``test_vectors`` holds the matrix-free states to the
 multiplied-out ones.
 """
 
+from segment_bethe.bethe import ROOT_MATCH_TOL, normalize_root_set
 from segment_bethe.double_row import double_row, modified_entries
 from segment_bethe.errors import DimensionError
 from segment_bethe.kernels import Q, _guard, phi, phi_and_derivative
@@ -76,3 +78,9 @@ def table_state(roots, cs, bp, dual=False, plain=False):
         e = entries(u, cs, bp)
         vec = vec @ e.c if dual else e.b @ vec
     return vec
+
+
+def root_sets_match(a, b, tol=ROOT_MATCH_TOL):
+    """Whether two root sets agree to ``tol`` up to order and ``u -> -u-1``."""
+    na, nb = normalize_root_set(a), normalize_root_set(b)
+    return len(na) == len(nb) and all(abs(x - z) <= tol for x, z in zip(na, nb))

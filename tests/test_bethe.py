@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import root_sets_match
+
 from segment_bethe import bethe
 from segment_bethe import kernels as kn
 from segment_bethe import precision
@@ -21,7 +23,6 @@ from segment_bethe.bethe import (
     normalize_root_set,
     refine_roots,
     residual_jacobian,
-    root_sets_match,
     root_terms,
     solve_bethe,
     solve_bethe_diagonal,
@@ -189,17 +190,11 @@ def test_root_sets_match_cases():
     assert not root_sets_match(a, a[:1])
 
 
-def _sets_close(a, b, tol):
-    """``root_sets_match`` at a tolerance tighter than ``ROOT_MATCH_TOL``."""
-    na, nb = normalize_root_set(a), normalize_root_set(b)
-    return len(na) == len(nb) and all(abs(x - z) <= tol for x, z in zip(na, nb))
-
-
 def test_refine_roots_recovers_solution(cs2, bp, solved2):
     sol = solved2[0]
     noisy = tuple(r + 1e-5 * (1 + 1j) for r in sol.roots)
     polished = refine_roots(noisy, cs2, bp, tol=1e-12)
-    assert _sets_close(polished, sol.roots, 1e-8)
+    assert root_sets_match(polished, sol.roots, 1e-8)
     raw, scales = bethe_residuals_scaled(polished, cs2, bp)
     assert max(abs(r) / s for r, s in zip(raw, scales)) <= 1e-12
 
@@ -384,7 +379,7 @@ def test_ill_conditioned_reference_falls_back_to_stack(
     assert rng.random() == after_full
     assert sorted(s.branch for s in sols) == [0, 1, 2, 3]
     for a in full:
-        assert sum(_sets_close(a.roots, b.roots, 1e-7) for b in sols) == 1
+        assert sum(root_sets_match(a.roots, b.roots, 1e-7) for b in sols) == 1
 
 
 def test_no_well_conditioned_entry_raises(monkeypatch, cs2, bp):
@@ -525,7 +520,7 @@ def test_solutions_independent_of_rng_seed(cs2, bp):
     second = solve_bethe(cs2, bp, rng=np.random.default_rng(43))
     assert len(first) == len(second) == 4
     for a in first:
-        assert sum(_sets_close(a.roots, b.roots, 1e-7) for b in second) == 1
+        assert sum(root_sets_match(a.roots, b.roots, 1e-7) for b in second) == 1
 
 
 def test_tq_relation_on_solved_sets(cs2, bp, solved2, rng):

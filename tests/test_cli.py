@@ -347,3 +347,31 @@ def test_exit_two_on_dimension_error(monkeypatch, capsys):
     code = main(["spectrum", "--sites", "2", "--seed", "8128"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thetas", [[0, 1], [0.3, 0.7], [0.3, 1.3], [-0.3, -0.7]])
+def test_exit_two_on_thetas_whose_sum_or_difference_is_one(tmp_path, capsys, thetas):
+    # theta_i +- theta_j = +-1 degenerates the spectrum, and the solver
+    # missed branches there on most seeds: refused as a config error.
+    path = _write_config(tmp_path, {"thetas": thetas})
+    assert main(["spectrum", "--sites", "2", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert "config error: explicit thetas must be generic" in err
+    assert out == ""
+
+
+def test_thetas_clear_of_the_degenerate_loci_still_run(tmp_path, capsys):
+    path = _write_config(tmp_path, {"thetas": [0.3, 0.6]})
+    assert main(["spectrum", "--sites", "2", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"]
+
+
+def test_exit_two_when_the_bethe_state_memo_crosses_the_limit(monkeypatch, capsys):
+    # The off-shell draw at N = 2, seed 0 keeps 18 nodes of 9 * 16 * 4
+    # bytes.  One byte less is above every other charge of the run (act
+    # calls shrink to fit it), so only the memo's charge can refuse it.
+    monkeypatch.setattr(linalg, "MAX_BYTES", 18 * 9 * 16 * 4 - 1)
+    assert main(["offshell", "--sites", "2", "--seed", "0", "--draws", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "config error: Bethe-state memo of 18 nodes" in err
+    assert out == ""

@@ -280,7 +280,7 @@ def test_act_on_the_identity_matches_one_point_reads(
     for couplings in (bp, bp_diag):
         for u in draw_spectral_points(rng, 3, cs=cs3, bp=couplings):
             sizes = count_raw_blocks()
-            plain, modified = dr.act(u, identity(8), cs3, couplings, dual=True)
+            plain, modified = dr.act([u] * 8, identity(8), cs3, couplings, [True] * 8)
             assert sizes == []
             pairs = list(zip(plain, double_row(u, cs3, couplings)))
             if couplings.diagonal_mode:
@@ -298,18 +298,18 @@ def test_act_charges_its_rows_before_allocating(monkeypatch, cs3, bp, rng):
     u = draw_spectral_point(rng, cs=cs3, bp=bp)
     states = np.ones((5, 8), dtype=complex)
     monkeypatch.setattr(linalg, "MAX_BYTES", 8 * 64 * 5 * 8)
-    dr.act(u, states, cs3, bp)
+    dr.act([u] * 5, states, cs3, bp, [False] * 5)
     monkeypatch.setattr(linalg, "MAX_BYTES", 8 * 64 * 5 * 8 - 1)
     monkeypatch.setattr(np, "zeros", _allocation)
     with pytest.raises(DimensionError, match="double-row action on 5 state"):
-        dr.act(u, states, cs3, bp)
+        dr.act([u] * 5, states, cs3, bp, [False] * 5)
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize("sites", [1, 2, 3, 4, 5, 6])
 def test_act_on_a_mixed_stack_matches_one_state_calls(sites, diagonal):
     # Each row of a stack with its own point and side gets exactly what a
-    # one-point, one-side call on that state alone gives.
+    # call on that state alone gives.
     rng = np.random.default_rng(700 + sites)
     bp = draw_boundary_params(rng)
     if diagonal:
@@ -319,9 +319,9 @@ def test_act_on_a_mixed_stack_matches_one_state_calls(sites, diagonal):
     us = [points[k % 3] for k in range(7)]
     duals = [k % 2 == 1 for k in range(7)]
     states = rng.normal(size=(7, 2**sites)) + 1j * rng.normal(size=(7, 2**sites))
-    stacked = dr.act(us, states, cs, bp, dual=duals)
+    stacked = dr.act(us, states, cs, bp, duals)
     for k, (u, dual) in enumerate(zip(us, duals)):
-        alone = dr.act(u, states[k : k + 1], cs, bp, dual=dual)
+        alone = dr.act([u], states[k : k + 1], cs, bp, [dual])
         for got, want in zip(stacked, alone):
             if diagonal and got is None:
                 assert want is None
@@ -332,13 +332,33 @@ def test_act_on_a_mixed_stack_matches_one_state_calls(sites, diagonal):
 
 def test_act_keeps_the_pole_guard(cs2, bp):
     with pytest.raises(PoleError):
-        dr.act(-0.5 + 1e-14j, np.ones((1, 4)), cs2, bp)
+        dr.act([-0.5 + 1e-14j], np.ones((1, 4)), cs2, bp, [False])
     # In a stack, the guard names the point of the state it trips at.
     pole = -0.5 + 1e-14j
     with pytest.raises(PoleError) as caught:
-        dr.act([0.3 + 0.2j, pole, -0.1 + 0.4j], np.ones((3, 4)), cs2, bp)
+        dr.act([0.3 + 0.2j, pole, -0.1 + 0.4j], np.ones((3, 4)), cs2, bp, [False] * 3)
     assert caught.value.point == pole
     assert f"pole at {pole}" in str(caught.value)
+
+
+def test_act_takes_a_point_and_a_side_per_state(cs2, bp):
+    states = np.ones((2, 4))
+    for us, duals in [
+        (0.3 + 0.2j, [False, False]),  # one point for every state
+        ([0.3 + 0.2j, 0.1 - 0.4j], False),  # one side for every state
+        ([0.3 + 0.2j], [False, False]),
+        ([0.3 + 0.2j, 0.1 - 0.4j], [False, True, False]),
+    ]:
+        with pytest.raises(ParameterError, match="a point and a side for each of 2"):
+            dr.act(us, states, cs2, bp, duals)
+
+
+def test_one_point_reads_refuse_a_list(cs2, bp):
+    # A list of points used to build every point and return the first.
+    for read in (double_row, modified_entries, transfer_matrix):
+        read(0.3 + 0.2j, cs2, bp)
+        with pytest.raises(TypeError):
+            read([0.3 + 0.2j, 0.1 - 0.4j], cs2, bp)
 
 
 def test_act_gate_flags_a_wrong_closed_form_row(monkeypatch, cs2, bp, rng):
@@ -351,7 +371,7 @@ def test_act_gate_flags_a_wrong_closed_form_row(monkeypatch, cs2, bp, rng):
     states = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     for dual in (False, True):
         with pytest.raises(ConstructionError, match=r"modified entry 'b'"):
-            dr.act(u, states, cs2, bp, dual=dual)
+            dr.act([u, u], states, cs2, bp, [dual, dual])
     # In a 3-point stack only the middle state is nonzero, so only its
     # routes disagree, and the gate names its point, on either side.
     us = draw_spectral_points(rng, 3, cs=cs2, bp=bp)
@@ -359,7 +379,7 @@ def test_act_gate_flags_a_wrong_closed_form_row(monkeypatch, cs2, bp, rng):
     stack[1] = states[0]
     for dual in (False, True):
         with pytest.raises(ConstructionError) as caught:
-            dr.act(us, stack, cs2, bp, dual=[not dual, dual, not dual])
+            dr.act(us, stack, cs2, bp, [not dual, dual, not dual])
         assert f"modified entry 'b' at u = {us[1]}:" in str(caught.value)
 
 
@@ -432,9 +452,9 @@ def test_stacked_transfer_forms_match_point_by_point(
     got = transfer_forms_residual(points, cs, bp)
     assert got.shape == (5,)
     for k, u in enumerate(points):
-        one = transfer_forms_residual(u, cs, bp)
-        assert isinstance(one, float)
-        assert abs(got[k] - one) <= 2e-15
+        one = transfer_forms_residual([u], cs, bp)
+        assert one.shape == (1,)
+        assert abs(got[k] - one[0]) <= 2e-15
         assert abs(got[k] - _transfer_forms_oracle(u, cs, bp)) <= 2e-15
 
 

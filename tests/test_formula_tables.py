@@ -291,7 +291,7 @@ def _problem(size, seed, diagonal=False):
 
 @pytest.fixture(params=["double", "extended"])
 def backend(request):
-    """(lift, tolerance) for one backend; extended runs inside workdps(60)."""
+    """(lift, tolerance) for one backend; extended runs inside workdps()."""
     if request.param == "double":
         yield (lambda cs, bp, *sets: (cs, bp) + sets), DOUBLE_TOL
         return
@@ -299,7 +299,7 @@ def backend(request):
     def lift(cs, bp, *sets):
         return lift_problem(cs, bp) + tuple(lift_roots(s) for s in sets)
 
-    with workdps(DEFAULT_DPS):
+    with workdps():
         yield lift, EXTENDED_TOL
 
 
@@ -362,7 +362,7 @@ def test_root_terms_match_separate_kernels(size, diagonal):
         cs, bp, roots = _problem(size, seed, diagonal)[:3]
         for u in roots:
             assert root_terms(u, cs, bp) == oracle_root_terms(u, cs, bp)
-        with workdps(DEFAULT_DPS):
+        with workdps():
             cs_l, bp_l = lift_problem(cs, bp)
             for u in lift_roots(roots):
                 got, ref = root_terms(u, cs_l, bp_l), oracle_root_terms(u, cs_l, bp_l)
@@ -430,7 +430,7 @@ def test_stack_system_matches_single_sets(size, diagonal):
 def test_sixty_digit_stack_equals_single_sets(size, diagonal):
     # An object stack of 60-digit sets takes every set's scalar operations
     # as its one-set call does: the values are equal.
-    with workdps(DEFAULT_DPS):
+    with workdps():
         cs, bp, sets = _stack_problem(size, 0, diagonal, count=3)
         cs, bp = lift_problem(cs, bp)
         sets = [lift_roots(roots) for roots in sets]
@@ -467,7 +467,7 @@ def test_unwanted_terms_equal_per_entry(size, diagonal):
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("diagonal", [False, True])
 def test_unwanted_terms_match_per_entry_at_sixty_digits(size, diagonal):
-    with workdps(DEFAULT_DPS):
+    with workdps():
         for seed in range(3):
             cs, bp, roots = _problem(size, seed, diagonal)[:3]
             cs, bp = lift_problem(cs, bp)
@@ -557,7 +557,7 @@ def test_coefficient_table_matches_kernels(size, diagonal):
                 assert np.array_equal(got[0], ref[0])
                 assert np.array_equal(got[1], ref[1])
                 assert got[2] == ref[2]
-        with workdps(DEFAULT_DPS):
+        with workdps():
             cs_l, bp_l = lift_problem(cs, bp)
             roots_l, free_l = lift_roots(roots), lift_roots(free)
             for v in free_l:
@@ -669,7 +669,7 @@ def test_refine_builds_jacobians_only_for_steps_taken(monkeypatch, cs2, bp, solv
         return raw, scales, counted_jacobian
 
     monkeypatch.setattr(bethe, "_bethe_system", counted)
-    with workdps(DEFAULT_DPS):
+    with workdps():
         roots, cs, bp = (lift_roots(solved2[0].roots),) + lift_problem(cs2, bp)
         refine_roots(roots, cs, bp, tol=1e-40)
     # Every evaluated point but the accepted last one was stepped from.
@@ -720,13 +720,13 @@ def _rho_defect(bp):
 def test_lifted_rho_follows_working_precision(bp):
     cs = draw_chain_spec(np.random.default_rng(1), 1)
     _, lifted = lift_problem(cs, bp)
-    with workdps(DEFAULT_DPS):
+    with workdps():
         assert _rho_defect(lifted) < 1e-50
 
     _, lifted = lift_problem(cs, bp)
     low = lifted.rho
     assert _rho_defect(lifted) < 1e-14
-    with workdps(DEFAULT_DPS):
+    with workdps():
         assert _rho_defect(lifted) < 1e-50
         high = lifted.rho
     assert abs(low - high) < 1e-14
@@ -737,7 +737,7 @@ def test_lifted_rho_follows_working_precision(bp):
 def test_rho_memo_is_not_a_field():
     a = BoundaryParams(1.0, 2.0, 0.3 + 0.1j, 0.4)
     b = BoundaryParams(1.0, 2.0, 0.3 + 0.1j, 0.4)
-    with workdps(DEFAULT_DPS):
+    with workdps():
         a.rho
     assert a == b and hash(a) == hash(b)
     assert "_rho_memo" not in repr(a)

@@ -8,11 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import root_sets_match
 from test_double_row import _Allocation, _allocation
 
 import segment_bethe.double_row as dr
 from segment_bethe import harness, linalg, vectors
-from segment_bethe.bethe import BetheRoots, root_sets_match, solve_bethe
+from segment_bethe.bethe import BetheRoots, solve_bethe
 from segment_bethe.errors import DimensionError, ParameterError
 from segment_bethe.params import draw_spectral_points
 from segment_bethe.scalar_products import slavnov_modified
@@ -397,13 +398,14 @@ def test_offshell_builds_each_string_once_per_draw(monkeypatch, sites):
     real = vectors.act
     eye_rows = np.tile(np.eye(2**sites), (sites + 1, 1))
 
-    def counted(u, states, cs, bp, dual=False):
+    def counted(us, states, cs, bp, duals):
         calls.append(len(states))
         if not np.array_equal(states, eye_rows):
             applied.extend(
-                (d, complex(p), state.tobytes()) for d, p, state in zip(dual, u, states)
+                (d, complex(p), state.tobytes())
+                for d, p, state in zip(duals, us, states)
             )
-        return real(u, states, cs, bp, dual=dual)
+        return real(us, states, cs, bp, duals)
 
     monkeypatch.setattr(vectors, "act", counted)
     run("offshell", RunConfig(sites=sites, seed=0, draws=2))

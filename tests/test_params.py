@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segment_bethe import params
 from segment_bethe.errors import ParameterError
 from segment_bethe.params import (
+    GENERIC_TOL,
+    THETA_RADIUS,
     BoundaryParams,
     ChainSpec,
     draw_boundary_params,
@@ -72,6 +75,33 @@ def test_is_generic_rejections():
     assert not ChainSpec(1, (-0.5 + 0j,)).is_generic()  # 2 theta = -1
     assert not ChainSpec(2, (0.1 + 0j, 0.1 + 0j)).is_generic()
     assert not ChainSpec(2, (0.1 + 0.2j, -0.1 - 0.2j)).is_generic()
+    # Clear of theta_i +- theta_j = +-1: these ran spectrum on every seed.
+    for thetas in [(0.3, 0.6), (0.3, -0.6), (0.25, 0.7), (0.3 + 0.2j, 0.6 - 0.1j)]:
+        assert ChainSpec(2, thetas).is_generic()
+
+
+@pytest.mark.parametrize(
+    "thetas",
+    [
+        (0.3, 1.3),  # theta_2 - theta_1 = 1
+        (0.3, -0.7),  # theta_1 - theta_2 = 1
+        (0.3, 0.7),  # theta_1 + theta_2 = 1
+        (-0.3, -0.7),  # theta_1 + theta_2 = -1
+        (0.3 + 0.2j, 0.7 - 0.2j),
+        (0.3 + 0.2j, -0.7 + 0.2j),
+        (0, 1),
+        (0, -1),
+        (0.1, 0.3 + 0.2j, -0.7 + 0.2j),  # a later pair
+    ],
+)
+def test_is_generic_refuses_sums_and_differences_of_one(thetas):
+    # At theta_i +- theta_j = +-1 the spectrum degenerates and the solver
+    # misses branches; within GENERIC_TOL of the locus counts as on it.
+    assert not ChainSpec(len(thetas), tuple(map(complex, thetas))).is_generic()
+    near = thetas[:-1] + (thetas[-1] + 0.5 * GENERIC_TOL,)
+    assert not ChainSpec(len(near), near).is_generic()
+    off = thetas[:-1] + (thetas[-1] + 2 * GENERIC_TOL,)
+    assert ChainSpec(len(off), off).is_generic()
 
 
 def test_draw_boundary_params_stays_generic(rng):
@@ -84,14 +114,17 @@ def test_draw_boundary_params_stays_generic(rng):
         assert 0.2 <= abs(bp.xi_minus) <= 1.5
 
 
-def test_draw_chain_spec_separation(rng):
-    cs = draw_chain_spec(rng, 4, min_sep=1e-2)
-    assert cs.sites == 4
-    ts = cs.thetas
-    for i, a in enumerate(ts):
-        assert abs(a) >= 1e-2
-        for b in ts[i + 1 :]:
-            assert abs(a - b) >= 1e-2 and abs(a + b) >= 1e-2
+def test_draw_chain_spec_separation(monkeypatch, rng):
+    # A clearance of 0.1 rejects often enough to exercise every rule.
+    monkeypatch.setattr(params, "CLEARANCE", 0.1)
+    for _ in range(10):
+        cs = draw_chain_spec(rng, 4)
+        assert cs.sites == 4 and cs.is_generic()
+        ts = cs.thetas
+        for i, a in enumerate(ts):
+            assert 0.1 <= abs(a) <= THETA_RADIUS
+            for b in ts[i + 1 :]:
+                assert abs(a - b) >= 0.1 and abs(a + b) >= 0.1
 
 
 def test_draw_spectral_point_clearances(rng):

@@ -163,8 +163,8 @@ def test_lifting_keeps_sixty_digit_input():
         z = DecimalComplex(Decimal(1) / Decimal(3), -Decimal(2) / Decimal(7))
         lifted = lift(z)
     assert lifted == z and lifted.real != Decimal(complex(z).real)
-    with workdps(20):
-        assert len(lift(z).real.as_tuple().digits) == 20 + GUARD_DIGITS
+    with decimal.localcontext(decimal.Context(prec=22)):
+        assert len(lift(z).real.as_tuple().digits) == 22
     assert lift(z, "double") == complex(z)
 
 
@@ -241,13 +241,12 @@ def test_pole_guard_on_decimal_scalars():
 
 def test_nested_contexts_restore_the_outer_precision():
     outer = decimal.getcontext().prec
-    with workdps(80):
-        assert decimal.getcontext().prec == 80 + GUARD_DIGITS
+    with decimal.localcontext(decimal.Context(prec=82)):
         with workdps():
             assert decimal.getcontext().prec == DEFAULT_DPS + GUARD_DIGITS
-        assert decimal.getcontext().prec == 80 + GUARD_DIGITS
+        assert decimal.getcontext().prec == 82
         with precision.working_precision("double"):
-            assert decimal.getcontext().prec == 80 + GUARD_DIGITS
+            assert decimal.getcontext().prec == 82
     assert decimal.getcontext().prec == outer
 
 

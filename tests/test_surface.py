@@ -3,9 +3,12 @@
 A top-level function of ``src/segment_bethe`` whose name has no leading
 underscore must be referenced in the package outside its own definition,
 exported by the package ``__init__``, or named inside backticks in README.
-One that only the tests call belongs with the tests (``oracles``).  And no
+One that only the tests call belongs with the tests (``oracles``).  No
 module imports another module's private (underscore, not dunder) name: what
-two modules share is public.  The sources are parsed, not imported.
+two modules share is public.  And every defaulted parameter of the package
+is set by some call outside the tests: a value or calling mode that only
+the tests choose is not an option of the package.  The sources are parsed,
+not imported.
 """
 
 import ast
@@ -85,3 +88,75 @@ def private_imports(root=ROOT) -> list:
 
 def test_no_module_imports_a_private_name_of_another():
     assert private_imports() == []
+
+
+def _definitions(tree: ast.Module):
+    """``(callee, qualname, fn, method)`` for every function and method of a
+    module.  A call reaches ``__init__`` by its class's name."""
+    stack = [(node, None) for node in tree.body]
+    while stack:
+        node, cls = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            stack += [(sub, node.name) for sub in node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list
+            )
+            callee = cls if cls and node.name == "__init__" else node.name
+            qualname = f"{cls}.{node.name}" if cls else node.name
+            yield callee, qualname, node, bool(cls) and not static
+            stack += [(sub, None) for sub in node.body]
+
+
+def _defaults(fn, method: bool) -> list:
+    """``(position, name)`` of each defaulted parameter as a caller passes
+    it (a method's ``self`` left out); ``None`` for keyword-only ones."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][int(method) :]
+    first = len(positional) - len(args.defaults)
+    out = [(k, positional[k]) for k in range(first, len(positional))]
+    kw = zip(args.kwonlyargs, args.kw_defaults)
+    return out + [(None, a.arg) for a, d in kw if d is not None]
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def unset_defaults(root=ROOT) -> list:
+    """``module.function(parameter)`` for each defaulted parameter of the
+    package that no call in ``src``, ``bench`` or ``tools`` sets, by
+    keyword or by position.  Calls are matched by the callee's name."""
+    package = sorted((root / "src" / "segment_bethe").glob("*.py"))
+    callers = package + sorted((root / "bench").glob("*.py"))
+    callers += sorted((root / "tools").glob("*.py"))
+    # callee name -> the positions and keywords its calls pass; a * or **
+    # argument passes everything of its kind.
+    passed: dict = {}
+    for path in callers:
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            seen = passed.setdefault(_callee(call), set())
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            seen.add("*" if starred else len(call.args))
+            seen.update("**" if k.arg is None else k.arg for k in call.keywords)
+    out = []
+    for path in package:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for callee, qualname, fn, method in _definitions(tree):
+            seen = passed.get(callee, set())
+            widest = max((n for n in seen if isinstance(n, int)), default=0)
+            for position, name in _defaults(fn, method):
+                by_position = position is not None and (
+                    "*" in seen or widest > position
+                )
+                if not (by_position or "**" in seen or name in seen):
+                    out.append(f"{path.stem}.{qualname}({name})")
+    return sorted(out)
+
+
+def test_every_default_is_set_by_a_caller_outside_the_tests():
+    assert unset_defaults() == []

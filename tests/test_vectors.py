@@ -10,7 +10,7 @@ from segment_bethe import kernels as kn
 from segment_bethe import linalg
 from segment_bethe.bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
 from segment_bethe.double_row import transfer_matrix
-from segment_bethe.errors import ParameterError
+from segment_bethe.errors import DimensionError, ParameterError
 from segment_bethe.harness import RECORDS
 from segment_bethe.params import (
     BoundaryParams,
@@ -34,6 +34,7 @@ from segment_bethe.vectors import (
     check_offshell_action,
     diagonal_w0_product,
     offshell_strings,
+    state_family,
     w0_scalar,
     w_coefficients,
 )
@@ -108,9 +109,9 @@ def test_states_build_each_prefix_once(monkeypatch, cs3, bp, rng):
     calls = []
     real = dr.act
 
-    def counted(u, states, cs, bp, dual=False):
-        calls.append((list(u), list(dual)))
-        return real(u, states, cs, bp, dual=dual)
+    def counted(us, states, cs, bp, duals):
+        calls.append((list(us), list(duals)))
+        return real(us, states, cs, bp, duals)
 
     monkeypatch.setattr("segment_bethe.vectors.act", counted)
     u1, u2, u3, v = draw_spectral_points(rng, 4, cs=cs3, bp=bp)
@@ -128,9 +129,9 @@ def test_states_build_both_sides_and_families_in_one_call_per_level(
     calls = []
     real = dr.act
 
-    def counted(u, states, cs, bp, dual=False):
-        calls.append(list(zip(dual, u)))
-        return real(u, states, cs, bp, dual=dual)
+    def counted(us, states, cs, bp, duals):
+        calls.append(list(zip(duals, us)))
+        return real(us, states, cs, bp, duals)
 
     monkeypatch.setattr("segment_bethe.vectors.act", counted)
     u1, u2, v = draw_spectral_points(rng, 3, cs=cs3, bp=bp)
@@ -152,12 +153,21 @@ def test_a_level_wider_than_its_chunk_takes_several_calls(
 ):
     # A call on K states at N = 3 is charged 512 * 8 * K bytes.  With the
     # chunk cut to two states, by its rows (STACK_BYTES) or by its charge
-    # (MAX_BYTES), each level of an off-shell draw takes ceil(width / 2)
-    # calls, each charged within two states, and every string equals the
-    # one-call-per-level build's bit for bit.
+    # (MAX_BYTES), each level takes ceil(width / 2) calls, each charged
+    # within two states, and every string equals the one-call-per-level
+    # build's bit for bit.  The rows case builds a whole off-shell draw,
+    # its chunks mixing sides and families.  The charge case builds the
+    # ket's five modified strings, 10 nodes of 9 * 16 * 8 bytes: the memo
+    # is charged too, and the whole draw's 42 nodes do not fit a limit
+    # that cuts the chunk to two states.
     roots = tuple(draw_spectral_points(rng, 3, cs=cs3, bp=bp))
     u = draw_spectral_point(rng, roots, cs=cs3, bp=bp)
-    wanted = offshell_strings(u, roots, bp)
+    if limit == "STACK_BYTES":
+        wanted = offshell_strings(u, roots, bp)
+    else:
+        swapped = [roots[:i] + (u,) + roots[i + 1 :] for i in range(3)]
+        strings = [roots, roots + (u,)] + swapped
+        wanted = [(KET, MODIFIED, s) for s in strings]
     sizes = []
     real = linalg.check_bytes
 
@@ -170,11 +180,12 @@ def test_a_level_wider_than_its_chunk_takes_several_calls(
     whole = States(cs3, bp)
     whole.build(wanted)
     widths, sizes[:] = list(sizes), []
-    assert len(widths) == 4 and max(widths) > 2
     if limit == "STACK_BYTES":
+        assert len(widths) == 4 and max(widths) > 2
         monkeypatch.setattr(dr, "STACK_BYTES", 2 * 64 * 8)
     else:
-        monkeypatch.setattr(linalg, "MAX_BYTES", 2 * 512 * 8)
+        assert widths == [2, 3, 4, 1] and whole.nbytes == 10 * 9 * 16 * 8
+        monkeypatch.setattr(linalg, "MAX_BYTES", whole.nbytes)
     assert dr.act_chunk(3) == 2
     chunked = States(cs3, bp)
     chunked.build(wanted)
@@ -183,6 +194,57 @@ def test_a_level_wider_than_its_chunk_takes_several_calls(
     for side, fam, roots in wanted:
         got, want = chunked.state(side, fam, roots), whole.state(side, fam, roots)
         assert got.tobytes() == want.tobytes()
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_states_charge_the_memo_before_each_call(
+    monkeypatch, cs3, bp, bp_diag, rng, diagonal
+):
+    # The memo holds act's whole output, (9 or 5) * 16 * 2^N bytes a node,
+    # and each call is charged the memo so far plus what it adds.  A limit
+    # one byte short of a draw's whole memo lets every call but the last
+    # run, and refuses the last before it runs.
+    couplings = bp_diag if diagonal else bp
+    roots = tuple(draw_spectral_points(rng, 3, cs=cs3, bp=couplings))
+    u = draw_spectral_point(rng, roots, cs=cs3, bp=couplings)
+    strings = [roots, roots + (u,)]
+    strings += [roots[:i] + (u,) + roots[i + 1 :] for i in range(3)]
+    fam = state_family(couplings)
+    wanted = [(side, fam, s) for side in (KET, BRA) for s in strings]
+    whole = States(cs3, couplings)
+    whole.build(wanted)
+    nodes = len(whole._memo)
+    assert whole.nbytes == nodes * (5 if diagonal else 9) * 16 * 8
+    owners = {
+        id(o): o
+        for out, _ in whole._memo.values()
+        for family in out
+        if family is not None
+        for o in map(_owner, family)
+    }
+    assert sum(o.nbytes for o in owners.values()) == whole.nbytes
+    calls = []
+    real = dr.act
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr("segment_bethe.vectors.act", counted)
+    monkeypatch.setattr(linalg, "MAX_BYTES", whole.nbytes)
+    States(cs3, couplings).build(wanted)
+    fits, calls[:] = len(calls), []
+    monkeypatch.setattr(linalg, "MAX_BYTES", whole.nbytes - 1)
+    message = f"Bethe-state memo of {nodes} nodes needs {whole.nbytes} bytes"
+    with pytest.raises(DimensionError, match=message):
+        States(cs3, couplings).build(wanted)
+    assert len(calls) == fits - 1
 
 
 def _offshell_draws(cs, couplings, rng, draws=3):
