@@ -17,13 +17,13 @@ Every step runs on a stack of points with a leading point axis, each gate
 judged per point.  :func:`transfer_matrices` builds ``t(u)``, and
 :func:`transfer_forms_residual` compares its two forms, for a whole list of
 points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
-builds its pair as one stack.  :func:`act` runs the same R-steps on a stack
-of states instead of the identity, each state at its own point and from its
-own side (a list of points and a list of sides, one each per state), so a
-Bethe state never needs a ``2^N``-square entry; :func:`act_chunk` is how
-many states one call of a stacked build takes and :func:`act_bytes` what
-it returns per state.  The one-point reads
-:func:`double_row`, :func:`modified_entries` and :func:`transfer_matrix`
+builds its pair as one stack.  :func:`act` runs the same R-steps on a stack of
+states instead of the identity, each state at its own point and from its own
+side (a list of points and a list of sides, one each per state), so a Bethe
+state never needs a ``2^N``-square entry; :func:`act_chunk` is how many states
+one call of a stacked build takes and :func:`act_bytes` what it returns per
+state.  :func:`trace_form` makes ``t(u)`` of either stack.  The one-point
+reads :func:`double_row`, :func:`modified_entries` and :func:`transfer_matrix`
 take exactly one point, and a list raises.  Nothing is cached.
 """
 
@@ -57,6 +57,7 @@ __all__ = [
     "transfer_matrix",
     "transfer_matrices",
     "transfer_forms_residual",
+    "trace_form",
     "hamiltonian",
     "check_exchange_relations",
 ]
@@ -87,15 +88,6 @@ class Entries(NamedTuple):
 def _freeze(m: np.ndarray) -> np.ndarray:
     m.flags.writeable = False
     return m
-
-
-def _columns(rows) -> np.ndarray:
-    """Per-point scalar rows ``[(s0, s1, ...), ...]`` as columns ``s_k``.
-
-    Each column has shape ``(B, 1, 1)``, so it scales a ``(B, n, n)`` stack
-    point by point.
-    """
-    return np.array(rows, dtype=complex).T[:, :, None, None]
 
 
 def _times_r_string(m: np.ndarray, values, sites) -> np.ndarray:
@@ -226,22 +218,25 @@ def _modified_blocks(blocks: np.ndarray, us: list, bp: BoundaryParams, on_states
     return closed.reshape(blocks.shape)
 
 
-def _trace_form(entries, us: list, bp) -> np.ndarray:
+def _form(kernels, entries, us: list, bp) -> np.ndarray:
+    """``sum_k kernels[k](u, bp) entries[k]``, one point of ``us`` per
+    leading index of the entries, whatever their rank."""
+    coeffs = np.array([[kern(u, bp) for kern in kernels] for u in us], dtype=complex)
+    shape = (len(us),) + (1,) * (entries[0].ndim - 1)
+    return sum(c.reshape(shape) * e for c, e in zip(coeffs.T, entries))
+
+
+def trace_form(entries, us: list, bp: BoundaryParams) -> np.ndarray:
+    """``t(u) = alpha a + delta d + beta b + gamma c`` from the plain entries:
+    ``(B, 2^N, 2^N)`` blocks give ``t(u)`` itself, a ``(K, 2^N)`` :func:`act`
+    stack ``t(u)`` applied to each state."""
     a, b, c, d = entries
-    alpha, delta, beta, gamma = _columns(
-        [
-            (kn.alpha(u, bp), kn.delta(u, bp), kn.beta(u, bp), kn.gamma(u, bp))
-            for u in us
-        ]
-    )
-    return alpha * a + delta * d + beta * b + gamma * c
+    return _form((kn.alpha, kn.delta, kn.beta, kn.gamma), (a, d, b, c), us, bp)
 
 
-def _modified_form(a_bar, d_bar, us: list, bp) -> np.ndarray:
-    alpha_bar, delta_bar = _columns(
-        [(kn.alpha_bar(u, bp), kn.delta_bar(u, bp)) for u in us]
-    )
-    return alpha_bar * a_bar + delta_bar * d_bar
+def _modified_form(closed, us: list, bp) -> np.ndarray:
+    """``alpha_bar a_bar + delta_bar d_bar`` from ``(B, 4, ...)`` modified blocks."""
+    return _form((kn.alpha_bar, kn.delta_bar), closed[:, ::3].swapaxes(0, 1), us, bp)
 
 
 def _transfer_blocks(raw, us: list, bp, closed=None):
@@ -251,13 +246,13 @@ def _transfer_blocks(raw, us: list, bp, closed=None):
     raw block (1e-12) and, when the modified blocks ``closed`` are given,
     against the two-term modified form (1e-11).
     """
-    t1 = _trace_form(_entries(raw, us), us, bp)
+    t1 = trace_form(_entries(raw, us), us, bp)
     # tr_0 (K^+ x 1) raw, contracted block by block.
     halves = raw.reshape(len(us), 2, 2, *raw.shape[2:])
     others = [np.einsum("bjk,bkjxy->bxy", k_plus(us, bp), halves)]
     gates = [("transfer trace decomposition broke", 1e-12)]
     if closed is not None:
-        others.append(_modified_form(closed[:, 0], closed[:, 3], us, bp))
+        others.append(_modified_form(closed, us, bp))
         gates.append(("transfer matrix: modified form disagrees", 1e-11))
     res = relative_residuals(t1[:, None], np.stack(others, axis=1))
     bad = ~(res <= [tol for _, tol in gates])
@@ -356,8 +351,8 @@ def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
     us = [complex(u) for u in points]
     out = np.empty(len(us))
     for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
-        t1 = _trace_form(_entries(raw, chunk), chunk, bp)
-        t2 = _modified_form(closed[:, 0], closed[:, 3], chunk, bp)
+        t1 = trace_form(_entries(raw, chunk), chunk, bp)
+        t2 = _modified_form(closed, chunk, bp)
         out[where] = relative_residuals(t1, t2)
     return out
 

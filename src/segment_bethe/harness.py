@@ -42,7 +42,6 @@ from .double_row import (
     hamiltonian,
     transfer_forms_residual,
     transfer_matrices,
-    transfer_matrix,
 )
 from .errors import ConvergenceError, ParameterError
 from .linalg import check_bytes, pair_residual, relative_residual
@@ -600,14 +599,13 @@ def run_offshell(config: RunConfig) -> VerificationReport:
     for _ in range(config.draws):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=bp))
         u = draw_spectral_point(rng, roots, cs=cs, bp=bp)
-        # Dense work first: t(u), so that the byte limit refuses it before
-        # any state is built, and the sweeps, so that their entries are
-        # freed before the draw's strings are built, all in one build.
-        t = transfer_matrix(u, cs, bp)
+        # The dense sweeps first, so that the byte limit refuses their
+        # entries before any state is built and frees them before the
+        # draw's strings are built, all in one build.
         sweeps = check_multiple_actions(u, roots, cs, bp)
         states = States(cs, bp)
         states.build(offshell_strings(u, roots, bp))
-        off = check_offshell_action(u, roots, t, states, cs, bp)
+        off = check_offshell_action(u, roots, states, cs, bp)
         for side in ("right", "left"):
             rec.fold(f"offshell-action-{side}", off[side])
         for side in ("right", "left"):
@@ -804,17 +802,24 @@ COMMANDS = {
 
 # Commands whose suites need off-diagonal boundary couplings.
 OFF_DIAGONAL_COMMANDS = frozenset({"offshell", "slavnov", "norm", "n1", "all"})
+# Commands whose suites build the Hamiltonian, which needs p, q nonzero.
+HAMILTONIAN_COMMANDS = frozenset({"exchange", "all"})
 
 
 def check_command(command: str, config: RunConfig) -> None:
     """Refuse a command that ``config`` cannot serve, before any suite runs."""
     if command not in COMMANDS:
         raise ParameterError(f"unknown subcommand {command!r}")
-    diagonal = config._pinned is not None and config._pinned.diagonal_mode
-    if diagonal and command in OFF_DIAGONAL_COMMANDS:
-        raise ParameterError(
-            f"the {command} command needs off-diagonal boundary couplings"
-        )
+    pinned = config._pinned
+    if pinned is None:
+        return
+    if pinned.diagonal_mode and command in OFF_DIAGONAL_COMMANDS:
+        need = "off-diagonal boundary couplings"
+    elif 0 in (pinned.p, pinned.q) and command in HAMILTONIAN_COMMANDS:
+        need = "nonzero boundary couplings p, q"
+    else:
+        return
+    raise ParameterError(f"the {command} command needs {need}")
 
 
 def run(command: str, config: RunConfig) -> VerificationReport:

@@ -1,17 +1,17 @@
 """Bethe vectors, transfer-matrix action checks, and basis expansions.
 
 States are built by repeated application of the modified creation operator to
-the reference state (plain operators in the diagonal limit), each entry
-applied by :func:`~segment_bethe.double_row.act` without forming it.  One
-:class:`States` memo per draw builds every string once: the strings a draw
-reads form a prefix trie, built one level at a time, each level's nodes
-(bra and ket, both families, every point) in as few ``act`` calls as the
-chunk budget :func:`~segment_bethe.double_row.act_chunk` allows, the memo
-charged to ``linalg.MAX_BYTES`` before each call.  Every identity holds for
-the ket and, mirrored, for the bra; each is written once over a
-:class:`_Side`.  All checks return scale-free residuals: defect norm over the
-largest term norm entering the identity, so a tolerance means the same thing
-at every chain size.
+the reference state (plain operators in the diagonal limit), each entry, and
+``t(u)`` as their trace form, applied by :func:`~segment_bethe.double_row.act`
+without forming it.  One :class:`States` memo per draw builds every string
+once: the strings a draw reads form a prefix trie, built one level at a time,
+each level's nodes (bra and ket, both families, every point) in as few
+``act`` calls as the chunk budget :func:`~segment_bethe.double_row.act_chunk`
+allows, the memo charged to ``linalg.MAX_BYTES`` before each call.  Every
+identity holds for the ket and, mirrored, for the bra; each is written once
+over a :class:`_Side`.  All checks return scale-free residuals: defect norm
+over the largest term norm entering the identity, so a tolerance means the
+same thing at every chain size.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels as kn
 from .bethe import eigenvalue_parts, unwanted_terms, vacuum_eigenvalues
-from .double_row import Entries, act, act_bytes, act_chunk
+from .double_row import Entries, act, act_bytes, act_chunk, trace_form
 from .errors import ParameterError
 from .linalg import (
     check_bytes,
@@ -105,8 +105,8 @@ class States:
     :func:`~segment_bethe.double_row.act` in chunks of
     :func:`~segment_bethe.double_row.act_chunk` states, one call each.
     ``state(side, fam, roots)`` reads a built string and ``applied(side,
-    fam, roots, u)`` every ``fam`` entry at ``u`` on it, which is the node
-    of the string ``roots + (u,)``.  The memo keeps each call's whole
+    fam, roots, u)`` every entry at ``u`` on it, both families, which is
+    the node of the string ``roots + (u,)``.  The memo keeps each call's whole
     output, ``node_bytes`` a node and ``nbytes`` in all, and each call is
     first charged the memo plus what it adds (``DimensionError`` over
     ``linalg.MAX_BYTES``).
@@ -149,14 +149,15 @@ class States:
                 self.nbytes = nbytes
                 self._memo.update((key, (out, j)) for j, (key, _) in enumerate(chunk))
 
-    def applied(self, side: _Side, fam: int, roots, u) -> Entries:
+    def applied(self, side: _Side, fam: int, roots, u) -> tuple:
+        """``(plain, modified)`` entries at ``u`` on the ``fam`` string at ``roots``."""
         out, j = self._memo[self._key(side, fam, tuple(roots) + (u,))]
-        return Entries(*(e[j] for e in out[fam]))
+        return tuple(None if e is None else Entries(*(x[j] for x in e)) for e in out)
 
     def state(self, side: _Side, fam: int, roots) -> np.ndarray:
         if not roots:
             return vacuum_state(self.cs.sites)
-        return side.string(self.applied(side, fam, roots[:-1], roots[-1]))
+        return side.string(self.applied(side, fam, roots[:-1], roots[-1])[fam])
 
 
 def _one_string(side: _Side, roots, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
@@ -206,15 +207,11 @@ def _action_terms(value, coeffs, u, roots, state) -> list:
 
 def _offshell_reads(u, roots, bp) -> list:
     """The strings :func:`check_offshell_action` reads."""
-    strings = [roots] + [_swap(roots, i, u) for i in range(len(roots))]
-    if not bp.diagonal_mode:
-        strings.append(roots + (u,))
+    strings = [roots, *(_swap(roots, i, u) for i in range(len(roots))), roots + (u,)]
     return [(side, state_family(bp), s) for side in SIDES for s in strings]
 
 
-def check_offshell_action(
-    u, roots, t, states, cs: ChainSpec, bp: BoundaryParams
-) -> dict:
+def check_offshell_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> dict:
     """Residuals of the off-shell transfer action on ket and bra states.
 
     ``t(u) psi = Lambda(u) psi + sum_i F(u, u_i) E_i psi(u_i -> u)``, with
@@ -223,9 +220,9 @@ def check_offshell_action(
     remainder of the creation entry at ``u`` stands for the inhomogeneous one
     (``partial_*``); and, for generic couplings, the central relation
     between that remainder and the inhomogeneous part (``central_*``).  All
-    three read the caller's ``t = transfer_matrix(u, cs, bp)``, one
-    evaluation of ``Lambda(u)``, one table of
-    :func:`~segment_bethe.bethe.unwanted_terms` and the draw's ``states``.
+    three read the draw's ``states``, one ``Lambda(u)`` and one table of
+    :func:`~segment_bethe.bethe.unwanted_terms`; ``t(u) psi`` is the trace
+    form of the plain entries at ``u`` on ``psi``, with no dense ``t(u)``.
     """
     u = complex(u)
     roots = tuple(roots)
@@ -239,10 +236,12 @@ def check_offshell_action(
     whole = [w * (d + g) for w, d, g in zip(weights, dressed, inhomogeneous)]
     part = [w * d for w, d in zip(weights, dressed)]
     central = [w * g for w, g in zip(weights, inhomogeneous)]
-    out = {}
+    fam, out = state_family(bp), {}
     for side in SIDES:
-        state = partial(states.state, side, state_family(bp))
-        lhs = side.apply(t, state(roots))
+        state = partial(states.state, side, fam)
+        # t(u) psi (psi t(u) for the bra): the node of roots + (u,) on psi.
+        plain = states.applied(side, fam, roots, u)[PLAIN]
+        lhs = trace_form(Entries(*(e[None] for e in plain)), [u], bp)[0]
         out[side.key] = _residual(lhs, _action_terms(lam, whole, u, roots, state))
         dressed_terms = _action_terms(lam_d, part, u, roots, state)
         if not bp.diagonal_mode:
@@ -433,7 +432,7 @@ def check_cb_sweep(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float
     u = complex(u)
     roots = tuple(roots)
     states.build(_cb_sweep_reads(u, roots))
-    lhs = states.applied(KET, PLAIN, roots, u).c
+    lhs = states.applied(KET, PLAIN, roots, u)[PLAIN].c
     plain_b_string = partial(states.state, KET, PLAIN)
     return _residual(lhs, _annihilation_terms(u, roots, plain_b_string, cs, bp))
 
@@ -456,7 +455,7 @@ def check_c_action(u, roots, states, cs: ChainSpec, bp: BoundaryParams) -> float
     rxm = bp.rho / bp.xi_minus
     l1u, l2u = vacuum_eigenvalues(u, cs, bp)
 
-    e_u = states.applied(KET, MODIFIED, roots, u)
+    e_u = states.applied(KET, MODIFIED, roots, u)[MODIFIED]
     terms = [-(rxm * rxm) * e_u.b]
     terms.append(
         rxm

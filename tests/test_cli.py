@@ -174,6 +174,39 @@ def test_exit_two_when_command_needs_off_diagonal_couplings(
 
 
 @pytest.mark.parametrize(
+    "couplings",
+    [
+        {"p": 0, "q": 1.5, "xi_plus": 0.3, "xi_minus": 0.4},
+        {"p": 1.5, "q": 0, "xi_plus": 0.3, "xi_minus": 0.4},
+        {"p": 0, "q": 1.5},
+    ],
+)
+@pytest.mark.parametrize("command", sorted(harness.HAMILTONIAN_COMMANDS))
+def test_exit_two_when_the_hamiltonian_has_a_zero_coupling(
+    monkeypatch, tmp_path, capsys, command, couplings
+):
+    # The Hamiltonian divides by p and q, so a pinned zero is a config
+    # error refused before any suite runs, not a failed run (exit 3) at the
+    # exchange suite's Hamiltonian check.
+    ran = []
+    for name, suite in harness.COMMANDS.items():
+        monkeypatch.setitem(
+            harness.COMMANDS, name, lambda c, s=suite, n=name: ran.append(n) or s(c)
+        )
+    path = _write_config(tmp_path, couplings)
+    assert main([command, "--sites", "2", "--draws", "1", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: the {command} command needs" in err
+    assert ran == []
+
+
+def test_a_zero_coupling_serves_the_commands_without_a_hamiltonian(tmp_path, capsys):
+    path = _write_config(tmp_path, {"p": 0, "q": 1.5, "xi_plus": 0.3, "xi_minus": 0.4})
+    assert main(["spectrum", "--sites", "2", "--draws", "1", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+
+@pytest.mark.parametrize(
     "command", ["spectrum", "solve-bethe", "exchange", "check-algebra"]
 )
 def test_pinned_diagonal_couplings_serve_the_other_commands(
@@ -299,23 +332,29 @@ def test_exit_three_when_solver_finds_nothing(monkeypatch, capsys, command):
     assert "run failed" in capsys.readouterr().err
 
 
-# Chain length and point count of each command's first double-row build:
-# the off-shell draw's one-point t(u), the first solve's stack of N + 8
-# points, and the exchange pair that `all` builds after check-algebra.  Each
-# is charged 8 * 4^(N+1) * 16 bytes per point, the largest request a run
+# Each command's first large request at N = 3, its charge in bytes and its
+# name: the off-shell draw's sweep entries, 64 (N + 1) 4^N bytes at its
+# N + 1 points; the first solve's double-row stack of N + 8 points and the
+# exchange pair that `all` builds after check-algebra, each charged
+# 8 * 4^(N+1) * 16 bytes per point.  Each is the largest request a run
 # makes up to it.
-FIRST_BUILD = {"offshell": (3, 1), "slavnov": (3, 11), "norm": (3, 11), "all": (3, 2)}
+FIRST_BUILD = {
+    "offshell": (64 * 4 * 4**3, "sweep entries at 4 point(s)"),
+    "slavnov": (11 * 8 * 4**4 * 16, "double-row build of 11 point(s)"),
+    "norm": (11 * 8 * 4**4 * 16, "double-row build of 11 point(s)"),
+    "all": (2 * 8 * 4**4 * 16, "double-row build of 2 point(s)"),
+}
 
 
 @pytest.mark.parametrize("command", sorted(FIRST_BUILD))
 def test_exit_two_beyond_the_cache_budget(monkeypatch, capsys, command):
     # A build over the byte limit is a configuration fault, refused before
     # its blocks are allocated; the limit sits one byte below the first one.
-    sites, points = FIRST_BUILD[command]
-    monkeypatch.setattr(linalg, "MAX_BYTES", points * 8 * 4 ** (sites + 1) * 16 - 1)
-    assert main([command, "--sites", str(sites), "--draws", "1"]) == 2
+    charge, request = FIRST_BUILD[command]
+    monkeypatch.setattr(linalg, "MAX_BYTES", charge - 1)
+    assert main([command, "--sites", "3", "--draws", "1"]) == 2
     out, err = capsys.readouterr()
-    assert f"config error: double-row build of {points} point(s)" in err
+    assert f"config error: {request}" in err
     assert out == ""
 
 

@@ -13,6 +13,7 @@ from test_double_row import _Allocation, _allocation
 
 import segment_bethe.double_row as dr
 from segment_bethe import harness, linalg, vectors
+from segment_bethe import kernels as kn
 from segment_bethe.bethe import BetheRoots, solve_bethe
 from segment_bethe.errors import DimensionError, ParameterError
 from segment_bethe.params import draw_spectral_points
@@ -363,26 +364,31 @@ def _stacks_of(count_raw_blocks, command, **kwargs):
 def test_offshell_beyond_the_byte_limit_is_refused_before_any_build(
     monkeypatch,
 ):
-    # The first large allocation of an off-shell draw is the raw block of
-    # its t(u), charged 8 * 4^(N+1) * 16 bytes: at 1 GiB, N = 10 (512 MiB)
-    # reaches it and N = 11 (2 GiB) is refused before it.  A limit one byte
-    # short of the N = 3 charge refuses N = 3 the same way.
-    monkeypatch.setattr(dr, "identity", _allocation)
+    # The first large allocation of an off-shell draw is the dense entries
+    # of its sweeps, charged 64 (N + 1) 4^N bytes: at 1 GiB, N = 10
+    # (704 MiB) reaches it and N = 11 (3 GiB) is refused before it, and
+    # before any act call.  A limit one byte short of the N = 3 charge
+    # refuses N = 3 the same way.
+    def no_act(*args):
+        raise AssertionError("act called")
+
+    monkeypatch.setattr(vectors, "identity", _allocation)
     with pytest.raises(_Allocation):
         run("offshell", RunConfig(sites=10, seed=0, draws=1))
-    with pytest.raises(DimensionError, match="double-row build of 1 point"):
+    monkeypatch.setattr(vectors, "act", no_act)
+    with pytest.raises(DimensionError, match="sweep entries at 12 point"):
         run("offshell", RunConfig(sites=11, seed=0, draws=1))
-    monkeypatch.setattr(linalg, "MAX_BYTES", 8 * 4**4 * 16 - 1)
-    with pytest.raises(DimensionError, match="double-row build of 1 point"):
+    monkeypatch.setattr(linalg, "MAX_BYTES", 64 * 4 * 4**3 - 1)
+    with pytest.raises(DimensionError, match="sweep entries at 4 point"):
         run("offshell", RunConfig(sites=3, seed=0, draws=1))
 
 
 @pytest.mark.parametrize("sites", [2, 3])
 def test_offshell_builds_one_table_per_draw(count_raw_blocks, sites):
-    # No operator table: each draw builds one raw block, its one-point t(u);
-    # the states and the dense entries of the sweeps come from ``act``.
+    # No operator table and no raw block: t(u) psi, the states and the
+    # dense entries of the sweeps all come from ``act``.
     sizes = _stacks_of(count_raw_blocks, "offshell", sites=sites, seed=0, draws=2)
-    assert sizes == [1, 1]
+    assert sizes == []
 
 
 @pytest.mark.parametrize("sites", [2, 3])
@@ -435,9 +441,22 @@ def test_run_all_at_two_sites_makes_fourteen_act_calls(monkeypatch):
     assert len(calls) == 14
 
 
+def test_offshell_action_checks_the_trace_form(monkeypatch):
+    # With the sign of gamma flipped, t(u) psi no longer matches the action
+    # and both records fail by far: the trace form is checked on the states
+    # themselves, with no dense build's K^+ gate in front of it.
+    gamma = kn.gamma
+    monkeypatch.setattr(kn, "gamma", lambda u, bp: -gamma(u, bp))
+    report = run("offshell", RunConfig(sites=2, seed=0, draws=1))
+    for side in ("right", "left"):
+        record = next(c for c in report.checks if c.name == f"offshell-action-{side}")
+        assert not record.passed
+        assert record.residual > 1e-3
+
+
 def test_offshell_assembles_t_once_per_draw(monkeypatch):
-    # The whole action, its dressed part and the central relation read one
-    # t(u) per draw.
+    # The whole action, its dressed part and the central relation read
+    # t(u) psi from the draw's state memo: no dense t(u) is assembled.
     calls = []
     real = dr._transfer_blocks
 
@@ -447,7 +466,7 @@ def test_offshell_assembles_t_once_per_draw(monkeypatch):
 
     monkeypatch.setattr(dr, "_transfer_blocks", counted)
     run("offshell", RunConfig(sites=2, seed=0, draws=2))
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_huge_chain_is_refused_before_its_thetas_are_drawn(monkeypatch):
@@ -596,10 +615,10 @@ def test_exchange_builds_nothing_per_point(count_raw_blocks):
 
 def test_all_builds_no_per_point_transfer_matrix_on_solve_or_exchange(count_raw_blocks):
     # Every build of `all` at N = 2 is a stack: the exchange suite's and one
-    # per solve (N + 8 points; 9 for n1's one site), besides the one-point
-    # t(u) of the off-shell draw.
+    # per solve (N + 8 points; 9 for n1's one site).  The off-shell draw
+    # builds none.
     sizes = _stacks_of(count_raw_blocks, "all", sites=2, seed=0, draws=1)
-    assert sizes == EXCHANGE_STACKS + [10, 1, 10, 10, 10, 9]
+    assert sizes == EXCHANGE_STACKS + [10, 10, 10, 10, 9]
 
 
 def test_cauchy_factorization_honours_extended_precision():

@@ -24,7 +24,9 @@ from segment_bethe.vectors import (
     KET,
     MODIFIED,
     PLAIN,
+    SIDES,
     States,
+    _offshell_reads,
     build_dual_psi,
     build_psi,
     check_c_action,
@@ -252,8 +254,7 @@ def _offshell_draws(cs, couplings, rng, draws=3):
     for _ in range(draws):
         roots = tuple(draw_spectral_points(rng, cs.sites, cs=cs, bp=couplings))
         u = draw_spectral_point(rng, roots, cs=cs, bp=couplings)
-        t = transfer_matrix(u, cs, couplings)
-        yield check_offshell_action(u, roots, t, States(cs, couplings), cs, couplings)
+        yield check_offshell_action(u, roots, States(cs, couplings), cs, couplings)
 
 
 @pytest.mark.parametrize("sites", [1, 2])
@@ -272,6 +273,27 @@ def test_offshell_action(sites, cs1, cs2, bp, bp_diag, rng):
                 assert value <= RECORDS[OFFSHELL_RECORDS[key]][1]
 
 
+@pytest.mark.parametrize("sites", range(1, 7))
+def test_transfer_action_from_the_memo_matches_the_dense_t(sites, bp, bp_diag, rng):
+    # t(u) psi and psi t(u) as check_offshell_action reads them, the trace
+    # form of the plain entries at u on psi (the memo's node of roots +
+    # (u,)), here for both sides as one (2, 2^N) stack, against the dense
+    # one-point t(u) applied to psi, for generic and diagonal couplings.
+    cs = draw_chain_spec(rng, sites)
+    for couplings in (bp, bp_diag):
+        roots = tuple(draw_spectral_points(rng, sites, cs=cs, bp=couplings))
+        u = draw_spectral_point(rng, roots, cs=cs, bp=couplings)
+        states = States(cs, couplings)
+        states.build(_offshell_reads(u, roots, couplings))
+        fam = state_family(couplings)
+        nodes = [states.applied(side, fam, roots, u)[PLAIN] for side in SIDES]
+        memo = dr.trace_form(dr.Entries(*np.stack(nodes, axis=1)), [u, u], couplings)
+        t = transfer_matrix(u, cs, couplings)
+        for side, lhs in zip(SIDES, memo):
+            dense = side.apply(t, states.state(side, fam, roots))
+            assert linalg.relative_residual(lhs - dense, lhs, dense) <= 1e-13
+
+
 @pytest.mark.parametrize("sites", [1, 2])
 def test_central_relation(sites, cs1, cs2, bp, rng):
     cs = cs1 if sites == 1 else cs2
@@ -283,11 +305,10 @@ def test_central_relation(sites, cs1, cs2, bp, rng):
 def test_root_count_guards(cs2, bp, bp_diag, rng):
     roots = (draw_spectral_point(rng, cs=cs2, bp=bp),)
     states, states_diag = States(cs2, bp), States(cs2, bp_diag)
-    t = transfer_matrix(0.4 + 0.1j, cs2, bp)
     with pytest.raises(ParameterError):
-        check_offshell_action(0.4 + 0.1j, roots, t, states, cs2, bp)
+        check_offshell_action(0.4 + 0.1j, roots, states, cs2, bp)
     with pytest.raises(ParameterError):
-        check_offshell_action(0.4 + 0.1j, roots * 3, t, states_diag, cs2, bp_diag)
+        check_offshell_action(0.4 + 0.1j, roots * 3, states_diag, cs2, bp_diag)
     with pytest.raises(ParameterError):
         check_c_action(0.4 + 0.1j, roots, states_diag, cs2, bp_diag)
     with pytest.raises(ParameterError):
@@ -391,8 +412,7 @@ def test_central_relation_scales_with_rho(cs2, bp, rng):
     sizes = []
     for t in (1.0, 0.3, 0.1, 0.05):
         bp_t = BoundaryParams(bp.p, bp.q, t * bp.xi_plus, t * bp.xi_minus)
-        t_u = transfer_matrix(u, cs2, bp_t)
-        defect = check_offshell_action(u, roots, t_u, States(cs2, bp_t), cs2, bp_t)
+        defect = check_offshell_action(u, roots, States(cs2, bp_t), cs2, bp_t)
         assert max(defect["central_right"], defect["central_left"]) <= ACTION_TOL
         size = _central_rhs_size(u, roots, cs2, bp_t)
         sizes.append(size)
