@@ -14,9 +14,10 @@ of a build, and the entries, the modified entries and the transfer
 matrix are 2x2 block contractions of it.
 
 Every step runs on a stack of points with a leading point axis, each gate
-judged per point.  :func:`transfer_matrices` builds ``t(u)``, and
-:func:`transfer_forms_residual` compares its two forms, for a whole list of
-points in chunks of at most ``STACK_BYTES``; :func:`check_exchange_relations`
+judged per point.  :func:`transfer_forms` builds ``t(u)``, with the
+disagreement of its two forms, for a whole list of points in chunks of at
+most ``STACK_BYTES``, and :func:`transfer_matrices` reads its ``t(u)``
+stack; :func:`check_exchange_relations`
 builds its pair as one stack.  :func:`act` runs the same R-steps on a stack of
 states instead of the identity, each state at its own point and from its own
 side (a list of points and a list of sides, one each per state), so a Bethe
@@ -56,14 +57,14 @@ __all__ = [
     "modified_entries",
     "transfer_matrix",
     "transfer_matrices",
-    "transfer_forms_residual",
+    "transfer_forms",
     "trace_form",
     "hamiltonian",
     "check_exchange_relations",
 ]
 
 # Byte budget of one stacked raw block ``(B, 2^(N+1), 2^(N+1))`` in
-# :func:`transfer_matrices`; the build's temporaries are a few times that.
+# :func:`transfer_forms`; the build's temporaries are a few times that.
 # Measured on a 2-core Xeon VM (2 MiB L2 per core) over one solve's points:
 # at N = 5, 12 points took 8.5 ms one by one, 7.4 ms in chunks of 4 (256 KiB)
 # and 9.8 ms in one stack (768 KiB); at N = 6, 13 points took 25.5 ms in
@@ -240,11 +241,13 @@ def _modified_form(closed, us: list, bp) -> np.ndarray:
 
 
 def _transfer_blocks(raw, us: list, bp, closed=None):
-    """Trace form of ``t(u)`` for each point, shape ``(B, 2^N, 2^N)``.
+    """``(t, residuals)``: the trace form of ``t(u)`` for each point, shape
+    ``(B, 2^N, 2^N)``, and its relative residuals, shape ``(B, gates)``.
 
     Every point is cross-checked against the literal ``K^+`` trace of its
-    raw block (1e-12) and, when the modified blocks ``closed`` are given,
-    against the two-term modified form (1e-11).
+    raw block (column 0, gated at 1e-12) and, when the modified blocks
+    ``closed`` are given, against the two-term modified form (column 1,
+    gated at 1e-11).
     """
     t1 = trace_form(_entries(raw, us), us, bp)
     # tr_0 (K^+ x 1) raw, contracted block by block.
@@ -261,7 +264,7 @@ def _transfer_blocks(raw, us: list, bp, closed=None):
         raise ConstructionError(
             f"{gates[gate][0]} at u = {us[k]} ({res[k, gate]:.3e})"
         )
-    return t1
+    return t1, res
 
 
 # ---------------------------------------------------------------------------
@@ -340,49 +343,19 @@ def modified_entries(u, cs: ChainSpec, bp: BoundaryParams) -> Entries:
     return Entries(*_freeze(blocks)[0])
 
 
-def transfer_forms_residual(points, cs: ChainSpec, bp: BoundaryParams):
-    """Relative disagreement between the two transfer-matrix decompositions.
-
-    One residual per point of the list ``points``; the points are built in
-    the stacked chunks of :func:`transfer_matrices` and nothing is cached.
-    """
-    if bp.diagonal_mode:
-        raise ParameterError("modified entries are undefined for diagonal couplings")
-    us = [complex(u) for u in points]
-    out = np.empty(len(us))
-    for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
-        t1 = trace_form(_entries(raw, chunk), chunk, bp)
-        t2 = _modified_form(closed, chunk, bp)
-        out[where] = relative_residuals(t1, t2)
-    return out
-
-
 def transfer_matrix(u, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     """Double-row transfer matrix t(u): a one-point :func:`transfer_matrices` stack."""
     return transfer_matrices([complex(u)], cs, bp)[0]
 
 
-def _chunked_builds(us: list, cs: ChainSpec, bp: BoundaryParams):
-    """Raw and modified blocks of ``us`` in chunks within ``STACK_BYTES``.
-
-    Yields ``(where, chunk, raw, closed)``: the slice of ``us`` the chunk
-    covers, its points, their raw blocks and, for generic couplings, their
-    modified blocks (``None`` for diagonal ones).
-    """
-    dim = 1 << (cs.sites + 1)
-    step = max(1, STACK_BYTES // (dim * dim * np.dtype(complex).itemsize))
-    for lo in range(0, len(us), step):
-        chunk = us[lo : lo + step]
-        raw = _raw_blocks(chunk, cs, bp)
-        closed = None if bp.diagonal_mode else _modified_blocks(raw, chunk, bp, False)
-        yield slice(lo, lo + len(chunk)), chunk, raw, closed
-
-
-def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
-    """``t(u)`` at every point, one frozen ``(len(points), 2^N, 2^N)`` array.
+def transfer_forms(points, cs: ChainSpec, bp: BoundaryParams):
+    """``(t, forms)``: ``t(u)`` at every point, one frozen ``(len(points),
+    2^N, 2^N)`` array, and, for generic couplings, each point's relative
+    disagreement between the trace form and the modified two-term form
+    (``None`` for diagonal couplings).
 
     Every point is cross-checked against the literal ``K^+`` trace and, for
-    generic couplings, against the modified two-term form (see
+    generic couplings, against the modified form (see
     :func:`_transfer_blocks`), judged per point; an error names the point it
     trips at.  The points are built in stacked chunks whose raw block stays
     within ``STACK_BYTES``.  Nothing is cached.  A stack or a chunk's build
@@ -393,9 +366,22 @@ def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
     us = [complex(u) for u in points]
     linalg.check_bytes(len(us) * half * half * 16, "transfer-matrix stack")
     out = np.empty((len(us), half, half), dtype=complex)
-    for where, chunk, raw, closed in _chunked_builds(us, cs, bp):
-        out[where] = _transfer_blocks(raw, chunk, bp, closed)
-    return _freeze(out)
+    forms = None if bp.diagonal_mode else np.empty(len(us))
+    # Points per chunk: raw blocks of (2 half)^2 complex numbers each.
+    step = max(1, STACK_BYTES // (4 * half * half * 16))
+    for lo in range(0, len(us), step):
+        where, chunk = slice(lo, lo + step), us[lo : lo + step]
+        raw = _raw_blocks(chunk, cs, bp)
+        closed = None if forms is None else _modified_blocks(raw, chunk, bp, False)
+        out[where], res = _transfer_blocks(raw, chunk, bp, closed)
+        if forms is not None:
+            forms[where] = res[:, 1]
+    return _freeze(out), forms
+
+
+def transfer_matrices(points, cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:
+    """``t(u)`` at every point: the stack of :func:`transfer_forms`."""
+    return transfer_forms(points, cs, bp)[0]
 
 
 def hamiltonian(cs: ChainSpec, bp: BoundaryParams) -> np.ndarray:

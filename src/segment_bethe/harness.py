@@ -40,7 +40,7 @@ from .boundary import (
 from .double_row import (
     check_exchange_relations,
     hamiltonian,
-    transfer_forms_residual,
+    transfer_forms,
     transfer_matrices,
 )
 from .errors import ConvergenceError, ParameterError
@@ -453,12 +453,11 @@ def run_exchange(config: RunConfig) -> VerificationReport:
 
     points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
     partners = draw_spectral_points(rng, 5, avoid=points, cs=cs, bp=bp)
-    if not bp.diagonal_mode:
-        rec.fold(
-            "transfer-trace-vs-modified",
-            transfer_forms_residual(points, cs, bp).max(),
-        )
-    t = transfer_matrices(points + partners, cs, bp)
+    # One build serves the commutators and the two forms' gate at the
+    # first five points.
+    t, forms = transfer_forms(points + partners, cs, bp)
+    if forms is not None:
+        rec.fold("transfer-trace-vs-modified", forms[: len(points)].max())
     rec.fold(
         "transfer-commutation",
         _worst(

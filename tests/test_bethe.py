@@ -117,21 +117,6 @@ def test_residuals_scaled_are_bounded_by_raw(cs2, bp, rng):
     assert raw == [d + g for d, g in zip(dressed, inhomogeneous)]
 
 
-def test_batched_elimination_matches_numpy(rng):
-    # One elimination solves every system of the stack, each as
-    # np.linalg.solve does; on an object stack it solves in the scalars'
-    # own arithmetic.
-    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    b = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    got, singular = bethe._solve(a, b)
-    assert not singular.any()
-    assert np.allclose(got, np.linalg.solve(a, b[..., None])[..., 0])
-    got_object, singular = bethe._solve(a.astype(object), b.astype(object))
-    assert not singular.any()
-    assert np.allclose(got_object.astype(complex), got)
-    assert all(type(v) is complex for v in got_object.ravel())
-
-
 def test_det_small_matches_numpy(rng):
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     assert np.isclose(det_small([list(r) for r in a]), np.linalg.det(a))
@@ -141,16 +126,35 @@ def test_det_small_singular():
     assert det_small([[1.0, 2.0], [2.0, 4.0]]) == 0
 
 
-def test_batched_elimination_flags_singular_systems(rng):
-    # An exactly zero pivot marks its own system singular; the others of the
-    # stack are solved as if alone.
-    a = np.array([[[1.0, 2.0], [2.0, 4.0]], [[3.0, 1.0], [1.0, 2.0]]])
-    b = np.array([[1.0, 0.0], [1.0, 1.0]])
+def _coupled_squares(x):
+    """x0^2 + x0 x1 = 3 and x1^2 = 2 on a ``(B, 2)`` stack; the Jacobian
+    ``[[2 x0 + x1, x0], [0, 2 x1]]`` has an exactly zero first column
+    where ``2 x0 + x1 = 0``."""
+    x0, x1 = x[:, 0], x[:, 1]
+    res = np.stack([x0 * x0 + x0 * x1 - 3, x1 * x1 - 2], axis=1)
+
+    def jacobian():
+        rows = [[2 * x0 + x1, x0], [np.zeros_like(x0), 2 * x1]]
+        return np.stack([np.stack(row, axis=1) for row in rows], axis=1)
+
+    return res, np.ones(x.shape), jacobian
+
+
+def test_newton_fails_only_the_set_with_a_singular_jacobian():
+    # The middle set starts where its Jacobian is exactly singular: it alone
+    # is failed, and every other set of the stack returns what it returns
+    # stepped alone.
+    starts = np.array([[1.5, 1.2], [0.5, -1.0], [1.0, 1.6]], dtype=complex)
     with np.errstate(all="raise"):
-        got, singular = bethe._solve(a, b)
-    assert singular.tolist() == [True, False]
-    assert np.array_equal(got[1], bethe._solve(a[1:], b[1:])[0][0])
-    assert np.allclose(got[1], np.linalg.solve(a[1], b[1]))
+        got = _newton(_coupled_squares, starts, 1e-14)
+    x, err, _, _, failed = got
+    assert failed.tolist() == [False, True, False]
+    assert np.array_equal(x[1], starts[1])
+    for k in (0, 2):
+        alone = _newton(_coupled_squares, starts[k : k + 1], 1e-14)
+        for part, one in zip(got, alone):
+            assert np.array_equal(part[k], one[0])
+        assert err[k] <= 1e-14
 
 
 @given(

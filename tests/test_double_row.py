@@ -27,7 +27,7 @@ from segment_bethe.double_row import (
     double_row,
     hamiltonian,
     modified_entries,
-    transfer_forms_residual,
+    transfer_forms,
     transfer_matrices,
     transfer_matrix,
 )
@@ -426,7 +426,9 @@ def test_transfer_is_boundary_trace(cs2, bp):
 
 def test_transfer_two_term_form(cs2, bp, rng):
     points = draw_spectral_points(rng, 5, cs=cs2, bp=bp)
-    assert transfer_forms_residual(points, cs2, bp).max() <= 1e-11
+    t, forms = transfer_forms(points, cs2, bp)
+    assert forms.max() <= 1e-11
+    assert np.array_equal(t, transfer_matrices(points, cs2, bp))
 
 
 def _transfer_forms_oracle(u, cs, bp):
@@ -449,10 +451,10 @@ def test_stacked_transfer_forms_match_point_by_point(
 ):
     cs = request.getfixturevalue(sites_fixture)
     points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
-    got = transfer_forms_residual(points, cs, bp)
+    got = transfer_forms(points, cs, bp)[1]
     assert got.shape == (5,)
     for k, u in enumerate(points):
-        one = transfer_forms_residual([u], cs, bp)
+        one = transfer_forms([u], cs, bp)[1]
         assert one.shape == (1,)
         assert abs(got[k] - one[0]) <= 2e-15
         assert abs(got[k] - _transfer_forms_oracle(u, cs, bp)) <= 2e-15
@@ -460,10 +462,11 @@ def test_stacked_transfer_forms_match_point_by_point(
 
 def test_transfer_forms_chunked_equal_unchunked(monkeypatch, cs2, bp, rng):
     points = draw_spectral_points(rng, 5, cs=cs2, bp=bp)
-    whole = transfer_forms_residual(points, cs2, bp)
+    whole = transfer_forms(points, cs2, bp)
     # Two points of 2^3-square raw blocks per chunk: chunks of 2, 2 and 1.
     monkeypatch.setattr(dr, "STACK_BYTES", 2 * 8 * 8 * 16)
-    assert np.array_equal(transfer_forms_residual(points, cs2, bp), whole)
+    for got, one in zip(transfer_forms(points, cs2, bp), whole):
+        assert np.array_equal(got, one)
 
 
 def test_transfer_forms_flag_a_wrong_modified_coefficient(
@@ -472,12 +475,17 @@ def test_transfer_forms_flag_a_wrong_modified_coefficient(
     points = draw_spectral_points(rng, 5, cs=cs2, bp=bp)
     delta_bar = kn.delta_bar
     monkeypatch.setattr(kn, "delta_bar", lambda u, bp: -delta_bar(u, bp))
-    assert (transfer_forms_residual(points, cs2, bp) > 1e-3).all()
+    # The build's own 1e-11 gate refuses the first point.
+    with pytest.raises(ConstructionError, match="modified form disagrees") as err:
+        transfer_forms(points, cs2, bp)
+    assert f"at u = {complex(points[0])}" in str(err.value)
 
 
 def test_transfer_forms_need_generic_couplings(cs2, bp_diag):
-    with pytest.raises(ParameterError):
-        transfer_forms_residual([0.3 + 0.1j], cs2, bp_diag)
+    # Diagonal couplings have no modified form: the build gives t(u) alone.
+    t, forms = transfer_forms([0.3 + 0.1j], cs2, bp_diag)
+    assert forms is None
+    assert np.array_equal(t, transfer_matrices([0.3 + 0.1j], cs2, bp_diag))
 
 
 def test_transfer_family_commutes(cs2, bp, rng):

@@ -602,13 +602,13 @@ def test_root_sets_distinct_counts_matching_pairs(monkeypatch):
     assert record.residual == loop == 5
 
 
-EXCHANGE_STACKS = [2, 5, 10, 5]
+EXCHANGE_STACKS = [2, 10, 5]
 
 
 def test_exchange_builds_nothing_per_point(count_raw_blocks):
-    # The exchange pair, the five points of the two transfer forms, the ten
-    # of the commutators and the five of the Hamiltonian check, each one
-    # stack.
+    # The exchange pair, the ten points of the commutators (whose first five
+    # also give the two transfer forms' residual) and the five of the
+    # Hamiltonian check, each one stack.
     sizes = _stacks_of(count_raw_blocks, "exchange", sites=2, seed=0, draws=1)
     assert sizes == EXCHANGE_STACKS
 

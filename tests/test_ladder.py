@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from segment_bethe import linalg
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
@@ -30,7 +32,13 @@ def test_ladder_to_two_sites_writes_every_cell(monkeypatch, tmp_path, capsys):
     for cell in cells:
         assert cell["failed"] == [] and cell["wall_s"] > 0
         assert cell["ratios"] and max(cell["ratios"].values()) <= 1
-    assert "certified N: {'double': 2, 'extended': 2}" in capsys.readouterr().out
+        assert cell["peak_rss_mib"] > 0
+    out = capsys.readouterr().out
+    assert "certified N: {'double': 2, 'extended': 2}" in out
+    rung = [c for c in cells if c["sites"] == 2 and c["precision"] == "double"]
+    worst = max(c["peak_rss_mib"] for c in rung)
+    assert "N=2 double: 6 seeds, 0 failed, " in out
+    assert f"peak RSS {worst:.1f} MiB" in out
 
 
 def test_a_dimension_error_ends_that_precisions_ladder(monkeypatch):
@@ -53,3 +61,18 @@ def test_the_budget_stops_new_cells(monkeypatch):
     result = ladder.climb()
     assert result["cells"] == [] and result["certified"] == {"double": 0, "extended": 0}
     assert set(result["stopped"].values()) == {"budget at N = 1"}
+
+
+def test_each_cell_reports_its_own_peak_rss(monkeypatch):
+    # A cell that touches 64 MiB (seed 1 here) peaks at least that far
+    # above the next one (seed 0): each runs in its own child process, and
+    # the ladder process itself runs none.
+    ladder = _load_script()
+
+    def cell(sites, seed, precision):
+        np.ones(seed * (8 << 20)).sum()
+        return {}
+
+    monkeypatch.setattr(ladder, "cell", cell)
+    big, small = (ladder.isolated_cell(1, seed, "double") for seed in (1, 0))
+    assert big["peak_rss_mib"] - small["peak_rss_mib"] >= 60

@@ -19,10 +19,17 @@ import numpy as np
 import pytest
 
 import segment_bethe
+from segment_bethe import RunConfig, harness
 from segment_bethe import kernels as kn
 from segment_bethe import precision
 from segment_bethe import scalar_products as sp
-from segment_bethe.bethe import _newton, solve_bethe
+from segment_bethe.bethe import (
+    _newton,
+    bethe_residuals_scaled,
+    refine_roots,
+    residual_jacobian,
+    solve_bethe,
+)
 from segment_bethe.errors import PoleError
 from segment_bethe.params import draw_boundary_params, draw_chain_spec
 from segment_bethe.precision import (
@@ -204,12 +211,14 @@ def test_zero_divisor_raises(divide):
 
 
 def test_newton_halves_past_a_pole():
-    # x^2 - 2 from 1.5; the residual also carries 0 / (x - pole), with the
-    # pole exactly at the first full Newton step, so that trial point
-    # divides by an exact zero and Newton must halve the step.
+    # x^2 - 2 from 1.5 in 60 digits; the residual also carries
+    # 0 / (x - pole), with the pole exactly at the first full Newton step,
+    # which is solved in double, so that trial point divides by an exact
+    # zero and Newton must halve the step.
     with workdps():
         x0 = lift(1.5)
-        step = -(x0 * x0 - 2) / (2 * x0)
+        jac, res = complex(2 * x0), complex(x0 * x0 - 2)
+        step = np.linalg.solve(np.array([[[jac]]]), np.array([[[-res]]]))[0, 0, 0]
         pole = x0 + 1.0 * step
         tried = []
 
@@ -226,6 +235,32 @@ def test_newton_halves_past_a_pole():
         assert tried[2] == x0 + 0.5 * step
         with mpmath.workdps(DEFAULT_DPS):
             assert _relative(x[0, 0], mpmath.sqrt(2)) <= 1e-50
+
+
+@pytest.mark.parametrize("sites", [5, 6])
+def test_ill_conditioned_sets_polish_to_sixty_digits(sites):
+    # The three certified sets of the spectrum suite's solves at seeds 0-3
+    # whose Jacobians have the largest Skeel condition || |J^-1| |J| ||_inf
+    # (2.9e5-3.1e6 at N = 5, 4.7e6-1.1e7 at N = 6): each 60-digit polish,
+    # its steps solved in double, still reaches 1e-40.
+    found = []
+    for seed in range(4):
+        config = RunConfig(sites=sites, seed=seed)
+        rng = harness._stream(config, "spectrum")
+        bp, cs = config.boundary(rng), config.chain(rng)
+        for sol in solve_bethe(cs, bp, rng=rng):
+            if sol.roots and sol.on_shell:
+                jac = np.array(residual_jacobian(sol.roots, cs, bp), dtype=complex)
+                skeel = (np.abs(np.linalg.inv(jac)) @ np.abs(jac)).sum(axis=1).max()
+                found.append((skeel, sol.roots, cs, bp))
+    found.sort(key=lambda entry: entry[0])
+    assert found[-3][0] > 1e5
+    for _, roots, cs, bp in found[-3:]:
+        with workdps():
+            cs_l, bp_l = lift_problem(cs, bp)
+            refined = refine_roots(lift_roots(roots), cs_l, bp_l, tol=1e-40)
+            raw, scales = bethe_residuals_scaled(refined, cs_l, bp_l)
+        assert max(abs(r) / s for r, s in zip(raw, scales)) <= 1e-40
 
 
 def test_pole_guard_on_decimal_scalars():

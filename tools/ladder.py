@@ -8,16 +8,23 @@ For N = 1, 2, ... and each precision, runs
 ``DimensionError`` (the package's ``linalg.MAX_BYTES``, read at the run, is
 written out with the results) or at ``MAX_SITES``; no new cell starts once
 ``BUDGET_S`` seconds have passed.  A cell records its wall time, its failed
-records and every record's residual over its tolerance.  A precision's
-certified N is the largest N up to which every cell passed.  The results go
-to ``BENCH_ladder.json`` in the working directory and a one-line summary per
-rung to stdout.  The package is imported from this checkout's ``src``.
+records, every record's residual over its tolerance and its peak RSS.  Each
+cell runs in a child process forked from the ladder, which reports its own
+``getrusage(RUSAGE_SELF).ru_maxrss``; a child inherits the ladder's pages,
+so its peak includes the imported package and numpy (about 36 MiB at
+N = 1 on Linux x86-64) but no other cell's memory.  A precision's certified
+N is the largest N up to which every cell passed.  The results go to
+``BENCH_ladder.json`` in the working directory and a one-line summary per
+rung, with its largest peak RSS, to stdout.  The package is imported from
+this checkout's ``src``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import resource
 import sys
 import time
 from pathlib import Path
@@ -52,6 +59,35 @@ def cell(sites: int, seed: int, precision: str) -> dict:
     }
 
 
+def _send_cell(conn, sites: int, seed: int, precision: str) -> None:
+    """Send :func:`cell` with this process's peak RSS in MiB, or its error."""
+    try:
+        out = cell(sites, seed, precision)
+        out["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    except Exception as exc:  # re-raised by the ladder process
+        out = exc
+    conn.send(out)
+
+
+def isolated_cell(sites: int, seed: int, precision: str) -> dict:
+    """:func:`cell` in a new forked child, with the child's peak RSS; an
+    error the cell raises is raised here."""
+    # Fork, not spawn: a spawned child's ru_maxrss counts the ladder's pages
+    # as well (Linux keeps the peak from before the exec), and it imports
+    # the package again, 0.32 s a cell against 0.07 s.  The ladder runs no
+    # thread of its own; OpenBLAS's pool handles the fork.
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=_send_cell, args=(send, sites, seed, precision))
+    child.start()
+    send.close()
+    out = receive.recv()
+    child.join()
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def climb() -> dict:
     """The ladder from N = 1 to ``MAX_SITES``, within ``BUDGET_S`` seconds,
     each rung's summary printed as it ends."""
@@ -70,7 +106,7 @@ def climb() -> dict:
                     stopped.setdefault(precision, f"budget at N = {sites}")
                     break
                 try:
-                    rung.append(cell(sites, seed, precision))
+                    rung.append(isolated_cell(sites, seed, precision))
                 except DimensionError as exc:
                     stopped[precision] = f"DimensionError at N = {sites}: {exc}"
                     break
@@ -82,9 +118,10 @@ def climb() -> dict:
             if rung:
                 failed = sum(bool(c["failed"]) for c in rung)
                 wall = sum(c["wall_s"] for c in rung)
+                rss = max(c["peak_rss_mib"] for c in rung)
                 print(
                     f"N={sites} {precision}: {len(rung)} seeds, {failed} failed, "
-                    f"{wall:.1f} s",
+                    f"{wall:.1f} s, peak RSS {rss:.1f} MiB",
                     flush=True,
                 )
     for precision in PRECISIONS:
