@@ -677,62 +677,35 @@ def refine_roots(roots, cs: ChainSpec, bp: BoundaryParams, tol: float = 1e-12):
 # Root solver: one stacked T-Q solve and one batched polish for all branches.
 
 
-class _BranchBasis:
-    """Common eigenbasis of the commuting transfer family.
+def transfer_branch_basis(t) -> np.ndarray:
+    """Eigenvalue table ``(len(t), branches)`` of the commuting stack ``t``.
 
-    Built from the first entry of the stack ``t`` whose eigenbasis has a
-    condition number of at most 1e8: the solve's drawn reference point or,
-    where that one is ill-conditioned, the next point already in the stack.
-    :meth:`eigenvalues` reads the branches' eigenvalues off a stack of
-    transfer matrices.
+    The common eigenbasis is that of the first entry whose eigenvectors
+    have a condition number of at most 1e8: the solve's drawn reference
+    point or, where that one is ill-conditioned, the next point in the
+    stack.  Its columns are sorted by rounded eigenvalue, the order
+    ``branch=k`` counts in.  Every entry is projected on it in one batched
+    ``V^-1 t V``, which must be diagonal to 1e-7 of its largest entry.
     """
-
-    def __init__(self, t, sector=None):
-        self.sector = sector
-        for t_ref in t:
-            vals, vecs = np.linalg.eig(self._restrict(t_ref))
-            if not np.linalg.cond(vecs) <= 1e8:
-                continue
-            order = np.lexsort((np.round(vals.imag, 9), np.round(vals.real, 9)))
-            self.vecs = vecs[:, order]
-            self.vinv = np.linalg.inv(self.vecs)
-            return
+    for t_ref in t:
+        vals, vecs = np.linalg.eig(t_ref)
+        if np.linalg.cond(vecs) <= 1e8:
+            break
+    else:
         raise ConvergenceError(
             "could not build transfer eigenbasis: ill-conditioned eigenbasis"
         )
-
-    def _restrict(self, t):
-        """``t`` (one matrix or a stack) on the sector, if there is one."""
-        if self.sector is None:
-            return t
-        return t[(...,) + np.ix_(self.sector, self.sector)]
-
-    def eigenvalues(self, t) -> np.ndarray:
-        """Branch eigenvalues of the stack ``t``, shape ``(len(t), size)``.
-
-        ``t`` holds ``t(u)`` at each point, as :func:`transfer_matrices`
-        builds it; the stack is projected on the basis in one batched
-        product, and every point's projection must be diagonal to 1e-7 of
-        its largest entry.
-        """
-        d = self.vinv @ self._restrict(t) @ self.vecs
-        mags = np.abs(d)
-        scale = np.maximum(mags.max(axis=(1, 2)), 1.0)
-        diag = np.arange(self.size)
-        mags[:, diag, diag] = 0.0
-        if not (mags.max(axis=(1, 2)) <= 1e-7 * scale).all():
-            raise ConvergenceError(
-                "transfer family failed to diagonalize in the common basis"
-            )
-        return d[:, diag, diag]
-
-    @property
-    def size(self) -> int:
-        return self.vecs.shape[0]
-
-
-def transfer_branch_basis(t, sector=None) -> _BranchBasis:
-    return _BranchBasis(t, sector=sector)
+    vecs = vecs[:, np.lexsort((np.round(vals.imag, 9), np.round(vals.real, 9)))]
+    d = np.linalg.inv(vecs) @ t @ vecs
+    mags = np.abs(d)
+    scale = np.maximum(mags.max(axis=(1, 2)), 1.0)
+    diag = np.arange(len(vecs))
+    mags[:, diag, diag] = 0.0
+    if not (mags.max(axis=(1, 2)) <= 1e-7 * scale).all():
+        raise ConvergenceError(
+            "transfer family failed to diagonalize in the common basis"
+        )
+    return d[:, diag, diag]
 
 
 def _tq_terms(w, m, cs, bp):
@@ -846,20 +819,22 @@ def _solve_branches(cs, bp, sectors, rng, branch=None):
     """Certified root sets of each ``(m, sector)`` pair, in order: every
     branch on the sector or, with ``branch``, the first one from ``branch``
     on that passes.  One draw and one :func:`transfer_matrices` stack serve
-    every sector: the reference, five check points and ``sites + 2`` nodes,
-    of which a sector with ``m`` roots reads and fits the first ``m + 2``."""
-    rng = rng or np.random.default_rng()
+    every sector: the reference, five check points and ``sites + 2`` nodes.
+    A sector with ``m`` roots restricts the first ``m + 8`` to its block
+    once, and reads and fits the eigenvalues at the first ``m + 2`` nodes."""
     ref = draw_spectral_point(rng, cs=cs, bp=bp)
     check_points = draw_spectral_points(rng, 5, cs=cs, bp=bp)
     nodes = draw_spectral_points(rng, cs.sites + 2, cs=cs, bp=bp)
     t = transfer_matrices([ref] + check_points + nodes, cs, bp)
     found = []
     for m, sector in sectors:
-        basis = transfer_branch_basis(t, sector=sector)
-        eigs = basis.eigenvalues(t[1 : 8 + m])
-        targets, size = eigs[:5], basis.size
+        block = t[: 8 + m]
+        if sector is not None:
+            block = block[(...,) + np.ix_(sector, sector)]
+        eigs = transfer_branch_basis(block)
+        targets, size = eigs[1:6], eigs.shape[1]
         if m:
-            seeds = _tq_seeds(eigs[5:], nodes[: m + 2], m, cs, bp)
+            seeds = _tq_seeds(eigs[6:], nodes[: m + 2], m, cs, bp)
         else:
             seeds = np.zeros((size, 0), dtype=complex)
 
@@ -879,7 +854,7 @@ def _solve_branches(cs, bp, sectors, rng, branch=None):
 def solve_bethe(
     cs: ChainSpec,
     bp: BoundaryParams,
-    rng=None,
+    rng,
     branch: int | None = None,
 ):
     """Find Bethe root sets for every transfer-matrix branch.
@@ -909,7 +884,7 @@ def solve_bethe(
 def solve_bethe_diagonal(
     cs: ChainSpec,
     bp: BoundaryParams,
-    rng=None,
+    rng,
     branch: int | None = None,
 ):
     """Root sets of the dressed (diagonal) Bethe system in every magnon sector.

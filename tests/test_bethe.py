@@ -26,10 +26,11 @@ from segment_bethe.bethe import (
     root_terms,
     solve_bethe,
     solve_bethe_diagonal,
+    transfer_branch_basis,
     unwanted_terms,
     vacuum_eigenvalues,
 )
-from segment_bethe.double_row import double_row, transfer_matrix
+from segment_bethe.double_row import double_row, transfer_matrices, transfer_matrix
 from segment_bethe.errors import ConvergenceError, ParameterError, PoleError
 from segment_bethe.linalg import vacuum_state
 from segment_bethe.params import (
@@ -553,11 +554,70 @@ def test_solve_bethe_completeness_n4(seed):
     assert all(s.on_shell and s.eigenvalue_residual <= 1e-8 for s in sols)
 
 
-def test_solver_mode_guards(cs1, bp, bp_diag):
+def test_solver_mode_guards(cs1, bp, bp_diag, rng):
     with pytest.raises(ParameterError):
-        solve_bethe(cs1, bp_diag)
+        solve_bethe(cs1, bp_diag, rng)
     with pytest.raises(ParameterError):
-        solve_bethe_diagonal(cs1, bp)
+        solve_bethe_diagonal(cs1, bp, rng)
+
+
+def _solve_stack(cs, bp, rng):
+    """``t(u)`` at a solve's draw: the reference, 5 check points and
+    ``sites + 2`` nodes."""
+    points = draw_spectral_points(rng, cs.sites + 8, cs=cs, bp=bp)
+    return transfer_matrices(points, cs, bp)
+
+
+def _same_multiset(values, expected, rel):
+    """Each of ``values`` matched to its own entry of ``expected``, nearest
+    first, within ``rel`` of the largest expected magnitude."""
+    left = list(expected)
+    scale = max(abs(v) for v in left)
+    for v in values:
+        k = min(range(len(left)), key=lambda j: abs(left[j] - v))
+        if abs(left.pop(k) - v) > rel * scale:
+            return False
+    return not left
+
+
+def test_branch_table_rejects_a_stack_that_does_not_commute(cs2, bp, rng):
+    t = _solve_stack(cs2, bp, rng)
+    noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    with pytest.raises(ConvergenceError, match="failed to diagonalize"):
+        transfer_branch_basis(np.concatenate([t, noise[None]]))
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 4])
+def test_branch_table_rows_are_each_entrys_eigenvalues(sites):
+    rng = np.random.default_rng([sites, 32])
+    bp_ = draw_boundary_params(rng)
+    cs = draw_chain_spec(rng, sites)
+    t = _solve_stack(cs, bp_, rng)
+    eigs = transfer_branch_basis(t)
+    assert eigs.shape == (sites + 8, 2**sites)
+    for row, entry in zip(eigs, t):
+        assert _same_multiset(row, np.linalg.eigvals(entry), 1e-10)
+
+
+def test_branch_table_rows_in_every_magnon_sector(cs3, bp_diag, rng):
+    t = _solve_stack(cs3, bp_diag, rng)
+    for m in range(4):
+        sector = [k for k in range(8) if bin(k).count("1") == m]
+        block = t[(...,) + np.ix_(sector, sector)]
+        eigs = transfer_branch_basis(block)
+        assert eigs.shape == (11, math.comb(3, m))
+        for row, entry in zip(eigs, block):
+            assert _same_multiset(row, np.linalg.eigvals(entry), 1e-10)
+
+
+def test_branch_table_reference_row_is_in_branch_order(cs2, bp):
+    # Row 0 is t(ref)'s spectrum sorted by rounded real, then imaginary
+    # part: branch k of a solve is column k.
+    t = _solve_stack(cs2, bp, np.random.default_rng(91))
+    ref = transfer_branch_basis(t)[0]
+    key = list(zip(np.round(ref.real, 9), np.round(ref.imag, 9)))
+    assert key == sorted(key)
+    assert _same_multiset(ref, np.linalg.eigvals(t[0]), 1e-10)
 
 
 def test_diagonal_sector_counts(solved2_diag):

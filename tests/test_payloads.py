@@ -71,3 +71,14 @@ def test_payload_diff_reports_moves_and_flips(tmp_path):
 
     code, _, err = _diff(tmp_path, old, new[:1])
     assert code == 2 and "line counts differ" in err
+
+
+def test_payload_diff_says_when_the_files_are_byte_identical(tmp_path):
+    lines = [_payload(0, {"x": 1e-16}), _payload(1, {"x": 3e-16})]
+    code, out, _ = _diff(tmp_path, lines, lines)
+    assert code == 0 and out.splitlines()[0] == "cells: 2, byte-identical"
+    # Equal payloads in other bytes are not byte-identical.
+    spaced = [line.replace(": ", ":  ") for line in lines]
+    code, out, _ = _diff(tmp_path, lines, spaced)
+    assert code == 0 and out.splitlines()[0] == "cells: 2"
+    assert "residuals moved:\npass-flag flips: 0" in out

@@ -2,8 +2,9 @@
 
 A top-level function of ``src/segment_bethe`` whose name has no leading
 underscore must be referenced in the package outside its own definition,
-exported by the package ``__init__``, or named inside backticks in README.
-One that only the tests call belongs with the tests (``oracles``).  No
+or named in a script under ``bench/`` or ``tools/``; an export from the
+package ``__init__`` or a mention in README alone does not keep it.  One
+that only the tests call belongs with the tests (``oracles``).  No
 module imports another module's private (underscore, not dunder) name: what
 two modules share is public.  And every defaulted parameter of the package
 is set by some call outside the tests: a value or calling mode that only
@@ -26,25 +27,15 @@ def _identifiers(node):
             yield sub.attr
 
 
-def _exported(init: ast.Module) -> set:
-    for node in init.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def orphans(root=ROOT) -> list:
     """``module.function`` for each public function nothing outside it uses."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((root / "src" / "segment_bethe").glob("*.py"))
     }
-    spans = re.findall(r"(`+)(.+?)\1", (root / "README.md").read_text("utf-8"), re.S)
-    allowed = _exported(trees["__init__"]) | {
-        name for _, span in spans for name in re.findall(r"\w+", span)
-    }
+    scripts = sorted((root / "bench").glob("*.py"))
+    scripts += sorted((root / "tools").glob("*.py"))
+    named = {w for path in scripts for w in re.findall(r"\w+", path.read_text("utf-8"))}
     # Each top-level statement's identifiers, collected once.
     statements = [
         (stem, node, set(_identifiers(node)))
@@ -60,13 +51,34 @@ def orphans(root=ROOT) -> list:
             for _, other, names in statements
             if other is not node
         )
-        if not (used or node.name in allowed):
+        if not (used or node.name in named):
             out.append(f"{stem}.{node.name}")
     return out
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
     assert orphans() == []
+
+
+def test_an_export_or_readme_mention_alone_keeps_no_function(tmp_path):
+    files = {
+        "src/segment_bethe/__init__.py": (
+            "from .mod import exported\n__all__ = ['exported']\n"
+        ),
+        "src/segment_bethe/mod.py": (
+            "def exported(): pass\n"
+            "def mentioned(): pass\n"
+            "def scripted(): pass\n"
+            "def called(): pass\n"
+            "def _caller(): return called()\n"
+        ),
+        "README.md": "`mentioned()` and `exported()`\n",
+        "bench/run.py": "LAYERS = ['mod.scripted']\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert orphans(tmp_path) == ["mod.exported", "mod.mentioned"]
 
 
 def private_imports(root=ROOT) -> list:

@@ -3,7 +3,9 @@
     python3 tools/payload_diff.py OLD NEW
 
 Line ``k`` of each file is the canonical payload of the same grid cell.
-Files of different line counts are refused (exit 2).  The report lists:
+Files of different line counts are refused (exit 2).  The report's first
+line counts the cells and says whether the files are byte-identical, so a
+claim that a change moves nothing is one command per grid.  It lists:
 
 - for each record whose residual moved: the number of cells it moved in,
   the largest absolute move and the worst residual on each side;
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from pathlib import Path
 
 
 def _cell(payload: dict, line: int) -> str:
@@ -92,10 +95,8 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print("usage: payload_diff.py OLD NEW", file=sys.stderr)
         return 2
-    texts = []
-    for path in args:
-        with open(path, encoding="utf-8") as fh:
-            texts.append(fh.read().splitlines())
+    blobs = [Path(path).read_bytes() for path in args]
+    texts = [blob.decode("utf-8").splitlines() for blob in blobs]
     if len(texts[0]) != len(texts[1]):
         print(
             f"payload_diff.py: line counts differ ({len(texts[0])} vs "
@@ -104,6 +105,8 @@ def main(argv=None) -> int:
         )
         return 2
     lines, status = compare(*texts)
+    if blobs[0] == blobs[1]:
+        lines[0] += ", byte-identical"
     print("\n".join(lines))
     return status
 
