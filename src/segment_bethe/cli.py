@@ -22,8 +22,6 @@ from .errors import (
 from .harness import COMMANDS, RunConfig, check_command, run
 from .precision import PRECISIONS
 
-ENV_PRECISION = "SEGMENT_BETHE_PRECISION"
-
 _INT_KEYS = ("sites", "seed", "draws")
 _COMPLEX_KEYS = ("p", "q", "xi_plus", "xi_minus")
 
@@ -89,14 +87,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     fields = (
         load_config_file(args.config) if args.config else {"tolerances": {}}
     )
-    for name in ("sites", "seed", "draws"):
+    for name in ("sites", "seed", "draws", "precision"):
         flag = getattr(args, name)
         if flag is not None:
             fields[name] = flag
-    if args.precision is not None:
-        fields["precision"] = args.precision
-    elif "precision" not in fields:
-        fields["precision"] = os.environ.get(ENV_PRECISION, "double")
     return RunConfig(**fields)
 
 
@@ -112,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "check-algebra": "R- and K-matrix identity residuals",
         "exchange": "exchange relations and transfer consistency",
         "spectrum": "brute-force spectrum vs Bethe root sets",
-        "solve-bethe": "certified Bethe root sets (CSV table)",
         "offshell": "off-shell action, central relation, expansions",
         "slavnov": "determinant scalar product vs direct contraction",
         "norm": "Gaudin-Korepin norm vs direct self-product",
@@ -138,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--precision",
             choices=PRECISIONS,
             default=None,
-            help=f"formula arithmetic (default ${ENV_PRECISION} or double)",
+            help="formula arithmetic (default double)",
         )
         cmd.add_argument(
             "--config",
@@ -148,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--out",
             default=None,
-            help="also write the report here (.csv with solve-bethe writes "
+            help="also write the report here (.csv with spectrum writes "
             "the root table)",
         )
     return parser
@@ -165,7 +158,7 @@ def _check_out(path: str) -> None:
 
 
 def _write_out(command: str, report, path: str) -> None:
-    if command == "solve-bethe" and path.endswith(".csv"):
+    if command == "spectrum" and path.endswith(".csv"):
         text = report.details["csv"]
     else:
         text = report.to_json() + "\n"

@@ -25,11 +25,13 @@ state never needs a ``2^N``-square entry; :func:`act_chunk` is how many states
 one call of a stacked build takes and :func:`act_bytes` what it returns per
 state.  :func:`trace_form` makes ``t(u)`` of either stack.  The one-point
 reads :func:`double_row`, :func:`modified_entries` and :func:`transfer_matrix`
-take exactly one point, and a list raises.  Nothing is cached.
+take exactly one point, and a list raises.  No operator is cached; the
+one memo is the small ``(8, 4)`` route table of each recent boundary.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -161,11 +163,13 @@ def _shifts(us: list, ndim: int) -> np.ndarray:
     return np.array([2 * u + 1 for u in us]).reshape((-1,) + (1,) * (ndim - 1))
 
 
+@lru_cache(maxsize=16)
 def _route_maps(bp: BoundaryParams) -> np.ndarray:
     """The two routes from the raw blocks ``A, B, C, D`` (columns) to ``a_bar``,
     ``b_bar``, ``c_bar`` and the unshifted ``D_bar``, ``(8, 4)``: rows 0-3 the
     closed form, rows 4-7 conjugation by ``Q``.  Block (j, l) of ``Q^-1 M Q``
-    is ``sum_{k,m} Q^-1[j,k] M[k,m] Q[m,l]``: row 4 + 2j + l, column 2k + m."""
+    is ``sum_{k,m} Q^-1[j,k] M[k,m] Q[m,l]``: row 4 + 2j + l, column 2k + m.
+    Memoised per boundary (every act and build chunk reads it), read-only."""
     rho, xp, xm = bp.rho, bp.xi_plus, bp.xi_minus
     closed_form = [
         [rho - 2, -xm, -xp, rho],
@@ -180,6 +184,7 @@ def _route_maps(bp: BoundaryParams) -> np.ndarray:
     conjugation = [[q_inv[j][k] * q[m][l] for k, m in pairs] for j, l in pairs]
     maps = np.array(closed_form + conjugation, dtype=complex)
     maps[:4] /= 2 * (rho - 1)
+    maps.flags.writeable = False
     return maps
 
 

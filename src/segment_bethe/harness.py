@@ -485,11 +485,11 @@ def _commutator_residual(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spectrum / solve-bethe: brute-force diagonalization vs Bethe root sets.
+# spectrum: brute-force diagonalization vs Bethe root sets.
 
 
-def _spectrum_suite(config: RunConfig, command: str) -> VerificationReport:
-    rec = _Recorder(config, command)
+def run_spectrum(config: RunConfig) -> VerificationReport:
+    rec = _Recorder(config, "spectrum")
     rng = _stream(config, "spectrum")
     bp = config.boundary(rng)
     cs = config.chain(rng)
@@ -575,14 +575,6 @@ def _roots_csv(solutions) -> str:
                 ]
             )
     return buf.getvalue()
-
-
-def run_spectrum(config: RunConfig) -> VerificationReport:
-    return _spectrum_suite(config, "spectrum")
-
-
-def run_solve_bethe(config: RunConfig) -> VerificationReport:
-    return _spectrum_suite(config, "solve-bethe")
 
 
 # ---------------------------------------------------------------------------
@@ -772,14 +764,15 @@ def run_n1(config: RunConfig) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# all: the fixed registry, one merged report.
+# all: every other suite in registry order, one merged report.
 
 
 def run_all(config: RunConfig) -> VerificationReport:
     merged = VerificationReport(command="all", config=config.echo())
-    for name in ("check-algebra", "exchange", "spectrum", "offshell",
-                 "slavnov", "norm", "n1"):
-        part = COMMANDS[name](config)
+    for name, suite in COMMANDS.items():
+        if name == "all":
+            continue
+        part = suite(config)
         merged.checks.extend(part.checks)
         if part.details:
             merged.details[name] = part.details
@@ -790,7 +783,6 @@ COMMANDS = {
     "check-algebra": run_check_algebra,
     "exchange": run_exchange,
     "spectrum": run_spectrum,
-    "solve-bethe": run_solve_bethe,
     "offshell": run_offshell,
     "slavnov": run_slavnov,
     "norm": run_norm,

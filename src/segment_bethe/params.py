@@ -6,6 +6,7 @@ Parameters are immutable.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from decimal import getcontext
 
@@ -42,8 +43,9 @@ class BoundaryParams:
 
     ``rho`` is memoised per instance and per decimal context precision, so
     couplings lifted to extended precision give a ``rho`` accurate to
-    whatever precision is in force when it is read.  The memo is not a
-    field: it takes no part in equality or hashing.
+    whatever precision is in force when it is read.  The memo and
+    ``diagonal_mode``, set once at construction, are not fields: they take
+    no part in equality, hashing or ``repr``.
     """
 
     p: complex
@@ -59,16 +61,13 @@ class BoundaryParams:
             raise ParameterError(
                 "off-diagonal couplings must both vanish or both be nonzero"
             )
+        object.__setattr__(self, "diagonal_mode", not has_plus)
         if has_plus and abs(self.rho - 1) <= RHO_ONE_TOL:
             # xi_plus*xi_minus = -1 makes the similarity transform singular.
             raise ParameterError("couplings give rho too close to 1")
         if has_plus and abs(self.xi_plus * self.xi_minus + self.rho**2) < 1e-12:
             # det Q = 2 rho (rho - 1): tiny couplings round rho to 0.
             raise ParameterError("similarity transform is singular for these couplings")
-
-    @property
-    def diagonal_mode(self) -> bool:
-        return self.xi_plus == 0 and self.xi_minus == 0
 
     @property
     def rho(self):
@@ -115,9 +114,11 @@ class ChainSpec:
 
 
 def _uniform_disc(rng: np.random.Generator, radius: float) -> complex:
-    r = radius * np.sqrt(rng.uniform())
-    phase = rng.uniform(0.0, 2 * np.pi)
-    return complex(r * np.cos(phase), r * np.sin(phase))
+    # rng.random() and 2 pi rng.random() are rng.uniform() and
+    # rng.uniform(0, 2 pi) bit for bit, at a third of the cost.
+    r = radius * math.sqrt(rng.random())
+    phase = 2 * math.pi * rng.random()
+    return complex(r * math.cos(phase), r * math.sin(phase))
 
 
 def _annulus(rng: np.random.Generator, rmin: float, rmax: float) -> complex:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from segment_bethe import cli, harness, linalg
-from segment_bethe.cli import ENV_PRECISION, build_config, load_config_file, main
+from segment_bethe.cli import build_config, load_config_file, main
 from segment_bethe.errors import ParameterError
 
 
@@ -69,17 +69,16 @@ def test_config_file_rejects(tmp_path, payload):
 
 
 def test_precision_priority(tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_PRECISION, "extended")
-    assert build_config(_namespace()).precision == "extended"
-
-    file_path = _write_config(tmp_path, {"precision": "double"})
-    assert build_config(_namespace(config=file_path)).precision == "double"
+    # The flag, then the config file, then the default; the environment
+    # takes no part.
+    monkeypatch.setenv("SEGMENT_BETHE_PRECISION", "extended")
+    file_path = _write_config(tmp_path, {"precision": "extended"})
+    assert build_config(_namespace(config=file_path)).precision == "extended"
     assert (
-        build_config(_namespace(config=file_path, precision="extended")).precision
-        == "extended"
+        build_config(_namespace(config=file_path, precision="double")).precision
+        == "double"
     )
-
-    monkeypatch.delenv(ENV_PRECISION)
+    assert build_config(_namespace(precision="extended")).precision == "extended"
     assert build_config(_namespace()).precision == "double"
 
 
@@ -155,6 +154,15 @@ def test_argparse_rejects_unknown_subcommand():
     assert info.value.code == 2
 
 
+def test_solve_bethe_is_not_a_command(capsys):
+    # `spectrum --out roots.csv` writes the root table; `solve-bethe` is not
+    # a subcommand.
+    with pytest.raises(SystemExit) as info:
+        main(["solve-bethe", "--sites", "1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'solve-bethe'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(harness.OFF_DIAGONAL_COMMANDS))
 def test_exit_two_when_command_needs_off_diagonal_couplings(
     monkeypatch, tmp_path, capsys, command
@@ -207,7 +215,7 @@ def test_a_zero_coupling_serves_the_commands_without_a_hamiltonian(tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "command", ["spectrum", "solve-bethe", "exchange", "check-algebra"]
+    "command", ["spectrum", "exchange", "check-algebra"]
 )
 def test_pinned_diagonal_couplings_serve_the_other_commands(
     tmp_path, capsys, command
@@ -291,9 +299,7 @@ def test_exit_two_on_unwritable_out(monkeypatch, tmp_path, capsys):
 
 def test_solve_bethe_csv_out(tmp_path, capsys):
     out = tmp_path / "roots.csv"
-    code = main(
-        ["solve-bethe", "--sites", "1", "--seed", "2", "--out", str(out)]
-    )
+    code = main(["spectrum", "--sites", "1", "--seed", "2", "--out", str(out)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     text = out.read_text(encoding="utf-8")

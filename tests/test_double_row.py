@@ -230,6 +230,9 @@ def test_stack_route_gate_names_the_point(monkeypatch, cs2, bp, rng):
     monkeypatch.setattr(
         dr, "q_similarity", lambda b: good + np.array([[1e-6, 0], [0, 0]])
     )
+    # The route table is memoised per boundary: read it unmemoised here, so
+    # the corrupted similarity reaches it and no corrupted table is kept.
+    monkeypatch.setattr(dr, "_route_maps", dr._route_maps.__wrapped__)
     with pytest.raises(ConstructionError, match="construction routes") as err:
         transfer_matrices(points, cs2, bp)
     # Every point trips the corrupted similarity; the first one is named.

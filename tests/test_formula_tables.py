@@ -741,3 +741,4 @@ def test_rho_memo_is_not_a_field():
         a.rho
     assert a == b and hash(a) == hash(b)
     assert "_rho_memo" not in repr(a)
+    assert "diagonal_mode" not in repr(a) and not a.diagonal_mode

@@ -153,3 +153,56 @@ def test_draws_are_reproducible():
     a = draw_boundary_params(np.random.default_rng(5))
     b = draw_boundary_params(np.random.default_rng(5))
     assert a == b
+
+
+def _numpy_disc(rng, radius):
+    """The disc draw with numpy's generator and scalar calls: the oracle."""
+    r = radius * np.sqrt(rng.uniform())
+    phase = rng.uniform(0.0, 2 * np.pi)
+    return complex(r * np.cos(phase), r * np.sin(phase))
+
+
+def _numpy_boundary(rng):
+    """The boundary draw, annulus couplings included, written out."""
+    while True:
+        p = complex(rng.uniform(1.0, 3.0), rng.uniform(-0.5, 0.5))
+        q = complex(rng.uniform(1.0, 3.0), rng.uniform(-0.5, 0.5))
+        xi = []
+        for _ in range(2):
+            r = rng.uniform(0.2, 1.5)
+            phase = rng.uniform(0.0, 2 * np.pi)
+            xi.append(complex(r * np.cos(phase), r * np.sin(phase)))
+        try:
+            bp = BoundaryParams(p, q, *xi)
+        except ParameterError:
+            continue
+        if abs(bp.rho) >= 1e-3:
+            return bp
+
+
+def _seeded_draws(seed, boundary):
+    """Every draw of one seed, as the bits of each value, and the stream's end."""
+    rng = np.random.default_rng(seed)
+    bp = boundary(rng)
+    cs = draw_chain_spec(rng, seed % 4 + 1)
+    avoid = tuple(draw_spectral_points(rng, 2, cs=cs, bp=bp))
+    diagonal = BoundaryParams(bp.p, bp.q)
+    points = [
+        *draw_spectral_points(rng, 3, avoid=avoid, cs=cs, bp=bp),
+        *draw_spectral_points(rng, 2, avoid=avoid, cs=cs, bp=diagonal),
+    ]
+    values = (bp.p, bp.q, bp.xi_plus, bp.xi_minus, *cs.thetas, *avoid, *points)
+    bits = [(z.real.hex(), z.imag.hex()) for z in map(complex, values)]
+    modes = (bp.diagonal_mode, diagonal.diagonal_mode)
+    return bits, modes, rng.bit_generator.state
+
+
+def test_draws_match_the_numpy_formula_bit_for_bit(monkeypatch):
+    # Every problem the suites and the benchmark pose is drawn through these
+    # samplers, so a cheaper draw must give the same bits from the same
+    # stream, and the diagonal flag must read as the couplings say.
+    drawn = [_seeded_draws(seed, draw_boundary_params) for seed in range(100)]
+    monkeypatch.setattr(params, "_uniform_disc", _numpy_disc)
+    for seed, (bits, modes, state) in enumerate(drawn):
+        assert (bits, state) == _seeded_draws(seed, _numpy_boundary)[::2], seed
+        assert modes == (False, True), seed
